@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,24 @@ class TestHadamard:
         assert np.all(h[:, 0] == 1)
         # every other column of a normalized Hadamard matrix sums to zero
         assert np.all(h[:, 1:].sum(axis=0) == 0)
+
+    # SHA-256 of hadamard(n).tobytes(). The dimming code takes its columns from
+    # these matrices, so any change in the construction (for example Paley
+    # taking precedence over Sylvester at 4, 8 or 32) changes every curve.
+    PINNED_DIGESTS = {
+        4: "aa60fb6df530078eac7046de94dd6acfaf67c83ac155f77ae6b06e308b528d22",
+        8: "5d6b6ffc8a5aca0cce07fe3aa8a0722a8bef21e28805479246232aa17a5c2abb",
+        12: "6f74fe4e398913326015ffcecc6a5aceded9e4b6a33ce16a1443dee3ea9d5103",
+        16: "a5d51a9007b290d37bd4ccd9a09e3c26c630bc5b0d5ee68ae24aa231d34af08e",
+        20: "b8b24be30b7b9d0e52f02db453e3962dd0dff0fde7be34facb41dbf45c125534",
+        24: "294bb13f596dc5cd24786d9dd85d4e4304983e78d7465805ab493924ee4f6caf",
+        32: "9d00b9c44ffc2bdd4ca515c288c0d35792ff13ba8079da005eea47945b528e3c",
+    }
+
+    @pytest.mark.parametrize("order", sorted(PINNED_DIGESTS))
+    def test_matrices_are_pinned(self, order):
+        digest = hashlib.sha256(linalg.hadamard(order).tobytes()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[order]
 
     @pytest.mark.parametrize("order", [3, 6, 10, 36])
     def test_unsupported_orders(self, order):
