@@ -65,10 +65,6 @@ class ReceivedTensor:
     data: np.ndarray
     noise_variance: float
 
-    @property
-    def n_states(self) -> int:
-        return self.data.shape[2]
-
 
 def propagate(
     gains: np.ndarray,

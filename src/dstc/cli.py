@@ -1,4 +1,9 @@
-"""Command-line front end: design codes, run sweeps, print efficiency tables.
+"""Command-line front end of the dstc toolbox.
+
+Subcommands: ``design`` builds and validates a dimming code, ``audit``
+measures its average power and chromaticity, ``simulate`` runs a config's
+Monte Carlo sweeps, ``check`` runs its identifiability check, and ``eta``
+prints spectral efficiencies.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible code
 design, 3 failed identifiability check, 4 simulation producing a sweep point
@@ -16,13 +21,15 @@ from pathlib import Path
 
 from . import __version__
 from .configio import ConfigBundle, ConfigError, load_config
+from .csk import Constellation, default_constellation
 from .dimming import ConstraintViolationError, build_dimming_matrix, validate_dimming_matrix
 from .experiments import (
+    ExperimentConfig,
     IdentifiabilityError,
+    audit_power_color,
     check_scenario_identifiability,
     flatten_curves,
-    run_alpha_sweep,
-    run_ber_nmse_sweep,
+    run_sweep,
     spectral_efficiency,
     write_curves_csv,
 )
@@ -36,6 +43,9 @@ EXIT_DEGENERATE = 4
 # Reference operating points printed by `eta --table2` (block_len = 10).
 _TABLE2_CASES = ((3, 2, 8), (3, 6, 20), (3, 10, 32), (4, 2, 12), (4, 2, 16))
 _TABLE2_BLOCK_LEN = 10
+
+# (sweep axis, CSV file, summary section) in the order `simulate` runs them.
+_SWEEPS = (("ber", "ber_nmse.csv", "ber_nmse"), ("alpha", "alpha_sweep.csv", "alpha_sweep"))
 
 _CONFIG_HELP = """\
 configuration file keys (see configs/qled2x2.cfg for an annotated example):
@@ -63,8 +73,31 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> ConfigBundle:
-    return load_config(path)
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _read_experiment(args) -> tuple[ConfigBundle, ExperimentConfig, Constellation]:
+    """Config, seeded experiment and constellation shared by `check` and `simulate`.
+
+    Raises ConfigError when the file does not load, has no [experiment]
+    section, or has no [constellation] for a k_t without a default one.
+    """
+    bundle = load_config(args.config)
+    if bundle.experiment is None:
+        raise ConfigError(f"{args.config}: missing [experiment] section")
+    cfg = bundle.experiment
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
+    constellation = bundle.constellation
+    if constellation is None:
+        try:
+            constellation = default_constellation(cfg.scenario.k_t)
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: {exc}; add a [constellation] section") from None
+    return bundle, cfg, constellation
 
 
 def _utc_now() -> str:
@@ -93,7 +126,7 @@ def cmd_eta(args) -> int:
 
 def cmd_design(args) -> int:
     try:
-        bundle = _load(args.config)
+        bundle = load_config(args.config)
         spec = bundle.scenario.dimming_spec()
         code = build_dimming_matrix(spec)
     except ConfigError as exc:
@@ -148,14 +181,9 @@ def _degenerate(curves) -> bool:
 def cmd_simulate(args) -> int:
     started = _utc_now()
     try:
-        bundle = _load(args.config)
+        bundle, cfg, constellation = _read_experiment(args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if bundle.experiment is None:
-        return _fail(f"{args.config}: missing [experiment] section", EXIT_USAGE)
-    cfg = bundle.experiment
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, base_seed=args.seed)
     if args.noiseless:
         cfg = dataclasses.replace(cfg, noiseless=True)
 
@@ -165,15 +193,12 @@ def cmd_simulate(args) -> int:
     summary: list[str] = []
     degenerate = False
     try:
-        if bundle.mode in ("ber", "both"):
-            curves = run_ber_nmse_sweep(cfg, constellation=bundle.constellation)
-            outputs.append(write_curves_csv(curves, out / "ber_nmse.csv"))
-            summary += _summary_lines("ber_nmse", curves)
-            degenerate |= _degenerate(curves)
-        if bundle.mode in ("alpha", "both"):
-            curves = run_alpha_sweep(cfg, constellation=bundle.constellation)
-            outputs.append(write_curves_csv(curves, out / "alpha_sweep.csv"))
-            summary += _summary_lines("alpha_sweep", curves)
+        for mode, csv_name, label in _SWEEPS:
+            if bundle.mode not in (mode, "both"):
+                continue
+            curves = run_sweep(cfg, mode, constellation)
+            outputs.append(write_curves_csv(curves, out / csv_name))
+            summary += _summary_lines(label, curves)
             degenerate |= _degenerate(curves)
     except IdentifiabilityError as exc:
         return _fail(f"identifiability check failed: {exc}", EXIT_NOT_UNIQUE)
@@ -218,15 +243,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        bundle = _load(args.config)
+        _, cfg, constellation = _read_experiment(args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if bundle.experiment is None:
-        return _fail(f"{args.config}: missing [experiment] section", EXIT_USAGE)
-    cfg = bundle.experiment
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    report = check_scenario_identifiability(cfg)
+    report = check_scenario_identifiability(cfg, constellation)
     need = 2 * report.n_columns + 2
     total = report.k_gains + report.k_symbols + report.k_code
     print(f"k-rank(channel)={report.k_gains}")
@@ -238,6 +258,26 @@ def cmd_check(args) -> int:
     print(f"diagonal-channel shortcut: {'yes' if report.diagonal_channel_path else 'no'}")
     print(f"uniqueness: {'unique' if report.unique else 'NOT unique'}")
     return EXIT_OK if report.unique else EXIT_NOT_UNIQUE
+
+
+def cmd_audit(args) -> int:
+    try:
+        bundle = load_config(args.config)
+        audit = audit_power_color(bundle.scenario, n_rows=args.rows, table=bundle.chromaticity)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except ConstraintViolationError as exc:
+        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
+    except ValueError as exc:  # no default constellation or chromaticity for this k_t
+        return _fail(f"{args.config}: {exc}", EXIT_USAGE)
+    before, after, shift = audit.chroma_before, audit.chroma_after, audit.chroma_shift
+    print(f"scenario: {bundle.scenario}")
+    print(f"average power target (p_m):   {audit.power_target}")
+    print(f"average power after dimming:  {audit.relative_power:.6f}")
+    print(f"chromaticity before dimming:  ({before[0]:.6f}, {before[1]:.6f})")
+    print(f"chromaticity after dimming:   ({after[0]:.6f}, {after[1]:.6f})")
+    print(f"chromaticity shift:           ({shift[0]:.3e}, {shift[1]:.3e})")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,6 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--config", required=True, help="configuration file")
     p_design.add_argument("--out", default=".", help="output directory")
     p_design.set_defaults(func=cmd_design)
+
+    p_audit = sub.add_parser("audit", help="measure a dimming code's average power and color")
+    p_audit.add_argument("--config", required=True, help="configuration file")
+    p_audit.add_argument("--rows", type=_positive_int, default=10_000,
+                         help="symbol rows in the audited stream (default 10000)")
+    p_audit.set_defaults(func=cmd_audit)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo sweeps of a config")
     p_sim.add_argument("--config", required=True, help="configuration file")

@@ -132,19 +132,11 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     return spec.p_m + spec.alpha * b
 
 
-def state_scaling(code: np.ndarray, state: int) -> np.ndarray:
-    """Diagonal per-LED scaling applied during one dimming state (0-based)."""
-    code = np.asarray(code, dtype=float)
-    if not 0 <= state < code.shape[0]:
-        raise IndexError(f"state {state} out of range for {code.shape[0]} states")
-    return np.diag(code[state])
-
-
 def transmit_block(code: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Per-state transmit matrices for one symbol block.
 
     ``symbols`` has one row per time slot; the result is a (K, n_tx, N)
-    array whose slice k equals ``state_scaling(code, k) @ symbols.T``.
+    array whose slice k equals ``np.diag(code[k]) @ symbols.T``.
     """
     code = np.asarray(code, dtype=float)
     symbols = np.asarray(symbols, dtype=float)

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: BER/NMSE sweeps, dimming-depth sweeps, link audits.
+"""Monte Carlo harness: BER/NMSE and dimming-depth sweeps, link audits.
 
 One trial transmits a single block of ``block_len`` slots (first slot is the
 semi-blind receiver's training row) over a freshly drawn channel.  Trial
@@ -160,7 +160,6 @@ class ExperimentConfig:
 class TrialOutcome:
     """Per-trial, per-receiver tallies; failures carry no bit or NMSE counts."""
 
-    receiver: str
     bit_errors: int
     n_bits: int
     nmse: float
@@ -177,7 +176,6 @@ class CurvePoint:
     ber: float
     nmse: float
     cond: float
-    n_symbols: int
     n_bits: int
     n_errors: int
     n_trials: int
@@ -195,7 +193,6 @@ def _nmse(truth: np.ndarray, estimate: np.ndarray | None) -> float:
 def _score(result, block, gains, cond_effective, l_t) -> TrialOutcome:
     detected = payload_bits(result.bits, l_t, block.reference_row)
     return TrialOutcome(
-        receiver=result.receiver,
         bit_errors=int(np.sum(detected != block.bits)),
         n_bits=int(block.bits.size),
         nmse=_nmse(gains, result.channel_estimate),
@@ -204,9 +201,8 @@ def _score(result, block, gains, cond_effective, l_t) -> TrialOutcome:
     )
 
 
-def _failure(receiver: str, cond_effective: float) -> TrialOutcome:
+def _failure(cond_effective: float) -> TrialOutcome:
     return TrialOutcome(
-        receiver=receiver,
         bit_errors=0,
         n_bits=0,
         nmse=math.nan,
@@ -255,20 +251,20 @@ def run_trial(
             result = zf_detect(stack_received(received), estimate, constellation, code)
             outcomes[RECEIVER_ZF] = _score(result, block, gains, cond_eff, scenario.l_t)
         except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_ZF] = _failure(RECEIVER_ZF, cond_eff)
+            outcomes[RECEIVER_ZF] = _failure(cond_eff)
     if RECEIVER_KRF in receivers:
         try:
             result = krf_detect(received, code, 0, block.symbols[0], constellation)
             outcomes[RECEIVER_KRF] = _score(result, block, gains, cond_eff, scenario.l_t)
         except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_KRF] = _failure(RECEIVER_KRF, cond_eff)
+            outcomes[RECEIVER_KRF] = _failure(cond_eff)
     if RECEIVER_PLAIN in receivers:
         cond_plain = float(np.linalg.cond(gains))
         try:
             result = plain_csk_baseline(gains, block.symbols, snr_db, constellation, seed=rng)
             outcomes[RECEIVER_PLAIN] = _score(result, block, gains, cond_plain, scenario.l_t)
         except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_PLAIN] = _failure(RECEIVER_PLAIN, cond_plain)
+            outcomes[RECEIVER_PLAIN] = _failure(cond_plain)
     return outcomes
 
 
@@ -299,9 +295,7 @@ def run_point(
     return outcomes
 
 
-def _aggregate(
-    x: float, receiver: str, outcomes: list[TrialOutcome], symbols_per_trial: int
-) -> CurvePoint:
+def _aggregate(x: float, receiver: str, outcomes: list[TrialOutcome]) -> CurvePoint:
     ok = [o for o in outcomes if not o.failed]
     n_bits = sum(o.n_bits for o in ok)
     n_errors = sum(o.bit_errors for o in ok)
@@ -311,7 +305,6 @@ def _aggregate(
         ber=(n_errors / n_bits) if n_bits else 0.0,
         nmse=float(np.mean([o.nmse for o in ok])) if ok else math.nan,
         cond=float(np.mean([o.cond_effective for o in ok])) if ok else math.nan,
-        n_symbols=symbols_per_trial * len(ok),
         n_bits=n_bits,
         n_errors=n_errors,
         n_trials=len(outcomes),
@@ -319,8 +312,16 @@ def _aggregate(
     )
 
 
-def _identifiability_precheck(cfg: ExperimentConfig, constellation: Constellation) -> UniquenessReport:
+def check_scenario_identifiability(
+    cfg: ExperimentConfig, constellation: Constellation | None = None
+) -> UniquenessReport:
+    """Uniqueness report for a seeded representative draw of the scenario.
+
+    The draw replays trial 0's payload and channel under the scenario's own
+    dimming depth; ``None`` selects the default constellation.
+    """
     scenario = cfg.scenario
+    constellation = constellation or default_constellation(scenario.k_t)
     rng = np.random.default_rng(derive_seed(cfg.base_seed, 0))
     bits = rng.integers(0, 2, size=2 * scenario.l_t * (scenario.block_len - 1), dtype=np.uint8)
     block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
@@ -329,25 +330,34 @@ def _identifiability_precheck(cfg: ExperimentConfig, constellation: Constellatio
     return check_uniqueness(gains, block.symbols, code)
 
 
-def check_scenario_identifiability(cfg: ExperimentConfig) -> UniquenessReport:
-    """Uniqueness report for a seeded representative draw of the scenario."""
-    return _identifiability_precheck(cfg, default_constellation(cfg.scenario.k_t))
-
-
-def run_ber_nmse_sweep(
-    cfg: ExperimentConfig, constellation: Constellation | None = None
+def run_sweep(
+    cfg: ExperimentConfig, mode: str, constellation: Constellation | None = None
 ) -> dict[str, list[CurvePoint]]:
-    """BER and channel-NMSE curves over the SNR grid, one list per receiver."""
+    """BER, channel-NMSE and conditioning curves, one list per receiver.
+
+    ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
+    dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
+    ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
+    identifiability checked, before any trial runs.  Trial seeds do not
+    depend on the point, so channels are paired across the sweep.
+    """
+    if mode == "ber":
+        points = [(snr_db, snr_db, cfg.scenario.alpha) for snr_db in cfg.snr_grid_db]
+    elif mode == "alpha":
+        points = [(alpha, cfg.alpha_sweep_snr_db, alpha) for alpha in cfg.alpha_grid]
+    else:
+        raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
     constellation = constellation or default_constellation(cfg.scenario.k_t)
+    for _, _, alpha in points:
+        build_dimming_matrix(cfg.scenario.dimming_spec(alpha))  # fail fast if infeasible
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
-        report = _identifiability_precheck(cfg, constellation)
+        report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(
                 f"scenario fails the k-rank sum condition: {report}"
             )
-    symbols_per_trial = cfg.scenario.block_len - 1
     curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
-    for snr_db in cfg.snr_grid_db:
+    for x, snr_db, alpha in points:
         point = run_point(
             cfg.scenario,
             math.inf if cfg.noiseless else snr_db,
@@ -356,44 +366,10 @@ def run_ber_nmse_sweep(
             cfg.receivers,
             cfg.channel_model,
             constellation,
+            alpha,
         )
         for r in cfg.receivers:
-            curves[r].append(_aggregate(snr_db, r, point[r], symbols_per_trial))
-    return curves
-
-
-def run_alpha_sweep(
-    cfg: ExperimentConfig, constellation: Constellation | None = None
-) -> dict[str, list[CurvePoint]]:
-    """BER and conditioning versus dimming depth at one fixed SNR.
-
-    Channel draws are paired across depth values (same trial seeds), so the
-    conditioning trend is compared on identical channels.
-    """
-    constellation = constellation or default_constellation(cfg.scenario.k_t)
-    for alpha in cfg.alpha_grid:
-        build_dimming_matrix(cfg.scenario.dimming_spec(alpha))  # fail fast if infeasible
-    if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
-        report = _identifiability_precheck(cfg, constellation)
-        if not report.unique:
-            raise IdentifiabilityError(
-                f"scenario fails the k-rank sum condition: {report}"
-            )
-    symbols_per_trial = cfg.scenario.block_len - 1
-    curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
-    for alpha in cfg.alpha_grid:
-        point = run_point(
-            cfg.scenario,
-            math.inf if cfg.noiseless else cfg.alpha_sweep_snr_db,
-            cfg.n_trials,
-            cfg.base_seed,
-            cfg.receivers,
-            cfg.channel_model,
-            constellation,
-            alpha=alpha,
-        )
-        for r in cfg.receivers:
-            curves[r].append(_aggregate(alpha, r, point[r], symbols_per_trial))
+            curves[r].append(_aggregate(x, r, point[r]))
     return curves
 
 

@@ -3,7 +3,7 @@
 Everything works on plain float64 ndarrays. Conventions that the rest of the
 package relies on:
 
-* ``vec``/``unvec`` are column-major, so ``vec(h @ s.T) == kronecker(s, h)``
+* ``vec``/``unvec`` are column-major, so ``vec(h @ s.T) == np.kron(s, h)``
   for column vectors ``h`` and ``s``.
 * ``khatri_rao`` is the column-wise Kronecker product.
 * ``hadamard`` returns an integer matrix whose first column is all ones.
@@ -44,11 +44,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 def khatri_rao(a, b) -> np.ndarray:
@@ -130,18 +125,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _hadamard_supported(order: int) -> bool:
-    if order in (1, 2):
-        return True
-    if order < 1 or order % 4 != 0:
-        return False
-    if order & (order - 1) == 0:
-        return True
-    if _is_prime(order - 1) and (order - 1) % 4 == 3:
-        return True
-    return order % 2 == 0 and _hadamard_supported(order // 2)
-
-
 def _paley_type1(order: int) -> np.ndarray:
     # Quadratic-residue (Jacobsthal) core; q = order-1 is a prime = 3 (mod 4),
     # so the core is skew and identity-plus-core is a Hadamard matrix.
@@ -161,9 +144,11 @@ def _paley_type1(order: int) -> np.ndarray:
 def hadamard(order: int) -> np.ndarray:
     """Hadamard matrix of the given order with an all-ones first column.
 
-    Supported orders: 1, 2, powers of two (Sylvester doubling), ``q + 1`` for
-    a prime ``q = 3 (mod 4)`` (Paley), and any product of supported orders
-    reachable by doubling.  Entries are int64 and ``h @ h.T == order * I``
+    Orders 1 and 2 are built directly, ``q + 1`` for a prime ``q = 3 (mod 4)``
+    by Paley's construction, and every other multiple of 4 by Sylvester
+    doubling, ``kron(hadamard(2), hadamard(order // 2))``, which fails when
+    the half has no construction.  Powers of two always double, also where
+    Paley applies (4, 8, 32).  Entries are int64 and ``h @ h.T == order * I``
     holds exactly.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
@@ -177,17 +162,18 @@ def hadamard(order: int) -> np.ndarray:
         raise HadamardOrderError(
             f"no Hadamard matrix of order {order}: order must be 1, 2, or a multiple of 4"
         )
-    if order & (order - 1) == 0:
-        return np.kron(hadamard(2), hadamard(order // 2))
-    if _is_prime(order - 1) and (order - 1) % 4 == 3:
+    # Sylvester stays ahead of Paley: at 4, 8 and 32 both apply and differ.
+    if order & (order - 1) != 0 and _is_prime(order - 1) and (order - 1) % 4 == 3:
         return _paley_type1(order)
-    if order % 2 == 0 and _hadamard_supported(order // 2):
-        return np.kron(hadamard(2), hadamard(order // 2))
-    raise HadamardOrderError(
-        f"no construction available for order {order}; supported orders are 1, 2, "
-        "powers of two (Sylvester), q+1 for prime q = 3 (mod 4) (Paley), and "
-        "products of supported orders by doubling"
-    )
+    try:
+        half = hadamard(order // 2)
+    except HadamardOrderError:
+        raise HadamardOrderError(
+            f"no construction available for order {order}; supported orders are 1, 2, "
+            "powers of two (Sylvester), q+1 for prime q = 3 (mod 4) (Paley), and "
+            "products of supported orders by doubling"
+        ) from None
+    return np.kron(hadamard(2), half)
 
 
 def kruskal_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:

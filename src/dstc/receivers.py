@@ -45,17 +45,13 @@ class EstimationResult:
     ``bits`` covers every row of the block, training slot included; callers
     that embed a training row slice it off when counting errors.
     ``channel_estimate`` is always the plain n_rx x n_tx gain matrix so that
-    different receivers can be compared on the same object;
-    ``effective_estimate`` additionally carries the state-stacked channel for
-    receivers that estimate it directly.
+    different receivers can be compared on the same object.
     """
 
     receiver: str
     symbol_estimate: np.ndarray
     bits: np.ndarray
     channel_estimate: np.ndarray | None = None
-    effective_estimate: np.ndarray | None = None
-    scale_factors: np.ndarray | None = None
 
 
 def stack_received(tensor) -> np.ndarray:
@@ -121,7 +117,7 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
 
 def zf_detect(
     stacked: np.ndarray,
-    effective_estimate: np.ndarray,
+    effective: np.ndarray,
     constellation: Constellation,
     code: np.ndarray | None = None,
 ) -> EstimationResult:
@@ -131,23 +127,22 @@ def zf_detect(
     estimate for error reporting.
     """
     stacked = np.asarray(stacked, dtype=float)
-    effective_estimate = np.asarray(effective_estimate, dtype=float)
-    if stacked.shape[0] != effective_estimate.shape[0]:
+    effective = np.asarray(effective, dtype=float)
+    if stacked.shape[0] != effective.shape[0]:
         raise ValueError(
             f"stacked rows ({stacked.shape[0]}) must match effective-channel rows "
-            f"({effective_estimate.shape[0]})"
+            f"({effective.shape[0]})"
         )
-    if not effective_estimate.any():
+    if not effective.any():
         raise EqualizationError("effective-channel estimate is zero; nothing to invert")
-    symbols = (pseudoinverse(effective_estimate) @ stacked).T
+    symbols = (pseudoinverse(effective) @ stacked).T
     _, bits = demodulate(symbols, constellation)
-    gains = channel_from_effective(effective_estimate, code) if code is not None else None
+    gains = channel_from_effective(effective, code) if code is not None else None
     return EstimationResult(
         receiver=RECEIVER_ZF,
         symbol_estimate=symbols,
         bits=bits,
         channel_estimate=gains,
-        effective_estimate=effective_estimate,
     )
 
 
@@ -212,7 +207,6 @@ def krf_detect(
         symbol_estimate=symbols,
         bits=bits,
         channel_estimate=gains,
-        scale_factors=scales,
     )
 
 

@@ -33,9 +33,8 @@ from dstc.experiments import (
     audit_power_color,
     check_scenario_identifiability,
     default_scenarios,
-    run_ber_nmse_sweep,
-    run_alpha_sweep,
     run_point,
+    run_sweep,
     run_trial,
 )
 from dstc.identifiability import check_uniqueness
@@ -320,7 +319,7 @@ def test_06c_dstc_beats_plain_csk_everywhere():
             base_seed=BASE_SEED,
             receivers=("ZF", "VLC-KRF", "plain-CSK"),
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
     margins = []
     ok = True
     for i in range(len(grid)):
@@ -375,7 +374,7 @@ def test_08_alpha_sweep_conditioning_and_ber():
             base_seed=BASE_SEED,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_alpha_sweep(cfg)
+        curves = run_sweep(cfg, "alpha")
     conds = [p.cond for p in curves["ZF"]]
     ok = all(a > b for a, b in zip(conds, conds[1:]))
     for r in ("ZF", "VLC-KRF"):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
@@ -223,6 +224,54 @@ class TestSimulate:
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+# k_t = 5 has no default constellation, so check and simulate need a
+# [constellation] section; design never draws symbols.
+NO_DEFAULT_CONSTELLATION = """\
+[scenario]
+k_t = 5
+l_t = 1
+k_r = 5
+l_r = 1
+n_states = 8
+block_len = 20
+
+[experiment]
+n_symbols_total = 40
+"""
+
+# The fourth point lies in the span of two others, which makes the symbol
+# block's k-rank 1; the default constellation would give a unique model.
+DEGENERATE_CONSTELLATION = """
+[constellation]
+point_00 = 1, 0, 0, 0
+point_01 = 0, 1, 0, 0
+point_10 = 0, 0, 1, 0
+point_11 = 0.5, 0.5, 0, 0
+"""
+
+
+class TestNoDefaultConstellation:
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_exits_1_with_one_line(self, command, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "k5.cfg", NO_DEFAULT_CONSTELLATION)
+        argv = [command, "--config", cfg]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no default constellation for k_t = 5" in err
+
+    def test_design_still_works(self, tmp_path):
+        cfg = write_cfg(tmp_path / "k5.cfg", NO_DEFAULT_CONSTELLATION)
+        assert run_cli(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_audit_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "k5.cfg", NO_DEFAULT_CONSTELLATION)
+        assert run_cli(["audit", "--config", cfg, "--rows", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no default" in err
+
+
 class TestCheck:
     def test_default_scenario_is_unique(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
@@ -240,6 +289,59 @@ class TestCheck:
         )
         assert run_cli(["check", "--config", cfg]) == 3
         assert "NOT unique" in capsys.readouterr().out
+
+    def test_constellation_section_agrees_with_simulate(self, tmp_path, capsys):
+        text = Path("configs/qled2x2.cfg").read_text() + DEGENERATE_CONSTELLATION
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert run_cli(["check", "--config", cfg]) == 3
+        assert "k-rank(symbols)=1" in capsys.readouterr().out
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "k_symbols=1" in capsys.readouterr().err
+
+
+DESIGN_ONLY = "configs/tled2x2_design.cfg"
+
+
+class TestAudit:
+    def test_prints_power_and_chromaticity(self, capsys):
+        assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", "2000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[0].startswith("scenario: SystemConfig(k_t=3")
+        assert lines[1] == "average power target (p_m):   0.5"
+        assert abs(float(lines[2].split()[-1]) - 0.5) < 1e-2
+        assert lines[5].startswith("chromaticity shift:")
+
+    def test_reads_chromaticity_section(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            Path(DESIGN_ONLY).read_text()
+            + "\n[chromaticity]\nchannel_0 = 0.6, 0.3\nchannel_1 = 0.6, 0.3\nchannel_2 = 0.6, 0.3\n",
+        )
+        assert run_cli(["audit", "--config", cfg, "--rows", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "chromaticity before dimming:  (0.600000, 0.300000)" in out
+
+    def test_missing_config_exits_1(self, tmp_path, capsys):
+        assert run_cli(["audit", "--config", str(tmp_path / "nosuch.cfg")]) == 1
+        assert "not found" in capsys.readouterr().err
+
+    def test_malformed_config_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "[dimming]\np_m = 0.5\n")
+        assert run_cli(["audit", "--config", cfg]) == 1
+        assert "scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["10x", "0", "-3"])
+    def test_bad_rows_exit_1(self, rows, capsys):
+        assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", rows]) == 1
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_infeasible_code_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "c.cfg", Path(DESIGN_ONLY).read_text().replace("alpha = 0.4", "alpha = 0.6")
+        )
+        assert run_cli(["audit", "--config", cfg]) == 2
+        assert "alpha <= min(P_m, 1 - P_m)" in capsys.readouterr().err
 
 
 class TestConfigParsing:

@@ -11,7 +11,6 @@ from dstc.dimming import (
     average_power,
     build_dimming_matrix,
     default_chromaticity,
-    state_scaling,
     transmit_block,
     validate_dimming_matrix,
 )
@@ -110,24 +109,6 @@ class TestBuild:
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
         assert np.max(np.abs(c.mean(axis=0) - p_m)) <= 1e-12
         assert np.linalg.matrix_rank(c) == n_tx
-
-
-class TestStateScaling:
-    def test_diagonal_of_row(self):
-        c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
-        psi = state_scaling(c, 2)
-        assert np.array_equal(psi, np.diag(c[2]))
-
-    def test_constant_row(self):
-        psi = state_scaling(np.full((3, 4), 0.5), 1)
-        assert np.allclose(psi, 0.5 * np.eye(4))
-
-    def test_out_of_range(self):
-        c = np.full((3, 4), 0.5)
-        with pytest.raises(IndexError):
-            state_scaling(c, 3)
-        with pytest.raises(IndexError):
-            state_scaling(c, -1)
 
 
 class TestTransmitBlock:

@@ -19,9 +19,8 @@ from dstc.experiments import (
     check_scenario_identifiability,
     default_scenarios,
     flatten_curves,
-    run_alpha_sweep,
-    run_ber_nmse_sweep,
     run_point,
+    run_sweep,
     run_trial,
     spectral_efficiency,
     write_curves_csv,
@@ -139,7 +138,7 @@ class TestSweeps:
             receivers=("ZF", "VLC-KRF"),
             noiseless=True,
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
         for pts in curves.values():
             for p in pts:
                 assert p.ber == 0.0 and p.n_errors == 0 and p.failures == 0
@@ -148,7 +147,7 @@ class TestSweeps:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(14.0,), n_symbols_total=500, base_seed=11
         )
-        assert run_ber_nmse_sweep(cfg) == run_ber_nmse_sweep(cfg)
+        assert run_sweep(cfg, "ber") == run_sweep(cfg, "ber")
 
     def test_channels_are_paired_across_points(self):
         # same trial seeds at every sweep point: identical channel draws,
@@ -156,7 +155,7 @@ class TestSweeps:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(10.0, 30.0), n_symbols_total=500, base_seed=2
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
         assert curves["ZF"][0].cond == curves["ZF"][1].cond
 
     def test_ber_nonincreasing_in_snr(self):
@@ -167,7 +166,7 @@ class TestSweeps:
             base_seed=13,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
         for r, pts in curves.items():
             bers = [p.ber for p in pts]
             inversions = sum(1 for a, b in zip(bers, bers[1:]) if b > a)
@@ -179,9 +178,9 @@ class TestSweeps:
         cfg = ExperimentConfig(scenario=starved, snr_grid_db=(20.0,), n_symbols_total=10)
         assert not check_scenario_identifiability(cfg).unique
         with pytest.raises(IdentifiabilityError):
-            run_ber_nmse_sweep(cfg)
+            run_sweep(cfg, "ber")
         with pytest.raises(IdentifiabilityError):
-            run_alpha_sweep(cfg)
+            run_sweep(cfg, "alpha")
 
     def test_plain_only_sweep_skips_identifiability(self):
         starved = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=2)
@@ -191,7 +190,7 @@ class TestSweeps:
             n_symbols_total=10,
             receivers=("plain-CSK",),
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
         assert curves["plain-CSK"][0].n_trials == 5
 
     def test_alpha_zero_rejected_before_running(self):
@@ -199,7 +198,26 @@ class TestSweeps:
             scenario=QLED12, snr_grid_db=(20.0,), alpha_grid=(0.0, 0.4), n_symbols_total=500
         )
         with pytest.raises(ConstraintViolationError):
-            run_alpha_sweep(cfg)
+            run_sweep(cfg, "alpha")
+
+    def test_infeasible_code_rejected_before_any_trial_in_ber_mode(self, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the feasibility check")
+
+        monkeypatch.setattr("dstc.experiments.run_point", no_trials)
+        cfg = ExperimentConfig(
+            scenario=dataclasses.replace(QLED12, alpha=0.7),
+            snr_grid_db=(20.0,),
+            n_symbols_total=500,
+            receivers=("plain-CSK",),
+        )
+        with pytest.raises(ConstraintViolationError):
+            run_sweep(cfg, "ber")
+
+    def test_unknown_mode_rejected(self):
+        cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
+        with pytest.raises(ValueError, match="sweep mode"):
+            run_sweep(cfg, "snr")
 
     def test_alpha_sweep_spans_full_depth(self):
         cfg = ExperimentConfig(
@@ -209,7 +227,7 @@ class TestSweeps:
             n_symbols_total=500,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_alpha_sweep(cfg)
+        curves = run_sweep(cfg, "alpha")
         for pts in curves.values():
             assert [p.x for p in pts] == [0.1, 0.5]
             assert all(p.failures == 0 for p in pts)
@@ -220,23 +238,22 @@ class TestSweeps:
 class TestAggregation:
     def test_failed_trials_carry_no_bits(self):
         outcomes = [
-            TrialOutcome("ZF", bit_errors=3, n_bits=100, nmse=0.5, cond_effective=2.0),
-            TrialOutcome("ZF", bit_errors=0, n_bits=0, nmse=math.nan, cond_effective=9.0, failed=True),
-            TrialOutcome("ZF", bit_errors=1, n_bits=100, nmse=0.3, cond_effective=4.0),
+            TrialOutcome(bit_errors=3, n_bits=100, nmse=0.5, cond_effective=2.0),
+            TrialOutcome(bit_errors=0, n_bits=0, nmse=math.nan, cond_effective=9.0, failed=True),
+            TrialOutcome(bit_errors=1, n_bits=100, nmse=0.3, cond_effective=4.0),
         ]
-        p = _aggregate(20.0, "ZF", outcomes, symbols_per_trial=25)
+        p = _aggregate(20.0, "ZF", outcomes)
         assert p.n_bits == 200 and p.n_errors == 4
         assert p.ber == pytest.approx(0.02)
         assert p.nmse == pytest.approx(0.4)
         assert p.cond == pytest.approx(3.0)
         assert p.n_trials == 3 and p.failures == 1
-        assert p.n_symbols == 50
 
     def test_all_failed_point(self):
         outcomes = [
-            TrialOutcome("ZF", 0, 0, math.nan, math.nan, failed=True) for _ in range(3)
+            TrialOutcome(0, 0, math.nan, math.nan, failed=True) for _ in range(3)
         ]
-        p = _aggregate(20.0, "ZF", outcomes, symbols_per_trial=25)
+        p = _aggregate(20.0, "ZF", outcomes)
         assert p.ber == 0.0 and p.n_bits == 0 and p.failures == 3
 
 
@@ -249,7 +266,7 @@ class TestCsvOutput:
             base_seed=4,
             receivers=("ZF", "VLC-KRF"),
         )
-        return run_ber_nmse_sweep(cfg)
+        return run_sweep(cfg, "ber")
 
     def test_header_and_rows(self, tmp_path):
         curves = self._small_curves()
@@ -297,7 +314,7 @@ class TestCurvePointInvariants:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(6.0,), n_symbols_total=2_500, base_seed=21
         )
-        curves = run_ber_nmse_sweep(cfg)
+        curves = run_sweep(cfg, "ber")
         for pts in curves.values():
             p = pts[0]
             assert p.ber == p.n_errors / p.n_bits

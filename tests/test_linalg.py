@@ -11,31 +11,6 @@ def rand(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-class TestKronecker:
-    def test_identity_factors(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.kronecker(np.eye(1), a), a)
-        out = linalg.kronecker(np.eye(2), a)
-        expect = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]])
-        assert np.array_equal(out, expect)
-
-    def test_shape(self):
-        out = linalg.kronecker(rand(0, 2, 3), rand(1, 4, 5))
-        assert out.shape == (8, 15)
-
-    def test_elementwise_oracle(self):
-        a, b = rand(2, 3, 2), rand(3, 2, 4)
-        out = linalg.kronecker(a, b)
-        for i in range(3):
-            for j in range(2):
-                block = out[i * 2:(i + 1) * 2, j * 4:(j + 1) * 4]
-                assert np.allclose(block, a[i, j] * b)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            linalg.kronecker(np.array([[np.nan]]), np.eye(2))
-
-
 class TestKhatriRao:
     def test_single_column_is_kron(self):
         a, b = rand(4, 3, 1), rand(5, 2, 1)
@@ -51,6 +26,10 @@ class TestKhatriRao:
     def test_column_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             linalg.khatri_rao(rand(0, 2, 3), rand(1, 2, 4))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.khatri_rao(np.array([[np.nan]]), np.eye(2)[:, :1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -188,7 +167,7 @@ class TestHadamard:
 
     @pytest.mark.parametrize("order", [3, 6, 10, 36])
     def test_unsupported_orders(self, order):
-        with pytest.raises(linalg.HadamardOrderError):
+        with pytest.raises(linalg.HadamardOrderError, match=rf"order {order}\b"):
             linalg.hadamard(order)
 
 
