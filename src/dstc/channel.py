@@ -107,14 +107,11 @@ def propagate(
 def unfold(tensor, mode: int) -> np.ndarray:
     """Mode-n unfolding with the lower-numbered remaining mode varying fastest.
 
-    With factor matrices ``h`` (axis 0), ``s`` (axis 1), ``c`` (axis 2) the
-    unfoldings satisfy::
-
-        unfold(y, 1) == h @ khatri_rao(c, s).T
-        unfold(y, 2) == s @ khatri_rao(c, h).T
-        unfold(y, 3) == c @ khatri_rao(s, h).T
-
-    and each row of the mode-3 unfolding is ``vec`` of that state's reception.
+    With factor matrices ``h`` (axis 0), ``s`` (axis 1), ``c`` (axis 2) each
+    unfolding is one factor times the transposed column-wise Kronecker
+    (Khatri-Rao) product of the other two, e.g. mode 3 gives ``c`` times that
+    of ``s`` and ``h``.  Each row of the mode-3 unfolding is one state's
+    reception stacked column by column (receive index fastest).
     """
     data = tensor.data if isinstance(tensor, ReceivedTensor) else np.asarray(tensor, dtype=float)
     if data.ndim != 3:

@@ -254,8 +254,6 @@ def cmd_check(args) -> int:
     print(f"k-rank(code)={report.k_code}")
     print(f"columns={report.n_columns}")
     print(f"k-rank sum {total} >= {need}: {'yes' if report.kruskal_sum_ok else 'no'}")
-    print(f"full-rank symbol shortcut: {'yes' if report.full_rank_symbol_path else 'no'}")
-    print(f"diagonal-channel shortcut: {'yes' if report.diagonal_channel_path else 'no'}")
     print(f"uniqueness: {'unique' if report.unique else 'NOT unique'}")
     return EXIT_OK if report.unique else EXIT_NOT_UNIQUE
 
@@ -263,7 +261,8 @@ def cmd_check(args) -> int:
 def cmd_audit(args) -> int:
     try:
         bundle = load_config(args.config)
-        audit = audit_power_color(bundle.scenario, n_rows=args.rows, table=bundle.chromaticity)
+        audit = audit_power_color(bundle.scenario, n_rows=args.rows, table=bundle.chromaticity,
+                                  constellation=bundle.constellation)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except ConstraintViolationError as exc:

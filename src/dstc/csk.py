@@ -14,8 +14,6 @@ import numpy as np
 
 BITS_PER_SYMBOL = 2
 
-_LABELS = ("00", "01", "10", "11")
-
 
 @dataclass(frozen=True)
 class Constellation:
@@ -34,19 +32,6 @@ class Constellation:
     @property
     def k_t(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return _LABELS
-
-    @property
-    def d_min(self) -> float:
-        dists = [
-            float(np.linalg.norm(self.points[i] - self.points[j]))
-            for i in range(4)
-            for j in range(i + 1, 4)
-        ]
-        return min(dists)
 
 
 def default_constellation(k_t: int) -> Constellation:
@@ -69,12 +54,7 @@ class SymbolBlock:
 
     symbols: np.ndarray
     bits: np.ndarray
-    n_groups: int
     reference_row: int | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.symbols.shape[0]
 
 
 def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> SymbolBlock:
@@ -88,11 +68,11 @@ def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> 
     pairs = bits.reshape(n_rows, n_groups, 2)
     idx = 2 * pairs[:, :, 0].astype(int) + pairs[:, :, 1].astype(int)
     symbols = constellation.points[idx].reshape(n_rows, n_groups * constellation.k_t)
-    return SymbolBlock(symbols=symbols, bits=bits.copy(), n_groups=n_groups)
+    return SymbolBlock(symbols=symbols, bits=bits.copy())
 
 
-def demodulate(estimates, constellation: Constellation) -> tuple[SymbolBlock, np.ndarray]:
-    """Slice each group to the nearest constellation point and emit its bits.
+def demodulate(estimates, constellation: Constellation) -> np.ndarray:
+    """Slice each group to the nearest constellation point and return its bits.
 
     Ties go to the lowest point index, which makes detection deterministic.
     """
@@ -109,10 +89,7 @@ def demodulate(estimates, constellation: Constellation) -> tuple[SymbolBlock, np
     bits = np.empty((n_rows, n_groups, 2), dtype=np.uint8)
     bits[:, :, 0] = idx >> 1
     bits[:, :, 1] = idx & 1
-    flat_bits = bits.reshape(-1)
-    symbols = constellation.points[idx].reshape(n_rows, n_groups * constellation.k_t)
-    block = SymbolBlock(symbols=symbols, bits=flat_bits, n_groups=n_groups)
-    return block, flat_bits
+    return bits.reshape(-1)
 
 
 def pilot_block(n_tx: int) -> np.ndarray:
@@ -139,9 +116,7 @@ def block_with_reference(
         raise ValueError("need at least one payload row besides the training row")
     payload = modulate(bits, n_rows - 1, n_groups, constellation)
     symbols = np.vstack([reference_row(constellation, n_groups), payload.symbols])
-    return SymbolBlock(
-        symbols=symbols, bits=payload.bits, n_groups=n_groups, reference_row=0
-    )
+    return SymbolBlock(symbols=symbols, bits=payload.bits, reference_row=0)
 
 
 def payload_bits(all_bits, n_groups: int, reference: int | None) -> np.ndarray:

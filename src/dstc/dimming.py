@@ -213,15 +213,12 @@ def validate_dimming_matrix(code: np.ndarray, spec: DimmingSpec) -> DimmingRepor
     in_range = bool(np.all(code >= 0.0) and np.all(code <= 1.0))
     mean_err = float(np.max(np.abs(code.mean(axis=0) - spec.p_m)))
     rank = int(np.linalg.matrix_rank(code))
-    # Full column rank already forces every column subset independent, which
-    # is what lets wide designs (n_tx above the brute-force guard) pass.
-    krank = code.shape[1] if rank == code.shape[1] else kruskal_rank(code)
     cond = float(np.linalg.cond(code))
     return DimmingReport(
         entries_in_range=in_range,
         column_mean_error=mean_err,
         rank=rank,
-        kruskal=krank,
+        kruskal=kruskal_rank(code),
         condition_number=cond,
         n_tx=spec.n_tx,
     )

@@ -420,10 +420,14 @@ def audit_power_color(
     n_rows: int = 10_000,
     seed: int = 0,
     table: ChromaticityTable | None = None,
+    constellation: Constellation | None = None,
 ) -> PowerColorAudit:
-    """Check that dimming scales power to the target without moving the color point."""
+    """Check that dimming scales power to the target without moving the color point.
+
+    ``None`` for ``table`` or ``constellation`` selects the default for ``k_t``.
+    """
     table = table or default_chromaticity(scenario.k_t)
-    constellation = default_constellation(scenario.k_t)
+    constellation = constellation or default_constellation(scenario.k_t)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * scenario.l_t * n_rows, dtype=np.uint8)
     block = modulate(bits, n_rows, scenario.l_t, constellation)

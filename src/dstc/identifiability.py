@@ -5,13 +5,10 @@ The received block factors as a three-way array with factor matrices
 states), all sharing R = n_tx columns.  The essential-uniqueness test is the
 classical k-rank sum condition
 
-    krank(gains) + krank(symbols) + krank(code) >= 2 R + 2,
+    krank(gains) + krank(symbols) + krank(code) >= 2 R + 2
 
-reported together with two sufficient special cases: a full-rank symbol
-block combined with an orthogonal-by-design code only needs the channel
-k-rank to reach 2, and short blocks (fewer slots than LEDs) still pass with
-a strictly tall, structurally diagonal channel whenever the symbol k-rank
-reaches 2.
+(Kruskal 1977; Sidiropoulos & Bro, J. Chemometrics 2000), which alone
+decides the verdict.
 """
 
 from __future__ import annotations
@@ -20,39 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KRUSKAL_GUARD, SizeLimitError, kruskal_rank
-
-DIAGONAL_TOL = 1e-12
+from .linalg import kruskal_rank
 
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """k-ranks of the three factors plus the resulting uniqueness verdicts."""
+    """k-ranks of the three factors plus the resulting uniqueness verdict."""
 
     k_gains: int
     k_symbols: int
     k_code: int
     n_columns: int
     kruskal_sum_ok: bool
-    full_rank_symbol_path: bool
-    diagonal_channel_path: bool
 
     @property
     def unique(self) -> bool:
         return self.kruskal_sum_ok
 
 
-def _structurally_diagonal(gains: np.ndarray) -> bool:
-    n_rx, n_tx = gains.shape
-    if n_rx <= n_tx:
-        return False
-    off = gains.copy()
-    off[np.arange(n_tx), np.arange(n_tx)] = 0.0
-    return bool(np.max(np.abs(off)) <= DIAGONAL_TOL)
-
-
 def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessReport:
-    """Evaluate the k-rank sum condition and its two sufficient shortcuts."""
+    """Evaluate the k-rank sum condition."""
     gains = np.asarray(gains, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
     code = np.asarray(code, dtype=float)
@@ -63,11 +47,6 @@ def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessRepor
             f"symbols {symbols.shape[1]}, code {code.shape[1]}"
         )
     r = gains.shape[1]
-    if r > KRUSKAL_GUARD:
-        raise SizeLimitError(
-            f"uniqueness check enumerates column subsets; {r} columns exceed "
-            f"the guard of {KRUSKAL_GUARD}"
-        )
     k_gains = kruskal_rank(gains, tol)
     k_symbols = kruskal_rank(symbols, tol)
     k_code = kruskal_rank(code, tol)
@@ -77,11 +56,4 @@ def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessRepor
         k_code=k_code,
         n_columns=r,
         kruskal_sum_ok=k_gains + k_symbols + k_code >= 2 * r + 2,
-        full_rank_symbol_path=(k_symbols == r and k_code == r and k_gains >= 2),
-        diagonal_channel_path=(
-            symbols.shape[0] < r
-            and gains.shape[0] > r
-            and _structurally_diagonal(gains)
-            and k_symbols >= 2
-        ),
     )

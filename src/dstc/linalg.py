@@ -1,17 +1,11 @@
 """Dense linear-algebra kernel shared by the transmit and receive chains.
 
-Everything works on plain float64 ndarrays. Conventions that the rest of the
-package relies on:
-
-* ``vec``/``unvec`` are column-major, so ``vec(h @ s.T) == np.kron(s, h)``
-  for column vectors ``h`` and ``s``.
-* ``khatri_rao`` is the column-wise Kronecker product.
-* ``hadamard`` returns an integer matrix whose first column is all ones.
+Everything works on plain float64 ndarrays. ``hadamard`` returns an integer
+matrix whose first column is all ones, which the dimming code relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,43 +31,13 @@ class DegenerateInputError(ValueError):
     """The input carries no usable signal (for example an all-zero matrix)."""
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def khatri_rao(a, b) -> np.ndarray:
-    """Column-wise Kronecker product.
-
-    Column ``r`` of the result is ``kron(a[:, r], b[:, r])``; the factors must
-    have the same number of columns.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of a matrix into one vector (column-major)."""
-    return _as_matrix(m).reshape(-1, order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for the given target shape."""
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector contains non-finite entries")
-    if a.size != rows * cols:
-        raise ValueError(f"cannot reshape {a.size} entries into {rows}x{cols}")
-    return a.reshape(rows, cols, order="F")
 
 
 def pseudoinverse(m) -> np.ndarray:
@@ -84,34 +48,6 @@ def pseudoinverse(m) -> np.ndarray:
     """
     a = _as_matrix(m)
     return np.linalg.pinv(a, rcond=PINV_RTOL * max(a.shape))
-
-
-@dataclass(frozen=True)
-class SingularTriplet:
-    """Leading singular value with its unit left/right singular vectors."""
-
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
-
-
-def leading_singular_triplet(m) -> SingularTriplet:
-    """Dominant singular triplet of a nonzero matrix.
-
-    The sign is fixed so that the first entry of ``u`` with magnitude above
-    1e-12 is nonnegative, which makes the result deterministic.
-    """
-    a = _as_matrix(m)
-    if not a.any():
-        raise DegenerateInputError("all-zero matrix has no leading singular direction")
-    u_full, s, vt = np.linalg.svd(a)
-    u = u_full[:, 0].copy()
-    v = vt[0].copy()
-    nz = np.flatnonzero(np.abs(u) > 1e-12)
-    if nz.size and u[nz[0]] < 0:
-        u = -u
-        v = -v
-    return SingularTriplet(float(s[0]), u, v)
 
 
 def _is_prime(n: int) -> bool:

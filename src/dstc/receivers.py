@@ -6,7 +6,7 @@ from one-LED-at-a-time pilots, and a semi-blind receiver that exploits the
 trilinear structure of the received block.  The semi-blind receiver inverts
 the known dimming code out of the mode-3 unfolding, which leaves a
 Khatri-Rao product of symbols and channel; each of its columns is a
-vectorized rank-one matrix, so a per-column best rank-one fit recovers both
+vectorized rank-one matrix, so one batched best rank-one fit recovers both
 factors up to one scale per column, resolved by a single known symbol row.
 """
 
@@ -19,11 +19,7 @@ import numpy as np
 
 from .channel import ReceivedTensor, propagate, unfold
 from .csk import Constellation, demodulate, pilot_block
-from .linalg import (
-    leading_singular_triplet,
-    pseudoinverse,
-    unvec,
-)
+from .linalg import DegenerateInputError, pseudoinverse
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
@@ -48,7 +44,6 @@ class EstimationResult:
     different receivers can be compared on the same object.
     """
 
-    receiver: str
     symbol_estimate: np.ndarray
     bits: np.ndarray
     channel_estimate: np.ndarray | None = None
@@ -136,10 +131,9 @@ def zf_detect(
     if not effective.any():
         raise EqualizationError("effective-channel estimate is zero; nothing to invert")
     symbols = (pseudoinverse(effective) @ stacked).T
-    _, bits = demodulate(symbols, constellation)
+    bits = demodulate(symbols, constellation)
     gains = channel_from_effective(effective, code) if code is not None else None
     return EstimationResult(
-        receiver=RECEIVER_ZF,
         symbol_estimate=symbols,
         bits=bits,
         channel_estimate=gains,
@@ -160,6 +154,12 @@ def krf_detect(
     column), and rescales every column pair so that the estimated symbol row
     ``known_row`` matches ``known_values``.  Those values must be nonzero,
     otherwise that column's scale is unobservable.
+
+    Each mode-3 row stacks one state's reception column-major (receive index
+    fastest), so column r of the residual is the column-major vec of the
+    n_rx x n_slots matrix ``outer(gains[:, r], symbols[:, r])``.  All n_tx
+    columns are un-vectorised at once and fitted by one batched SVD; the
+    known-row rescale absorbs the SVD's arbitrary sign per column.
     """
     code = np.asarray(code, dtype=float)
     known_values = np.asarray(known_values, dtype=float).reshape(-1)
@@ -183,13 +183,16 @@ def krf_detect(
     if np.linalg.matrix_rank(code) < n_tx:
         raise ValueError("dimming code must have full column rank")
 
-    joint = unfold(data, 3).T @ pseudoinverse(code.T)  # estimate of khatri_rao(s, h)
-    gains = np.empty((n_rx, n_tx))
-    symbols = np.empty((n_slots, n_tx))
-    for r in range(n_tx):
-        triplet = leading_singular_triplet(unvec(joint[:, r], n_rx, n_slots))
-        gains[:, r] = triplet.sigma * triplet.u
-        symbols[:, r] = triplet.v
+    joint = unfold(data, 3).T @ pseudoinverse(code.T)
+    blocks = joint.T.reshape(n_tx, n_slots, n_rx).transpose(0, 2, 1)
+    dead = np.flatnonzero(~blocks.any(axis=(1, 2)))
+    if dead.size:
+        raise DegenerateInputError(
+            f"residual column {int(dead[0])} is all zero; no rank-one direction"
+        )
+    u, sigma, vt = np.linalg.svd(blocks, full_matrices=False)
+    gains = (sigma[:, :1] * u[:, :, 0]).T
+    symbols = vt[:, 0, :].T
 
     estimated_row = symbols[known_row]
     zero_est = np.flatnonzero(estimated_row == 0.0)
@@ -201,9 +204,8 @@ def krf_detect(
     scales = known_values / estimated_row
     symbols = symbols * scales
     gains = gains / scales
-    _, bits = demodulate(symbols, constellation)
+    bits = demodulate(symbols, constellation)
     return EstimationResult(
-        receiver=RECEIVER_KRF,
         symbol_estimate=symbols,
         bits=bits,
         channel_estimate=gains,
@@ -236,6 +238,4 @@ def plain_csk_baseline(
     )
     estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
     result = zf_detect(stack_received(data), estimate, constellation)
-    return dataclasses.replace(
-        result, receiver=RECEIVER_PLAIN, channel_estimate=estimate
-    )
+    return dataclasses.replace(result, channel_estimate=estimate)

@@ -1,0 +1,36 @@
+"""Reference tensor-algebra products that the unfolding tests compare against.
+
+``vec`` is column-major, so ``vec(h @ s.T) == np.kron(s, h)`` for column
+vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product.
+"""
+
+import numpy as np
+
+
+def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def khatri_rao(a, b) -> np.ndarray:
+    """Column-wise Kronecker product.
+
+    Column ``r`` of the result is ``kron(a[:, r], b[:, r])``; the factors must
+    have the same number of columns.
+    """
+    a = _as_matrix(a, "a")
+    b = _as_matrix(b, "b")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
+        )
+    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+
+
+def vec(m) -> np.ndarray:
+    """Stack the columns of a matrix into one vector (column-major)."""
+    return _as_matrix(m).reshape(-1, order="F")

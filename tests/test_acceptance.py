@@ -38,13 +38,13 @@ from dstc.experiments import (
     run_trial,
 )
 from dstc.identifiability import check_uniqueness
-from dstc.linalg import khatri_rao
 from dstc.receivers import (
     krf_detect,
     stack_received,
     zf_detect,
     zf_estimate_channel,
 )
+from tensor_oracles import khatri_rao
 
 BASE_SEED = 20260814
 

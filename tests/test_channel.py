@@ -12,7 +12,8 @@ from dstc.channel import (
     unfold,
 )
 from dstc.dimming import DimmingSpec, build_dimming_matrix, transmit_block
-from dstc.linalg import DegenerateInputError, khatri_rao, vec
+from dstc.linalg import DegenerateInputError
+from tensor_oracles import khatri_rao, vec
 
 
 def trilinear_oracle(h, s, c):

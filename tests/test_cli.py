@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
+import dstc
 from dstc.cli import main
 from dstc.configio import ConfigError, load_config
 from dstc.receivers import AmbiguityError
@@ -250,6 +252,23 @@ point_11 = 0.5, 0.5, 0, 0
 """
 
 
+# A five-channel constellation and chromaticity table for the k_t = 5 config.
+K5_SECTIONS = """
+[constellation]
+point_00 = 1, 0, 0, 0, 0
+point_01 = 0, 1, 0, 0, 0
+point_10 = 0, 0, 1, 0, 0
+point_11 = 0, 0, 0, 0.6, 0.4
+
+[chromaticity]
+channel_0 = 0.70, 0.29
+channel_1 = 0.30, 0.60
+channel_2 = 0.15, 0.06
+channel_3 = 0.40, 0.50
+channel_4 = 0.33, 0.33
+"""
+
+
 class TestNoDefaultConstellation:
     @pytest.mark.parametrize("command", ["check", "simulate"])
     def test_exits_1_with_one_line(self, command, tmp_path, capsys):
@@ -271,6 +290,15 @@ class TestNoDefaultConstellation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no default" in err
 
+    def test_audit_reads_constellation_section(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "k5.cfg", NO_DEFAULT_CONSTELLATION + K5_SECTIONS)
+        assert run_cli(["check", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run_cli(["audit", "--config", cfg, "--rows", "100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[0].startswith("scenario: SystemConfig(k_t=5")
+
 
 class TestCheck:
     def test_default_scenario_is_unique(self, tmp_path, capsys):
@@ -278,6 +306,7 @@ class TestCheck:
         assert run_cli(["check", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "uniqueness: unique" in out and "k-rank(code)=8" in out
+        assert len(out.splitlines()) == 6
 
     def test_starved_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -425,10 +454,14 @@ class TestConfigParsing:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # the child finds the package where this process imported it from
+        src = str(Path(dstc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dstc.cli", "eta", "--table2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "0.4651" in proc.stdout

@@ -49,51 +49,50 @@ class TestCheckUniqueness:
         assert report.kruskal_sum_ok
 
     def test_full_rank_symbol_path(self):
-        # a generic (non-simplex) symbol matrix has full k-rank, activating the
-        # shortcut that only asks the channel k-rank to reach 2
+        # a generic (non-simplex) symbol matrix has full k-rank, so with a
+        # full-rank code a channel k-rank of 2 meets the sum: 2 + 6 + 6 >= 14
         rng = np.random.default_rng(2)
         symbols = rng.random((20, 6))
         gains = rng.standard_normal((2, 6))
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         report = check_uniqueness(gains, symbols, code)
-        assert report.k_gains == 2
-        assert report.k_symbols == 6
-        assert report.full_rank_symbol_path
-        # the shortcut implies the k-rank sum condition: 2 + 6 + 6 >= 14
-        assert report.kruskal_sum_ok
+        assert (report.k_gains, report.k_symbols, report.k_code) == (2, 6, 6)
+        assert report.unique
 
     def test_simplex_symbols_never_take_the_full_rank_path(self):
+        # simplex symbols lose one direction, and the sum still holds
         gains, symbols, code = typical_factors(3)
         report = check_uniqueness(gains, symbols, code)
-        assert not report.full_rank_symbol_path
+        assert report.k_symbols < report.n_columns
         assert report.unique
 
     def test_diagonal_channel_short_block_path(self):
+        # fewer slots than LEDs: a tall diagonal channel carries the sum,
+        # 3 + 2 + 3 >= 8
         rng = np.random.default_rng(4)
         gains = draw_channel(5, 3, "diagonal", seed=rng)
-        symbols = rng.random((2, 3))  # fewer slots than LEDs
-        code = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
-        report = check_uniqueness(gains, symbols, code)
-        assert report.k_symbols >= 2
-        assert report.diagonal_channel_path
-        assert report.kruskal_sum_ok
-
-    def test_square_diagonal_does_not_qualify(self):
-        rng = np.random.default_rng(5)
-        gains = draw_channel(3, 3, "diagonal", seed=rng)
         symbols = rng.random((2, 3))
         code = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
         report = check_uniqueness(gains, symbols, code)
-        assert not report.diagonal_channel_path
+        assert (report.k_gains, report.k_symbols, report.k_code) == (3, 2, 3)
+        assert report.unique
 
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError, match="column counts"):
             check_uniqueness(np.eye(3), np.eye(4), np.eye(4))
 
     def test_width_guard(self):
-        wide = np.random.default_rng(6).standard_normal((40, 15))
+        # 15 columns in 10 rows cannot be full column rank, so the k-rank
+        # search has to enumerate subsets, which the guard refuses
+        wide = np.random.default_rng(6).standard_normal((10, 15))
         with pytest.raises(SizeLimitError):
             check_uniqueness(wide, wide, wide)
+
+    def test_full_column_rank_passes_the_width_guard(self):
+        tall = np.random.default_rng(6).standard_normal((40, 15))
+        report = check_uniqueness(tall, tall, tall)
+        assert (report.k_gains, report.k_symbols, report.k_code) == (15, 15, 15)
+        assert report.unique
 
     def test_default_geometry_unique_with_high_probability(self):
         # random square channels almost always keep the k-rank sum condition alive

@@ -5,31 +5,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc import linalg
+from tensor_oracles import khatri_rao, vec
 
 
 def rand(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+# TestKhatriRao and TestVecUnvec check the test-side oracles that the
+# unfolding tests in test_channel.py and test_acceptance.py compare against.
 class TestKhatriRao:
     def test_single_column_is_kron(self):
         a, b = rand(4, 3, 1), rand(5, 2, 1)
-        assert np.allclose(linalg.khatri_rao(a, b), np.kron(a, b))
+        assert np.allclose(khatri_rao(a, b), np.kron(a, b))
 
     def test_columnwise_oracle(self):
         a, b = rand(6, 3, 4), rand(7, 5, 4)
-        out = linalg.khatri_rao(a, b)
+        out = khatri_rao(a, b)
         assert out.shape == (15, 4)
         for r in range(4):
             assert np.allclose(out[:, r], np.kron(a[:, r], b[:, r]))
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            linalg.khatri_rao(rand(0, 2, 3), rand(1, 2, 4))
+            khatri_rao(rand(0, 2, 3), rand(1, 2, 4))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.khatri_rao(np.array([[np.nan]]), np.eye(2)[:, :1])
+            khatri_rao(np.array([[np.nan]]), np.eye(2)[:, :1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -39,29 +42,19 @@ class TestKhatriRao:
         n, m, r = rng.integers(1, 6, size=3)
         s, h = rng.standard_normal((n, r)), rng.standard_normal((m, r))
         c = rng.standard_normal(r)
-        lhs = np.kron(s, h) @ linalg.vec(np.diag(c))
-        rhs = linalg.khatri_rao(s, h) @ c
+        lhs = np.kron(s, h) @ vec(np.diag(c))
+        rhs = khatri_rao(s, h) @ c
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestVecUnvec:
     def test_column_major(self):
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
-        assert np.array_equal(linalg.vec(m), np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(vec(m), np.array([1.0, 2.0, 3.0, 4.0]))
 
     def test_vec_of_outer_product(self):
         h, s = rand(0, 4), rand(1, 6)
-        assert np.allclose(linalg.vec(np.outer(h, s)), np.kron(s, h))
-
-    def test_unvec_size_mismatch(self):
-        with pytest.raises(ValueError, match="reshape"):
-            linalg.unvec(np.arange(5.0), 2, 3)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, seed, rows, cols):
-        m = np.random.default_rng(seed).standard_normal((rows, cols))
-        assert np.array_equal(linalg.unvec(linalg.vec(m), rows, cols), m)
+        assert np.allclose(vec(np.outer(h, s)), np.kron(s, h))
 
 
 class TestPseudoinverse:
@@ -88,49 +81,6 @@ class TestPseudoinverse:
         assert np.allclose(p @ m @ p, p, atol=1e-8)
         assert np.allclose((m @ p).T, m @ p, atol=1e-8)
         assert np.allclose((p @ m).T, p @ m, atol=1e-8)
-
-
-class TestLeadingSingularTriplet:
-    def test_scaled_unit_outer_product(self):
-        m = 3.0 * np.outer(np.eye(3)[:, 0], np.eye(3)[:, 0])
-        t = linalg.leading_singular_triplet(m)
-        assert t.sigma == pytest.approx(3.0)
-        assert np.allclose(t.u, np.eye(3)[:, 0])
-        assert np.allclose(t.v, np.eye(3)[:, 0])
-
-    def test_outer_product_recovers_factors(self):
-        h, s = rand(10, 5), rand(11, 8)
-        t = linalg.leading_singular_triplet(np.outer(h, s))
-        assert t.sigma == pytest.approx(np.linalg.norm(h) * np.linalg.norm(s))
-        # u and v are unit vectors parallel to h and s with a consistent sign
-        assert np.allclose(np.abs(t.u), np.abs(h) / np.linalg.norm(h), atol=1e-12)
-        assert np.allclose(t.sigma * np.outer(t.u, t.v), np.outer(h, s), atol=1e-10)
-
-    def test_sign_convention(self):
-        t = linalg.leading_singular_triplet(np.eye(2))
-        assert t.sigma == pytest.approx(1.0)
-        first = np.flatnonzero(np.abs(t.u) > 1e-12)[0]
-        assert t.u[first] > 0
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(linalg.DegenerateInputError):
-            linalg.leading_singular_triplet(np.zeros((3, 4)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_is_best_rank_one(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 8, size=2)
-        m = rng.standard_normal((rows, cols))
-        t = linalg.leading_singular_triplet(m)
-        assert np.allclose(m @ t.v, t.sigma * t.u, atol=1e-9 * max(1.0, t.sigma))
-        best = np.linalg.norm(m - t.sigma * np.outer(t.u, t.v))
-        # No sampled rank-one competitor does better.
-        for _ in range(10):
-            u = rng.standard_normal(rows)
-            v = rng.standard_normal(cols)
-            cand = np.outer(u, v) * (np.sum(m * np.outer(u, v)) / np.sum(np.outer(u, v) ** 2))
-            assert np.linalg.norm(m - cand) >= best - 1e-9
 
 
 class TestHadamard:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dstc.channel import draw_channel, propagate
 from dstc.csk import block_with_reference, default_constellation, payload_bits
 from dstc.dimming import DimmingSpec, build_dimming_matrix, transmit_block
+from dstc.linalg import DegenerateInputError
 from dstc.receivers import (
     AmbiguityError,
     EqualizationError,
@@ -18,6 +19,7 @@ from dstc.receivers import (
     zf_detect,
     zf_estimate_channel,
 )
+from tensor_oracles import vec
 
 
 def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
@@ -199,6 +201,28 @@ class TestKrfDetect:
             atol=1e-8,
         )
 
+    def test_batched_fit_matches_per_column_svd(self):
+        # every column pair is the leading rank-one term of the matching column
+        # of the Khatri-Rao estimate, whatever scale the known row assigns it
+        constellation, code, block, gains, received, _ = dstc_link(
+            11, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 30, 10.0
+        )
+        est = krf_detect(received, code, 0, block.symbols[0], constellation)
+        n_rx, n_slots, n_states = received.data.shape
+        mode3 = np.stack([vec(received.data[:, :, k]) for k in range(n_states)])
+        joint = mode3.T @ np.linalg.pinv(code.T)
+        for r in range(code.shape[1]):
+            u, sigma, vt = np.linalg.svd(joint[:, r].reshape(n_rx, n_slots, order="F"))
+            leading = sigma[0] * np.outer(u[:, 0], vt[0])
+            fitted = np.outer(est.channel_estimate[:, r], est.symbol_estimate[:, r])
+            assert np.allclose(fitted, leading, rtol=0.0, atol=1e-10)
+        assert np.allclose(est.symbol_estimate[0], block.symbols[0], rtol=1e-12, atol=0.0)
+
+    def test_all_zero_reception_rejected(self):
+        code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
+        with pytest.raises(DegenerateInputError, match="all zero"):
+            krf_detect(np.zeros((4, 20, 8)), code, 0, np.full(6, 1 / 3), default_constellation(3))
+
     def test_needs_fewer_receivers_than_leds(self):
         # works even when the stacked-channel inverse would be the only other option
         constellation, code, block, gains, received, _ = dstc_link(
@@ -253,7 +277,6 @@ class TestPlainCskBaseline:
         block = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         est = plain_csk_baseline(gains, block.symbols, math.inf, constellation, seed=rng)
-        assert est.receiver == "plain-CSK"
         assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
 
