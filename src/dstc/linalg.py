@@ -50,6 +50,18 @@ def pseudoinverse(m) -> np.ndarray:
     return np.linalg.pinv(a, rcond=PINV_RTOL * max(a.shape))
 
 
+def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading singular triplet of every matrix in a stack, from one SVD.
+
+    ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
+    ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
+    rank-one approximation of each matrix in Frobenius norm.  The sign of
+    ``u`` and ``v`` is whatever LAPACK returns.
+    """
+    u, sigma, vt = np.linalg.svd(np.asarray(blocks, dtype=float), full_matrices=False)
+    return sigma[..., 0], u[..., :, 0], vt[..., 0, :]
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ReceivedTensor, propagate, unfold
 from .csk import Constellation, demodulate, pilot_block
-from .linalg import DegenerateInputError, pseudoinverse
+from .linalg import DegenerateInputError, leading_rank_one, pseudoinverse
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
@@ -190,9 +190,9 @@ def krf_detect(
         raise DegenerateInputError(
             f"residual column {int(dead[0])} is all zero; no rank-one direction"
         )
-    u, sigma, vt = np.linalg.svd(blocks, full_matrices=False)
-    gains = (sigma[:, :1] * u[:, :, 0]).T
-    symbols = vt[:, 0, :].T
+    sigma, u, v = leading_rank_one(blocks)
+    gains = (sigma[:, None] * u).T
+    symbols = v.T
 
     estimated_row = symbols[known_row]
     zero_est = np.flatnonzero(estimated_row == 0.0)

@@ -83,6 +83,42 @@ class TestPseudoinverse:
         assert np.allclose((p @ m).T, p @ m, atol=1e-8)
 
 
+class TestLeadingSingularTriplet:
+    def test_scaled_unit_outer_product(self):
+        m = 3.0 * np.outer(np.eye(3)[:, 0], np.eye(3)[:, 0])
+        sigma, u, v = linalg.leading_rank_one(m)
+        assert sigma == pytest.approx(3.0)
+        # the sign is LAPACK's; the pair's product is fixed
+        assert np.allclose(np.abs(u), np.eye(3)[:, 0])
+        assert np.allclose(np.abs(v), np.eye(3)[:, 0])
+        assert np.allclose(sigma * np.outer(u, v), m)
+
+    def test_outer_product_recovers_factors(self):
+        # a stack of rank-one matrices is fitted exactly, one triplet each
+        hs, ss = rand(10, 4, 5), rand(11, 4, 8)
+        sigma, u, v = linalg.leading_rank_one(np.einsum("ri,rj->rij", hs, ss))
+        assert sigma.shape == (4,) and u.shape == (4, 5) and v.shape == (4, 8)
+        for r, (h, s) in enumerate(zip(hs, ss)):
+            assert sigma[r] == pytest.approx(np.linalg.norm(h) * np.linalg.norm(s))
+            assert np.allclose(np.abs(u[r]), np.abs(h) / np.linalg.norm(h), atol=1e-12)
+            assert np.allclose(sigma[r] * np.outer(u[r], v[r]), np.outer(h, s), atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_is_best_rank_one(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 8, size=2)
+        m = rng.standard_normal((rows, cols))
+        sigma, u, v = linalg.leading_rank_one(m)
+        assert np.allclose(m @ v, sigma * u, atol=1e-9 * max(1.0, sigma))
+        best = np.linalg.norm(m - sigma * np.outer(u, v))
+        # No sampled rank-one competitor does better.
+        for _ in range(10):
+            a = rng.standard_normal(rows)
+            b = rng.standard_normal(cols)
+            cand = np.outer(a, b) * (np.sum(m * np.outer(a, b)) / np.sum(np.outer(a, b) ** 2))
+            assert np.linalg.norm(m - cand) >= best - 1e-9
+
 class TestHadamard:
     def test_order_two(self):
         assert np.array_equal(linalg.hadamard(2), np.array([[1, 1], [1, -1]]))
