@@ -129,6 +129,32 @@ class TestRunTrial:
         assert not out["ZF"].failed and out["ZF"].n_bits > 0
 
 
+class TestRunPoint:
+    # run_point on qled2x2-k12 at 6 dB, 20 trials from seed 20260814, every
+    # receiver enabled: (n_errors, n_bits, failures, mean nmse, mean cond).
+    PINNED = {
+        "ZF": (23, 7920, 0, 0.8639046244820776, 3.343136900295781),
+        "VLC-KRF": (285, 7920, 0, 0.19726736372645995, 3.343136900295781),
+        "plain-CSK": (2896, 7920, 0, 0.47565340876502055, 39.56863773157608),
+    }
+
+    def test_pinned_point_with_every_receiver(self):
+        out = run_point(
+            default_scenarios()["qled2x2-k12"], 6.0, 20, 20260814, ("ZF", "VLC-KRF", "plain-CSK")
+        )
+        assert set(out) == set(self.PINNED)
+        for r, (n_errors, n_bits, failures, nmse, cond) in self.PINNED.items():
+            ok = [t for t in out[r] if not t.failed]
+            assert len(out[r]) == 20, r
+            assert sum(t.bit_errors for t in ok) == n_errors, r
+            assert sum(t.n_bits for t in ok) == n_bits, r
+            assert len(out[r]) - len(ok) == failures, r
+            assert np.mean([t.nmse for t in ok]) == pytest.approx(nmse, rel=1e-12, abs=0.0), r
+            assert np.mean([t.cond_effective for t in ok]) == pytest.approx(
+                cond, rel=1e-12, abs=0.0
+            ), r
+
+
 class TestSweeps:
     def test_noiseless_sweep_has_zero_ber(self):
         cfg = ExperimentConfig(
