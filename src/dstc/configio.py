@@ -10,12 +10,14 @@ Flat INI-style text with one section per concern:
     [chromaticity]  channel_0 = x, y   (optional, one entry per color channel)
     [constellation] point_00 ... point_11 = intensity levels (optional)
 
-`#` and `;` start comments.  See configs/qled2x2.cfg for an annotated example.
+`#` and `;` start comments.  Unknown sections and keys are rejected with a
+"did you mean" hint.  See configs/qled2x2.cfg for an annotated example.
 """
 
 from __future__ import annotations
 
 import configparser
+import difflib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +28,19 @@ from .dimming import ChromaticityTable
 from .experiments import ExperimentConfig, SystemConfig
 
 MODES = ("ber", "alpha", "both")
+
+# Accepted keys per section.  [chromaticity] takes channel_0 ... channel_{k_t - 1},
+# which is known only once [scenario] is read.
+_KEYS: dict[str, tuple[str, ...] | None] = {
+    "scenario": ("k_t", "l_t", "k_r", "l_r", "n_states", "block_len"),
+    "dimming": ("p_m", "alpha", "columns"),
+    "experiment": (
+        "mode", "snr_grid_db", "alpha_grid", "alpha_sweep_snr_db", "n_symbols_total",
+        "base_seed", "receivers", "channel_model", "noiseless",
+    ),
+    "chromaticity": None,
+    "constellation": ("point_00", "point_01", "point_10", "point_11"),
+}
 
 
 class ConfigError(ValueError):
@@ -58,6 +73,13 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
         raise ConfigError(f"{where}: expected numbers, got {raw!r}") from None
 
 
+def _unknown(what: str, name: str, accepted) -> ConfigError:
+    """Error for an unknown ``what``, hinting the accepted name closest to ``name``."""
+    hint = difflib.get_close_matches(name, accepted, n=1)
+    suffix = f"did you mean {hint[0]!r}?" if hint else f"expected one of {', '.join(accepted)}"
+    return ConfigError(f"unknown {what}; {suffix}")
+
+
 def _ints(raw: str, where: str) -> tuple[int, ...]:
     vals = []
     for tok in _split(raw):
@@ -69,9 +91,13 @@ def _ints(raw: str, where: str) -> tuple[int, ...]:
 
 
 class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
+    def __init__(self, parser: configparser.ConfigParser, name: str, keys=None):
         self.name = name
         self.data = parser[name] if parser.has_section(name) else None
+        accepted = _KEYS[name] if keys is None else keys
+        for key in self.data or ():
+            if key not in accepted:
+                raise _unknown(f"key {key!r} in section [{name}]", key, accepted)
 
     def __bool__(self) -> bool:
         return self.data is not None
@@ -114,12 +140,7 @@ def _load_scenario(scenario: _Section, dimming: _Section) -> SystemConfig:
         columns = _ints(dimming.raw("columns"), "[dimming] columns")
     try:
         return SystemConfig(
-            k_t=scenario.get_int("k_t"),
-            l_t=scenario.get_int("l_t"),
-            k_r=scenario.get_int("k_r"),
-            l_r=scenario.get_int("l_r"),
-            n_states=scenario.get_int("n_states"),
-            block_len=scenario.get_int("block_len"),
+            **{key: scenario.get_int(key) for key in _KEYS["scenario"]},
             p_m=dimming.get_float("p_m", 0.5) if dimming else 0.5,
             alpha=dimming.get_float("alpha", 0.4) if dimming else 0.4,
             code_columns=columns,
@@ -171,12 +192,10 @@ def _load_constellation(section: _Section, k_t: int) -> Constellation | None:
     if not section:
         return None
     points = []
-    for label in ("00", "01", "10", "11"):
-        levels = _floats(section.raw(f"point_{label}"), f"[constellation] point_{label}")
+    for key in _KEYS["constellation"]:
+        levels = _floats(section.raw(key), f"[constellation] {key}")
         if len(levels) != k_t:
-            raise ConfigError(
-                f"[constellation] point_{label}: expected {k_t} levels, got {len(levels)}"
-            )
+            raise ConfigError(f"[constellation] {key}: expected {k_t} levels, got {len(levels)}")
         points.append(levels)
     try:
         return Constellation(np.array(points))
@@ -195,11 +214,15 @@ def load_config(path) -> ConfigBundle:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise _unknown(f"section [{name}]", name, tuple(_KEYS))
     scenario_sec = _Section(parser, "scenario")
     dimming_sec = _Section(parser, "dimming")
     experiment_sec = _Section(parser, "experiment")
 
     scenario = _load_scenario(scenario_sec, dimming_sec)
+    channels = tuple(f"channel_{ch}" for ch in range(scenario.k_t))
     mode = experiment_sec.raw("mode", "ber").strip().lower() if experiment_sec else "ber"
     if mode not in MODES:
         raise ConfigError(f"[experiment] mode: expected one of {MODES}, got {mode!r}")
@@ -207,6 +230,6 @@ def load_config(path) -> ConfigBundle:
         scenario=scenario,
         experiment=_load_experiment(experiment_sec, scenario),
         mode=mode,
-        chromaticity=_load_chromaticity(_Section(parser, "chromaticity"), scenario.k_t),
+        chromaticity=_load_chromaticity(_Section(parser, "chromaticity", channels), scenario.k_t),
         constellation=_load_constellation(_Section(parser, "constellation"), scenario.k_t),
     )

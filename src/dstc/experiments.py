@@ -11,6 +11,7 @@ across sweeps.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,6 @@ from .receivers import (
     EqualizationError,
     effective_channel,
     krf_detect,
-    plain_csk_baseline,
     stack_received,
     zf_detect,
     zf_estimate_channel,
@@ -103,12 +103,12 @@ class SystemConfig:
     def n_rx(self) -> int:
         return self.k_r * self.l_r
 
-    def dimming_spec(self, alpha: float | None = None) -> DimmingSpec:
+    def dimming_spec(self) -> DimmingSpec:
         return DimmingSpec(
             n_states=self.n_states,
             n_tx=self.n_tx,
             p_m=self.p_m,
-            alpha=self.alpha if alpha is None else alpha,
+            alpha=self.alpha,
             columns=self.code_columns,
         )
 
@@ -146,6 +146,11 @@ class ExperimentConfig:
         for r in self.receivers:
             if r not in ALL_RECEIVERS:
                 raise ValueError(f"unknown receiver {r!r}; expected one of {ALL_RECEIVERS}")
+        if RECEIVER_PLAIN in self.receivers and self.scenario.n_rx < self.scenario.n_tx:
+            raise ValueError(
+                "plain CSK zero forcing needs n_rx >= n_tx, "
+                f"got {self.scenario.n_rx} < {self.scenario.n_tx}"
+            )
         if self.channel_model not in CHANNEL_MODELS:
             raise ValueError(
                 f"unknown channel model {self.channel_model!r}; expected one of {CHANNEL_MODELS}"
@@ -182,89 +187,73 @@ class CurvePoint:
     failures: int
 
 
-def _nmse(truth: np.ndarray, estimate: np.ndarray | None) -> float:
-    if estimate is None:
-        return math.nan
-    return float(
-        np.linalg.norm(truth - estimate) ** 2 / np.linalg.norm(truth) ** 2
-    )
+def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: Constellation):
+    """A trial's generator, block and channel, drawn in that order (bits, then gains)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=2 * scenario.l_t * (scenario.block_len - 1), dtype=np.uint8)
+    block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
+    gains = draw_channel(scenario.n_rx, scenario.n_tx, channel_model, seed=rng)
+    return rng, block, gains
 
 
-def _score(result, block, gains, cond_effective, l_t) -> TrialOutcome:
-    detected = payload_bits(result.bits, l_t, block.reference_row)
-    return TrialOutcome(
-        bit_errors=int(np.sum(detected != block.bits)),
-        n_bits=int(block.bits.size),
-        nmse=_nmse(gains, result.channel_estimate),
-        cond_effective=cond_effective,
-        failed=False,
-    )
+def _transmit(gains, code, symbols, snr_db, rng):
+    """One coded block: the code, its noisy reception and its effective channel's cond."""
+    received = propagate(gains, transmit_block(code, symbols), snr_db, seed=rng)
+    return code, received, float(np.linalg.cond(effective_channel(gains, code)))
 
 
-def _failure(cond_effective: float) -> TrialOutcome:
-    return TrialOutcome(
-        bit_errors=0,
-        n_bits=0,
-        nmse=math.nan,
-        cond_effective=cond_effective,
-        failed=True,
-    )
+def _zf_receive(gains, code, received, snr_db, rng, constellation):
+    """Zero forcing on ``code``: pilots at the data noise level, channel estimate, detection."""
+    pilots = pilot_block(code.shape[1])
+    pilot_rx = propagate(gains, transmit_block(code, pilots), snr_db, seed=rng,
+                         noise_variance=received.noise_variance)
+    estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
+    return zf_detect(stack_received(received), estimate, constellation, code)
 
 
 def run_trial(
     scenario: SystemConfig,
+    code: np.ndarray,
     snr_db: float,
     seed: int,
     receivers: tuple[str, ...] = (RECEIVER_ZF, RECEIVER_KRF),
     channel_model: str = "gaussian",
     constellation: Constellation | None = None,
-    alpha: float | None = None,
 ) -> dict[str, TrialOutcome]:
     """One block through one channel draw, detected by every enabled receiver.
 
-    All receivers consume the same payload, channel, and data noise; use
+    ZF and VLC-KRF share the payload, channel and data noise of the dimming
+    ``code``.  Plain CSK is zero forcing on the one-state all-ones code, with
+    its own data and pilot noise drawn after ZF's pilots.  Use
     ``snr_db=math.inf`` for a noiseless run.
     """
     constellation = constellation or default_constellation(scenario.k_t)
-    rng = np.random.default_rng(seed)
-    code = build_dimming_matrix(scenario.dimming_spec(alpha))
-    bits = rng.integers(
-        0, 2, size=2 * scenario.l_t * (scenario.block_len - 1), dtype=np.uint8
-    )
-    block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
-    gains = draw_channel(scenario.n_rx, scenario.n_tx, channel_model, seed=rng)
-    received = propagate(gains, transmit_block(code, block.symbols), snr_db, seed=rng)
-    cond_eff = float(np.linalg.cond(effective_channel(gains, code)))
-
+    rng, block, gains = _draw(scenario, seed, channel_model, constellation)
+    dstc = _transmit(gains, code, block.symbols, snr_db, rng)
     outcomes: dict[str, TrialOutcome] = {}
-    if RECEIVER_ZF in receivers:
-        pilots = pilot_block(scenario.n_tx)
-        pilot_rx = propagate(
-            gains,
-            transmit_block(code, pilots),
-            snr_db,
-            seed=rng,
-            noise_variance=received.noise_variance,
+    for r in ALL_RECEIVERS:
+        if r not in receivers:
+            continue
+        link_code, received, cond = dstc
+        if r == RECEIVER_PLAIN:
+            one_state = np.ones((1, scenario.n_tx))
+            link_code, received, cond = _transmit(gains, one_state, block.symbols, snr_db, rng)
+        try:
+            if r == RECEIVER_KRF:
+                result = krf_detect(received, link_code, 0, block.symbols[0], constellation)
+            else:
+                result = _zf_receive(gains, link_code, received, snr_db, rng, constellation)
+        except _RECEIVER_FAILURES:
+            outcomes[r] = TrialOutcome(0, 0, math.nan, cond, failed=True)
+            continue
+        detected = payload_bits(result.bits, scenario.l_t, block.reference_row)
+        nmse = np.linalg.norm(gains - result.channel_estimate) ** 2 / np.linalg.norm(gains) ** 2
+        outcomes[r] = TrialOutcome(
+            bit_errors=int(np.sum(detected != block.bits)),
+            n_bits=int(block.bits.size),
+            nmse=float(nmse),
+            cond_effective=cond,
         )
-        try:
-            estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
-            result = zf_detect(stack_received(received), estimate, constellation, code)
-            outcomes[RECEIVER_ZF] = _score(result, block, gains, cond_eff, scenario.l_t)
-        except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_ZF] = _failure(cond_eff)
-    if RECEIVER_KRF in receivers:
-        try:
-            result = krf_detect(received, code, 0, block.symbols[0], constellation)
-            outcomes[RECEIVER_KRF] = _score(result, block, gains, cond_eff, scenario.l_t)
-        except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_KRF] = _failure(cond_eff)
-    if RECEIVER_PLAIN in receivers:
-        cond_plain = float(np.linalg.cond(gains))
-        try:
-            result = plain_csk_baseline(gains, block.symbols, snr_db, constellation, seed=rng)
-            outcomes[RECEIVER_PLAIN] = _score(result, block, gains, cond_plain, scenario.l_t)
-        except _RECEIVER_FAILURES:
-            outcomes[RECEIVER_PLAIN] = _failure(cond_plain)
     return outcomes
 
 
@@ -276,19 +265,19 @@ def run_point(
     receivers: tuple[str, ...] = (RECEIVER_ZF, RECEIVER_KRF),
     channel_model: str = "gaussian",
     constellation: Constellation | None = None,
-    alpha: float | None = None,
 ) -> dict[str, list[TrialOutcome]]:
-    """Independent trials at one sweep point, keyed by receiver."""
+    """Independent trials at one sweep point, keyed by receiver; the code is built once."""
+    code = build_dimming_matrix(scenario.dimming_spec())
     outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
     for trial in range(n_trials):
         result = run_trial(
             scenario,
+            code,
             snr_db,
             derive_seed(base_seed, trial),
             receivers,
             channel_model,
             constellation,
-            alpha,
         )
         for r in receivers:
             outcomes[r].append(result[r])
@@ -322,10 +311,9 @@ def check_scenario_identifiability(
     """
     scenario = cfg.scenario
     constellation = constellation or default_constellation(scenario.k_t)
-    rng = np.random.default_rng(derive_seed(cfg.base_seed, 0))
-    bits = rng.integers(0, 2, size=2 * scenario.l_t * (scenario.block_len - 1), dtype=np.uint8)
-    block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
-    gains = draw_channel(scenario.n_rx, scenario.n_tx, cfg.channel_model, seed=rng)
+    _, block, gains = _draw(
+        scenario, derive_seed(cfg.base_seed, 0), cfg.channel_model, constellation
+    )
     code = build_dimming_matrix(scenario.dimming_spec())
     return check_uniqueness(gains, block.symbols, code)
 
@@ -342,14 +330,17 @@ def run_sweep(
     depend on the point, so channels are paired across the sweep.
     """
     if mode == "ber":
-        points = [(snr_db, snr_db, cfg.scenario.alpha) for snr_db in cfg.snr_grid_db]
+        points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]
     elif mode == "alpha":
-        points = [(alpha, cfg.alpha_sweep_snr_db, alpha) for alpha in cfg.alpha_grid]
+        points = [
+            (alpha, cfg.alpha_sweep_snr_db, dataclasses.replace(cfg.scenario, alpha=alpha))
+            for alpha in cfg.alpha_grid
+        ]
     else:
         raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
     constellation = constellation or default_constellation(cfg.scenario.k_t)
-    for _, _, alpha in points:
-        build_dimming_matrix(cfg.scenario.dimming_spec(alpha))  # fail fast if infeasible
+    for _, _, scenario in points:
+        build_dimming_matrix(scenario.dimming_spec())  # fail fast if infeasible
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
@@ -357,16 +348,15 @@ def run_sweep(
                 f"scenario fails the k-rank sum condition: {report}"
             )
     curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
-    for x, snr_db, alpha in points:
+    for x, snr_db, scenario in points:
         point = run_point(
-            cfg.scenario,
+            scenario,
             math.inf if cfg.noiseless else snr_db,
             cfg.n_trials,
             cfg.base_seed,
             cfg.receivers,
             cfg.channel_model,
             constellation,
-            alpha,
         )
         for r in cfg.receivers:
             curves[r].append(_aggregate(x, r, point[r]))

@@ -28,11 +28,7 @@ class UniquenessReport:
     k_symbols: int
     k_code: int
     n_columns: int
-    kruskal_sum_ok: bool
-
-    @property
-    def unique(self) -> bool:
-        return self.kruskal_sum_ok
+    unique: bool
 
 
 def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessReport:
@@ -55,5 +51,5 @@ def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessRepor
         k_symbols=k_symbols,
         k_code=k_code,
         n_columns=r,
-        kruskal_sum_ok=k_gains + k_symbols + k_code >= 2 * r + 2,
+        unique=k_gains + k_symbols + k_code >= 2 * r + 2,
     )

@@ -8,17 +8,18 @@ the known dimming code out of the mode-3 unfolding, which leaves a
 Khatri-Rao product of symbols and channel; each of its columns is a
 vectorized rank-one matrix, so one batched best rank-one fit recovers both
 factors up to one scale per column, resolved by a single known symbol row.
+Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
+all-ones code.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ReceivedTensor, propagate, unfold
-from .csk import Constellation, demodulate, pilot_block
+from .channel import ReceivedTensor, unfold
+from .csk import Constellation, demodulate
 from .linalg import DegenerateInputError, leading_rank_one, pseudoinverse
 
 RECEIVER_ZF = "ZF"
@@ -46,7 +47,7 @@ class EstimationResult:
 
     symbol_estimate: np.ndarray
     bits: np.ndarray
-    channel_estimate: np.ndarray | None = None
+    channel_estimate: np.ndarray
 
 
 def stack_received(tensor) -> np.ndarray:
@@ -114,12 +115,12 @@ def zf_detect(
     stacked: np.ndarray,
     effective: np.ndarray,
     constellation: Constellation,
-    code: np.ndarray | None = None,
+    code: np.ndarray,
 ) -> EstimationResult:
     """Zero-forcing detection against an effective-channel estimate.
 
-    Passing the dimming ``code`` also fills in the collapsed plain-channel
-    estimate for error reporting.
+    The dimming ``code`` collapses the estimate to plain gains for error
+    reporting; the one-state all-ones code leaves it unchanged.
     """
     stacked = np.asarray(stacked, dtype=float)
     effective = np.asarray(effective, dtype=float)
@@ -132,11 +133,10 @@ def zf_detect(
         raise EqualizationError("effective-channel estimate is zero; nothing to invert")
     symbols = (pseudoinverse(effective) @ stacked).T
     bits = demodulate(symbols, constellation)
-    gains = channel_from_effective(effective, code) if code is not None else None
     return EstimationResult(
         symbol_estimate=symbols,
         bits=bits,
-        channel_estimate=gains,
+        channel_estimate=channel_from_effective(effective, code),
     )
 
 
@@ -211,31 +211,3 @@ def krf_detect(
         channel_estimate=gains,
     )
 
-
-def plain_csk_baseline(
-    gains: np.ndarray,
-    symbols: np.ndarray,
-    snr_db: float,
-    constellation: Constellation,
-    seed=None,
-) -> EstimationResult:
-    """Uncoded CSK reference link: single state, no dimming code.
-
-    Transmits the block as-is, estimates the channel from identity pilots at
-    the data-phase noise level, and zero-forces.  Needs at least as many
-    receive as transmit elements.
-    """
-    gains = np.asarray(gains, dtype=float)
-    symbols = np.asarray(symbols, dtype=float)
-    n_rx, n_tx = gains.shape
-    if n_rx < n_tx:
-        raise ValueError(f"plain CSK zero forcing needs n_rx >= n_tx, got {n_rx} < {n_tx}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    data = propagate(gains, symbols.T[None, :, :], snr_db, seed=rng)
-    pilots = pilot_block(n_tx)
-    pilot_rx = propagate(
-        gains, pilots.T[None, :, :], snr_db, seed=rng, noise_variance=data.noise_variance
-    )
-    estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
-    result = zf_detect(stack_received(data), estimate, constellation)
-    return dataclasses.replace(result, channel_estimate=estimate)

@@ -148,7 +148,8 @@ def test_04_noiseless_exactness():
                 block_len=int(rng.integers(10, 40)),
                 alpha=float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])),
             )
-            out = run_trial(scen, math.inf, seed=int(rng.integers(2**63)))
+            code = build_dimming_matrix(scen.dimming_spec())
+            out = run_trial(scen, code, math.inf, seed=int(rng.integers(2**63)))
             errors += out["ZF"].bit_errors + out["VLC-KRF"].bit_errors
             worst_nmse = max(worst_nmse, out["VLC-KRF"].nmse)
     ok = errors == 0 and worst_nmse <= 1e-16 and sw.elapsed < 30.0

@@ -225,6 +225,48 @@ class TestSimulate:
         )
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_plain_csk_on_short_channel_exits_1_with_one_line(self, tmp_path, capsys):
+        # 6 photodiodes cannot zero-force 8 LEDs without a dimming code
+        cfg = write_cfg(
+            tmp_path / "sim.cfg",
+            SMALL_SIM.replace("k_r = 4", "k_r = 3").replace(
+                "receivers = ZF VLC-KRF", "receivers = ZF VLC-KRF plain-CSK"
+            ),
+        )
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_rx >= n_tx, got 6 < 8" in err
+
+
+# The paper's 30-LED Table 2 row: the simplex symbol block is not full column
+# rank, so its k-rank needs a subset search over 30 columns.
+WIDE30 = """[scenario]
+k_t = 3
+l_t = 10
+k_r = 3
+l_r = 10
+n_states = 32
+block_len = 100
+
+[experiment]
+n_symbols_total = 200
+receivers = ZF VLC-KRF plain-CSK
+"""
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_wide_array_exits_5_with_one_line(self, command, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "wide.cfg", WIDE30)
+        argv = [command, "--config", cfg]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "too large" in captured.err
+        assert not (tmp_path / "o" / "ber_nmse.csv").exists()
+
 
 # k_t = 5 has no default constellation, so check and simulate need a
 # [constellation] section; design never draws symbols.
@@ -444,6 +486,36 @@ class TestConfigParsing:
     def test_missing_scenario_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "[dimming]\np_m = 0.5\n")
         with pytest.raises(ConfigError, match="scenario"):
+            load_config(cfg)
+
+    def test_unknown_key_rejected_with_hint(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM.replace("alpha = 0.4", "alpah = 0.1"))
+        with pytest.raises(ConfigError, match=r"unknown key 'alpah' in section \[dimming\]; "
+                           r"did you mean 'alpha'\?"):
+            load_config(cfg)
+        assert run_cli(["check", "--config", cfg]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_unknown_section_rejected_with_hint(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM.replace("[dimming]", "[dimmming]"))
+        with pytest.raises(ConfigError, match=r"unknown section \[dimmming\]; "
+                           r"did you mean 'dimming'\?"):
+            load_config(cfg)
+
+    def test_chromaticity_channel_beyond_k_t_rejected(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            SMALL_SIM
+            + dedent("""
+            [chromaticity]
+            channel_0 = 0.70, 0.29
+            channel_1 = 0.30, 0.60
+            channel_2 = 0.15, 0.06
+            channel_3 = 0.40, 0.50
+            channel_4 = 0.33, 0.33
+            """),
+        )
+        with pytest.raises(ConfigError, match="unknown key 'channel_4'"):
             load_config(cfg)
 
     def test_bad_number_rejected(self, tmp_path):

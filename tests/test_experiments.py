@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc.dimming import ConstraintViolationError
+from dstc.dimming import ConstraintViolationError, build_dimming_matrix
 from dstc.receivers import AmbiguityError
 from dstc.experiments import (
     CSV_COLUMNS,
@@ -27,6 +27,7 @@ from dstc.experiments import (
 )
 
 QLED12 = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=50)
+QLED12_CODE = build_dimming_matrix(QLED12.dimming_spec())
 
 # Frozen reference rows for the efficiency table: (k_t, l_t, n_states, block_len)
 # -> (eta_zf, eta_krf, gain_percent) at the printed precision.
@@ -107,7 +108,9 @@ class TestConfigValidation:
 
 class TestRunTrial:
     def test_noiseless_trial_is_exact(self):
-        out = run_trial(QLED12, math.inf, seed=5, receivers=("ZF", "VLC-KRF", "plain-CSK"))
+        out = run_trial(
+            QLED12, QLED12_CODE, math.inf, seed=5, receivers=("ZF", "VLC-KRF", "plain-CSK")
+        )
         for r, o in out.items():
             assert o.bit_errors == 0 and not o.failed, r
             assert o.n_bits == 2 * 2 * (QLED12.block_len - 1)
@@ -115,8 +118,8 @@ class TestRunTrial:
         assert out["ZF"].cond_effective == out["VLC-KRF"].cond_effective
 
     def test_same_seed_reproduces(self):
-        a = run_trial(QLED12, 15.0, seed=9)
-        b = run_trial(QLED12, 15.0, seed=9)
+        a = run_trial(QLED12, QLED12_CODE, 15.0, seed=9)
+        b = run_trial(QLED12, QLED12_CODE, 15.0, seed=9)
         assert a == b
 
     def test_receiver_failure_is_counted_not_raised(self, monkeypatch):
@@ -124,7 +127,7 @@ class TestRunTrial:
             raise AmbiguityError("forced")
 
         monkeypatch.setattr("dstc.experiments.krf_detect", boom)
-        out = run_trial(QLED12, 20.0, seed=3, receivers=("ZF", "VLC-KRF"))
+        out = run_trial(QLED12, QLED12_CODE, 20.0, seed=3, receivers=("ZF", "VLC-KRF"))
         assert out["VLC-KRF"].failed and out["VLC-KRF"].n_bits == 0
         assert not out["ZF"].failed and out["ZF"].n_bits > 0
 

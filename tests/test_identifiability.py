@@ -28,7 +28,6 @@ class TestCheckUniqueness:
         assert report.k_symbols == 5
         assert report.k_code == 6
         # 4 + 5 + 6 = 15 >= 2*6 + 2
-        assert report.kruskal_sum_ok
         assert report.unique
 
     def test_duplicated_channel_column_breaks_uniqueness(self):
@@ -40,13 +39,12 @@ class TestCheckUniqueness:
         report = check_uniqueness(gains, symbols, code)
         assert report.k_gains == 1
         # 1 + 3 + 3 = 7 < 2*3 + 2
-        assert not report.kruskal_sum_ok
         assert not report.unique
 
     def test_identity_factors(self):
         report = check_uniqueness(np.eye(3), np.eye(3), np.eye(3))
         assert (report.k_gains, report.k_symbols, report.k_code) == (3, 3, 3)
-        assert report.kruskal_sum_ok
+        assert report.unique
 
     def test_full_rank_symbol_path(self):
         # a generic (non-simplex) symbol matrix has full k-rank, so with a

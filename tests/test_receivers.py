@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc.channel import draw_channel, propagate
-from dstc.csk import block_with_reference, default_constellation, payload_bits
+from dstc.csk import block_with_reference, default_constellation, payload_bits, pilot_block
 from dstc.dimming import DimmingSpec, build_dimming_matrix, transmit_block
+from dstc.experiments import ExperimentConfig, SystemConfig
 from dstc.linalg import DegenerateInputError
 from dstc.receivers import (
     AmbiguityError,
@@ -14,7 +15,6 @@ from dstc.receivers import (
     channel_from_effective,
     effective_channel,
     krf_detect,
-    plain_csk_baseline,
     stack_received,
     zf_detect,
     zf_estimate_channel,
@@ -171,11 +171,11 @@ class TestZfDetect:
 
     def test_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
-            zf_detect(np.ones((8, 4)), np.ones((6, 3)), default_constellation(3))
+            zf_detect(np.ones((8, 4)), np.ones((6, 3)), default_constellation(3), np.ones((2, 3)))
 
     def test_zero_effective_channel(self):
         with pytest.raises(EqualizationError):
-            zf_detect(np.ones((6, 4)), np.zeros((6, 3)), default_constellation(3))
+            zf_detect(np.ones((6, 4)), np.zeros((6, 3)), default_constellation(3), np.ones((2, 3)))
 
 
 class TestKrfDetect:
@@ -270,18 +270,28 @@ class TestKrfDetect:
 
 
 class TestPlainCskBaseline:
+    """Conventional CSK: zero forcing on the one-state all-ones code."""
+
     def test_noiseless_exact(self):
         rng = np.random.default_rng(9)
         constellation = default_constellation(4)
         bits = rng.integers(0, 2, size=2 * 2 * 19, dtype=np.uint8)
         block = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
-        est = plain_csk_baseline(gains, block.symbols, math.inf, constellation, seed=rng)
+        one_state = np.ones((1, 8))
+        received = propagate(gains, transmit_block(one_state, block.symbols), math.inf)
+        pilots = pilot_block(8)
+        pilot_rx = propagate(gains, transmit_block(one_state, pilots), math.inf)
+        estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
+        est = zf_detect(stack_received(received), estimate, constellation, one_state)
         assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
+        # the one-state code leaves the effective-channel estimate as it is
+        assert np.array_equal(est.channel_estimate, estimate)
 
     def test_needs_square_or_tall_channel(self):
+        short = SystemConfig(k_t=4, l_t=2, k_r=3, l_r=2, n_states=12, block_len=100)
         with pytest.raises(ValueError, match="n_rx >= n_tx"):
-            plain_csk_baseline(
-                np.ones((4, 8)), np.ones((5, 8)), 20.0, default_constellation(4)
-            )
+            ExperimentConfig(scenario=short, snr_grid_db=(20.0,), receivers=("plain-CSK",))
+        # the rule is plain CSK's alone: the coded receivers stack every state
+        ExperimentConfig(scenario=short, snr_grid_db=(20.0,), receivers=("ZF", "VLC-KRF"))
