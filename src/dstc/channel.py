@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DegenerateInputError
+from .linalg import ZERO_RTOL, DegenerateInputError
 
 CHANNEL_MODELS = ("gaussian", "diagonal")
 
@@ -68,40 +68,42 @@ class ReceivedTensor:
 
 def propagate(
     gains: np.ndarray,
-    blocks: np.ndarray,
+    code: np.ndarray,
+    symbols: np.ndarray,
     snr_db: float,
     seed=None,
-    noise_variance: float | None = None,
 ) -> ReceivedTensor:
-    """Push per-state transmit blocks through the channel and add white noise.
+    """Send one symbol block through the channel in every dimming state and add noise.
 
-    The noise variance is calibrated so that the mean squared noiseless
-    received entry over this block sits ``snr_db`` above it; pass
-    ``snr_db=math.inf`` for a noiseless run, or an explicit
-    ``noise_variance`` to reuse a level calibrated elsewhere (pilot phases
-    share the data phase's noise level).
+    State k transmits ``np.diag(code[k]) @ symbols.T``.  The noise variance
+    is calibrated so that the mean squared noiseless received entry over
+    this block sits ``snr_db`` above it; pass ``snr_db=math.inf`` for a
+    noiseless run.  The white Gaussian noise's variance is returned with the
+    data, for the pilot phase to reuse.  A received power that is rounding
+    error next to the scale of the channel and the transmitted block leaves
+    the SNR undefined.
     """
     gains = np.asarray(gains, dtype=float)
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 3 or blocks.shape[1] != gains.shape[1]:
+    code = np.asarray(code, dtype=float)
+    symbols = np.asarray(symbols, dtype=float)
+    n_tx = gains.shape[1]
+    if code.ndim != 2 or code.shape[1] != n_tx or symbols.ndim != 2 or symbols.shape[1] != n_tx:
         raise ValueError(
-            f"blocks must be (n_states, {gains.shape[1]}, n_slots), got {blocks.shape}"
+            f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
         )
+    blocks = code[:, :, None] * symbols.T[None, :, :]
     clean = np.einsum("ij,kjn->ink", gains, blocks)
-    if noise_variance is None:
-        if math.isinf(snr_db):
-            noise_variance = 0.0
-        else:
-            power = float(np.mean(clean**2))
-            if power == 0.0:
-                raise DegenerateInputError("noiseless received power is zero; SNR undefined")
-            noise_variance = power / (10.0 ** (snr_db / 10.0))
-    if noise_variance < 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {noise_variance}")
+    noise_variance = 0.0
+    if not math.isinf(snr_db):
+        power = float(np.mean(clean**2))
+        scale = float(np.abs(gains).max() * np.abs(code).max() * np.abs(symbols).max())
+        if power <= (ZERO_RTOL * scale) ** 2:
+            raise DegenerateInputError("noiseless received power is zero; SNR undefined")
+        noise_variance = power / (10.0 ** (snr_db / 10.0))
     data = clean
     if noise_variance > 0.0:
         data = clean + _rng(seed).normal(scale=math.sqrt(noise_variance), size=clean.shape)
-    return ReceivedTensor(data=data, noise_variance=float(noise_variance))
+    return ReceivedTensor(data, noise_variance)
 
 
 def unfold(tensor, mode: int) -> np.ndarray:

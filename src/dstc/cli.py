@@ -7,8 +7,9 @@ prints spectral efficiencies.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible code
 design, 3 failed identifiability check, 4 simulation producing a sweep point
-where every trial failed, 5 identifiability check too wide to decide (a
-k-rank search over more columns than the brute-force limit).
+where every trial failed or a block with no received power, 5 identifiability
+check too wide to decide (a k-rank search over more columns than the
+brute-force limit).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .experiments import (
     spectral_efficiency,
     write_curves_csv,
 )
-from .linalg import SizeLimitError
+from .linalg import DegenerateInputError, SizeLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -209,6 +210,8 @@ def cmd_simulate(args) -> int:
         return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
     except SizeLimitError as exc:
         return _fail(f"identifiability check too large: {exc}", EXIT_SIZE_LIMIT)
+    except DegenerateInputError as exc:  # no received power: every trial of the point fails
+        return _fail(f"simulation failed: {exc}", EXIT_DEGENERATE)
 
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
@@ -252,6 +255,8 @@ def cmd_check(args) -> int:
         report = check_scenario_identifiability(cfg, constellation)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except ConstraintViolationError as exc:
+        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
     except SizeLimitError as exc:
         return _fail(f"identifiability check too large: {exc}", EXIT_SIZE_LIMIT)
     need = 2 * report.n_columns + 2

@@ -92,13 +92,6 @@ def demodulate(estimates, constellation: Constellation) -> np.ndarray:
     return bits.reshape(-1)
 
 
-def pilot_block(n_tx: int) -> np.ndarray:
-    """One-LED-at-a-time pilot rows (identity), trivially invertible."""
-    if n_tx < 1:
-        raise ValueError(f"n_tx must be positive, got {n_tx}")
-    return np.eye(n_tx)
-
-
 def reference_row(constellation: Constellation, n_groups: int) -> np.ndarray:
     """Training row with every channel at 1/k_t, nonzero in all entries.
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    ZERO_RTOL,
     DegenerateInputError,
     HadamardOrderError,
     hadamard,
@@ -92,12 +93,12 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
         raise ConstraintViolationError("K_T*L_T >= 1", f"got {n_tx}")
     if not 0.0 < spec.p_m < 1.0:
         raise ConstraintViolationError("0 < P_m < 1", f"got P_m = {spec.p_m}")
-    if spec.alpha > min(spec.p_m, 1.0 - spec.p_m):
+    if not spec.alpha <= min(spec.p_m, 1.0 - spec.p_m):
         raise ConstraintViolationError(
             "alpha <= min(P_m, 1 - P_m)",
             f"got alpha = {spec.alpha} with P_m = {spec.p_m}",
         )
-    if spec.alpha <= 0.0:
+    if not spec.alpha > 0.0:
         raise ConstraintViolationError(
             "alpha > 0 (full column rank needs nonzero power variation)",
             f"got alpha = {spec.alpha}",
@@ -132,27 +133,12 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     return spec.p_m + spec.alpha * b
 
 
-def transmit_block(code: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Per-state transmit matrices for one symbol block.
-
-    ``symbols`` has one row per time slot; the result is a (K, n_tx, N)
-    array whose slice k equals ``np.diag(code[k]) @ symbols.T``.
-    """
-    code = np.asarray(code, dtype=float)
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.ndim != 2 or symbols.shape[1] != code.shape[1]:
-        raise ValueError(
-            f"symbol block must have {code.shape[1]} columns, got shape {symbols.shape}"
-        )
-    return code[:, :, None] * symbols.T[None, :, :]
-
-
 def average_power(code: np.ndarray, symbols: np.ndarray) -> float:
     """Mean emitted level across states, slots, and LEDs, relative to no dimming."""
     code = np.asarray(code, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
     baseline = float(symbols.mean())
-    if baseline == 0.0:
+    if abs(baseline) <= ZERO_RTOL * float(np.abs(symbols).mean()):
         raise DegenerateInputError("symbol block has zero mean; relative power undefined")
     dimmed = float(np.mean(code.mean(axis=0) * symbols.mean(axis=0)))
     return dimmed / baseline

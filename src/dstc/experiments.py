@@ -31,7 +31,6 @@ from .csk import (
     default_constellation,
     modulate,
     payload_bits,
-    pilot_block,
 )
 from .dimming import (
     ChromaticityTable,
@@ -40,7 +39,6 @@ from .dimming import (
     average_power,
     build_dimming_matrix,
     default_chromaticity,
-    transmit_block,
 )
 from .identifiability import UniquenessReport, check_uniqueness
 from .linalg import DegenerateInputError
@@ -54,7 +52,6 @@ from .receivers import (
     krf_detect,
     stack_received,
     zf_detect,
-    zf_estimate_channel,
 )
 
 ALL_RECEIVERS = (RECEIVER_ZF, RECEIVER_KRF, RECEIVER_PLAIN)
@@ -62,6 +59,9 @@ ALL_RECEIVERS = (RECEIVER_ZF, RECEIVER_KRF, RECEIVER_PLAIN)
 CSV_COLUMNS = ("x", "receiver", "ber", "nmse", "cond", "n_bits", "n_errors", "n_trials", "failures")
 
 _RECEIVER_FAILURES = (AmbiguityError, EqualizationError, DegenerateInputError)
+
+# Largest |SNR| in dB whose linear ratio and the noise variance it sets stay in float range.
+MAX_ABS_SNR_DB = 3000.0
 
 
 class IdentifiabilityError(RuntimeError):
@@ -118,7 +118,7 @@ class ExperimentConfig:
     """Everything a sweep needs besides the code itself.
 
     ``n_symbols_total`` counts transmitted slots per sweep point and must be
-    a whole number of blocks; the trial count follows from it.
+    a whole number of at least one block; the trial count follows from it.
     """
 
     scenario: SystemConfig
@@ -136,25 +136,34 @@ class ExperimentConfig:
             raise ValueError("snr_grid_db must not be empty")
         if not self.alpha_grid:
             raise ValueError("alpha_grid must not be empty")
-        if self.n_symbols_total % self.scenario.block_len != 0:
+        for snr_db in (*self.snr_grid_db, self.alpha_sweep_snr_db):
+            if not abs(snr_db) <= MAX_ABS_SNR_DB:
+                raise ValueError(
+                    f"SNR {snr_db} dB is outside +-{MAX_ABS_SNR_DB:g} dB; "
+                    "use noiseless = true for a noiseless run"
+                )
+        if self.n_symbols_total % self.scenario.block_len or self.n_symbols_total < 1:
             raise ValueError(
                 f"n_symbols_total = {self.n_symbols_total} is not a whole number of "
-                f"blocks of {self.scenario.block_len} slots"
+                f"blocks of {self.scenario.block_len} slots, at least one"
             )
         if not self.receivers:
             raise ValueError("at least one receiver must be enabled")
         for r in self.receivers:
             if r not in ALL_RECEIVERS:
                 raise ValueError(f"unknown receiver {r!r}; expected one of {ALL_RECEIVERS}")
-        if RECEIVER_PLAIN in self.receivers and self.scenario.n_rx < self.scenario.n_tx:
-            raise ValueError(
-                "plain CSK zero forcing needs n_rx >= n_tx, "
-                f"got {self.scenario.n_rx} < {self.scenario.n_tx}"
-            )
         if self.channel_model not in CHANNEL_MODELS:
             raise ValueError(
                 f"unknown channel model {self.channel_model!r}; expected one of {CHANNEL_MODELS}"
             )
+        for needs_tall, what in (
+            (RECEIVER_PLAIN in self.receivers, "plain CSK zero forcing"),
+            (self.channel_model == "diagonal", "the diagonal channel model"),
+        ):
+            if needs_tall and self.scenario.n_rx < self.scenario.n_tx:
+                raise ValueError(
+                    f"{what} needs n_rx >= n_tx, got {self.scenario.n_rx} < {self.scenario.n_tx}"
+                )
 
     @property
     def n_trials(self) -> int:
@@ -197,17 +206,24 @@ def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: 
 
 
 def _transmit(gains, code, symbols, snr_db, rng):
-    """One coded block: the code, its noisy reception and its effective channel's cond."""
-    received = propagate(gains, transmit_block(code, symbols), snr_db, seed=rng)
-    return code, received, float(np.linalg.cond(effective_channel(gains, code)))
+    """One coded block: the code, its noisy reception, its effective channel and that cond."""
+    effective = effective_channel(gains, code)
+    received = propagate(gains, code, symbols, snr_db, seed=rng)
+    return code, received, effective, float(np.linalg.cond(effective))
 
 
-def _zf_receive(gains, code, received, snr_db, rng, constellation):
-    """Zero forcing on ``code``: pilots at the data noise level, channel estimate, detection."""
-    pilots = pilot_block(code.shape[1])
-    pilot_rx = propagate(gains, transmit_block(code, pilots), snr_db, seed=rng,
-                         noise_variance=received.noise_variance)
-    estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
+def _zf_receive(code, received, effective, rng, constellation):
+    """Zero forcing on ``code`` against its identity-pilot channel estimate.
+
+    Least squares on one-LED-at-a-time pilots returns the effective channel
+    plus one pilot-noise draw at the data noise level.
+    """
+    estimate = effective
+    if received.noise_variance > 0.0:
+        n_rx, _, n_states = received.data.shape
+        sigma = math.sqrt(received.noise_variance)
+        noise = rng.normal(scale=sigma, size=(n_rx, code.shape[1], n_states))
+        estimate = effective + stack_received(noise)
     return zf_detect(stack_received(received), estimate, constellation, code)
 
 
@@ -234,15 +250,15 @@ def run_trial(
     for r in ALL_RECEIVERS:
         if r not in receivers:
             continue
-        link_code, received, cond = dstc
+        link = dstc
         if r == RECEIVER_PLAIN:
-            one_state = np.ones((1, scenario.n_tx))
-            link_code, received, cond = _transmit(gains, one_state, block.symbols, snr_db, rng)
+            link = _transmit(gains, np.ones((1, scenario.n_tx)), block.symbols, snr_db, rng)
+        link_code, received, effective, cond = link
         try:
             if r == RECEIVER_KRF:
                 result = krf_detect(received, link_code, 0, block.symbols[0], constellation)
             else:
-                result = _zf_receive(gains, link_code, received, snr_db, rng, constellation)
+                result = _zf_receive(link_code, received, effective, rng, constellation)
         except _RECEIVER_FAILURES:
             outcomes[r] = TrialOutcome(0, 0, math.nan, cond, failed=True)
             continue

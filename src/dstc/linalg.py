@@ -18,6 +18,10 @@ KRUSKAL_GUARD = 14
 
 DEFAULT_RANK_TOL = 1e-9
 
+# Relative cutoff below which a value counts as zero next to the scale it is
+# compared with, so that rounding error and underflow never pass for signal.
+ZERO_RTOL = 1e-12
+
 
 class HadamardOrderError(ValueError):
     """No supported Hadamard construction exists for the requested order."""

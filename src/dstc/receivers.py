@@ -1,13 +1,16 @@
 """Receivers for dimming-coded CSK blocks.
 
 Two detectors share the stacked received model: a pilot-assisted
-zero-forcing receiver that estimates the effective (state-stacked) channel
-from one-LED-at-a-time pilots, and a semi-blind receiver that exploits the
-trilinear structure of the received block.  The semi-blind receiver inverts
-the known dimming code out of the mode-3 unfolding, which leaves a
-Khatri-Rao product of symbols and channel; each of its columns is a
-vectorized rank-one matrix, so one batched best rank-one fit recovers both
-factors up to one scale per column, resolved by a single known symbol row.
+zero-forcing receiver and a semi-blind receiver that exploits the trilinear
+structure of the received block.  The zero-forcing receiver is trained with
+one-LED-at-a-time pilots, so the pilot matrix is the identity and the
+least-squares estimate of the effective (state-stacked) channel is the
+effective channel plus one pilot-noise draw at the data noise level.  The
+semi-blind receiver inverts the known dimming code out of the mode-3
+unfolding, which leaves a Khatri-Rao product of symbols and channel; each of
+its columns is a vectorized rank-one matrix, so one batched best rank-one
+fit recovers both factors up to one scale per column, resolved by a single
+known symbol row.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from .channel import ReceivedTensor, unfold
 from .csk import Constellation, demodulate
-from .linalg import DegenerateInputError, leading_rank_one, pseudoinverse
+from .linalg import ZERO_RTOL, DegenerateInputError, leading_rank_one, pseudoinverse
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
@@ -71,19 +74,6 @@ def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return (code[:, None, :] * gains[None, :, :]).reshape(n_states * gains.shape[0], n_tx)
 
 
-def zf_estimate_channel(pilot_stack: np.ndarray, pilots: np.ndarray) -> np.ndarray:
-    """Least-squares effective-channel estimate from stacked pilot receptions."""
-    pilot_stack = np.asarray(pilot_stack, dtype=float)
-    pilots = np.asarray(pilots, dtype=float)
-    if pilot_stack.shape[1] != pilots.shape[0]:
-        raise ValueError(
-            f"pilot reception has {pilot_stack.shape[1]} slots but {pilots.shape[0]} pilot rows"
-        )
-    if np.linalg.matrix_rank(pilots) < pilots.shape[1]:
-        raise ValueError("pilot matrix is rank-deficient; cannot identify all LEDs")
-    return pilot_stack @ pseudoinverse(pilots.T)
-
-
 def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Collapse a state-stacked channel estimate back to plain gains.
 
@@ -100,7 +90,7 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
             f"effective estimate of shape {effective.shape} does not stack "
             f"{n_states} blocks of {n_tx} columns"
         )
-    usable = np.abs(code) > 1e-12
+    usable = np.abs(code) > ZERO_RTOL * np.abs(code).max()
     if not np.all(usable.any(axis=0)):
         dark = int(np.flatnonzero(~usable.any(axis=0))[0])
         raise ValueError(f"dimming code column {dark} is all zeros; LED never lit")
@@ -120,7 +110,8 @@ def zf_detect(
     """Zero-forcing detection against an effective-channel estimate.
 
     The dimming ``code`` collapses the estimate to plain gains for error
-    reporting; the one-state all-ones code leaves it unchanged.
+    reporting; the one-state all-ones code leaves it unchanged.  An estimate
+    that is negligible next to the reception it must explain is refused.
     """
     stacked = np.asarray(stacked, dtype=float)
     effective = np.asarray(effective, dtype=float)
@@ -129,7 +120,7 @@ def zf_detect(
             f"stacked rows ({stacked.shape[0]}) must match effective-channel rows "
             f"({effective.shape[0]})"
         )
-    if not effective.any():
+    if np.abs(effective).max() <= ZERO_RTOL * np.abs(stacked).max():
         raise EqualizationError("effective-channel estimate is zero; nothing to invert")
     symbols = (pseudoinverse(effective) @ stacked).T
     bits = demodulate(symbols, constellation)
@@ -152,8 +143,9 @@ def krf_detect(
     Inverts the dimming code out of the mode-3 unfolding, fits each residual
     column with its best rank-one matrix (channel column times symbol
     column), and rescales every column pair so that the estimated symbol row
-    ``known_row`` matches ``known_values``.  Those values must be nonzero,
-    otherwise that column's scale is unobservable.
+    ``known_row`` matches ``known_values``.  Neither those values nor the
+    estimated row may be negligible next to the largest entry they are
+    compared with, otherwise that column's scale is unobservable.
 
     Each mode-3 row stacks one state's reception column-major (receive index
     fastest), so column r of the residual is the column-major vec of the
@@ -174,7 +166,7 @@ def krf_detect(
         raise ValueError(f"known row must have {n_tx} entries, got {known_values.size}")
     if not 0 <= known_row < n_slots:
         raise ValueError(f"known row {known_row} outside block of {n_slots} slots")
-    zero_cols = np.flatnonzero(known_values == 0.0)
+    zero_cols = np.flatnonzero(np.abs(known_values) <= ZERO_RTOL * np.abs(known_values).max())
     if zero_cols.size:
         raise AmbiguityError(
             f"known symbol row is zero in column {int(zero_cols[0])}; "
@@ -195,7 +187,7 @@ def krf_detect(
     symbols = v.T
 
     estimated_row = symbols[known_row]
-    zero_est = np.flatnonzero(estimated_row == 0.0)
+    zero_est = np.flatnonzero(np.abs(estimated_row) <= ZERO_RTOL * np.abs(symbols).max(axis=0))
     if zero_est.size:
         raise AmbiguityError(
             f"estimated symbol row is zero in column {int(zero_est[0])}; "

@@ -18,13 +18,11 @@ from dstc.csk import (
     block_with_reference,
     default_constellation,
     payload_bits,
-    pilot_block,
 )
 from dstc.dimming import (
     ConstraintViolationError,
     DimmingSpec,
     build_dimming_matrix,
-    transmit_block,
     validate_dimming_matrix,
 )
 from dstc.experiments import (
@@ -39,10 +37,10 @@ from dstc.experiments import (
 )
 from dstc.identifiability import check_uniqueness
 from dstc.receivers import (
+    effective_channel,
     krf_detect,
     stack_received,
     zf_detect,
-    zf_estimate_channel,
 )
 from tensor_oracles import khatri_rao
 
@@ -222,6 +220,8 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
     Replays `run_point`'s trials with the public dstc functions in
     `run_trial`'s per-trial draw order (bits, channel, data noise, pilot
     noise), so both receivers see the same blocks as the BER tally.  The
+    pilots are the identity, so ZF's channel estimate is the effective
+    channel plus the pilot noise, drawn in the reception's layout.  The
     soft error is `symbol_estimate` minus the sent symbols over the payload
     rows; the training row is left out.  At high SNR both BERs are 0, but
     the soft error still orders the receivers.  The replay's bit-error
@@ -231,7 +231,6 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
     scen = _qled_scenario(n_states)
     constellation = default_constellation(scen.k_t)
     code = build_dimming_matrix(scen.dimming_spec())
-    pilots = pilot_block(scen.n_tx)
     receivers = ("ZF", "VLC-KRF")
     soft = {r: [] for r in receivers}
     nmse = {r: [] for r in receivers}
@@ -243,15 +242,12 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        received = propagate(gains, transmit_block(code, block.symbols), snr_db, seed=rng)
-        pilot_rx = propagate(
-            gains,
-            transmit_block(code, pilots),
-            snr_db,
-            seed=rng,
-            noise_variance=received.noise_variance,
+        received = propagate(gains, code, block.symbols, snr_db, seed=rng)
+        pilot_noise = rng.normal(
+            scale=math.sqrt(received.noise_variance),
+            size=(scen.n_rx, scen.n_tx, scen.n_states),
         )
-        estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
+        estimate = effective_channel(gains, code) + stack_received(pilot_noise)
         results = {
             "ZF": zf_detect(stack_received(received), estimate, constellation, code),
             "VLC-KRF": krf_detect(received, code, 0, block.symbols[0], constellation),

@@ -11,7 +11,7 @@ from dstc.channel import (
     propagate,
     unfold,
 )
-from dstc.dimming import DimmingSpec, build_dimming_matrix, transmit_block
+from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.linalg import DegenerateInputError
 from tensor_oracles import khatri_rao, vec
 
@@ -72,8 +72,7 @@ class TestPropagate:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(0)
         s = rng.random((6, 4))
-        x = transmit_block(np.ones((3, 4)), s)
-        y = propagate(np.eye(4), x, math.inf)
+        y = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
         assert y.noise_variance == 0.0
         for k in range(3):
             assert np.allclose(y.data[:, :, k], s.T)
@@ -83,7 +82,7 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        y = propagate(h, transmit_block(c, s), math.inf)
+        y = propagate(h, c, s, math.inf)
         assert np.allclose(y.data, trilinear_oracle(h, s, c), atol=1e-12)
 
     def test_empirical_snr_calibration(self):
@@ -91,32 +90,30 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        x = transmit_block(c, s)
-        clean = propagate(h, x, math.inf).data
-        noisy = propagate(h, x, 20.0, seed=3).data
+        clean = propagate(h, c, s, math.inf).data
+        noisy = propagate(h, c, s, 20.0, seed=3).data
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
-    def test_explicit_noise_variance_reused(self):
-        h = np.eye(3)
-        x = np.ones((2, 3, 4))
-        y = propagate(h, x, 10.0, seed=0, noise_variance=0.25)
-        assert y.noise_variance == 0.25
-
     def test_zero_signal_rejected(self):
         with pytest.raises(DegenerateInputError):
-            propagate(np.eye(2), np.zeros((2, 2, 3)), 20.0)
+            propagate(np.eye(2), np.ones((2, 2)), np.zeros((3, 2)), 20.0)
+
+    def test_rounding_error_signal_rejected(self):
+        # the two LEDs cancel at the receiver up to one unit in the last place
+        h = np.array([[1.0, -(1.0 - 2.0**-52)]])
+        with pytest.raises(DegenerateInputError):
+            propagate(h, np.ones((2, 2)), np.ones((3, 2)), 20.0)
 
     def test_seed_determinism(self):
         h = np.eye(2)
-        x = np.ones((2, 2, 3))
-        a = propagate(h, x, 10.0, seed=42)
-        b = propagate(h, x, 10.0, seed=42)
+        a = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        b = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
         assert np.array_equal(a.data, b.data)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="blocks"):
-            propagate(np.eye(2), np.ones((2, 3, 4)), 10.0)
+        with pytest.raises(ValueError, match="columns"):
+            propagate(np.eye(2), np.ones((2, 3)), np.ones((4, 3)), 10.0)
 
 
 class TestUnfold:
@@ -140,7 +137,7 @@ class TestUnfold:
         h = rng.standard_normal((3, 3))
         s = rng.random((6, 3))
         c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
-        y = propagate(h, transmit_block(c, s), math.inf)
+        y = propagate(h, c, s, math.inf)
         y3 = unfold(y, 3)
         for k in range(4):
             assert np.allclose(y3[k], vec(y.data[:, :, k]))

@@ -1,16 +1,24 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import dstc
+from dstc.channel import CHANNEL_MODELS
 from dstc.cli import main
 from dstc.configio import ConfigError, load_config
+from dstc.experiments import ALL_RECEIVERS, default_scenarios
 from dstc.receivers import AmbiguityError
 
 
@@ -225,6 +233,14 @@ class TestSimulate:
         )
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_powerless_block_exits_4_with_one_line(self, tmp_path, capsys):
+        # the received power underflows, so no SNR can be set
+        tiny = "p_m = 1e-293\nalpha = 1e-293"
+        cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM.replace("p_m = 0.5\nalpha = 0.4", tiny))
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "power is zero" in err
+
     def test_plain_csk_on_short_channel_exits_1_with_one_line(self, tmp_path, capsys):
         # 6 photodiodes cannot zero-force 8 LEDs without a dimming code
         cfg = write_cfg(
@@ -266,6 +282,109 @@ class TestSizeLimit:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "too large" in captured.err
         assert not (tmp_path / "o" / "ber_nmse.csv").exists()
+
+
+# Values `check` and `simulate` refuse: (edits to SMALL_SIM, exit code, message).
+REJECTED = [
+    pytest.param(
+        (("alpha = 0.4", "alpha = nan"),), 2, "alpha <= min(P_m, 1 - P_m)", id="alpha-nan"
+    ),
+    pytest.param((("p_m = 0.5", "p_m = nan"),), 2, "0 < P_m < 1", id="p_m-nan"),
+    pytest.param(
+        (("snr_grid_db = 10 20", "snr_grid_db = 10 1e308"),), 1, "noiseless = true", id="snr-huge"
+    ),
+    pytest.param(
+        (("snr_grid_db = 10 20", "snr_grid_db = nan"),), 1, "noiseless = true", id="snr-nan"
+    ),
+    pytest.param(
+        (("n_symbols_total = 250", "n_symbols_total = 0"),), 1, "at least one", id="no-block"
+    ),
+    pytest.param(
+        (("k_r = 4", "k_r = 3"), ("channel_model = gaussian", "channel_model = diagonal")),
+        1,
+        "diagonal channel model needs n_rx >= n_tx",
+        id="diagonal-short",
+    ),
+]
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("edits,code,message", REJECTED)
+    def test_exits_with_one_line(self, command, edits, code, message, tmp_path, capsys):
+        text = SMALL_SIM
+        for old, new in edits:
+            text = text.replace(old, new)
+        argv = [command, "--config", write_cfg(tmp_path / "c.cfg", text)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+
+RECEIVER_SETS = [
+    " ".join(c) for n in range(1, 4) for c in itertools.combinations(ALL_RECEIVERS, n)
+]
+
+# Values no config field may get through unchecked.
+SPECIAL_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.5", "-100", str(10**30 + 1)]
+
+
+@given(
+    scenario=st.sampled_from(sorted(default_scenarios().values(), key=repr)),
+    p_m=st.floats(0.0, 1.0),
+    alpha=st.floats(0.0, 0.5),
+    snr_grid=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3),
+    corrupt=st.sampled_from([None, "p_m", "alpha", "snr_grid_db", "n_symbols_total"]),
+    special=st.sampled_from(SPECIAL_VALUES),
+    channel_model=st.sampled_from(CHANNEL_MODELS),
+    receivers=st.sampled_from(RECEIVER_SETS),
+)
+@settings(max_examples=40, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink])
+def test_cli_contract_under_generated_input(
+    scenario, p_m, alpha, snr_grid, corrupt, special, channel_model, receivers
+):
+    """Whatever the config says, `check` and `simulate` exit 0-5 with at most one stderr line.
+
+    Each example sets at most one field (``corrupt``) to a special value and
+    runs one block per SNR point.  A warning would reach stderr as more
+    lines, so each one counts as a line.
+    """
+    values = {
+        "p_m": repr(p_m),
+        "alpha": repr(alpha),
+        "snr_grid_db": " ".join(map(repr, snr_grid)),
+        "n_symbols_total": str(scenario.block_len),
+    }
+    if corrupt == "snr_grid_db":
+        values[corrupt] += f" {special}"
+    elif corrupt is not None:
+        values[corrupt] = special
+    geometry = "\n".join(
+        f"{key} = {getattr(scenario, key)}"
+        for key in ("k_t", "l_t", "k_r", "l_r", "n_states", "block_len")
+    )
+    text = (
+        f"[scenario]\n{geometry}\n\n"
+        f"[dimming]\np_m = {values['p_m']}\nalpha = {values['alpha']}\n\n"
+        f"[experiment]\nsnr_grid_db = {values['snr_grid_db']}\n"
+        f"n_symbols_total = {values['n_symbols_total']}\nreceivers = {receivers}\n"
+        f"channel_model = {channel_model}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "gen.cfg"
+        cfg.write_text(text)
+        for argv in (["check"], ["simulate", "--out", str(Path(tmp) / "o")]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_cli(argv + ["--config", str(cfg)])
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert code in range(6), (argv, code, text)
+            assert len(lines) <= 1, (argv, lines, text)
+            assert "Traceback" not in err.getvalue()
 
 
 # k_t = 5 has no default constellation, so check and simulate need a

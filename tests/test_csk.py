@@ -9,7 +9,6 @@ from dstc.csk import (
     demodulate,
     modulate,
     payload_bits,
-    pilot_block,
     reference_row,
 )
 
@@ -107,17 +106,6 @@ class TestDemodulate:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             demodulate(np.zeros((2, 5)), default_constellation(4))
-
-
-class TestPilot:
-    def test_identity(self):
-        p = pilot_block(6)
-        assert np.array_equal(p, np.eye(6))
-        assert np.linalg.matrix_rank(p) == 6
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            pilot_block(0)
 
 
 class TestReferenceRow:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc import dimming
+from dstc.channel import propagate
 from dstc.dimming import (
     ChromaticityTable,
     ConstraintViolationError,
@@ -11,7 +14,6 @@ from dstc.dimming import (
     average_power,
     build_dimming_matrix,
     default_chromaticity,
-    transmit_block,
     validate_dimming_matrix,
 )
 
@@ -66,6 +68,10 @@ class TestBuild:
         with pytest.raises(ConstraintViolationError, match="alpha > 0"):
             build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.0))
 
+    def test_alpha_nan(self):
+        with pytest.raises(ConstraintViolationError, match="alpha"):
+            build_dimming_matrix(DimmingSpec(12, 6, 0.5, math.nan))
+
     def test_too_many_leds(self):
         with pytest.raises(ConstraintViolationError, match="K_T\\*L_T <= K - 1"):
             build_dimming_matrix(DimmingSpec(8, 8, 0.5, 0.4))
@@ -111,10 +117,15 @@ class TestBuild:
         assert np.linalg.matrix_rank(c) == n_tx
 
 
+def transmitted(code, symbols):
+    """What ``propagate`` sends per state, read through an identity channel."""
+    return propagate(np.eye(code.shape[1]), code, symbols, math.inf).data.transpose(2, 0, 1)
+
+
 class TestTransmitBlock:
     def test_disabled_dimming_is_transpose(self):
         s = np.random.default_rng(0).random((5, 4))
-        x = transmit_block(np.ones((3, 4)), s)
+        x = transmitted(np.ones((3, 4)), s)
         for k in range(3):
             assert np.array_equal(x[k], s.T)
 
@@ -122,7 +133,7 @@ class TestTransmitBlock:
         rng = np.random.default_rng(1)
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         s = rng.random((7, 6))
-        x = transmit_block(c, s)
+        x = transmitted(c, s)
         assert x.shape == (8, 6, 7)
         for k in range(8):
             for i in range(6):
@@ -132,12 +143,12 @@ class TestTransmitBlock:
     def test_states_average_to_target(self):
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
         s = np.random.default_rng(2).random((9, 6))
-        x = transmit_block(c, s)
+        x = transmitted(c, s)
         assert np.allclose(x.mean(axis=0), 0.5 * s.T, atol=1e-12)
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            transmit_block(np.ones((3, 4)), np.ones((5, 3)))
+            transmitted(np.ones((3, 4)), np.ones((5, 3)))
 
 
 class TestAveragePower:
@@ -157,6 +168,12 @@ class TestAveragePower:
     def test_zero_block_rejected(self):
         with pytest.raises(dimming.DegenerateInputError):
             average_power(np.ones((2, 3)), np.zeros((4, 3)))
+
+    def test_rounding_error_mean_rejected(self):
+        # the block's mean is one unit in the last place of its entries
+        s = np.array([[1.0, -(1.0 - 2.0**-52)]])
+        with pytest.raises(dimming.DegenerateInputError):
+            average_power(np.ones((2, 2)), s)
 
 
 class TestChromaticity:

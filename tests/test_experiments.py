@@ -79,6 +79,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="whole number of blocks"):
             ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=7)
 
+    @pytest.mark.parametrize("n_symbols_total", [0, -50])
+    def test_symbol_budget_below_one_block_rejected(self, n_symbols_total):
+        with pytest.raises(ValueError, match="at least one"):
+            ExperimentConfig(
+                scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=n_symbols_total
+            )
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("field", ["snr_grid_db", "alpha_sweep_snr_db"])
+    def test_unusable_snr_rejected(self, field, snr_db):
+        cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
+        value = (20.0, snr_db) if field == "snr_grid_db" else snr_db
+        with pytest.raises(ValueError, match="noiseless = true"):
+            dataclasses.replace(cfg, **{field: value})
+
+    def test_diagonal_model_needs_enough_receivers(self):
+        short = dataclasses.replace(QLED12, k_r=3)
+        with pytest.raises(ValueError, match="diagonal channel model needs n_rx >= n_tx"):
+            ExperimentConfig(scenario=short, snr_grid_db=(20.0,), n_symbols_total=500,
+                             channel_model="diagonal")
+        ExperimentConfig(scenario=short, snr_grid_db=(20.0,), n_symbols_total=500)
+
     def test_trial_count_is_derived(self):
         cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
         assert cfg.n_trials == 10

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc.channel import draw_channel, propagate
-from dstc.csk import block_with_reference, default_constellation, payload_bits, pilot_block
-from dstc.dimming import DimmingSpec, build_dimming_matrix, transmit_block
-from dstc.experiments import ExperimentConfig, SystemConfig
-from dstc.linalg import DegenerateInputError
+from dstc.csk import block_with_reference, default_constellation, payload_bits
+from dstc.dimming import DimmingSpec, build_dimming_matrix
+from dstc.experiments import ExperimentConfig, SystemConfig, run_point, run_trial
+from dstc.linalg import DegenerateInputError, pseudoinverse
 from dstc.receivers import (
     AmbiguityError,
     EqualizationError,
@@ -17,7 +17,6 @@ from dstc.receivers import (
     krf_detect,
     stack_received,
     zf_detect,
-    zf_estimate_channel,
 )
 from tensor_oracles import vec
 
@@ -30,7 +29,7 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     block = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    received = propagate(gains, transmit_block(code, block.symbols), snr_db, seed=rng)
+    received = propagate(gains, code, block.symbols, snr_db, seed=rng)
     return constellation, code, block, gains, received, rng
 
 
@@ -52,7 +51,7 @@ class TestStacking:
         code = build_dimming_matrix(spec)
         gains = rng.standard_normal((4, 6))
         symbols = rng.random((9, 6))
-        received = propagate(gains, transmit_block(code, symbols), math.inf)
+        received = propagate(gains, code, symbols, math.inf)
         assert np.allclose(
             stack_received(received), effective_channel(gains, code) @ symbols.T, atol=1e-12
         )
@@ -79,42 +78,31 @@ class TestEffectiveChannel:
             effective_channel(np.ones((2, 3)), np.ones((4, 5)))
 
 
+# A 4 + 4 LED link with 4 + 4 photodiodes and 12 dimming states, short blocks.
+QLED_SHORT = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=30)
+
+
 class TestZfChannelEstimate:
+    """ZF is trained with identity pilots, whose least-squares estimate is the reception."""
+
     def test_identity_pilots_pass_through(self):
-        rx = np.random.default_rng(0).random((8, 4))
-        assert np.allclose(zf_estimate_channel(rx, np.eye(4)), rx)
+        for n in (1, 6, 8, 30):
+            rx = np.random.default_rng(n).random((2 * n, n))
+            assert np.array_equal(pseudoinverse(np.eye(n)), np.eye(n))
+            assert np.array_equal(rx @ pseudoinverse(np.eye(n).T), rx)
 
     def test_noiseless_recovery(self):
-        rng = np.random.default_rng(1)
-        spec = DimmingSpec(8, 6, 0.5, 0.4)
-        code = build_dimming_matrix(spec)
-        gains = rng.standard_normal((4, 6))
-        pilots = np.eye(6)
-        rx = propagate(gains, transmit_block(code, pilots), math.inf)
-        est = zf_estimate_channel(stack_received(rx), pilots)
-        assert np.allclose(est, effective_channel(gains, code), atol=1e-10)
+        code = build_dimming_matrix(QLED_SHORT.dimming_spec())
+        outcome = run_trial(QLED_SHORT, code, math.inf, 1, receivers=("ZF",))["ZF"]
+        assert outcome.bit_errors == 0 and not outcome.failed
+        assert outcome.nmse <= 1e-20
 
     def test_error_shrinks_with_snr(self):
-        rng = np.random.default_rng(2)
-        spec = DimmingSpec(8, 6, 0.5, 0.4)
-        code = build_dimming_matrix(spec)
-        gains = rng.standard_normal((4, 6))
-        truth = effective_channel(gains, code)
-        pilots = np.eye(6)
-        errs = []
-        for snr in (10.0, 20.0, 30.0):
-            acc = 0.0
-            for trial in range(100):
-                rx = propagate(
-                    gains, transmit_block(code, pilots), snr, seed=1000 * trial + int(snr)
-                )
-                acc += np.linalg.norm(zf_estimate_channel(stack_received(rx), pilots) - truth)
-            errs.append(acc)
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_rank_deficient_pilots(self):
-        with pytest.raises(ValueError, match="rank"):
-            zf_estimate_channel(np.ones((4, 2)), np.ones((2, 2)))
+        nmse = [
+            np.mean([o.nmse for o in run_point(QLED_SHORT, snr, 100, 2, ("ZF",))["ZF"]])
+            for snr in (10.0, 20.0, 30.0)
+        ]
+        assert nmse[0] > nmse[1] > nmse[2]
 
 
 class TestChannelFromEffective:
@@ -148,25 +136,9 @@ class TestZfDetect:
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
 
     def test_high_snr_low_error(self):
-        errors = bits = 0
-        for seed in range(20):
-            constellation, code, block, gains, received, rng = dstc_link(
-                seed, DimmingSpec(12, 8, 0.5, 0.4), 4, 2, 8, 30, 40.0
-            )
-            pilots = np.eye(8)
-            pilot_rx = propagate(
-                gains, transmit_block(code, pilots), 40.0, seed=rng,
-                noise_variance=received.noise_variance,
-            )
-            est = zf_detect(
-                stack_received(received),
-                zf_estimate_channel(stack_received(pilot_rx), pilots),
-                constellation,
-                code,
-            )
-            detected = payload_bits(est.bits, 2, block.reference_row)
-            errors += int(np.sum(detected != block.bits))
-            bits += block.bits.size
+        outcomes = run_point(QLED_SHORT, 40.0, 20, 0, ("ZF",))["ZF"]
+        errors = sum(o.bit_errors for o in outcomes)
+        bits = sum(o.n_bits for o in outcomes)
         assert errors / bits <= 1e-3
 
     def test_row_mismatch(self):
@@ -176,6 +148,11 @@ class TestZfDetect:
     def test_zero_effective_channel(self):
         with pytest.raises(EqualizationError):
             zf_detect(np.ones((6, 4)), np.zeros((6, 3)), default_constellation(3), np.ones((2, 3)))
+
+    def test_negligible_effective_channel(self):
+        tiny = np.full((6, 3), 1e-300)
+        with pytest.raises(EqualizationError):
+            zf_detect(np.ones((6, 4)), tiny, default_constellation(3), np.ones((2, 3)))
 
 
 class TestKrfDetect:
@@ -240,6 +217,26 @@ class TestKrfDetect:
         with pytest.raises(AmbiguityError, match="column 2"):
             krf_detect(received, code, 0, bad, constellation)
 
+    def test_negligible_known_value_rejected(self):
+        constellation, code, block, gains, received, _ = dstc_link(
+            7, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
+        )
+        bad = block.symbols[0].copy()
+        bad[2] = 1e-300
+        with pytest.raises(AmbiguityError, match="known symbol row is zero in column 2"):
+            krf_detect(received, code, 0, bad, constellation)
+
+    def test_negligible_estimated_row_rejected(self):
+        # LED 2 is dark to rounding error in the training slot, but the
+        # receiver is told it is lit
+        rng = np.random.default_rng(12)
+        code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
+        symbols = rng.random((20, 6))
+        symbols[0, 2] = 1e-15
+        received = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)
+        with pytest.raises(AmbiguityError, match="estimated symbol row is zero in column 2"):
+            krf_detect(received, code, 0, np.full(6, 1 / 3), default_constellation(3))
+
     def test_known_row_length_checked(self):
         constellation, code, block, gains, received, _ = dstc_link(
             8, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
@@ -279,10 +276,9 @@ class TestPlainCskBaseline:
         block = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        received = propagate(gains, transmit_block(one_state, block.symbols), math.inf)
-        pilots = pilot_block(8)
-        pilot_rx = propagate(gains, transmit_block(one_state, pilots), math.inf)
-        estimate = zf_estimate_channel(stack_received(pilot_rx), pilots)
+        received = propagate(gains, one_state, block.symbols, math.inf)
+        # noiseless identity pilots return the effective channel itself
+        estimate = effective_channel(gains, one_state)
         est = zf_detect(stack_received(received), estimate, constellation, one_state)
         assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
