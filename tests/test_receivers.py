@@ -120,6 +120,12 @@ class TestChannelFromEffective:
         gains = rng.standard_normal((8, 8))
         assert np.allclose(channel_from_effective(effective_channel(gains, code), code), gains)
 
+    def test_dim_code_is_not_dark(self):
+        # which states light a LED is relative to the code's own scale
+        code = 1e-30 * build_dimming_matrix(DimmingSpec(12, 8, 0.5, 0.4))
+        gains = np.random.default_rng(5).standard_normal((8, 8))
+        assert np.allclose(channel_from_effective(effective_channel(gains, code), code), gains)
+
     def test_all_dark_column_rejected(self):
         code = np.array([[0.5, 0.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="never lit"):
