@@ -1,17 +1,16 @@
-"""Optical MIMO channel: gain draws, noisy propagation, tensor unfoldings.
+"""Optical MIMO channel: gain draws and noisy, state-stacked propagation.
 
 The channel gain matrix is held constant across the K dimming states of a
-block.  Stacking the per-state receptions along a third axis gives a
-three-way array with receive elements on axis 0, time slots on axis 1, and
-dimming states on axis 2; the received signal is then trilinear in the
-channel, the symbols, and the dimming code, which is what the semi-blind
-receiver exploits.
+block.  A reception is carried stacked: rows ``k * n_rx`` to
+``(k + 1) * n_rx - 1`` hold dimming state k, one column per time slot.  The
+stacked block is the effective (state-stacked) channel times the transposed
+symbols, and each state's rows are linear in the dimming code's row k,
+which is what both receivers exploit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +57,26 @@ def draw_channel(n_rx: int, n_tx: int, model: str = "gaussian", seed=None) -> np
     raise ValueError(f"unknown channel model {model!r}; expected one of {CHANNEL_MODELS}")
 
 
-@dataclass(frozen=True)
-class ReceivedTensor:
-    """Stacked per-state receptions (n_rx, n_slots, n_states) plus the noise level used."""
+def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """State-stacked channel: block k is the gain matrix scaled by dimming row k."""
+    gains = np.asarray(gains, dtype=float)
+    code = np.asarray(code, dtype=float)
+    if gains.shape[1] != code.shape[1]:
+        raise ValueError(
+            f"gain columns ({gains.shape[1]}) must match code columns ({code.shape[1]})"
+        )
+    n_states, n_tx = code.shape
+    return (code[:, None, :] * gains[None, :, :]).reshape(n_states * gains.shape[0], n_tx)
 
-    data: np.ndarray
-    noise_variance: float
+
+def stacked_noise(seed, variance: float, n_states: int, n_rx: int, n_cols: int) -> np.ndarray:
+    """White Gaussian noise of ``variance`` in the stacked (n_states * n_rx, n_cols) layout.
+
+    The draw is taken in (n_rx, n_cols, n_states) order, the order that the
+    fixed-seed results were recorded in, and then restacked state by state.
+    """
+    noise = _rng(seed).normal(scale=math.sqrt(variance), size=(n_rx, n_cols, n_states))
+    return noise.transpose(2, 0, 1).reshape(n_states * n_rx, n_cols)
 
 
 def propagate(
@@ -72,16 +85,16 @@ def propagate(
     symbols: np.ndarray,
     snr_db: float,
     seed=None,
-) -> ReceivedTensor:
+) -> tuple[np.ndarray, float]:
     """Send one symbol block through the channel in every dimming state and add noise.
 
-    State k transmits ``np.diag(code[k]) @ symbols.T``.  The noise variance
-    is calibrated so that the mean squared noiseless received entry over
-    this block sits ``snr_db`` above it; pass ``snr_db=math.inf`` for a
-    noiseless run.  The white Gaussian noise's variance is returned with the
-    data, for the pilot phase to reuse.  A received power that is rounding
-    error next to the scale of the channel and the transmitted block leaves
-    the SNR undefined.
+    Returns the stacked reception ``effective_channel(gains, code) @ symbols.T``
+    plus noise, and the noise variance, for the pilot phase to reuse.  The
+    variance is calibrated so that the mean squared noiseless received entry
+    over this block sits ``snr_db`` above it; pass ``snr_db=math.inf`` for a
+    noiseless run.  A received power that is rounding error next to the
+    scale of the channel and the transmitted block leaves the SNR undefined,
+    and so does a finite SNR whose variance underflows.
     """
     gains = np.asarray(gains, dtype=float)
     code = np.asarray(code, dtype=float)
@@ -91,38 +104,17 @@ def propagate(
         raise ValueError(
             f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
         )
-    blocks = code[:, :, None] * symbols.T[None, :, :]
-    clean = np.einsum("ij,kjn->ink", gains, blocks)
-    noise_variance = 0.0
-    if not math.isinf(snr_db):
-        power = float(np.mean(clean**2))
-        scale = float(np.abs(gains).max() * np.abs(code).max() * np.abs(symbols).max())
-        if power <= (ZERO_RTOL * scale) ** 2:
-            raise DegenerateInputError("noiseless received power is zero; SNR undefined")
-        noise_variance = power / (10.0 ** (snr_db / 10.0))
-    data = clean
-    if noise_variance > 0.0:
-        data = clean + _rng(seed).normal(scale=math.sqrt(noise_variance), size=clean.shape)
-    return ReceivedTensor(data, noise_variance)
-
-
-def unfold(tensor, mode: int) -> np.ndarray:
-    """Mode-n unfolding with the lower-numbered remaining mode varying fastest.
-
-    With factor matrices ``h`` (axis 0), ``s`` (axis 1), ``c`` (axis 2) each
-    unfolding is one factor times the transposed column-wise Kronecker
-    (Khatri-Rao) product of the other two, e.g. mode 3 gives ``c`` times that
-    of ``s`` and ``h``.  Each row of the mode-3 unfolding is one state's
-    reception stacked column by column (receive index fastest).
-    """
-    data = tensor.data if isinstance(tensor, ReceivedTensor) else np.asarray(tensor, dtype=float)
-    if data.ndim != 3:
-        raise ValueError(f"expected a 3-way array, got shape {data.shape}")
-    i1, i2, i3 = data.shape
-    if mode == 1:
-        return data.transpose(0, 2, 1).reshape(i1, i3 * i2)
-    if mode == 2:
-        return data.transpose(1, 2, 0).reshape(i2, i3 * i1)
-    if mode == 3:
-        return data.transpose(2, 1, 0).reshape(i3, i2 * i1)
-    raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
+    stacked = effective_channel(gains, code) @ symbols.T
+    if math.isinf(snr_db):
+        return stacked, 0.0
+    power = float(np.mean(stacked**2))
+    scale = float(np.abs(gains).max() * np.abs(code).max() * np.abs(symbols).max())
+    if power <= (ZERO_RTOL * scale) ** 2:
+        raise DegenerateInputError("noiseless received power is zero; SNR undefined")
+    noise_variance = power / (10.0 ** (snr_db / 10.0))
+    if not noise_variance >= np.finfo(float).tiny:
+        raise DegenerateInputError(
+            f"noise variance underflows at {snr_db:g} dB (received power {power:.3g})"
+        )
+    noise = stacked_noise(seed, noise_variance, code.shape[0], gains.shape[0], symbols.shape[0])
+    return stacked + noise, noise_variance

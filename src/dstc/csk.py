@@ -45,16 +45,10 @@ def default_constellation(k_t: int) -> Constellation:
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """A block of transmit rows plus the payload bits they carry.
-
-    ``reference_row`` marks a training slot that carries no payload (used by
-    the semi-blind receiver to resolve per-column scaling); it is None for
-    all-payload blocks.
-    """
+    """A block of transmit rows plus the payload bits they carry."""
 
     symbols: np.ndarray
     bits: np.ndarray
-    reference_row: int | None = None
 
 
 def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> SymbolBlock:
@@ -104,19 +98,10 @@ def reference_row(constellation: Constellation, n_groups: int) -> np.ndarray:
 def block_with_reference(
     bits, n_rows: int, n_groups: int, constellation: Constellation
 ) -> SymbolBlock:
-    """Payload block of ``n_rows`` slots whose first row is the training row."""
+    """Payload block of ``n_rows`` slots whose first row is the bit-free training row."""
     if n_rows < 2:
         raise ValueError("need at least one payload row besides the training row")
     payload = modulate(bits, n_rows - 1, n_groups, constellation)
     symbols = np.vstack([reference_row(constellation, n_groups), payload.symbols])
-    return SymbolBlock(symbols=symbols, bits=payload.bits, reference_row=0)
+    return SymbolBlock(symbols=symbols, bits=payload.bits)
 
-
-def payload_bits(all_bits, n_groups: int, reference: int | None) -> np.ndarray:
-    """Drop the training slot's bits from a full-block detected bit vector."""
-    all_bits = np.asarray(all_bits).reshape(-1)
-    if reference is None:
-        return all_bits
-    per_row = BITS_PER_SYMBOL * n_groups
-    rows = all_bits.reshape(-1, per_row)
-    return np.delete(rows, reference, axis=0).reshape(-1)

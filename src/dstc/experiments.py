@@ -23,14 +23,16 @@ from .channel import (
     CHANNEL_MODELS,
     derive_seed,
     draw_channel,
+    effective_channel,
     propagate,
+    stacked_noise,
 )
 from .csk import (
     Constellation,
     block_with_reference,
     default_constellation,
+    demodulate,
     modulate,
-    payload_bits,
 )
 from .dimming import (
     ChromaticityTable,
@@ -48,9 +50,7 @@ from .receivers import (
     RECEIVER_ZF,
     AmbiguityError,
     EqualizationError,
-    effective_channel,
     krf_detect,
-    stack_received,
     zf_detect,
 )
 
@@ -206,25 +206,24 @@ def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: 
 
 
 def _transmit(gains, code, symbols, snr_db, rng):
-    """One coded block: the code, its noisy reception, its effective channel and that cond."""
+    """One coded block: code, stacked reception, noise variance, effective channel, its cond."""
+    stacked, noise_variance = propagate(gains, code, symbols, snr_db, seed=rng)
     effective = effective_channel(gains, code)
-    received = propagate(gains, code, symbols, snr_db, seed=rng)
-    return code, received, effective, float(np.linalg.cond(effective))
+    return code, stacked, noise_variance, effective, float(np.linalg.cond(effective))
 
 
-def _zf_receive(code, received, effective, rng, constellation):
+def _zf_receive(code, stacked, noise_variance, effective, rng):
     """Zero forcing on ``code`` against its identity-pilot channel estimate.
 
     Least squares on one-LED-at-a-time pilots returns the effective channel
     plus one pilot-noise draw at the data noise level.
     """
     estimate = effective
-    if received.noise_variance > 0.0:
-        n_rx, _, n_states = received.data.shape
-        sigma = math.sqrt(received.noise_variance)
-        noise = rng.normal(scale=sigma, size=(n_rx, code.shape[1], n_states))
-        estimate = effective + stack_received(noise)
-    return zf_detect(stack_received(received), estimate, constellation, code)
+    if noise_variance > 0.0:
+        n_states, n_tx = code.shape
+        n_rx = effective.shape[0] // n_states
+        estimate = effective + stacked_noise(rng, noise_variance, n_states, n_rx, n_tx)
+    return zf_detect(stacked, estimate, code)
 
 
 def run_trial(
@@ -253,16 +252,16 @@ def run_trial(
         link = dstc
         if r == RECEIVER_PLAIN:
             link = _transmit(gains, np.ones((1, scenario.n_tx)), block.symbols, snr_db, rng)
-        link_code, received, effective, cond = link
+        link_code, stacked, noise_variance, effective, cond = link
         try:
             if r == RECEIVER_KRF:
-                result = krf_detect(received, link_code, 0, block.symbols[0], constellation)
+                result = krf_detect(stacked, link_code, block.symbols[0])
             else:
-                result = _zf_receive(link_code, received, effective, rng, constellation)
+                result = _zf_receive(link_code, stacked, noise_variance, effective, rng)
         except _RECEIVER_FAILURES:
             outcomes[r] = TrialOutcome(0, 0, math.nan, cond, failed=True)
             continue
-        detected = payload_bits(result.bits, scenario.l_t, block.reference_row)
+        detected = demodulate(result.symbol_estimate[1:], constellation)
         nmse = np.linalg.norm(gains - result.channel_estimate) ** 2 / np.linalg.norm(gains) ** 2
         outcomes[r] = TrialOutcome(
             bit_errors=int(np.sum(detected != block.bits)),
@@ -437,8 +436,9 @@ def audit_power_color(
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * scenario.l_t * n_rows, dtype=np.uint8)
     block = modulate(bits, n_rows, scenario.l_t, constellation)
-    if scenario.alpha == 0.0:
-        # constant dimming: useless as a code but a valid optical operating point
+    if scenario.alpha == 0.0 and 0.0 < scenario.p_m < 1.0:
+        # constant dimming: useless as a code but a valid optical operating point;
+        # build_dimming_matrix rejects any other P_m, as `design` does
         code = np.full((scenario.n_states, scenario.n_tx), float(scenario.p_m))
     else:
         code = build_dimming_matrix(scenario.dimming_spec())

@@ -31,7 +31,7 @@ class UniquenessReport:
     unique: bool
 
 
-def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessReport:
+def check_uniqueness(gains, symbols, code) -> UniquenessReport:
     """Evaluate the k-rank sum condition."""
     gains = np.asarray(gains, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
@@ -43,9 +43,9 @@ def check_uniqueness(gains, symbols, code, tol: float = 1e-9) -> UniquenessRepor
             f"symbols {symbols.shape[1]}, code {code.shape[1]}"
         )
     r = gains.shape[1]
-    k_gains = kruskal_rank(gains, tol)
-    k_symbols = kruskal_rank(symbols, tol)
-    k_code = kruskal_rank(code, tol)
+    k_gains = kruskal_rank(gains)
+    k_symbols = kruskal_rank(symbols)
+    k_code = kruskal_rank(code)
     return UniquenessReport(
         k_gains=k_gains,
         k_symbols=k_symbols,

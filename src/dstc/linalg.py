@@ -128,11 +128,11 @@ def hadamard(order: int) -> np.ndarray:
     return np.kron(hadamard(2), half)
 
 
-def kruskal_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
+def kruskal_rank(m) -> int:
     """Largest k such that every set of k columns is linearly independent.
 
     A subset counts as independent when its smallest singular value exceeds
-    ``tol`` times its largest.  If the full matrix already passes that test,
+    ``DEFAULT_RANK_TOL`` times its largest.  If the full matrix already passes that test,
     every column subset does too (dropping columns can only raise sigma_min
     and lower sigma_max), so the answer is the column count without any
     search.  Otherwise the subsets are enumerated, which is only allowed up
@@ -142,7 +142,7 @@ def kruskal_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     rows, cols = a.shape
     if cols <= rows:
         s = np.linalg.svd(a, compute_uv=False)
-        if s[0] > 0 and s[-1] > tol * s[0]:
+        if s[0] > 0 and s[-1] > DEFAULT_RANK_TOL * s[0]:
             return cols
     if cols > KRUSKAL_GUARD:
         raise SizeLimitError(
@@ -153,7 +153,7 @@ def kruskal_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     for size in range(1, min(rows, cols) + 1):
         for idx in combinations(range(cols), size):
             s = np.linalg.svd(a[:, idx], compute_uv=False)
-            if not s[-1] > tol * s[0]:
+            if not s[-1] > DEFAULT_RANK_TOL * s[0]:
                 return best
         best = size
     return best

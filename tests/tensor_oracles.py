@@ -1,7 +1,8 @@
-"""Reference tensor-algebra products that the unfolding tests compare against.
+"""Reference tensor algebra that the channel and acceptance tests compare against.
 
 ``vec`` is column-major, so ``vec(h @ s.T) == np.kron(s, h)`` for column
-vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product.
+vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product;
+``unfold`` gives the mode-n unfoldings of a three-way array.
 """
 
 import numpy as np
@@ -34,3 +35,15 @@ def khatri_rao(a, b) -> np.ndarray:
 def vec(m) -> np.ndarray:
     """Stack the columns of a matrix into one vector (column-major)."""
     return _as_matrix(m).reshape(-1, order="F")
+
+
+def unfold(tensor, mode: int) -> np.ndarray:
+    """Mode-n unfolding with the lower-numbered remaining mode varying fastest.
+
+    With factor matrices ``h`` (axis 0), ``s`` (axis 1), ``c`` (axis 2) each
+    unfolding is one factor times the transposed Khatri-Rao product of the
+    other two, e.g. mode 3 gives ``c @ khatri_rao(s, h).T``.
+    """
+    data = np.asarray(tensor, dtype=float)
+    order = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}[mode]
+    return data.transpose(order).reshape(data.shape[order[0]], -1)

@@ -12,12 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dstc.channel import derive_seed, draw_channel, propagate, unfold
+from dstc.channel import derive_seed, draw_channel, effective_channel, propagate, stacked_noise
 from dstc.cli import main
 from dstc.csk import (
     block_with_reference,
     default_constellation,
-    payload_bits,
+    demodulate,
 )
 from dstc.dimming import (
     ConstraintViolationError,
@@ -36,13 +36,8 @@ from dstc.experiments import (
     run_trial,
 )
 from dstc.identifiability import check_uniqueness
-from dstc.receivers import (
-    effective_channel,
-    krf_detect,
-    stack_received,
-    zf_detect,
-)
-from tensor_oracles import khatri_rao
+from dstc.receivers import krf_detect, zf_detect
+from tensor_oracles import khatri_rao, unfold
 
 BASE_SEED = 20260814
 
@@ -223,7 +218,7 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
     pilots are the identity, so ZF's channel estimate is the effective
     channel plus the pilot noise, drawn in the reception's layout.  The
     soft error is `symbol_estimate` minus the sent symbols over the payload
-    rows; the training row is left out.  At high SNR both BERs are 0, but
+    rows, slot 1 onward; the training slot 0 is left out.  At high SNR both BERs are 0, but
     the soft error still orders the receivers.  The replay's bit-error
     counts must equal `run_point`'s, and so must its per-trial channel NMSE,
     which stays nonzero where the counts are all 0.
@@ -242,25 +237,21 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        received = propagate(gains, code, block.symbols, snr_db, seed=rng)
-        pilot_noise = rng.normal(
-            scale=math.sqrt(received.noise_variance),
-            size=(scen.n_rx, scen.n_tx, scen.n_states),
-        )
-        estimate = effective_channel(gains, code) + stack_received(pilot_noise)
+        stacked, noise_variance = propagate(gains, code, block.symbols, snr_db, seed=rng)
+        pilot_noise = stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.n_tx)
+        estimate = effective_channel(gains, code) + pilot_noise
         results = {
-            "ZF": zf_detect(stack_received(received), estimate, constellation, code),
-            "VLC-KRF": krf_detect(received, code, 0, block.symbols[0], constellation),
+            "ZF": zf_detect(stacked, estimate, code),
+            "VLC-KRF": krf_detect(stacked, code, block.symbols[0]),
         }
-        payload = np.arange(scen.block_len) != block.reference_row
         for r, result in results.items():
-            err = result.symbol_estimate[payload] - block.symbols[payload]
+            err = result.symbol_estimate[1:] - block.symbols[1:]
             soft[r].append(float(np.mean(err**2)))
             nmse[r].append(
                 np.linalg.norm(gains - result.channel_estimate) ** 2
                 / np.linalg.norm(gains) ** 2
             )
-            detected = payload_bits(result.bits, scen.l_t, block.reference_row)
+            detected = demodulate(result.symbol_estimate[1:], constellation)
             counts[r][0] += int(np.sum(detected != block.bits))
             counts[r][1] += int(block.bits.size)
     outcomes = _qled_run(n_states, snr_db, receivers, n_symbols)

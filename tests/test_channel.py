@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc.channel import (
-    ReceivedTensor,
     derive_seed,
     draw_channel,
+    effective_channel,
     propagate,
-    unfold,
+    stacked_noise,
 )
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.linalg import DegenerateInputError
-from tensor_oracles import khatri_rao, vec
+from tensor_oracles import khatri_rao, unfold, vec
 
 
 def trilinear_oracle(h, s, c):
@@ -27,6 +27,12 @@ def trilinear_oracle(h, s, c):
             for k in range(n_states):
                 y[i, n, k] = sum(h[i, j] * c[k, j] * s[n, j] for j in range(r))
     return y
+
+
+def stack(y):
+    """The stacked layout of a three-way (n_rx, n_slots, n_states) array."""
+    n_rx, n_slots, n_states = y.shape
+    return y.transpose(2, 0, 1).reshape(n_states * n_rx, n_slots)
 
 
 class TestDeriveSeed:
@@ -72,26 +78,26 @@ class TestPropagate:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(0)
         s = rng.random((6, 4))
-        y = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
-        assert y.noise_variance == 0.0
+        stacked, noise_variance = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
+        assert noise_variance == 0.0
         for k in range(3):
-            assert np.allclose(y.data[:, :, k], s.T)
+            assert np.allclose(stacked[4 * k:4 * k + 4], s.T)
 
     def test_noiseless_matches_oracle(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((4, 6))
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        y = propagate(h, c, s, math.inf)
-        assert np.allclose(y.data, trilinear_oracle(h, s, c), atol=1e-12)
+        stacked, _ = propagate(h, c, s, math.inf)
+        assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), atol=1e-12)
 
     def test_empirical_snr_calibration(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        clean = propagate(h, c, s, math.inf).data
-        noisy = propagate(h, c, s, 20.0, seed=3).data
+        clean, _ = propagate(h, c, s, math.inf)
+        noisy, _ = propagate(h, c, s, 20.0, seed=3)
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
@@ -105,11 +111,31 @@ class TestPropagate:
         with pytest.raises(DegenerateInputError):
             propagate(h, np.ones((2, 2)), np.ones((3, 2)), 20.0)
 
+    def test_underflowing_noise_variance_rejected(self):
+        # the received power is subnormal, so its 60 dB noise variance rounds to
+        # 0, which would make this noisy point a noiseless one
+        rng = np.random.default_rng(8)
+        c = build_dimming_matrix(DimmingSpec(12, 8, 1e-160, 1e-160))
+        with pytest.raises(DegenerateInputError, match="underflows at 60 dB"):
+            propagate(rng.standard_normal((8, 8)), c, rng.random((100, 8)), 60.0)
+
     def test_seed_determinism(self):
         h = np.eye(2)
-        a = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
-        b = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
-        assert np.array_equal(a.data, b.data)
+        a, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        b, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        assert np.array_equal(a, b)
+
+    def test_noise_is_the_restacked_draw(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((3, 4))
+        s = rng.random((7, 4))
+        c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
+        clean, _ = propagate(h, c, s, math.inf)
+        noisy, noise_variance = propagate(h, c, s, 10.0, seed=5)
+        # the noise is drawn in (n_rx, n_slots, n_states) order, then stacked
+        draw = np.random.default_rng(5).normal(size=(3, 7, 8)) * math.sqrt(noise_variance)
+        assert np.array_equal(stacked_noise(5, noise_variance, 8, 3, 7), stack(draw))
+        assert np.allclose(noisy - clean, stack(draw), rtol=0.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
@@ -117,6 +143,13 @@ class TestPropagate:
 
 
 class TestUnfold:
+    """The mode unfoldings (a test-side oracle) and the stacked reception.
+
+    Row k of the stacked reception reshaped to K rows is state k's reception
+    flattened slot-fastest, so the reshape is the code times the transposed
+    Khatri-Rao product of channel and symbols.
+    """
+
     def test_one_by_one(self):
         y = np.full((1, 1, 1), 2.5)
         for mode in (1, 2, 3):
@@ -131,32 +164,27 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
+        stacked, _ = propagate(h, c, s, math.inf)
+        assert np.allclose(stacked, effective_channel(h, c) @ s.T, atol=1e-10)
+        assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, atol=1e-10)
 
     def test_state_rows_are_vec_of_receptions(self):
         rng = np.random.default_rng(5)
         h = rng.standard_normal((3, 3))
         s = rng.random((6, 3))
         c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
-        y = propagate(h, c, s, math.inf)
-        y3 = unfold(y, 3)
+        y = trilinear_oracle(h, s, c)
+        rows = propagate(h, c, s, math.inf)[0].reshape(4, -1)
         for k in range(4):
-            assert np.allclose(y3[k], vec(y.data[:, :, k]))
+            assert np.allclose(rows[k], vec(y[:, :, k].T), atol=1e-12)
             # each state's row is the dimming row pushed through the joint factor
-            assert np.allclose(y3[k], khatri_rao(s, h) @ c[k], atol=1e-12)
+            assert np.allclose(rows[k], khatri_rao(h, s) @ c[k], atol=1e-12)
 
     def test_multiset_of_entries_preserved(self):
         y = np.random.default_rng(6).random((3, 4, 5))
         flat = np.sort(y.ravel())
         for mode in (1, 2, 3):
             assert np.array_equal(np.sort(unfold(y, mode).ravel()), flat)
-
-    def test_received_tensor_accepted(self):
-        y = ReceivedTensor(data=np.ones((2, 3, 4)), noise_variance=0.0)
-        assert unfold(y, 1).shape == (2, 12)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            unfold(np.ones((2, 2, 2)), 4)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -171,3 +199,6 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
+        stacked, _ = propagate(h, c, s, math.inf)
+        assert np.allclose(stacked, stack(y), atol=1e-10)
+        assert np.allclose(stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, atol=1e-10)

@@ -241,6 +241,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "power is zero" in err
 
+    def test_underflowing_noise_variance_exits_4_with_one_line(self, tmp_path, capsys):
+        # the received power is subnormal, so its 60 dB noise variance underflows
+        text = SMALL_SIM.replace("p_m = 0.5\nalpha = 0.4", "p_m = 1e-160\nalpha = 1e-160")
+        cfg = write_cfg(tmp_path / "sim.cfg", text.replace("snr_grid_db = 10 20", "snr_grid_db = 60"))
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise variance underflows at 60 dB" in err
+
     def test_plain_csk_on_short_channel_exits_1_with_one_line(self, tmp_path, capsys):
         # 6 photodiodes cannot zero-force 8 LEDs without a dimming code
         cfg = write_cfg(
@@ -345,7 +353,7 @@ SPECIAL_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.5", "-100", 
 def test_cli_contract_under_generated_input(
     scenario, p_m, alpha, snr_grid, corrupt, special, channel_model, receivers
 ):
-    """Whatever the config says, `check` and `simulate` exit 0-5 with at most one stderr line.
+    """Whatever the config says, every config command exits 0-5 with at most one stderr line.
 
     Each example sets at most one field (``corrupt``) to a special value and
     runs one block per SNR point.  A warning would reach stderr as more
@@ -375,7 +383,12 @@ def test_cli_contract_under_generated_input(
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "gen.cfg"
         cfg.write_text(text)
-        for argv in (["check"], ["simulate", "--out", str(Path(tmp) / "o")]):
+        for argv in (
+            ["design", "--out", str(Path(tmp) / "d")],
+            ["audit", "--rows", "100"],
+            ["check"],
+            ["simulate", "--out", str(Path(tmp) / "o")],
+        ):
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -532,6 +545,21 @@ class TestAudit:
         )
         assert run_cli(["audit", "--config", cfg]) == 2
         assert "alpha <= min(P_m, 1 - P_m)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_m", ["2", "nan", "1e308", "-1"])
+    def test_constant_code_checks_p_m_as_design_does(self, p_m, tmp_path, capsys):
+        # alpha = 0 audits a constant code, which build_dimming_matrix never sees
+        text = SMALL_SIM.replace("p_m = 0.5\nalpha = 0.4", f"p_m = {p_m}\nalpha = 0")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert run_cli(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        design = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["audit", "--config", cfg]) == 2
+        audit = capsys.readouterr()
+        assert audit.out == ""
+        assert audit.err == design.err and audit.err.count("\n") == 1
+        assert "0 < P_m < 1" in audit.err
 
 
 class TestConfigParsing:

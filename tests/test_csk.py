@@ -8,7 +8,6 @@ from dstc.csk import (
     default_constellation,
     demodulate,
     modulate,
-    payload_bits,
     reference_row,
 )
 
@@ -129,21 +128,8 @@ class TestBlockWithReference:
         bits = rng.integers(0, 2, size=2 * 2 * 9, dtype=np.uint8)
         block = block_with_reference(bits, 10, 2, c)
         assert block.symbols.shape == (10, 8)
-        assert block.reference_row == 0
         assert np.all(block.symbols[0] == 0.25)
         assert np.array_equal(block.bits, bits)
-
-    def test_payload_bits_skips_training_slot(self):
-        c = default_constellation(4)
-        bits = np.zeros(2 * 2 * 3, dtype=np.uint8)
-        block = block_with_reference(bits, 4, 2, c)
-        detected = demodulate(block.symbols, c)
-        assert detected.size == 2 * 2 * 4
-        assert np.array_equal(payload_bits(detected, 2, block.reference_row), bits)
-
-    def test_passthrough_without_reference(self):
-        bits = np.arange(8) % 2
-        assert np.array_equal(payload_bits(bits, 2, None), bits)
 
     def test_needs_payload_row(self):
         with pytest.raises(ValueError):

@@ -119,7 +119,8 @@ class TestBuild:
 
 def transmitted(code, symbols):
     """What ``propagate`` sends per state, read through an identity channel."""
-    return propagate(np.eye(code.shape[1]), code, symbols, math.inf).data.transpose(2, 0, 1)
+    stacked, _ = propagate(np.eye(code.shape[1]), code, symbols, math.inf)
+    return stacked.reshape(code.shape[0], code.shape[1], -1)
 
 
 class TestTransmitBlock:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc.channel import draw_channel, propagate
-from dstc.csk import block_with_reference, default_constellation, payload_bits
+from dstc.channel import draw_channel, effective_channel, propagate
+from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.experiments import ExperimentConfig, SystemConfig, run_point, run_trial
 from dstc.linalg import DegenerateInputError, pseudoinverse
@@ -13,9 +13,7 @@ from dstc.receivers import (
     AmbiguityError,
     EqualizationError,
     channel_from_effective,
-    effective_channel,
     krf_detect,
-    stack_received,
     zf_detect,
 )
 from tensor_oracles import vec
@@ -29,21 +27,32 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     block = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    received = propagate(gains, code, block.symbols, snr_db, seed=rng)
-    return constellation, code, block, gains, received, rng
+    stacked, _ = propagate(gains, code, block.symbols, snr_db, seed=rng)
+    return constellation, code, block, gains, stacked, rng
+
+
+def payload(est, constellation):
+    """Detected bits of every slot after the training slot."""
+    return demodulate(est.symbol_estimate[1:], constellation)
 
 
 class TestStacking:
+    """``propagate`` stacks state k's n_rx rows as row block k."""
+
     def test_single_state(self):
-        y = np.random.default_rng(0).random((3, 5, 1))
-        assert np.array_equal(stack_received(y), y[:, :, 0])
+        rng = np.random.default_rng(0)
+        gains, symbols = rng.random((3, 4)), rng.random((5, 4))
+        stacked, _ = propagate(gains, np.ones((1, 4)), symbols, math.inf)
+        assert np.allclose(stacked, gains @ symbols.T, rtol=0.0, atol=1e-15)
 
     def test_blocks_follow_state_order(self):
-        y = np.random.default_rng(1).random((2, 4, 3))
-        out = stack_received(y)
-        assert out.shape == (6, 4)
+        rng = np.random.default_rng(1)
+        gains, code, symbols = rng.random((2, 3)), rng.random((3, 3)), rng.random((4, 3))
+        stacked, _ = propagate(gains, code, symbols, math.inf)
+        assert stacked.shape == (6, 4)
         for k in range(3):
-            assert np.array_equal(out[2 * k:2 * k + 2], y[:, :, k])
+            block = gains @ np.diag(code[k]) @ symbols.T
+            assert np.allclose(stacked[2 * k:2 * k + 2], block, rtol=0.0, atol=1e-15)
 
     def test_noiseless_consistency_with_effective_channel(self):
         rng = np.random.default_rng(2)
@@ -51,10 +60,8 @@ class TestStacking:
         code = build_dimming_matrix(spec)
         gains = rng.standard_normal((4, 6))
         symbols = rng.random((9, 6))
-        received = propagate(gains, code, symbols, math.inf)
-        assert np.allclose(
-            stack_received(received), effective_channel(gains, code) @ symbols.T, atol=1e-12
-        )
+        stacked, _ = propagate(gains, code, symbols, math.inf)
+        assert np.allclose(stacked, effective_channel(gains, code) @ symbols.T, atol=1e-12)
 
 
 class TestEffectiveChannel:
@@ -134,11 +141,11 @@ class TestChannelFromEffective:
 
 class TestZfDetect:
     def test_noiseless_block_is_error_free(self):
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             0, DimmingSpec(12, 8, 0.5, 0.4), 4, 2, 8, 30, math.inf
         )
-        est = zf_detect(stack_received(received), effective_channel(gains, code), constellation, code)
-        assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), block.bits)
+        est = zf_detect(stacked, effective_channel(gains, code), code)
+        assert np.array_equal(payload(est, constellation), block.bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
 
     def test_high_snr_low_error(self):
@@ -149,35 +156,35 @@ class TestZfDetect:
 
     def test_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
-            zf_detect(np.ones((8, 4)), np.ones((6, 3)), default_constellation(3), np.ones((2, 3)))
+            zf_detect(np.ones((8, 4)), np.ones((6, 3)), np.ones((2, 3)))
 
     def test_zero_effective_channel(self):
         with pytest.raises(EqualizationError):
-            zf_detect(np.ones((6, 4)), np.zeros((6, 3)), default_constellation(3), np.ones((2, 3)))
+            zf_detect(np.ones((6, 4)), np.zeros((6, 3)), np.ones((2, 3)))
 
     def test_negligible_effective_channel(self):
         tiny = np.full((6, 3), 1e-300)
         with pytest.raises(EqualizationError):
-            zf_detect(np.ones((6, 4)), tiny, default_constellation(3), np.ones((2, 3)))
+            zf_detect(np.ones((6, 4)), tiny, np.ones((2, 3)))
 
 
 class TestKrfDetect:
     def test_noiseless_joint_recovery(self):
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             4, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(received, code, 0, block.symbols[0], constellation)
-        assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), block.bits)
+        est = krf_detect(stacked, code, block.symbols[0])
+        assert np.array_equal(payload(est, constellation), block.bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
         assert np.allclose(est.symbol_estimate, block.symbols, atol=1e-8)
 
     def test_scaling_cancels_in_reconstruction(self):
         # the per-column scale moves between factors without changing their product
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             5, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(received, code, 0, block.symbols[0], constellation)
+        est = krf_detect(stacked, code, block.symbols[0])
         assert np.allclose(
             est.channel_estimate @ est.symbol_estimate.T,
             gains @ block.symbols.T,
@@ -187,12 +194,14 @@ class TestKrfDetect:
     def test_batched_fit_matches_per_column_svd(self):
         # every column pair is the leading rank-one term of the matching column
         # of the Khatri-Rao estimate, whatever scale the known row assigns it
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             11, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 30, 10.0
         )
-        est = krf_detect(received, code, 0, block.symbols[0], constellation)
-        n_rx, n_slots, n_states = received.data.shape
-        mode3 = np.stack([vec(received.data[:, :, k]) for k in range(n_states)])
+        est = krf_detect(stacked, code, block.symbols[0])
+        n_states, n_slots = code.shape[0], stacked.shape[1]
+        n_rx = stacked.shape[0] // n_states
+        receptions = stacked.reshape(n_states, n_rx, n_slots)
+        mode3 = np.stack([vec(receptions[k]) for k in range(n_states)])
         joint = mode3.T @ np.linalg.pinv(code.T)
         for r in range(code.shape[1]):
             u, sigma, vt = np.linalg.svd(joint[:, r].reshape(n_rx, n_slots, order="F"))
@@ -204,33 +213,33 @@ class TestKrfDetect:
     def test_all_zero_reception_rejected(self):
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         with pytest.raises(DegenerateInputError, match="all zero"):
-            krf_detect(np.zeros((4, 20, 8)), code, 0, np.full(6, 1 / 3), default_constellation(3))
+            krf_detect(np.zeros((8 * 4, 20)), code, np.full(6, 1 / 3))
 
     def test_needs_fewer_receivers_than_leds(self):
         # works even when the stacked-channel inverse would be the only other option
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             6, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 2, 40, math.inf
         )
-        est = krf_detect(received, code, 0, block.symbols[0], constellation)
-        assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), block.bits)
+        est = krf_detect(stacked, code, block.symbols[0])
+        assert np.array_equal(payload(est, constellation), block.bits)
 
     def test_zero_in_known_row_rejected(self):
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             7, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
         bad = block.symbols[0].copy()
         bad[2] = 0.0
         with pytest.raises(AmbiguityError, match="column 2"):
-            krf_detect(received, code, 0, bad, constellation)
+            krf_detect(stacked, code, bad)
 
     def test_negligible_known_value_rejected(self):
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             7, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
         bad = block.symbols[0].copy()
         bad[2] = 1e-300
         with pytest.raises(AmbiguityError, match="known symbol row is zero in column 2"):
-            krf_detect(received, code, 0, bad, constellation)
+            krf_detect(stacked, code, bad)
 
     def test_negligible_estimated_row_rejected(self):
         # LED 2 is dark to rounding error in the training slot, but the
@@ -239,16 +248,21 @@ class TestKrfDetect:
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        received = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)
+        stacked, _ = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)
         with pytest.raises(AmbiguityError, match="estimated symbol row is zero in column 2"):
-            krf_detect(received, code, 0, np.full(6, 1 / 3), default_constellation(3))
+            krf_detect(stacked, code, np.full(6, 1 / 3))
 
     def test_known_row_length_checked(self):
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             8, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
         with pytest.raises(ValueError, match="entries"):
-            krf_detect(received, code, 0, np.ones(4), constellation)
+            krf_detect(stacked, code, np.ones(4))
+
+    def test_stacked_rows_must_stack_every_state(self):
+        code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
+        with pytest.raises(ValueError, match="does not stack 8 states"):
+            krf_detect(np.ones((12, 20)), code, np.full(6, 1 / 3))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -263,11 +277,11 @@ class TestKrfDetect:
         n_rx = int(rng.integers(2, 7))
         n_slots = int(rng.integers(6, 30))
         spec = DimmingSpec(order, n_tx, 0.5, 0.4)
-        constellation, code, block, gains, received, _ = dstc_link(
+        constellation, code, block, gains, stacked, _ = dstc_link(
             int(rng.integers(2**31)), spec, k_t, l_t, n_rx, n_slots, math.inf
         )
-        est = krf_detect(received, code, 0, block.symbols[0], constellation)
-        assert np.array_equal(payload_bits(est.bits, l_t, block.reference_row), block.bits)
+        est = krf_detect(stacked, code, block.symbols[0])
+        assert np.array_equal(payload(est, constellation), block.bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
 
@@ -282,11 +296,11 @@ class TestPlainCskBaseline:
         block = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        received = propagate(gains, one_state, block.symbols, math.inf)
+        stacked, _ = propagate(gains, one_state, block.symbols, math.inf)
         # noiseless identity pilots return the effective channel itself
         estimate = effective_channel(gains, one_state)
-        est = zf_detect(stack_received(received), estimate, constellation, one_state)
-        assert np.array_equal(payload_bits(est.bits, 2, block.reference_row), bits)
+        est = zf_detect(stacked, estimate, one_state)
+        assert np.array_equal(payload(est, constellation), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
         # the one-state code leaves the effective-channel estimate as it is
         assert np.array_equal(est.channel_estimate, estimate)
