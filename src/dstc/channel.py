@@ -58,15 +58,19 @@ def draw_channel(n_rx: int, n_tx: int, model: str = "gaussian", seed=None) -> np
 
 
 def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """State-stacked channel: block k is the gain matrix scaled by dimming row k."""
+    """State-stacked channel: block k is the gain matrix scaled by dimming row k.
+
+    ``gains`` may be a stack ``(..., n_rx, n_tx)``; each matrix is stacked alone.
+    """
     gains = np.asarray(gains, dtype=float)
     code = np.asarray(code, dtype=float)
-    if gains.shape[1] != code.shape[1]:
+    if gains.shape[-1] != code.shape[1]:
         raise ValueError(
-            f"gain columns ({gains.shape[1]}) must match code columns ({code.shape[1]})"
+            f"gain columns ({gains.shape[-1]}) must match code columns ({code.shape[1]})"
         )
     n_states, n_tx = code.shape
-    return (code[:, None, :] * gains[None, :, :]).reshape(n_states * gains.shape[0], n_tx)
+    stacked = code[:, None, :] * gains[..., None, :, :]
+    return stacked.reshape(*gains.shape[:-2], n_states * gains.shape[-2], n_tx)
 
 
 def stacked_noise(seed, variance: float, n_states: int, n_rx: int, n_cols: int) -> np.ndarray:
@@ -85,36 +89,56 @@ def propagate(
     symbols: np.ndarray,
     snr_db: float,
     seed=None,
-) -> tuple[np.ndarray, float]:
-    """Send one symbol block through the channel in every dimming state and add noise.
+) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    """Send a symbol block through the channel in every dimming state and add noise.
 
-    Returns the stacked reception ``effective_channel(gains, code) @ symbols.T``
-    plus noise, and the noise variance, for the pilot phase to reuse.  The
-    variance is calibrated so that the mean squared noiseless received entry
-    over this block sits ``snr_db`` above it; pass ``snr_db=math.inf`` for a
-    noiseless run.  A received power that is rounding error next to the
-    scale of the channel and the transmitted block leaves the SNR undefined,
-    and so does a finite SNR whose variance underflows.
+    Returns the stacked reception ``effective @ symbols.T`` plus noise, the
+    noise variance, and ``effective = effective_channel(gains, code)``; the
+    last two are what the pilot phase reuses.  The variance is calibrated so
+    that the mean squared noiseless received entry over the block sits
+    ``snr_db`` above it; pass ``snr_db=math.inf`` for a noiseless run.  A
+    received power that is rounding error next to the scale of the channel
+    and the transmitted block leaves the SNR undefined, and so does a finite
+    SNR whose variance underflows.
+
+    ``gains`` ``(n_rx, n_tx)`` and ``symbols`` ``(n_slots, n_tx)`` may instead
+    be stacks of trials along one leading axis; then ``seed`` is a sequence
+    holding each trial's own seed or generator, the variance is one per
+    trial, and every trial's noise is drawn from its own generator.
     """
     gains = np.asarray(gains, dtype=float)
     code = np.asarray(code, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
-    n_tx = gains.shape[1]
-    if code.ndim != 2 or code.shape[1] != n_tx or symbols.ndim != 2 or symbols.shape[1] != n_tx:
+    single = gains.ndim == 2
+    if single:
+        gains, symbols, seed = gains[None], symbols[None], [seed]
+    n_trials, n_rx, n_tx = gains.shape
+    if (
+        code.ndim != 2
+        or code.shape[1] != n_tx
+        or symbols.ndim != 3
+        or symbols.shape[::2] != (n_trials, n_tx)
+    ):
         raise ValueError(
             f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
         )
-    stacked = effective_channel(gains, code) @ symbols.T
-    if math.isinf(snr_db):
-        return stacked, 0.0
-    power = float(np.mean(stacked**2))
-    scale = float(np.abs(gains).max() * np.abs(code).max() * np.abs(symbols).max())
-    if power <= (ZERO_RTOL * scale) ** 2:
-        raise DegenerateInputError("noiseless received power is zero; SNR undefined")
-    noise_variance = power / (10.0 ** (snr_db / 10.0))
-    if not noise_variance >= np.finfo(float).tiny:
-        raise DegenerateInputError(
-            f"noise variance underflows at {snr_db:g} dB (received power {power:.3g})"
-        )
-    noise = stacked_noise(seed, noise_variance, code.shape[0], gains.shape[0], symbols.shape[0])
-    return stacked + noise, noise_variance
+    effective = effective_channel(gains, code)
+    stacked = effective @ symbols.swapaxes(-1, -2)
+    noise_variance = np.zeros(n_trials)
+    if not math.isinf(snr_db):
+        for t, rng in enumerate(seed):
+            power = float(np.mean(stacked[t] ** 2))
+            scale = float(np.abs(gains[t]).max() * np.abs(code).max() * np.abs(symbols[t]).max())
+            if power <= (ZERO_RTOL * scale) ** 2:
+                raise DegenerateInputError("noiseless received power is zero; SNR undefined")
+            noise_variance[t] = power / (10.0 ** (snr_db / 10.0))
+            if not noise_variance[t] >= np.finfo(float).tiny:
+                raise DegenerateInputError(
+                    f"noise variance underflows at {snr_db:g} dB (received power {power:.3g})"
+                )
+            stacked[t] += stacked_noise(
+                rng, noise_variance[t], code.shape[0], n_rx, symbols.shape[1]
+            )
+    if single:
+        return stacked[0], float(noise_variance[0]), effective[0]
+    return stacked, noise_variance, effective

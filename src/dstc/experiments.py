@@ -23,7 +23,6 @@ from .channel import (
     CHANNEL_MODELS,
     derive_seed,
     draw_channel,
-    effective_channel,
     propagate,
     stacked_noise,
 )
@@ -43,13 +42,11 @@ from .dimming import (
     default_chromaticity,
 )
 from .identifiability import UniquenessReport, check_uniqueness
-from .linalg import DegenerateInputError
 from .receivers import (
     RECEIVER_KRF,
     RECEIVER_PLAIN,
     RECEIVER_ZF,
-    AmbiguityError,
-    EqualizationError,
+    code_inverse,
     krf_detect,
     zf_detect,
 )
@@ -57,8 +54,6 @@ from .receivers import (
 ALL_RECEIVERS = (RECEIVER_ZF, RECEIVER_KRF, RECEIVER_PLAIN)
 
 CSV_COLUMNS = ("x", "receiver", "ber", "nmse", "cond", "n_bits", "n_errors", "n_trials", "failures")
-
-_RECEIVER_FAILURES = (AmbiguityError, EqualizationError, DegenerateInputError)
 
 # Largest |SNR| in dB whose linear ratio and the noise variance it sets stay in float range.
 MAX_ABS_SNR_DB = 3000.0
@@ -205,25 +200,106 @@ def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: 
     return rng, block, gains
 
 
-def _transmit(gains, code, symbols, snr_db, rng):
-    """One coded block: code, stacked reception, noise variance, effective channel, its cond."""
-    stacked, noise_variance = propagate(gains, code, symbols, snr_db, seed=rng)
-    effective = effective_channel(gains, code)
-    return code, stacked, noise_variance, effective, float(np.linalg.cond(effective))
-
-
-def _zf_receive(code, stacked, noise_variance, effective, rng):
-    """Zero forcing on ``code`` against its identity-pilot channel estimate.
+def _zf_receive(code, stacked, noise_variance, effective, rngs):
+    """Zero forcing on ``code`` against each trial's identity-pilot channel estimate.
 
     Least squares on one-LED-at-a-time pilots returns the effective channel
-    plus one pilot-noise draw at the data noise level.
+    plus one pilot-noise draw at the data noise level, from the trial's own
+    generator.
     """
-    estimate = effective
-    if noise_variance > 0.0:
-        n_states, n_tx = code.shape
-        n_rx = effective.shape[0] // n_states
-        estimate = effective + stacked_noise(rng, noise_variance, n_states, n_rx, n_tx)
+    estimate = effective.copy()
+    n_states, n_tx = code.shape
+    n_rx = effective.shape[-2] // n_states
+    for t, rng in enumerate(rngs):
+        if noise_variance[t] > 0.0:
+            estimate[t] += stacked_noise(rng, noise_variance[t], n_states, n_rx, n_tx)
     return zf_detect(stacked, estimate, code)
+
+
+def _detect(gains, symbols, code, inverse, snr_db, rngs, receivers):
+    """Estimates and effective-channel conds of every enabled receiver, keyed by receiver.
+
+    Each trial draws its noise from its own generator in the recorded order:
+    data noise, ZF pilot noise, plain data noise, plain pilot noise.  ZF and
+    VLC-KRF share the data noise of the dimming ``code``; plain CSK is zero
+    forcing on the one-state all-ones code.  The receptions live only in
+    this call, so they are freed before the chunk is scored.
+    """
+    stacked, noise_variance, effective = propagate(gains, code, symbols, snr_db, rngs)
+    cond = np.linalg.cond(effective)
+    estimates, conds = {}, {}
+    if RECEIVER_ZF in receivers:
+        estimates[RECEIVER_ZF] = _zf_receive(code, stacked, noise_variance, effective, rngs)
+        conds[RECEIVER_ZF] = cond
+    if RECEIVER_KRF in receivers:
+        estimates[RECEIVER_KRF] = krf_detect(stacked, inverse, symbols[:, 0])
+        conds[RECEIVER_KRF] = cond
+    if RECEIVER_PLAIN in receivers:
+        one_state = np.ones((1, code.shape[1]))
+        plain = propagate(gains, one_state, symbols, snr_db, rngs)
+        estimates[RECEIVER_PLAIN] = _zf_receive(one_state, *plain, rngs)
+        conds[RECEIVER_PLAIN] = np.linalg.cond(plain[2])
+    return estimates, conds
+
+
+def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation):
+    """Trials stacked along a leading axis, keyed by receiver.
+
+    Each trial draws its bits and channel from its own generator, which its
+    noise draws then continue; everything else runs once for the stack.
+    """
+    rngs, blocks, gains = zip(*(_draw(scenario, s, channel_model, constellation) for s in seeds))
+    gains = np.stack(gains)
+    symbols = np.stack([b.symbols for b in blocks])
+    bits = np.stack([b.bits for b in blocks])
+    estimates, conds = _detect(gains, symbols, code, inverse, snr_db, rngs, receivers)
+    results = list(estimates.values())
+    payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
+    detected = demodulate(payload.reshape(-1, scenario.n_tx), constellation)
+    errors = np.sum(detected.reshape(len(results), *bits.shape) != bits, axis=-1)
+    nmse = np.stack(
+        [np.sum((gains - e.channel_estimate) ** 2, axis=(-2, -1)) for e in results]
+    ) / np.sum(gains**2, axis=(-2, -1))
+    outcomes: dict[str, list[TrialOutcome]] = {}
+    for i, (r, result) in enumerate(estimates.items()):
+        outcomes[r] = [
+            TrialOutcome(0, 0, math.nan, cond, failed=True)
+            if failed
+            else TrialOutcome(int(errors[i, t]), bits.shape[1], float(nmse[i, t]), cond)
+            for t, (failed, cond) in enumerate(zip(result.failed, conds[r].tolist()))
+        ]
+    return outcomes
+
+
+# Bytes of one chunk's stacked reception.  Stacking more trials saves
+# per-call overhead but costs memory in every stacked array, so the trial
+# count per chunk follows from this and the link size: 6 trials on the QLED
+# 2x2 link, 1 at 30 LEDs.  Four times this budget ran the bundled sweeps
+# about 1.3x faster but raised peak RSS by about 10%.
+_CHUNK_BYTES = 512 * 1024
+
+
+def _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation):
+    """The trials of ``seeds`` at one point, in chunks; the per-point work is done once."""
+    constellation = constellation or default_constellation(scenario.k_t)
+    inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
+    reception_bytes = code.shape[0] * scenario.n_rx * scenario.block_len * 8
+    size = max(1, _CHUNK_BYTES // reception_bytes)
+    outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
+    for start in range(0, len(seeds), size):
+        chunk = _run_chunk(
+            scenario,
+            code,
+            inverse,
+            snr_db,
+            seeds[start:start + size],
+            receivers,
+            channel_model,
+            constellation,
+        )
+        for r in receivers:
+            outcomes[r] += chunk[r]
+    return outcomes
 
 
 def run_trial(
@@ -237,39 +313,16 @@ def run_trial(
 ) -> dict[str, TrialOutcome]:
     """One block through one channel draw, detected by every enabled receiver.
 
-    ZF and VLC-KRF share the payload, channel and data noise of the dimming
-    ``code``.  Plain CSK is zero forcing on the one-state all-ones code, with
-    its own data and pilot noise drawn after ZF's pilots.  Use
-    ``snr_db=math.inf`` for a noiseless run.
+    The same engine as ``run_point`` on a one-trial chunk.  ZF and VLC-KRF
+    share the payload, channel and data noise of the dimming ``code``.
+    Plain CSK is zero forcing on the one-state all-ones code, with its own
+    data and pilot noise drawn after ZF's pilots.  Use ``snr_db=math.inf``
+    for a noiseless run.
     """
-    constellation = constellation or default_constellation(scenario.k_t)
-    rng, block, gains = _draw(scenario, seed, channel_model, constellation)
-    dstc = _transmit(gains, code, block.symbols, snr_db, rng)
-    outcomes: dict[str, TrialOutcome] = {}
-    for r in ALL_RECEIVERS:
-        if r not in receivers:
-            continue
-        link = dstc
-        if r == RECEIVER_PLAIN:
-            link = _transmit(gains, np.ones((1, scenario.n_tx)), block.symbols, snr_db, rng)
-        link_code, stacked, noise_variance, effective, cond = link
-        try:
-            if r == RECEIVER_KRF:
-                result = krf_detect(stacked, link_code, block.symbols[0])
-            else:
-                result = _zf_receive(link_code, stacked, noise_variance, effective, rng)
-        except _RECEIVER_FAILURES:
-            outcomes[r] = TrialOutcome(0, 0, math.nan, cond, failed=True)
-            continue
-        detected = demodulate(result.symbol_estimate[1:], constellation)
-        nmse = np.linalg.norm(gains - result.channel_estimate) ** 2 / np.linalg.norm(gains) ** 2
-        outcomes[r] = TrialOutcome(
-            bit_errors=int(np.sum(detected != block.bits)),
-            n_bits=int(block.bits.size),
-            nmse=float(nmse),
-            cond_effective=cond,
-        )
-    return outcomes
+    outcomes = _run_trials(
+        scenario, code, snr_db, [seed], receivers, channel_model, constellation
+    )
+    return {r: outcomes[r][0] for r in outcomes}
 
 
 def run_point(
@@ -281,22 +334,14 @@ def run_point(
     channel_model: str = "gaussian",
     constellation: Constellation | None = None,
 ) -> dict[str, list[TrialOutcome]]:
-    """Independent trials at one sweep point, keyed by receiver; the code is built once."""
+    """Independent trials at one sweep point, keyed by receiver; the code is built once.
+
+    Trial t draws from ``derive_seed(base_seed, t)`` whatever the chunking,
+    so the outcomes equal those of ``run_trial`` seed by seed.
+    """
     code = build_dimming_matrix(scenario.dimming_spec())
-    outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
-    for trial in range(n_trials):
-        result = run_trial(
-            scenario,
-            code,
-            snr_db,
-            derive_seed(base_seed, trial),
-            receivers,
-            channel_model,
-            constellation,
-        )
-        for r in receivers:
-            outcomes[r].append(result[r])
-    return outcomes
+    seeds = [derive_seed(base_seed, t) for t in range(n_trials)]
+    return _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation)
 
 
 def _aggregate(x: float, receiver: str, outcomes: list[TrialOutcome]) -> CurvePoint:
@@ -324,12 +369,15 @@ def check_scenario_identifiability(
     The draw replays trial 0's payload and channel under the scenario's own
     dimming depth; ``None`` selects the default constellation.
     """
-    scenario = cfg.scenario
-    constellation = constellation or default_constellation(scenario.k_t)
+    code = build_dimming_matrix(cfg.scenario.dimming_spec())
+    return _identifiability(cfg, code, constellation or default_constellation(cfg.scenario.k_t))
+
+
+def _identifiability(cfg: ExperimentConfig, code, constellation: Constellation):
+    """``check_scenario_identifiability`` on a code that the caller has built."""
     _, block, gains = _draw(
-        scenario, derive_seed(cfg.base_seed, 0), cfg.channel_model, constellation
+        cfg.scenario, derive_seed(cfg.base_seed, 0), cfg.channel_model, constellation
     )
-    code = build_dimming_matrix(scenario.dimming_spec())
     return check_uniqueness(gains, block.symbols, code)
 
 
@@ -340,9 +388,9 @@ def run_sweep(
 
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
-    ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
-    identifiability checked, before any trial runs.  Trial seeds do not
-    depend on the point, so channels are paired across the sweep.
+    ``alpha_sweep_snr_db``.  Every distinct code is built once, and the
+    scenario's identifiability checked, before any trial runs.  Trial seeds
+    do not depend on the point, so channels are paired across the sweep.
     """
     if mode == "ber":
         points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]
@@ -354,21 +402,27 @@ def run_sweep(
     else:
         raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
     constellation = constellation or default_constellation(cfg.scenario.k_t)
-    for _, _, scenario in points:
-        build_dimming_matrix(scenario.dimming_spec())  # fail fast if infeasible
+    codes: dict[DimmingSpec, np.ndarray] = {}
+    for _, _, scenario in points:  # fail fast if any point's code is infeasible
+        spec = scenario.dimming_spec()
+        if spec not in codes:
+            codes[spec] = build_dimming_matrix(spec)
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
-        report = check_scenario_identifiability(cfg, constellation)
+        spec = cfg.scenario.dimming_spec()
+        code = codes[spec] if spec in codes else build_dimming_matrix(spec)
+        report = _identifiability(cfg, code, constellation)
         if not report.unique:
             raise IdentifiabilityError(
                 f"scenario fails the k-rank sum condition: {report}"
             )
+    seeds = [derive_seed(cfg.base_seed, t) for t in range(cfg.n_trials)]
     curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
     for x, snr_db, scenario in points:
-        point = run_point(
+        point = _run_trials(
             scenario,
+            codes[scenario.dimming_spec()],
             math.inf if cfg.noiseless else snr_db,
-            cfg.n_trials,
-            cfg.base_seed,
+            seeds,
             cfg.receivers,
             cfg.channel_model,
             constellation,

@@ -47,23 +47,37 @@ def _as_matrix(m) -> np.ndarray:
 def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value truncation.
 
-    Singular values at or below ``PINV_RTOL * max(m.shape) * sigma_max`` are
-    treated as zero, so rank-deficient inputs are handled gracefully.
+    ``m`` is one matrix or a stack of shape ``(..., rows, cols)``, inverted
+    matrix by matrix.  Singular values at or below ``PINV_RTOL * max(rows,
+    cols) * sigma_max`` are treated as zero, so rank-deficient inputs are
+    handled gracefully.
     """
-    a = _as_matrix(m)
-    return np.linalg.pinv(a, rcond=PINV_RTOL * max(a.shape))
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2:
+        raise ValueError(f"matrix must be at least 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    return np.linalg.pinv(a, rcond=PINV_RTOL * max(a.shape[-2:]))
 
 
 def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading singular triplet of every matrix in a stack, from one SVD.
+    """Leading singular triplet of every matrix in a stack, by the Gram route.
 
     ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
     ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
-    rank-one approximation of each matrix in Frobenius norm.  The sign of
-    ``u`` and ``v`` is whatever LAPACK returns.
+    rank-one approximation of each matrix in Frobenius norm.  ``u`` is the
+    leading eigenvector of ``B @ B.T`` (one batched ``eigh``), ``sigma`` the
+    root of its eigenvalue and ``v = B.T @ u / sigma``, so ``sigma * outer(u,
+    v)`` is the exact projection ``outer(u, u) @ B``.  A zero matrix gives
+    ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and ``v`` is whatever
+    LAPACK returns.
     """
-    u, sigma, vt = np.linalg.svd(np.asarray(blocks, dtype=float), full_matrices=False)
-    return sigma[..., 0], u[..., :, 0], vt[..., 0, :]
+    b = np.asarray(blocks, dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(b @ b.swapaxes(-1, -2))
+    sigma = np.sqrt(np.maximum(eigenvalues[..., -1], 0.0))
+    u = eigenvectors[..., :, -1]
+    v = (u[..., None, :] @ b)[..., 0, :] / np.where(sigma > 0.0, sigma, 1.0)[..., None]
+    return sigma, u, v
 
 
 def _is_prime(n: int) -> bool:

@@ -1,8 +1,11 @@
 """Receivers for dimming-coded CSK blocks.
 
 Both detectors take the state-stacked reception that ``channel.propagate``
-returns and give back symbol and channel estimates only; the caller slices
-and scores them.  The zero-forcing receiver inverts an estimate of the
+returns, one block or a stack of blocks along leading axes, and give back
+symbol and channel estimates plus a per-block failure mask; the caller
+slices and scores them.  A degenerate block is flagged in the mask, never
+raised, so one bad trial does not stop its neighbours; malformed shapes and
+arguments still raise.  The zero-forcing receiver inverts an estimate of the
 effective (state-stacked) channel.  It is trained with one-LED-at-a-time
 pilots, so the pilot matrix is the identity and the least-squares estimate
 is the effective channel plus one pilot-noise draw at the data noise level.
@@ -20,15 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_RTOL, DegenerateInputError, leading_rank_one, pseudoinverse
+from .linalg import ZERO_RTOL, leading_rank_one, pseudoinverse
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
 RECEIVER_PLAIN = "plain-CSK"
-
-
-class EqualizationError(RuntimeError):
-    """The linear equalizer could not be formed (degenerate effective channel)."""
 
 
 class AmbiguityError(RuntimeError):
@@ -37,19 +36,22 @@ class AmbiguityError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of one detector run on one block.
+    """Output of one detector run on a block or a stack of blocks.
 
-    ``symbol_estimate`` covers every slot of the block, training slot
-    included.  ``channel_estimate`` is always the plain n_rx x n_tx gain
-    matrix so that different receivers can be compared on the same object.
+    ``symbol_estimate`` ``(..., n_slots, n_tx)`` covers every slot of the
+    block, training slot included.  ``channel_estimate`` ``(..., n_rx, n_tx)``
+    is always the plain gain matrix so that different receivers can be
+    compared on the same object.  ``failed`` ``(...)`` flags the blocks the
+    receiver could not resolve; their estimates carry no meaning.
     """
 
     symbol_estimate: np.ndarray
     channel_estimate: np.ndarray
+    failed: np.ndarray
 
 
 def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Collapse a state-stacked channel estimate back to plain gains.
+    """Collapse a state-stacked channel estimate (or a stack of them) back to plain gains.
 
     Block k scales column j by code[k, j]; dividing it out and averaging over
     the blocks gives one comparable n_rx x n_tx estimate.  States whose code
@@ -59,7 +61,7 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
     effective = np.asarray(effective, dtype=float)
     code = np.asarray(code, dtype=float)
     n_states, n_tx = code.shape
-    if effective.shape[0] % n_states != 0 or effective.shape[1] != n_tx:
+    if effective.ndim < 2 or effective.shape[-2] % n_states != 0 or effective.shape[-1] != n_tx:
         raise ValueError(
             f"effective estimate of shape {effective.shape} does not stack "
             f"{n_states} blocks of {n_tx} columns"
@@ -68,85 +70,100 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
     if not np.all(usable.any(axis=0)):
         dark = int(np.flatnonzero(~usable.any(axis=0))[0])
         raise ValueError(f"dimming code column {dark} is all zeros; LED never lit")
-    blocks = effective.reshape(n_states, -1, n_tx)
+    blocks = effective.reshape(*effective.shape[:-2], n_states, -1, n_tx)
     safe = np.where(usable, code, 1.0)
     ratios = blocks / safe[:, None, :]
     weights = usable[:, None, :].astype(float)
-    return (ratios * weights).sum(axis=0) / weights.sum(axis=0)
+    return (ratios * weights).sum(axis=-3) / weights.sum(axis=0)
 
 
 def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> EstimationResult:
     """Zero-forcing detection against an effective-channel estimate.
 
-    The dimming ``code`` collapses the estimate to plain gains for error
-    reporting; the one-state all-ones code leaves it unchanged.  An estimate
-    that is negligible next to the reception it must explain is refused.
+    ``stacked`` ``(..., n_states * n_rx, n_slots)`` and ``effective``
+    ``(..., n_states * n_rx, n_tx)`` carry the same leading axes.  The
+    dimming ``code`` collapses the estimate to plain gains for error
+    reporting; the one-state all-ones code leaves it unchanged.  A block
+    whose estimate is negligible next to the reception it must explain is
+    flagged as failed.
     """
     stacked = np.asarray(stacked, dtype=float)
     effective = np.asarray(effective, dtype=float)
-    if stacked.shape[0] != effective.shape[0]:
+    if stacked.ndim < 2 or stacked.shape[:-1] != effective.shape[:-1]:
         raise ValueError(
-            f"stacked rows ({stacked.shape[0]}) must match effective-channel rows "
-            f"({effective.shape[0]})"
+            f"stacked rows ({stacked.shape[:-1]}) must match effective-channel rows "
+            f"({effective.shape[:-1]})"
         )
-    if np.abs(effective).max() <= ZERO_RTOL * np.abs(stacked).max():
-        raise EqualizationError("effective-channel estimate is zero; nothing to invert")
+    largest = np.abs(effective).max(axis=(-2, -1))
+    failed = largest <= ZERO_RTOL * np.abs(stacked).max(axis=(-2, -1))
     return EstimationResult(
-        symbol_estimate=(pseudoinverse(effective) @ stacked).T,
+        symbol_estimate=(pseudoinverse(effective) @ stacked).swapaxes(-1, -2),
         channel_estimate=channel_from_effective(effective, code),
+        failed=failed,
     )
 
 
-def krf_detect(
-    stacked: np.ndarray, code: np.ndarray, known_values: np.ndarray
-) -> EstimationResult:
-    """Semi-blind joint channel/symbol recovery from one block.
+def code_inverse(code: np.ndarray) -> np.ndarray:
+    """The pseudoinverse that ``krf_detect`` applies; the code must have full column rank.
 
-    Row block k of ``stacked`` is state k's n_rx x n_slots reception, which
-    is ``code[k]`` applied to one outer product ``outer(gains[:, r],
-    symbols[:, r])`` per LED r.  Inverting the code out of the flattened
-    state blocks leaves those n_tx rank-one matrices, fitted at once by one
-    batched SVD.  Every column pair is then rescaled so that the estimated
-    training row (slot 0) matches ``known_values``, which also absorbs the
-    SVD's arbitrary sign.  Neither those values nor the estimated row may be
-    negligible next to the largest entry they are compared with, otherwise
-    that column's scale is unobservable.
+    It is the same for every trial of a sweep point, so it is formed once
+    per point.
+    """
+    code = np.asarray(code, dtype=float)
+    if np.linalg.matrix_rank(code) < code.shape[1]:
+        raise ValueError("dimming code must have full column rank")
+    return pseudoinverse(code)
+
+
+def krf_detect(
+    stacked: np.ndarray, inverse: np.ndarray, known_values: np.ndarray
+) -> EstimationResult:
+    """Semi-blind joint channel/symbol recovery from a block or a stack of blocks.
+
+    Row block k of ``stacked`` ``(..., n_states * n_rx, n_slots)`` is state
+    k's n_rx x n_slots reception, which is ``code[k]`` applied to one outer
+    product ``outer(gains[:, r], symbols[:, r])`` per LED r.  Applying
+    ``inverse = code_inverse(code)`` to the flattened state blocks leaves
+    those n_tx rank-one matrices, fitted at once by one batched rank-one
+    fit.  Every column pair is then rescaled so that the estimated training
+    row (slot 0) matches ``known_values`` (one row, or one per block), which
+    also absorbs the fit's arbitrary sign.  A known value that is negligible
+    next to the largest one is refused.  A block with an all-zero residual
+    column, or whose estimated row is negligible next to that column's
+    largest entry, has an unobservable scale and is flagged as failed.
     """
     stacked = np.asarray(stacked, dtype=float)
-    code = np.asarray(code, dtype=float)
-    known_values = np.asarray(known_values, dtype=float).reshape(-1)
-    n_states, n_tx = code.shape
-    if stacked.ndim != 2 or stacked.shape[0] % n_states:
+    inverse = np.asarray(inverse, dtype=float)
+    known_values = np.asarray(known_values, dtype=float)
+    n_tx, n_states = inverse.shape
+    if stacked.ndim < 2 or stacked.shape[-2] % n_states:
         raise ValueError(
             f"stacked reception of shape {stacked.shape} does not stack {n_states} states"
         )
-    if known_values.size != n_tx:
-        raise ValueError(f"known row must have {n_tx} entries, got {known_values.size}")
-    zero_cols = np.flatnonzero(np.abs(known_values) <= ZERO_RTOL * np.abs(known_values).max())
-    if zero_cols.size:
+    if known_values.shape[-1:] != (n_tx,):
+        raise ValueError(f"known row must have {n_tx} entries, got {known_values.shape}")
+    zero_known = np.abs(known_values) <= ZERO_RTOL * np.abs(known_values).max(
+        axis=-1, keepdims=True
+    )
+    if zero_known.any():
         raise AmbiguityError(
-            f"known symbol row is zero in column {int(zero_cols[0])}; "
+            f"known symbol row is zero in column {int(np.argwhere(zero_known)[0, -1])}; "
             "its scale cannot be resolved"
         )
-    if np.linalg.matrix_rank(code) < n_tx:
-        raise ValueError("dimming code must have full column rank")
 
-    residual = pseudoinverse(code) @ stacked.reshape(n_states, -1)
-    blocks = residual.reshape(n_tx, stacked.shape[0] // n_states, stacked.shape[1])
-    dead = np.flatnonzero(~blocks.any(axis=(1, 2)))
-    if dead.size:
-        raise DegenerateInputError(
-            f"residual column {int(dead[0])} is all zero; no rank-one direction"
-        )
+    lead, (rows, n_slots) = stacked.shape[:-2], stacked.shape[-2:]
+    residual = inverse @ stacked.reshape(*lead, n_states, -1)
+    blocks = residual.reshape(*lead, n_tx, rows // n_states, n_slots)
     sigma, u, v = leading_rank_one(blocks)
-    gains = (sigma[:, None] * u).T
-    symbols = v.T
+    gains = (sigma[..., None] * u).swapaxes(-1, -2)
+    symbols = v.swapaxes(-1, -2)
 
-    zero_est = np.flatnonzero(np.abs(symbols[0]) <= ZERO_RTOL * np.abs(symbols).max(axis=0))
-    if zero_est.size:
-        raise AmbiguityError(
-            f"estimated symbol row is zero in column {int(zero_est[0])}; "
-            "scaling is unresolvable"
-        )
-    scales = known_values / symbols[0]
-    return EstimationResult(symbol_estimate=symbols * scales, channel_estimate=gains / scales)
+    first = symbols[..., 0, :]
+    unresolved = np.abs(first) <= ZERO_RTOL * np.abs(symbols).max(axis=-2)
+    failed = (~blocks.any(axis=(-2, -1)) | unresolved).any(axis=-1)
+    scales = known_values / np.where(failed[..., None], 1.0, first)
+    return EstimationResult(
+        symbol_estimate=symbols * scales[..., None, :],
+        channel_estimate=gains / scales[..., None, :],
+        failed=failed,
+    )

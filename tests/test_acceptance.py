@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dstc.channel import derive_seed, draw_channel, effective_channel, propagate, stacked_noise
+from dstc.channel import derive_seed, draw_channel, propagate, stacked_noise
 from dstc.cli import main
 from dstc.csk import (
     block_with_reference,
@@ -36,7 +36,7 @@ from dstc.experiments import (
     run_trial,
 )
 from dstc.identifiability import check_uniqueness
-from dstc.receivers import krf_detect, zf_detect
+from dstc.receivers import code_inverse, krf_detect, zf_detect
 from tensor_oracles import khatri_rao, unfold
 
 BASE_SEED = 20260814
@@ -237,12 +237,14 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        stacked, noise_variance = propagate(gains, code, block.symbols, snr_db, seed=rng)
+        stacked, noise_variance, effective = propagate(
+            gains, code, block.symbols, snr_db, seed=rng
+        )
         pilot_noise = stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.n_tx)
-        estimate = effective_channel(gains, code) + pilot_noise
+        estimate = effective + pilot_noise
         results = {
             "ZF": zf_detect(stacked, estimate, code),
-            "VLC-KRF": krf_detect(stacked, code, block.symbols[0]),
+            "VLC-KRF": krf_detect(stacked, code_inverse(code), block.symbols[0]),
         }
         for r, result in results.items():
             err = result.symbol_estimate[1:] - block.symbols[1:]

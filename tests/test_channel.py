@@ -78,7 +78,7 @@ class TestPropagate:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(0)
         s = rng.random((6, 4))
-        stacked, noise_variance = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
+        stacked, noise_variance, _ = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
         assert noise_variance == 0.0
         for k in range(3):
             assert np.allclose(stacked[4 * k:4 * k + 4], s.T)
@@ -88,7 +88,7 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        stacked, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s, math.inf)
         assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), atol=1e-12)
 
     def test_empirical_snr_calibration(self):
@@ -96,8 +96,8 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        clean, _ = propagate(h, c, s, math.inf)
-        noisy, _ = propagate(h, c, s, 20.0, seed=3)
+        clean, _, _ = propagate(h, c, s, math.inf)
+        noisy, _, _ = propagate(h, c, s, 20.0, seed=3)
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
@@ -121,8 +121,8 @@ class TestPropagate:
 
     def test_seed_determinism(self):
         h = np.eye(2)
-        a, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
-        b, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        a, _, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        b, _, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
         assert np.array_equal(a, b)
 
     def test_noise_is_the_restacked_draw(self):
@@ -130,8 +130,8 @@ class TestPropagate:
         h = rng.standard_normal((3, 4))
         s = rng.random((7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
-        clean, _ = propagate(h, c, s, math.inf)
-        noisy, noise_variance = propagate(h, c, s, 10.0, seed=5)
+        clean, _, _ = propagate(h, c, s, math.inf)
+        noisy, noise_variance, _ = propagate(h, c, s, 10.0, seed=5)
         # the noise is drawn in (n_rx, n_slots, n_states) order, then stacked
         draw = np.random.default_rng(5).normal(size=(3, 7, 8)) * math.sqrt(noise_variance)
         assert np.array_equal(stacked_noise(5, noise_variance, 8, 3, 7), stack(draw))
@@ -164,7 +164,7 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        stacked, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s, math.inf)
         assert np.allclose(stacked, effective_channel(h, c) @ s.T, atol=1e-10)
         assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, atol=1e-10)
 
@@ -199,6 +199,6 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        stacked, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s, math.inf)
         assert np.allclose(stacked, stack(y), atol=1e-10)
         assert np.allclose(stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, atol=1e-10)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ from dstc.channel import CHANNEL_MODELS
 from dstc.cli import main
 from dstc.configio import ConfigError, load_config
 from dstc.experiments import ALL_RECEIVERS, default_scenarios
-from dstc.receivers import AmbiguityError
+from dstc.receivers import krf_detect
 
 
 def run_cli(argv):
@@ -224,10 +225,11 @@ class TestSimulate:
         assert "[experiment]" in capsys.readouterr().err
 
     def test_all_trials_failing_exits_4(self, tmp_path, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AmbiguityError("forced")
+        def flagged(*args):
+            result = krf_detect(*args)
+            return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
-        monkeypatch.setattr("dstc.experiments.krf_detect", boom)
+        monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
         cfg = write_cfg(
             tmp_path / "sim.cfg", SMALL_SIM.replace("receivers = ZF VLC-KRF", "receivers = VLC-KRF")
         )

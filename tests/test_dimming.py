@@ -119,7 +119,7 @@ class TestBuild:
 
 def transmitted(code, symbols):
     """What ``propagate`` sends per state, read through an identity channel."""
-    stacked, _ = propagate(np.eye(code.shape[1]), code, symbols, math.inf)
+    stacked, _, _ = propagate(np.eye(code.shape[1]), code, symbols, math.inf)
     return stacked.reshape(code.shape[0], code.shape[1], -1)
 
 

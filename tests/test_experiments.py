@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dstc import experiments
+from dstc.channel import CHANNEL_MODELS, derive_seed
 from dstc.dimming import ConstraintViolationError, build_dimming_matrix
-from dstc.receivers import AmbiguityError
+from dstc.receivers import krf_detect
 from dstc.experiments import (
+    ALL_RECEIVERS,
     CSV_COLUMNS,
     CurvePoint,
     ExperimentConfig,
@@ -145,10 +148,11 @@ class TestRunTrial:
         assert a == b
 
     def test_receiver_failure_is_counted_not_raised(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AmbiguityError("forced")
+        def flagged(*args):
+            result = krf_detect(*args)
+            return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
-        monkeypatch.setattr("dstc.experiments.krf_detect", boom)
+        monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
         out = run_trial(QLED12, QLED12_CODE, 20.0, seed=3, receivers=("ZF", "VLC-KRF"))
         assert out["VLC-KRF"].failed and out["VLC-KRF"].n_bits == 0
         assert not out["ZF"].failed and out["ZF"].n_bits > 0
@@ -178,6 +182,30 @@ class TestRunPoint:
             assert np.mean([t.cond_effective for t in ok]) == pytest.approx(
                 cond, rel=1e-12, abs=0.0
             ), r
+
+
+    # 18 + 18 LEDs, 20 states: one trial per chunk at the default budget
+    WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
+
+    @pytest.mark.parametrize("budget", [None, 2**20])
+    @pytest.mark.parametrize("snr_db", [12.0, math.inf])
+    @pytest.mark.parametrize("channel_model", CHANNEL_MODELS)
+    @pytest.mark.parametrize(
+        "scenario", [default_scenarios()["qled2x2-k12"], WIDE18], ids=["qled2x2-k12", "3-6-20"]
+    )
+    def test_outcomes_do_not_depend_on_chunking(
+        self, monkeypatch, scenario, channel_model, snr_db, budget
+    ):
+        # 23 trials are not a multiple of any chunk size either budget gives
+        if budget is not None:
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+        out = run_point(scenario, snr_db, 23, 301, ALL_RECEIVERS, channel_model)
+        code = build_dimming_matrix(scenario.dimming_spec())
+        for t in range(23):
+            single = run_trial(
+                scenario, code, snr_db, derive_seed(301, t), ALL_RECEIVERS, channel_model
+            )
+            assert {r: out[r][t] for r in ALL_RECEIVERS} == single, t
 
 
 class TestSweeps:

@@ -8,11 +8,11 @@ from dstc.channel import draw_channel, effective_channel, propagate
 from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.experiments import ExperimentConfig, SystemConfig, run_point, run_trial
-from dstc.linalg import DegenerateInputError, pseudoinverse
+from dstc.linalg import pseudoinverse
 from dstc.receivers import (
     AmbiguityError,
-    EqualizationError,
     channel_from_effective,
+    code_inverse,
     krf_detect,
     zf_detect,
 )
@@ -27,7 +27,7 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     block = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    stacked, _ = propagate(gains, code, block.symbols, snr_db, seed=rng)
+    stacked, _, _ = propagate(gains, code, block.symbols, snr_db, seed=rng)
     return constellation, code, block, gains, stacked, rng
 
 
@@ -42,13 +42,13 @@ class TestStacking:
     def test_single_state(self):
         rng = np.random.default_rng(0)
         gains, symbols = rng.random((3, 4)), rng.random((5, 4))
-        stacked, _ = propagate(gains, np.ones((1, 4)), symbols, math.inf)
+        stacked, _, _ = propagate(gains, np.ones((1, 4)), symbols, math.inf)
         assert np.allclose(stacked, gains @ symbols.T, rtol=0.0, atol=1e-15)
 
     def test_blocks_follow_state_order(self):
         rng = np.random.default_rng(1)
         gains, code, symbols = rng.random((2, 3)), rng.random((3, 3)), rng.random((4, 3))
-        stacked, _ = propagate(gains, code, symbols, math.inf)
+        stacked, _, _ = propagate(gains, code, symbols, math.inf)
         assert stacked.shape == (6, 4)
         for k in range(3):
             block = gains @ np.diag(code[k]) @ symbols.T
@@ -60,7 +60,7 @@ class TestStacking:
         code = build_dimming_matrix(spec)
         gains = rng.standard_normal((4, 6))
         symbols = rng.random((9, 6))
-        stacked, _ = propagate(gains, code, symbols, math.inf)
+        stacked, _, _ = propagate(gains, code, symbols, math.inf)
         assert np.allclose(stacked, effective_channel(gains, code) @ symbols.T, atol=1e-12)
 
 
@@ -159,13 +159,11 @@ class TestZfDetect:
             zf_detect(np.ones((8, 4)), np.ones((6, 3)), np.ones((2, 3)))
 
     def test_zero_effective_channel(self):
-        with pytest.raises(EqualizationError):
-            zf_detect(np.ones((6, 4)), np.zeros((6, 3)), np.ones((2, 3)))
+        assert zf_detect(np.ones((6, 4)), np.zeros((6, 3)), np.ones((2, 3))).failed
 
     def test_negligible_effective_channel(self):
         tiny = np.full((6, 3), 1e-300)
-        with pytest.raises(EqualizationError):
-            zf_detect(np.ones((6, 4)), tiny, np.ones((2, 3)))
+        assert zf_detect(np.ones((6, 4)), tiny, np.ones((2, 3))).failed
 
 
 class TestKrfDetect:
@@ -173,7 +171,7 @@ class TestKrfDetect:
         constellation, code, block, gains, stacked, _ = dstc_link(
             4, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(stacked, code, block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
         assert np.array_equal(payload(est, constellation), block.bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
@@ -184,7 +182,7 @@ class TestKrfDetect:
         constellation, code, block, gains, stacked, _ = dstc_link(
             5, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(stacked, code, block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
         assert np.allclose(
             est.channel_estimate @ est.symbol_estimate.T,
             gains @ block.symbols.T,
@@ -197,7 +195,7 @@ class TestKrfDetect:
         constellation, code, block, gains, stacked, _ = dstc_link(
             11, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 30, 10.0
         )
-        est = krf_detect(stacked, code, block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
         n_states, n_slots = code.shape[0], stacked.shape[1]
         n_rx = stacked.shape[0] // n_states
         receptions = stacked.reshape(n_states, n_rx, n_slots)
@@ -212,15 +210,14 @@ class TestKrfDetect:
 
     def test_all_zero_reception_rejected(self):
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        with pytest.raises(DegenerateInputError, match="all zero"):
-            krf_detect(np.zeros((8 * 4, 20)), code, np.full(6, 1 / 3))
+        assert krf_detect(np.zeros((8 * 4, 20)), code_inverse(code), np.full(6, 1 / 3)).failed
 
     def test_needs_fewer_receivers_than_leds(self):
         # works even when the stacked-channel inverse would be the only other option
         constellation, code, block, gains, stacked, _ = dstc_link(
             6, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 2, 40, math.inf
         )
-        est = krf_detect(stacked, code, block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
         assert np.array_equal(payload(est, constellation), block.bits)
 
     def test_zero_in_known_row_rejected(self):
@@ -230,7 +227,7 @@ class TestKrfDetect:
         bad = block.symbols[0].copy()
         bad[2] = 0.0
         with pytest.raises(AmbiguityError, match="column 2"):
-            krf_detect(stacked, code, bad)
+            krf_detect(stacked, code_inverse(code), bad)
 
     def test_negligible_known_value_rejected(self):
         constellation, code, block, gains, stacked, _ = dstc_link(
@@ -239,7 +236,7 @@ class TestKrfDetect:
         bad = block.symbols[0].copy()
         bad[2] = 1e-300
         with pytest.raises(AmbiguityError, match="known symbol row is zero in column 2"):
-            krf_detect(stacked, code, bad)
+            krf_detect(stacked, code_inverse(code), bad)
 
     def test_negligible_estimated_row_rejected(self):
         # LED 2 is dark to rounding error in the training slot, but the
@@ -248,21 +245,20 @@ class TestKrfDetect:
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        stacked, _ = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)
-        with pytest.raises(AmbiguityError, match="estimated symbol row is zero in column 2"):
-            krf_detect(stacked, code, np.full(6, 1 / 3))
+        stacked, _, _ = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)
+        assert krf_detect(stacked, code_inverse(code), np.full(6, 1 / 3)).failed
 
     def test_known_row_length_checked(self):
         constellation, code, block, gains, stacked, _ = dstc_link(
             8, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
         with pytest.raises(ValueError, match="entries"):
-            krf_detect(stacked, code, np.ones(4))
+            krf_detect(stacked, code_inverse(code), np.ones(4))
 
     def test_stacked_rows_must_stack_every_state(self):
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         with pytest.raises(ValueError, match="does not stack 8 states"):
-            krf_detect(np.ones((12, 20)), code, np.full(6, 1 / 3))
+            krf_detect(np.ones((12, 20)), code_inverse(code), np.full(6, 1 / 3))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -280,10 +276,66 @@ class TestKrfDetect:
         constellation, code, block, gains, stacked, _ = dstc_link(
             int(rng.integers(2**31)), spec, k_t, l_t, n_rx, n_slots, math.inf
         )
-        est = krf_detect(stacked, code, block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
         assert np.array_equal(payload(est, constellation), block.bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
+
+
+class TestStackedBlocks:
+    """A stack of blocks is detected block by block; a degenerate block fails alone."""
+
+    SPEC = DimmingSpec(8, 6, 0.5, 0.4)
+
+    def stack(self):
+        links = [dstc_link(20 + i, self.SPEC, 3, 2, 4, 20, 15.0) for i in range(4)]
+        code = links[0][1]
+        stacked = np.stack([link[4] for link in links])
+        effective = np.stack([effective_channel(link[3], code) for link in links])
+        known = np.stack([link[2].symbols[0] for link in links])
+        return code, stacked, effective, known
+
+    @staticmethod
+    def assert_only_flagged(batch, singles, bad):
+        assert batch.failed.tolist() == [i == bad for i in range(len(singles))]
+        for i, single in enumerate(singles):
+            assert single.failed == (i == bad)
+            if i != bad:
+                assert np.array_equal(batch.symbol_estimate[i], single.symbol_estimate)
+                assert np.array_equal(batch.channel_estimate[i], single.channel_estimate)
+
+    def test_zero_effective_estimate(self):
+        code, stacked, effective, _ = self.stack()
+        effective[2] = 0.0
+        batch = zf_detect(stacked, effective, code)
+        singles = [zf_detect(stacked[i], effective[i], code) for i in range(4)]
+        self.assert_only_flagged(batch, singles, 2)
+
+    def test_all_zero_reception(self):
+        code, stacked, _, known = self.stack()
+        stacked[1] = 0.0
+        inverse = code_inverse(code)
+        batch = krf_detect(stacked, inverse, known)
+        singles = [krf_detect(stacked[i], inverse, known[i]) for i in range(4)]
+        self.assert_only_flagged(batch, singles, 1)
+
+    def test_zero_estimated_training_row(self):
+        code, stacked, _, known = self.stack()
+        # LED 2 is dark to rounding error in block 3's training slot
+        rng = np.random.default_rng(12)
+        symbols = rng.random((20, 6))
+        symbols[0, 2] = 1e-15
+        stacked[3] = propagate(rng.standard_normal((4, 6)), code, symbols, math.inf)[0]
+        inverse = code_inverse(code)
+        batch = krf_detect(stacked, inverse, known[0])
+        singles = [krf_detect(stacked[i], inverse, known[0]) for i in range(4)]
+        self.assert_only_flagged(batch, singles, 3)
+
+    def test_rank_deficient_code_refused(self):
+        code = build_dimming_matrix(self.SPEC)
+        code[:, 1] = code[:, 0]
+        with pytest.raises(ValueError, match="full column rank"):
+            code_inverse(code)
 
 
 class TestPlainCskBaseline:
@@ -296,7 +348,7 @@ class TestPlainCskBaseline:
         block = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        stacked, _ = propagate(gains, one_state, block.symbols, math.inf)
+        stacked, _, _ = propagate(gains, one_state, block.symbols, math.inf)
         # noiseless identity pilots return the effective channel itself
         estimate = effective_channel(gains, one_state)
         est = zf_detect(stacked, estimate, one_state)
