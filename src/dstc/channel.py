@@ -1,4 +1,4 @@
-"""Optical MIMO channel: gain draws and noisy, state-stacked propagation.
+"""Optical MIMO channel: gain draws, state-stacked propagation and its noise.
 
 The channel gain matrix is held constant across the K dimming states of a
 block.  A reception is carried stacked: rows ``k * n_rx`` to
@@ -28,12 +28,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (int(base_seed) ^ ((int(index) * _SEED_STRIDE) & _MASK64)) & _MASK64
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def draw_channel(n_rx: int, n_tx: int, model: str = "gaussian", seed=None) -> np.ndarray:
     """Draw one channel gain matrix.
 
@@ -43,7 +37,7 @@ def draw_channel(n_rx: int, n_tx: int, model: str = "gaussian", seed=None) -> np
     """
     if n_rx < 1 or n_tx < 1:
         raise ValueError(f"matrix dimensions must be positive, got {n_rx}x{n_tx}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if model == "gaussian":
         return rng.standard_normal((n_rx, n_tx))
     if model == "diagonal":
@@ -79,66 +73,50 @@ def stacked_noise(seed, variance: float, n_states: int, n_rx: int, n_cols: int) 
     The draw is taken in (n_rx, n_cols, n_states) order, the order that the
     fixed-seed results were recorded in, and then restacked state by state.
     """
-    noise = _rng(seed).normal(scale=math.sqrt(variance), size=(n_rx, n_cols, n_states))
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(scale=math.sqrt(variance), size=(n_rx, n_cols, n_states))
     return noise.transpose(2, 0, 1).reshape(n_states * n_rx, n_cols)
 
 
 def propagate(
-    gains: np.ndarray,
-    code: np.ndarray,
-    symbols: np.ndarray,
-    snr_db: float,
-    seed=None,
-) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
-    """Send a symbol block through the channel in every dimming state and add noise.
+    gains: np.ndarray, code: np.ndarray, symbols: np.ndarray, snr_db: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Send a symbol block through the channel in every dimming state.
 
-    Returns the stacked reception ``effective @ symbols.T`` plus noise, the
-    noise variance, and ``effective = effective_channel(gains, code)``; the
-    last two are what the pilot phase reuses.  The variance is calibrated so
-    that the mean squared noiseless received entry over the block sits
-    ``snr_db`` above it; pass ``snr_db=math.inf`` for a noiseless run.  A
-    received power that is rounding error next to the scale of the channel
-    and the transmitted block leaves the SNR undefined, and so does a finite
-    SNR whose variance underflows.
+    Returns the noiseless stacked reception ``effective @ symbols.T``, the
+    noise variance that ``snr_db`` asks of it, and ``effective =
+    effective_channel(gains, code)``; the caller adds the noise (see
+    ``stacked_noise``) and the pilot phase reuses the last two.  The
+    variance is calibrated so that the mean squared noiseless received
+    entry over the block sits ``snr_db`` above it, and it is 0 for a
+    noiseless run (``snr_db=math.inf``).  A received power that is rounding
+    error next to the scale of the channel and the transmitted block leaves
+    the SNR undefined, and so does a finite SNR whose variance underflows.
 
-    ``gains`` ``(n_rx, n_tx)`` and ``symbols`` ``(n_slots, n_tx)`` may instead
-    be stacks of trials along one leading axis; then ``seed`` is a sequence
-    holding each trial's own seed or generator, the variance is one per
-    trial, and every trial's noise is drawn from its own generator.
+    ``gains`` ``(..., n_rx, n_tx)`` and ``symbols`` ``(..., n_slots, n_tx)``
+    broadcast over their leading axes, and so the variance has one entry per
+    block.
     """
     gains = np.asarray(gains, dtype=float)
     code = np.asarray(code, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
-    single = gains.ndim == 2
-    if single:
-        gains, symbols, seed = gains[None], symbols[None], [seed]
-    n_trials, n_rx, n_tx = gains.shape
-    if (
-        code.ndim != 2
-        or code.shape[1] != n_tx
-        or symbols.ndim != 3
-        or symbols.shape[::2] != (n_trials, n_tx)
-    ):
+    n_tx = gains.shape[-1]
+    if code.ndim != 2 or code.shape[1] != n_tx or symbols.ndim < 2 or symbols.shape[-1] != n_tx:
         raise ValueError(
             f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
         )
     effective = effective_channel(gains, code)
     stacked = effective @ symbols.swapaxes(-1, -2)
-    noise_variance = np.zeros(n_trials)
-    if not math.isinf(snr_db):
-        for t, rng in enumerate(seed):
-            power = float(np.mean(stacked[t] ** 2))
-            scale = float(np.abs(gains[t]).max() * np.abs(code).max() * np.abs(symbols[t]).max())
-            if power <= (ZERO_RTOL * scale) ** 2:
-                raise DegenerateInputError("noiseless received power is zero; SNR undefined")
-            noise_variance[t] = power / (10.0 ** (snr_db / 10.0))
-            if not noise_variance[t] >= np.finfo(float).tiny:
-                raise DegenerateInputError(
-                    f"noise variance underflows at {snr_db:g} dB (received power {power:.3g})"
-                )
-            stacked[t] += stacked_noise(
-                rng, noise_variance[t], code.shape[0], n_rx, symbols.shape[1]
-            )
-    if single:
-        return stacked[0], float(noise_variance[0]), effective[0]
+    if math.isinf(snr_db):
+        return stacked, np.zeros(stacked.shape[:-2]), effective
+    power = np.mean(stacked**2, axis=(-2, -1))
+    peak = np.abs(gains).max(axis=(-2, -1)) * np.abs(code).max()
+    scale = peak * np.abs(symbols).max(axis=(-2, -1))
+    if np.any(power <= (ZERO_RTOL * scale) ** 2):
+        raise DegenerateInputError("noiseless received power is zero; SNR undefined")
+    noise_variance = power / (10.0 ** (snr_db / 10.0))
+    if not np.all(noise_variance >= np.finfo(float).tiny):
+        raise DegenerateInputError(
+            f"noise variance underflows at {snr_db:g} dB (received power {np.min(power):.3g})"
+        )
     return stacked, noise_variance, effective

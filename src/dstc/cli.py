@@ -223,19 +223,7 @@ def cmd_simulate(args) -> int:
         "started_utc": started,
         "finished_utc": _utc_now(),
         "outputs": [p.name for p in outputs],
-        "experiment": {
-            "scenario": dataclasses.asdict(cfg.scenario),
-            "mode": bundle.mode,
-            "snr_grid_db": list(cfg.snr_grid_db),
-            "alpha_grid": list(cfg.alpha_grid),
-            "alpha_sweep_snr_db": cfg.alpha_sweep_snr_db,
-            "n_symbols_total": cfg.n_symbols_total,
-            "n_trials": cfg.n_trials,
-            "base_seed": cfg.base_seed,
-            "receivers": list(cfg.receivers),
-            "channel_model": cfg.channel_model,
-            "noiseless": cfg.noiseless,
-        },
+        "experiment": {**dataclasses.asdict(cfg), "mode": bundle.mode, "n_trials": cfg.n_trials},
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

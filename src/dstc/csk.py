@@ -78,8 +78,11 @@ def demodulate(estimates, constellation: Constellation) -> np.ndarray:
     n_rows = est.shape[0]
     n_groups = est.shape[1] // constellation.k_t
     grouped = est.reshape(n_rows, n_groups, constellation.k_t)
-    diffs = grouped[:, :, None, :] - constellation.points[None, None, :, :]
-    idx = np.argmin(np.einsum("ngpk,ngpk->ngp", diffs, diffs), axis=2)
+    distances = np.empty((n_rows, n_groups, len(constellation.points)))
+    for p, point in enumerate(constellation.points):
+        diff = grouped - point
+        distances[:, :, p] = np.einsum("ngk,ngk->ng", diff, diff)
+    idx = np.argmin(distances, axis=2)
     bits = np.empty((n_rows, n_groups, 2), dtype=np.uint8)
     bits[:, :, 0] = idx >> 1
     bits[:, :, 1] = idx & 1

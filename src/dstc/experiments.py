@@ -200,59 +200,48 @@ def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: 
     return rng, block, gains
 
 
-def _zf_receive(code, stacked, noise_variance, effective, rngs):
-    """Zero forcing on ``code`` against each trial's identity-pilot channel estimate.
-
-    Least squares on one-LED-at-a-time pilots returns the effective channel
-    plus one pilot-noise draw at the data noise level, from the trial's own
-    generator.
-    """
-    estimate = effective.copy()
-    n_states, n_tx = code.shape
-    n_rx = effective.shape[-2] // n_states
-    for t, rng in enumerate(rngs):
-        if noise_variance[t] > 0.0:
-            estimate[t] += stacked_noise(rng, noise_variance[t], n_states, n_rx, n_tx)
-    return zf_detect(stacked, estimate, code)
-
-
-def _detect(gains, symbols, code, inverse, snr_db, rngs, receivers):
-    """Estimates and effective-channel conds of every enabled receiver, keyed by receiver.
-
-    Each trial draws its noise from its own generator in the recorded order:
-    data noise, ZF pilot noise, plain data noise, plain pilot noise.  ZF and
-    VLC-KRF share the data noise of the dimming ``code``; plain CSK is zero
-    forcing on the one-state all-ones code.  The receptions live only in
-    this call, so they are freed before the chunk is scored.
-    """
-    stacked, noise_variance, effective = propagate(gains, code, symbols, snr_db, rngs)
-    cond = np.linalg.cond(effective)
-    estimates, conds = {}, {}
-    if RECEIVER_ZF in receivers:
-        estimates[RECEIVER_ZF] = _zf_receive(code, stacked, noise_variance, effective, rngs)
-        conds[RECEIVER_ZF] = cond
-    if RECEIVER_KRF in receivers:
-        estimates[RECEIVER_KRF] = krf_detect(stacked, inverse, symbols[:, 0])
-        conds[RECEIVER_KRF] = cond
-    if RECEIVER_PLAIN in receivers:
-        one_state = np.ones((1, code.shape[1]))
-        plain = propagate(gains, one_state, symbols, snr_db, rngs)
-        estimates[RECEIVER_PLAIN] = _zf_receive(one_state, *plain, rngs)
-        conds[RECEIVER_PLAIN] = np.linalg.cond(plain[2])
-    return estimates, conds
-
-
 def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation):
     """Trials stacked along a leading axis, keyed by receiver.
 
-    Each trial draws its bits and channel from its own generator, which its
-    noise draws then continue; everything else runs once for the stack.
+    Each trial draws its bits and channel from its own generator, and then
+    its noise in the recorded order: data noise, ZF pilot noise, plain data
+    noise, plain pilot noise.  ZF and VLC-KRF share the data noise of the
+    dimming ``code``; plain CSK is zero forcing on the one-state all-ones
+    code.  ZF's pilots are the identity, so its channel estimate is the
+    effective channel plus one pilot-noise draw at the data noise level,
+    added in place once the effective channel's cond is taken.  Everything
+    but the draws runs once for the stack.
     """
     rngs, blocks, gains = zip(*(_draw(scenario, s, channel_model, constellation) for s in seeds))
     gains = np.stack(gains)
     symbols = np.stack([b.symbols for b in blocks])
     bits = np.stack([b.bits for b in blocks])
-    estimates, conds = _detect(gains, symbols, code, inverse, snr_db, rngs, receivers)
+    stacked, variance, effective = propagate(gains, code, symbols, snr_db)
+    cond = np.linalg.cond(effective)
+    conds = {RECEIVER_ZF: cond, RECEIVER_KRF: cond}
+    noisy = [(stacked, variance, len(code))]  # (array, variance, states) in draw order
+    if RECEIVER_ZF in receivers:
+        noisy.append((effective, variance, len(code)))
+    if RECEIVER_PLAIN in receivers:
+        one_state = np.ones((1, scenario.n_tx))
+        plain_stacked, plain_variance, plain_effective = propagate(
+            gains, one_state, symbols, snr_db
+        )
+        conds[RECEIVER_PLAIN] = np.linalg.cond(plain_effective)
+        noisy += [(plain_stacked, plain_variance, 1), (plain_effective, plain_variance, 1)]
+    if not math.isinf(snr_db):
+        for t, rng in enumerate(rngs):
+            for target, var, n_states in noisy:
+                target[t] += stacked_noise(rng, var[t], n_states, scenario.n_rx, target.shape[-1])
+
+    estimates = {}
+    if RECEIVER_ZF in receivers:
+        estimates[RECEIVER_ZF] = zf_detect(stacked, effective, code)
+    if RECEIVER_KRF in receivers:
+        estimates[RECEIVER_KRF] = krf_detect(stacked, inverse, symbols[:, 0])
+    if RECEIVER_PLAIN in receivers:
+        estimates[RECEIVER_PLAIN] = zf_detect(plain_stacked, plain_effective, one_state)
+    del stacked, noisy  # free the largest array before the chunk is scored
     results = list(estimates.values())
     payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
     detected = demodulate(payload.reshape(-1, scenario.n_tx), constellation)
@@ -302,29 +291,6 @@ def _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constel
     return outcomes
 
 
-def run_trial(
-    scenario: SystemConfig,
-    code: np.ndarray,
-    snr_db: float,
-    seed: int,
-    receivers: tuple[str, ...] = (RECEIVER_ZF, RECEIVER_KRF),
-    channel_model: str = "gaussian",
-    constellation: Constellation | None = None,
-) -> dict[str, TrialOutcome]:
-    """One block through one channel draw, detected by every enabled receiver.
-
-    The same engine as ``run_point`` on a one-trial chunk.  ZF and VLC-KRF
-    share the payload, channel and data noise of the dimming ``code``.
-    Plain CSK is zero forcing on the one-state all-ones code, with its own
-    data and pilot noise drawn after ZF's pilots.  Use ``snr_db=math.inf``
-    for a noiseless run.
-    """
-    outcomes = _run_trials(
-        scenario, code, snr_db, [seed], receivers, channel_model, constellation
-    )
-    return {r: outcomes[r][0] for r in outcomes}
-
-
 def run_point(
     scenario: SystemConfig,
     snr_db: float,
@@ -337,7 +303,11 @@ def run_point(
     """Independent trials at one sweep point, keyed by receiver; the code is built once.
 
     Trial t draws from ``derive_seed(base_seed, t)`` whatever the chunking,
-    so the outcomes equal those of ``run_trial`` seed by seed.
+    so a chunk of trials equals the same trials run one at a time, and a
+    one-trial point with base seed s is the trial of seed s.  ZF and VLC-KRF
+    share the payload, channel and data noise of the dimming code; plain
+    CSK has its own data and pilot noise.  Use ``snr_db=math.inf`` for a
+    noiseless run.
     """
     code = build_dimming_matrix(scenario.dimming_spec())
     seeds = [derive_seed(base_seed, t) for t in range(n_trials)]
@@ -370,11 +340,7 @@ def check_scenario_identifiability(
     dimming depth; ``None`` selects the default constellation.
     """
     code = build_dimming_matrix(cfg.scenario.dimming_spec())
-    return _identifiability(cfg, code, constellation or default_constellation(cfg.scenario.k_t))
-
-
-def _identifiability(cfg: ExperimentConfig, code, constellation: Constellation):
-    """``check_scenario_identifiability`` on a code that the caller has built."""
+    constellation = constellation or default_constellation(cfg.scenario.k_t)
     _, block, gains = _draw(
         cfg.scenario, derive_seed(cfg.base_seed, 0), cfg.channel_model, constellation
     )
@@ -389,8 +355,9 @@ def run_sweep(
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
     ``alpha_sweep_snr_db``.  Every distinct code is built once, and the
-    scenario's identifiability checked, before any trial runs.  Trial seeds
-    do not depend on the point, so channels are paired across the sweep.
+    scenario's identifiability checked, before any trial runs; the check
+    builds its own code.  Trial seeds do not depend on the point, so
+    channels are paired across the sweep.
     """
     if mode == "ber":
         points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]
@@ -408,9 +375,7 @@ def run_sweep(
         if spec not in codes:
             codes[spec] = build_dimming_matrix(spec)
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
-        spec = cfg.scenario.dimming_spec()
-        code = codes[spec] if spec in codes else build_dimming_matrix(spec)
-        report = _identifiability(cfg, code, constellation)
+        report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(
                 f"scenario fails the k-rank sum condition: {report}"

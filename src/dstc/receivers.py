@@ -1,14 +1,16 @@
 """Receivers for dimming-coded CSK blocks.
 
-Both detectors take the state-stacked reception that ``channel.propagate``
-returns, one block or a stack of blocks along leading axes, and give back
-symbol and channel estimates plus a per-block failure mask; the caller
-slices and scores them.  A degenerate block is flagged in the mask, never
-raised, so one bad trial does not stop its neighbours; malformed shapes and
-arguments still raise.  The zero-forcing receiver inverts an estimate of the
-effective (state-stacked) channel.  It is trained with one-LED-at-a-time
-pilots, so the pilot matrix is the identity and the least-squares estimate
-is the effective channel plus one pilot-noise draw at the data noise level.
+Both detectors take a noisy state-stacked reception (the clean one that
+``channel.propagate`` returns plus ``channel.stacked_noise``), one block or
+a stack of blocks along leading axes, and give back symbol and channel
+estimates plus a per-block failure mask; the caller slices and scores
+them.  A degenerate block is flagged in the mask, never raised, so one bad
+trial does not stop its neighbours; malformed shapes and arguments still
+raise.  The zero-forcing receiver inverts an estimate of the effective
+(state-stacked) channel.  It is trained with one-LED-at-a-time pilots, so
+the pilot matrix is the identity and the least-squares estimate is the
+effective channel plus one pilot-noise draw at the data noise level, which
+the experiment engine adds.
 The semi-blind receiver inverts the known dimming code out of the per-state
 rows, which leaves one rank-one matrix (channel column times symbol column)
 per LED; one batched best rank-one fit recovers both factors up to one

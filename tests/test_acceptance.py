@@ -33,7 +33,6 @@ from dstc.experiments import (
     default_scenarios,
     run_point,
     run_sweep,
-    run_trial,
 )
 from dstc.identifiability import check_uniqueness
 from dstc.receivers import code_inverse, krf_detect, zf_detect
@@ -141,10 +140,9 @@ def test_04_noiseless_exactness():
                 block_len=int(rng.integers(10, 40)),
                 alpha=float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])),
             )
-            code = build_dimming_matrix(scen.dimming_spec())
-            out = run_trial(scen, code, math.inf, seed=int(rng.integers(2**63)))
-            errors += out["ZF"].bit_errors + out["VLC-KRF"].bit_errors
-            worst_nmse = max(worst_nmse, out["VLC-KRF"].nmse)
+            out = run_point(scen, math.inf, 1, int(rng.integers(2**63)))
+            errors += out["ZF"][0].bit_errors + out["VLC-KRF"][0].bit_errors
+            worst_nmse = max(worst_nmse, out["VLC-KRF"][0].nmse)
     ok = errors == 0 and worst_nmse <= 1e-16 and sw.elapsed < 30.0
     assert _report(
         "4 noiseless exactness",
@@ -213,7 +211,7 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
     """BER and per-trial mean squared pre-slicer symbol error of ZF and VLC-KRF.
 
     Replays `run_point`'s trials with the public dstc functions in
-    `run_trial`'s per-trial draw order (bits, channel, data noise, pilot
+    the engine's per-trial draw order (bits, channel, data noise, pilot
     noise), so both receivers see the same blocks as the BER tally.  The
     pilots are the identity, so ZF's channel estimate is the effective
     channel plus the pilot noise, drawn in the reception's layout.  The
@@ -237,9 +235,8 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        stacked, noise_variance, effective = propagate(
-            gains, code, block.symbols, snr_db, seed=rng
-        )
+        stacked, noise_variance, effective = propagate(gains, code, block.symbols, snr_db)
+        stacked += stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.block_len)
         pilot_noise = stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.n_tx)
         estimate = effective + pilot_noise
         results = {

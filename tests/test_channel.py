@@ -96,8 +96,8 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        clean, _, _ = propagate(h, c, s, math.inf)
-        noisy, _, _ = propagate(h, c, s, 20.0, seed=3)
+        clean, noise_variance, _ = propagate(h, c, s, 20.0)
+        noisy = clean + stacked_noise(3, noise_variance, 12, 4, 500)
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
@@ -120,9 +120,9 @@ class TestPropagate:
             propagate(rng.standard_normal((8, 8)), c, rng.random((100, 8)), 60.0)
 
     def test_seed_determinism(self):
-        h = np.eye(2)
-        a, _, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
-        b, _, _ = propagate(h, np.ones((2, 2)), np.ones((3, 2)), 10.0, seed=42)
+        clean, noise_variance, _ = propagate(np.eye(2), np.ones((2, 2)), np.ones((3, 2)), 10.0)
+        a = clean + stacked_noise(42, noise_variance, 2, 2, 3)
+        b = clean + stacked_noise(42, noise_variance, 2, 2, 3)
         assert np.array_equal(a, b)
 
     def test_noise_is_the_restacked_draw(self):
@@ -131,7 +131,9 @@ class TestPropagate:
         s = rng.random((7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
         clean, _, _ = propagate(h, c, s, math.inf)
-        noisy, noise_variance, _ = propagate(h, c, s, 10.0, seed=5)
+        received, noise_variance, _ = propagate(h, c, s, 10.0)
+        assert np.array_equal(received, clean)  # the reception comes back noiseless
+        noisy = received + stacked_noise(5, noise_variance, 8, 3, 7)
         # the noise is drawn in (n_rx, n_slots, n_states) order, then stacked
         draw = np.random.default_rng(5).normal(size=(3, 7, 8)) * math.sqrt(noise_variance)
         assert np.array_equal(stacked_noise(5, noise_variance, 8, 3, 7), stack(draw))
@@ -140,6 +142,20 @@ class TestPropagate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
             propagate(np.eye(2), np.ones((2, 3)), np.ones((4, 3)), 10.0)
+
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    def test_stack_equals_each_block(self, snr_db):
+        rng = np.random.default_rng(10)
+        h = rng.standard_normal((5, 3, 4))
+        s = rng.random((5, 7, 4))
+        c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
+        stacked, noise_variance, effective = propagate(h, c, s, snr_db)
+        assert noise_variance.shape == (5,)
+        for t in range(5):
+            block, block_variance, block_effective = propagate(h[t], c, s[t], snr_db)
+            assert np.array_equal(stacked[t], block)
+            assert noise_variance[t] == block_variance
+            assert np.array_equal(effective[t], block_effective)
 
 
 class TestUnfold:

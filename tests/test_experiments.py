@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dstc import experiments
 from dstc.channel import CHANNEL_MODELS, derive_seed
-from dstc.dimming import ConstraintViolationError, build_dimming_matrix
+from dstc.dimming import ConstraintViolationError
 from dstc.receivers import krf_detect
 from dstc.experiments import (
     ALL_RECEIVERS,
@@ -24,13 +24,11 @@ from dstc.experiments import (
     flatten_curves,
     run_point,
     run_sweep,
-    run_trial,
     spectral_efficiency,
     write_curves_csv,
 )
 
 QLED12 = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=50)
-QLED12_CODE = build_dimming_matrix(QLED12.dimming_spec())
 
 # Frozen reference rows for the efficiency table: (k_t, l_t, n_states, block_len)
 # -> (eta_zf, eta_krf, gain_percent) at the printed precision.
@@ -131,11 +129,15 @@ class TestConfigValidation:
         assert scen["tled2x2-k12"].n_tx == 6
 
 
+def one_trial(scenario, snr_db, seed, receivers=("ZF", "VLC-KRF"), channel_model="gaussian"):
+    """The trial of ``seed``: a one-trial point, since ``derive_seed(seed, 0) == seed``."""
+    out = run_point(scenario, snr_db, 1, seed, receivers, channel_model)
+    return {r: trials[0] for r, trials in out.items()}
+
+
 class TestRunTrial:
     def test_noiseless_trial_is_exact(self):
-        out = run_trial(
-            QLED12, QLED12_CODE, math.inf, seed=5, receivers=("ZF", "VLC-KRF", "plain-CSK")
-        )
+        out = one_trial(QLED12, math.inf, 5, receivers=("ZF", "VLC-KRF", "plain-CSK"))
         for r, o in out.items():
             assert o.bit_errors == 0 and not o.failed, r
             assert o.n_bits == 2 * 2 * (QLED12.block_len - 1)
@@ -143,8 +145,8 @@ class TestRunTrial:
         assert out["ZF"].cond_effective == out["VLC-KRF"].cond_effective
 
     def test_same_seed_reproduces(self):
-        a = run_trial(QLED12, QLED12_CODE, 15.0, seed=9)
-        b = run_trial(QLED12, QLED12_CODE, 15.0, seed=9)
+        a = one_trial(QLED12, 15.0, 9)
+        b = one_trial(QLED12, 15.0, 9)
         assert a == b
 
     def test_receiver_failure_is_counted_not_raised(self, monkeypatch):
@@ -153,7 +155,7 @@ class TestRunTrial:
             return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
         monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
-        out = run_trial(QLED12, QLED12_CODE, 20.0, seed=3, receivers=("ZF", "VLC-KRF"))
+        out = one_trial(QLED12, 20.0, 3, receivers=("ZF", "VLC-KRF"))
         assert out["VLC-KRF"].failed and out["VLC-KRF"].n_bits == 0
         assert not out["ZF"].failed and out["ZF"].n_bits > 0
 
@@ -200,11 +202,8 @@ class TestRunPoint:
         if budget is not None:
             monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
         out = run_point(scenario, snr_db, 23, 301, ALL_RECEIVERS, channel_model)
-        code = build_dimming_matrix(scenario.dimming_spec())
         for t in range(23):
-            single = run_trial(
-                scenario, code, snr_db, derive_seed(301, t), ALL_RECEIVERS, channel_model
-            )
+            single = one_trial(scenario, snr_db, derive_seed(301, t), ALL_RECEIVERS, channel_model)
             assert {r: out[r][t] for r in ALL_RECEIVERS} == single, t
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc.channel import draw_channel, effective_channel, propagate
+from dstc.channel import draw_channel, effective_channel, propagate, stacked_noise
 from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
-from dstc.experiments import ExperimentConfig, SystemConfig, run_point, run_trial
+from dstc.experiments import ExperimentConfig, SystemConfig, run_point
 from dstc.linalg import pseudoinverse
 from dstc.receivers import (
     AmbiguityError,
@@ -27,7 +27,9 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     block = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    stacked, _, _ = propagate(gains, code, block.symbols, snr_db, seed=rng)
+    stacked, variance, _ = propagate(gains, code, block.symbols, snr_db)
+    if not math.isinf(snr_db):
+        stacked += stacked_noise(rng, variance, spec.n_states, n_rx, n_slots)
     return constellation, code, block, gains, stacked, rng
 
 
@@ -99,8 +101,7 @@ class TestZfChannelEstimate:
             assert np.array_equal(rx @ pseudoinverse(np.eye(n).T), rx)
 
     def test_noiseless_recovery(self):
-        code = build_dimming_matrix(QLED_SHORT.dimming_spec())
-        outcome = run_trial(QLED_SHORT, code, math.inf, 1, receivers=("ZF",))["ZF"]
+        outcome = run_point(QLED_SHORT, math.inf, 1, 1, receivers=("ZF",))["ZF"][0]
         assert outcome.bit_errors == 0 and not outcome.failed
         assert outcome.nmse <= 1e-20
 
