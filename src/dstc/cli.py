@@ -6,10 +6,11 @@ Monte Carlo sweeps, ``check`` runs its identifiability check, and ``eta``
 prints spectral efficiencies.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible code
-design, 3 failed identifiability check, 4 simulation producing a sweep point
-where every trial failed or a block with no received power, 5 identifiability
-check too wide to decide (a k-rank search over more columns than the
-brute-force limit).
+design (also a power swing too small for a full-column-rank code), 3 failed
+identifiability check, 4 simulation producing a sweep point where every trial
+failed or a block with no received power, 5 identifiability check too wide to
+decide (a k-rank search over more columns than the brute-force limit).
+``main`` maps every exception a command raises to its code through ``_ERRORS``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .configio import ConfigBundle, ConfigError, load_config
+from .configio import ConfigBundle, ConfigError, keys_help, load_config
 from .csk import Constellation, default_constellation
-from .dimming import ConstraintViolationError, build_dimming_matrix, validate_dimming_matrix
+from .dimming import (
+    ConstraintViolationError,
+    build_dimming_matrix,
+    default_chromaticity,
+    validate_dimming_matrix,
+)
 from .experiments import (
     ExperimentConfig,
     IdentifiabilityError,
@@ -51,17 +57,18 @@ _TABLE2_BLOCK_LEN = 10
 # (sweep axis, CSV file, summary section) in the order `simulate` runs them.
 _SWEEPS = (("ber", "ber_nmse.csv", "ber_nmse"), ("alpha", "alpha_sweep.csv", "alpha_sweep"))
 
-_CONFIG_HELP = """\
-configuration file keys (see configs/qled2x2.cfg for an annotated example):
-  [scenario]      k_t, l_t, k_r, l_r, n_states, block_len
-  [dimming]       p_m, alpha, columns (optional)
-  [experiment]    mode (ber|alpha|both), snr_grid_db, alpha_grid,
-                  alpha_sweep_snr_db, n_symbols_total, base_seed,
-                  receivers (ZF VLC-KRF plain-CSK), channel_model
-                  (gaussian|diagonal), noiseless
-  [chromaticity]  channel_0 = x, y  ... one pair per color channel
-  [constellation] point_00 ... point_11 = one intensity level per channel
-"""
+# Largest `audit --rows`: the audited stream is held in memory, and a
+# 30-LED array's audit peaks near 450 MB at this size (0.45 kB per row).
+MAX_AUDIT_ROWS = 1_000_000
+
+# (exception, exit code, message prefix) for every error a command may raise.
+_ERRORS = (
+    (ConfigError, EXIT_USAGE, ""),
+    (ConstraintViolationError, EXIT_INFEASIBLE, "infeasible dimming code: "),
+    (IdentifiabilityError, EXIT_NOT_UNIQUE, "identifiability check failed: "),
+    (DegenerateInputError, EXIT_DEGENERATE, "simulation failed: "),
+    (SizeLimitError, EXIT_SIZE_LIMIT, "identifiability check too large: "),
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -77,9 +84,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _audit_rows(text: str) -> int:
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_AUDIT_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer up to {MAX_AUDIT_ROWS}, got {text!r}"
+        )
     return int(text)
 
 
@@ -95,12 +104,10 @@ def _read_experiment(args) -> tuple[ConfigBundle, ExperimentConfig, Constellatio
     cfg = bundle.experiment
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    constellation = bundle.constellation
-    if constellation is None:
-        try:
-            constellation = default_constellation(cfg.scenario.k_t)
-        except ValueError as exc:
-            raise ConfigError(f"{args.config}: {exc}; add a [constellation] section") from None
+    try:
+        constellation = bundle.constellation or default_constellation(cfg.scenario.k_t)
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}; add a [constellation] section") from None
     return bundle, cfg, constellation
 
 
@@ -129,15 +136,8 @@ def cmd_eta(args) -> int:
 
 
 def cmd_design(args) -> int:
-    try:
-        bundle = load_config(args.config)
-        spec = bundle.scenario.dimming_spec()
-        code = build_dimming_matrix(spec)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ConstraintViolationError as exc:
-        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
-
+    spec = load_config(args.config).scenario.dimming_spec()
+    code = build_dimming_matrix(spec)
     report = validate_dimming_matrix(code, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,10 +184,7 @@ def _degenerate(curves) -> bool:
 
 def cmd_simulate(args) -> int:
     started = _utc_now()
-    try:
-        bundle, cfg, constellation = _read_experiment(args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    bundle, cfg, constellation = _read_experiment(args)
     if args.noiseless:
         cfg = dataclasses.replace(cfg, noiseless=True)
 
@@ -196,22 +193,13 @@ def cmd_simulate(args) -> int:
     outputs: list[Path] = []
     summary: list[str] = []
     degenerate = False
-    try:
-        for mode, csv_name, label in _SWEEPS:
-            if bundle.mode not in (mode, "both"):
-                continue
-            curves = run_sweep(cfg, mode, constellation)
-            outputs.append(write_curves_csv(curves, out / csv_name))
-            summary += _summary_lines(label, curves)
-            degenerate |= _degenerate(curves)
-    except IdentifiabilityError as exc:
-        return _fail(f"identifiability check failed: {exc}", EXIT_NOT_UNIQUE)
-    except ConstraintViolationError as exc:
-        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
-    except SizeLimitError as exc:
-        return _fail(f"identifiability check too large: {exc}", EXIT_SIZE_LIMIT)
-    except DegenerateInputError as exc:  # no received power: every trial of the point fails
-        return _fail(f"simulation failed: {exc}", EXIT_DEGENERATE)
+    for mode, csv_name, label in _SWEEPS:
+        if bundle.mode not in (mode, "both"):
+            continue
+        curves = run_sweep(cfg, mode, constellation)
+        outputs.append(write_curves_csv(curves, out / csv_name))
+        summary += _summary_lines(label, curves)
+        degenerate |= _degenerate(curves)
 
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
@@ -238,15 +226,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        _, cfg, constellation = _read_experiment(args)
-        report = check_scenario_identifiability(cfg, constellation)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ConstraintViolationError as exc:
-        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
-    except SizeLimitError as exc:
-        return _fail(f"identifiability check too large: {exc}", EXIT_SIZE_LIMIT)
+    _, cfg, constellation = _read_experiment(args)
+    report = check_scenario_identifiability(cfg, constellation)
     need = 2 * report.n_columns + 2
     total = report.k_gains + report.k_symbols + report.k_code
     print(f"k-rank(channel)={report.k_gains}")
@@ -259,16 +240,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    bundle = load_config(args.config)
+    k_t = bundle.scenario.k_t
     try:
-        bundle = load_config(args.config)
-        audit = audit_power_color(bundle.scenario, n_rows=args.rows, table=bundle.chromaticity,
-                                  constellation=bundle.constellation)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ConstraintViolationError as exc:
-        return _fail(f"infeasible dimming code: {exc}", EXIT_INFEASIBLE)
-    except ValueError as exc:  # no default constellation or chromaticity for this k_t
-        return _fail(f"{args.config}: {exc}", EXIT_USAGE)
+        table = bundle.chromaticity or default_chromaticity(k_t)
+        constellation = bundle.constellation or default_constellation(k_t)
+    except ValueError as exc:  # no default chromaticity or constellation for this k_t
+        raise ConfigError(f"{args.config}: {exc}") from None
+    try:
+        audit = audit_power_color(
+            bundle.scenario, n_rows=args.rows, table=table, constellation=constellation
+        )
+    except DegenerateInputError as exc:  # a [constellation] that emits no light in these rows
+        raise ConfigError(f"{args.config}: {exc}") from None
     before, after, shift = audit.chroma_before, audit.chroma_after, audit.chroma_shift
     print(f"scenario: {bundle.scenario}")
     print(f"average power target (p_m):   {audit.power_target}")
@@ -283,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="dstc",
         description="Dimming-aware space-time coded VLC link toolbox.",
-        epilog=_CONFIG_HELP,
+        epilog=keys_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -296,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="measure a dimming code's average power and color")
     p_audit.add_argument("--config", required=True, help="configuration file")
-    p_audit.add_argument("--rows", type=_positive_int, default=10_000,
-                         help="symbol rows in the audited stream (default 10000)")
+    p_audit.add_argument("--rows", type=_audit_rows, default=10_000,
+                         help=f"symbol rows in the audited stream (default 10000, "
+                         f"at most {MAX_AUDIT_ROWS})")
     p_audit.set_defaults(func=cmd_audit)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo sweeps of a config")
@@ -323,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(error for error, _, _ in _ERRORS) as exc:
+        code, prefix = next((c, p) for error, c, p in _ERRORS if isinstance(exc, error))
+        return _fail(f"{prefix}{exc}", code)
 
 
 if __name__ == "__main__":

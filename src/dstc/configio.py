@@ -1,14 +1,11 @@
 """Experiment configuration files.
 
-Flat INI-style text with one section per concern:
-
-    [scenario]      k_t, l_t, k_r, l_r, n_states, block_len
-    [dimming]       p_m, alpha, columns (optional 1-based Hadamard columns)
-    [experiment]    mode, snr_grid_db, alpha_grid, alpha_sweep_snr_db,
-                    n_symbols_total, base_seed, receivers, channel_model,
-                    noiseless
-    [chromaticity]  channel_0 = x, y   (optional, one entry per color channel)
-    [constellation] point_00 ... point_11 = intensity levels (optional)
+Flat INI-style text with one section per concern.  [scenario] and [dimming]
+set the fields of ``SystemConfig`` (``columns`` is ``code_columns``),
+[experiment] sets those of ``ExperimentConfig`` plus the sweep ``mode``, and
+the optional [chromaticity] and [constellation] replace the defaults for
+``k_t``.  ``_KEYS`` gives every accepted key its parser, and the epilog of
+``dstc --help`` lists them.  A key left out takes the dataclass default.
 
 `#` and `;` start comments.  Unknown sections and keys are rejected with a
 "did you mean" hint.  See configs/qled2x2.cfg for an annotated example.
@@ -17,30 +14,19 @@ Flat INI-style text with one section per concern:
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import difflib
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .channel import CHANNEL_MODELS
 from .csk import Constellation
 from .dimming import ChromaticityTable
-from .experiments import ExperimentConfig, SystemConfig
+from .experiments import ALL_RECEIVERS, ExperimentConfig, SystemConfig
 
+# Sweep modes of [experiment]; the first is the default.
 MODES = ("ber", "alpha", "both")
-
-# Accepted keys per section.  [chromaticity] takes channel_0 ... channel_{k_t - 1},
-# which is known only once [scenario] is read.
-_KEYS: dict[str, tuple[str, ...] | None] = {
-    "scenario": ("k_t", "l_t", "k_r", "l_r", "n_states", "block_len"),
-    "dimming": ("p_m", "alpha", "columns"),
-    "experiment": (
-        "mode", "snr_grid_db", "alpha_grid", "alpha_sweep_snr_db", "n_symbols_total",
-        "base_seed", "receivers", "channel_model", "noiseless",
-    ),
-    "chromaticity": None,
-    "constellation": ("point_00", "point_01", "point_10", "point_11"),
-}
 
 
 class ConfigError(ValueError):
@@ -62,15 +48,69 @@ class ConfigBundle:
     constellation: Constellation | None
 
 
-def _split(raw: str) -> list[str]:
-    return raw.replace(",", " ").split()
+def _parser(convert, what: str, one: bool = False):
+    """Parser of ``what`` values separated by commas or spaces; with ``one``, of exactly one."""
+
+    def parse(raw: str, where: str):
+        try:
+            values = tuple(map(convert, raw.replace(",", " ").split()))
+        except ValueError:
+            raise ConfigError(f"{where}: expected {what}s, got {raw!r}") from None
+        if one and len(values) != 1:
+            raise ConfigError(f"{where}: expected one {what}, got {raw!r}")
+        return values[0] if one else values
+
+    return parse
 
 
-def _floats(raw: str, where: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in _split(raw))
-    except ValueError:
-        raise ConfigError(f"{where}: expected numbers, got {raw!r}") from None
+def _bool(raw: str, where: str) -> bool:
+    word = raw.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ConfigError(f"{where}: expected a boolean, got {word!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
+_int, _ints = _parser(int, "integer", one=True), _parser(int, "integer")
+_float, _floats = _parser(float, "number", one=True), _parser(float, "number")
+_word, _words = _parser(str, "word", one=True), _parser(str, "word")
+
+# Accepted keys per section, each with its parser.  [chromaticity] takes
+# channel_0 ... channel_{k_t - 1}, which is known only once [scenario] is read.
+_KEYS = {
+    "scenario": dict.fromkeys(("k_t", "l_t", "k_r", "l_r", "n_states", "block_len"), _int),
+    "dimming": {"p_m": _float, "alpha": _float, "columns": _ints},
+    "experiment": {
+        "mode": _word,
+        "snr_grid_db": _floats,
+        "alpha_grid": _floats,
+        "alpha_sweep_snr_db": _float,
+        "n_symbols_total": _int,
+        "base_seed": _int,
+        "receivers": _words,
+        "channel_model": _word,
+        "noiseless": _bool,
+    },
+    "chromaticity": None,
+    "constellation": dict.fromkeys(("point_00", "point_01", "point_10", "point_11"), _floats),
+}
+
+
+def keys_help() -> str:
+    """Every accepted section and key, and the words that the word-valued keys take."""
+    rows = {
+        f"[{name}]": ", ".join(keys or ["channel_0 ... channel_{k_t - 1} = x, y"])
+        for name, keys in _KEYS.items()
+    }
+    rows.update(
+        mode=" | ".join(MODES),
+        receivers="any of " + ", ".join(ALL_RECEIVERS),
+        channel_model=" | ".join(CHANNEL_MODELS),
+    )
+    lines = ["configuration file keys (see configs/qled2x2.cfg for an annotated example):"]
+    for head, text in rows.items():
+        lines += textwrap.wrap(text, 78, initial_indent=f"  {head:16}",
+                               subsequent_indent=" " * 18, break_on_hyphens=False)
+    return "\n".join(lines) + "\n"
 
 
 def _unknown(what: str, name: str, accepted) -> ConfigError:
@@ -80,127 +120,41 @@ def _unknown(what: str, name: str, accepted) -> ConfigError:
     return ConfigError(f"unknown {what}; {suffix}")
 
 
-def _ints(raw: str, where: str) -> tuple[int, ...]:
-    vals = []
-    for tok in _split(raw):
-        try:
-            vals.append(int(tok))
-        except ValueError:
-            raise ConfigError(f"{where}: expected integers, got {raw!r}") from None
-    return tuple(vals)
-
-
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str, keys=None):
-        self.name = name
-        self.data = parser[name] if parser.has_section(name) else None
-        accepted = _KEYS[name] if keys is None else keys
-        for key in self.data or ():
-            if key not in accepted:
-                raise _unknown(f"key {key!r} in section [{name}]", key, accepted)
-
-    def __bool__(self) -> bool:
-        return self.data is not None
-
-    def raw(self, key: str, default: str | None = None) -> str:
-        if self.data is None or key not in self.data:
-            if default is not None:
-                return default
-            raise ConfigError(f"missing key {key!r} in section [{self.name}]")
-        return self.data[key]
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self.raw(key, None if default is None else str(default))
-        vals = _ints(raw, f"[{self.name}] {key}")
-        if len(vals) != 1:
-            raise ConfigError(f"[{self.name}] {key}: expected one integer, got {raw!r}")
-        return vals[0]
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.raw(key, None if default is None else repr(default))
-        vals = _floats(raw, f"[{self.name}] {key}")
-        if len(vals) != 1:
-            raise ConfigError(f"[{self.name}] {key}: expected one number, got {raw!r}")
-        return vals[0]
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.raw(key, str(default)).strip().lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: expected a boolean, got {raw!r}")
-
-
-def _load_scenario(scenario: _Section, dimming: _Section) -> SystemConfig:
-    if not scenario:
-        raise ConfigError("config needs a [scenario] section")
-    columns = None
-    if dimming and dimming.data is not None and "columns" in dimming.data:
-        columns = _ints(dimming.raw("columns"), "[dimming] columns")
-    try:
-        return SystemConfig(
-            **{key: scenario.get_int(key) for key in _KEYS["scenario"]},
-            p_m=dimming.get_float("p_m", 0.5) if dimming else 0.5,
-            alpha=dimming.get_float("alpha", 0.4) if dimming else 0.4,
-            code_columns=columns,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
-
-
-def _load_experiment(section: _Section, scenario: SystemConfig) -> ExperimentConfig | None:
-    if not section:
+def _section(parser: configparser.ConfigParser, name: str, keys=None) -> dict | None:
+    """Parsed values of the keys that section ``name`` sets; None when it is absent."""
+    if not parser.has_section(name):
         return None
-    receivers = tuple(_split(section.raw("receivers", "ZF VLC-KRF")))
+    keys = _KEYS[name] if keys is None else keys
+    values = {}
+    for key, raw in parser[name].items():
+        if key not in keys:
+            raise _unknown(f"key {key!r} in section [{name}]", key, tuple(keys))
+        values[key] = keys[key](raw, f"[{name}] {key}")
+    return values
+
+
+def _build(cls, name: str, values: dict):
+    """``cls`` from section ``name``'s values; a field without a default must be set."""
+    for field in dataclasses.fields(cls):
+        if field.default is dataclasses.MISSING and field.name not in values:
+            raise ConfigError(f"missing key {field.name!r} in section [{name}]")
     try:
-        return ExperimentConfig(
-            scenario=scenario,
-            snr_grid_db=_floats(section.raw("snr_grid_db", "20"), "[experiment] snr_grid_db"),
-            alpha_grid=_floats(
-                section.raw("alpha_grid", "0.1 0.2 0.3 0.4 0.5"), "[experiment] alpha_grid"
-            ),
-            alpha_sweep_snr_db=section.get_float("alpha_sweep_snr_db", 20.0),
-            n_symbols_total=section.get_int("n_symbols_total", 10_000),
-            base_seed=section.get_int("base_seed", 0),
-            receivers=receivers,
-            channel_model=section.raw("channel_model", "gaussian").strip(),
-            noiseless=section.get_bool("noiseless", False),
-        )
+        return cls(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[experiment]: {exc}") from exc
+        raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _load_chromaticity(section: _Section, k_t: int) -> ChromaticityTable | None:
-    if not section:
+def _vectors(parser, name: str, keys: dict, length: int, unit: str) -> tuple | None:
+    """Section ``name`` as ``length`` numbers per key, in ``keys`` order; every key is required."""
+    values = _section(parser, name, keys)
+    if values is None:
         return None
-    coords = []
-    for ch in range(k_t):
-        pair = _floats(section.raw(f"channel_{ch}"), f"[chromaticity] channel_{ch}")
-        if len(pair) != 2:
-            raise ConfigError(f"[chromaticity] channel_{ch}: expected 'x, y'")
-        coords.append(pair)
-    try:
-        return ChromaticityTable(tuple(coords))
-    except ValueError as exc:
-        raise ConfigError(f"[chromaticity]: {exc}") from exc
-
-
-def _load_constellation(section: _Section, k_t: int) -> Constellation | None:
-    if not section:
-        return None
-    points = []
-    for key in _KEYS["constellation"]:
-        levels = _floats(section.raw(key), f"[constellation] {key}")
-        if len(levels) != k_t:
-            raise ConfigError(f"[constellation] {key}: expected {k_t} levels, got {len(levels)}")
-        points.append(levels)
-    try:
-        return Constellation(np.array(points))
-    except ValueError as exc:
-        raise ConfigError(f"[constellation]: {exc}") from exc
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"missing key {key!r} in section [{name}]")
+        if len(values[key]) != length:
+            raise ConfigError(f"[{name}] {key}: expected {length} {unit}, got {len(values[key])}")
+    return tuple(values[key] for key in keys)
 
 
 def load_config(path) -> ConfigBundle:
@@ -217,19 +171,28 @@ def load_config(path) -> ConfigBundle:
     for name in parser.sections():
         if name not in _KEYS:
             raise _unknown(f"section [{name}]", name, tuple(_KEYS))
-    scenario_sec = _Section(parser, "scenario")
-    dimming_sec = _Section(parser, "dimming")
-    experiment_sec = _Section(parser, "experiment")
+    scenario = _section(parser, "scenario")
+    if scenario is None:
+        raise ConfigError("config needs a [scenario] section")
+    dimming = _section(parser, "dimming") or {}
+    if "columns" in dimming:
+        dimming["code_columns"] = dimming.pop("columns")
+    scenario = _build(SystemConfig, "scenario", {**scenario, **dimming})
 
-    scenario = _load_scenario(scenario_sec, dimming_sec)
-    channels = tuple(f"channel_{ch}" for ch in range(scenario.k_t))
-    mode = experiment_sec.raw("mode", "ber").strip().lower() if experiment_sec else "ber"
+    experiment = _section(parser, "experiment")
+    mode = MODES[0] if experiment is None else experiment.pop("mode", MODES[0]).lower()
     if mode not in MODES:
         raise ConfigError(f"[experiment] mode: expected one of {MODES}, got {mode!r}")
+    if experiment is not None:
+        experiment = _build(ExperimentConfig, "experiment", {**experiment, "scenario": scenario})
+
+    channels = dict.fromkeys((f"channel_{ch}" for ch in range(scenario.k_t)), _floats)
+    coords = _vectors(parser, "chromaticity", channels, 2, "coordinates")
+    points = _vectors(parser, "constellation", _KEYS["constellation"], scenario.k_t, "levels")
     return ConfigBundle(
         scenario=scenario,
-        experiment=_load_experiment(experiment_sec, scenario),
+        experiment=experiment,
         mode=mode,
-        chromaticity=_load_chromaticity(_Section(parser, "chromaticity", channels), scenario.k_t),
-        constellation=_load_constellation(_Section(parser, "constellation"), scenario.k_t),
+        chromaticity=coords and _build(ChromaticityTable, "chromaticity", {"coords": coords}),
+        constellation=points and _build(Constellation, "constellation", {"points": points}),
     )

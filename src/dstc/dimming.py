@@ -21,6 +21,7 @@ from .linalg import (
     ZERO_RTOL,
     DegenerateInputError,
     HadamardOrderError,
+    full_column_rank,
     hadamard,
     kruskal_rank,
 )
@@ -86,7 +87,8 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
 
     Raises :class:`ConstraintViolationError` naming the violated condition
     when the request is infeasible (alpha out of range, too many LEDs for the
-    state count, no Hadamard matrix of the requested order, bad column pick).
+    state count, no Hadamard matrix of the requested order, bad column pick,
+    or a swing so small next to P_m that the code fails ``full_column_rank``).
     """
     k, n_tx = spec.n_states, spec.n_tx
     if n_tx < 1:
@@ -130,7 +132,12 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
                 "column indices lie in 2..K", f"got {c} with K = {k}"
             )
     b = h[:, [c - 1 for c in columns]].astype(float)
-    return spec.p_m + spec.alpha * b
+    code = spec.p_m + spec.alpha * b
+    if not full_column_rank(code):
+        raise ConstraintViolationError(
+            "full column rank", f"alpha = {spec.alpha} is too small a swing around P_m = {spec.p_m}"
+        )
+    return code
 
 
 def average_power(code: np.ndarray, symbols: np.ndarray) -> float:

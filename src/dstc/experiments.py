@@ -117,7 +117,7 @@ class ExperimentConfig:
     """
 
     scenario: SystemConfig
-    snr_grid_db: tuple[float, ...]
+    snr_grid_db: tuple[float, ...] = (20.0,)
     alpha_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
     alpha_sweep_snr_db: float = 20.0
     n_symbols_total: int = 10_000
@@ -217,8 +217,8 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
     symbols = np.stack([b.symbols for b in blocks])
     bits = np.stack([b.bits for b in blocks])
     stacked, variance, effective = propagate(gains, code, symbols, snr_db)
-    cond = np.linalg.cond(effective)
-    conds = {RECEIVER_ZF: cond, RECEIVER_KRF: cond}
+    on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
+    conds = dict.fromkeys(on_code, np.linalg.cond(effective)) if on_code else {}
     noisy = [(stacked, variance, len(code))]  # (array, variance, states) in draw order
     if RECEIVER_ZF in receivers:
         noisy.append((effective, variance, len(code)))

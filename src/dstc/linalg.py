@@ -142,22 +142,27 @@ def hadamard(order: int) -> np.ndarray:
     return np.kron(hadamard(2), half)
 
 
+def full_column_rank(a: np.ndarray) -> bool:
+    """Whether ``a`` is full column rank: sigma_min > ``DEFAULT_RANK_TOL`` * sigma_max."""
+    if a.shape[1] > a.shape[0]:
+        return False
+    s = np.linalg.svd(a, compute_uv=False)
+    return bool(s[-1] > DEFAULT_RANK_TOL * s[0])
+
+
 def kruskal_rank(m) -> int:
     """Largest k such that every set of k columns is linearly independent.
 
-    A subset counts as independent when its smallest singular value exceeds
-    ``DEFAULT_RANK_TOL`` times its largest.  If the full matrix already passes that test,
-    every column subset does too (dropping columns can only raise sigma_min
-    and lower sigma_max), so the answer is the column count without any
-    search.  Otherwise the subsets are enumerated, which is only allowed up
-    to ``KRUSKAL_GUARD`` columns.
+    A subset counts as independent when it passes ``full_column_rank``.  If
+    the full matrix already passes that test, every column subset does too
+    (dropping columns can only raise sigma_min and lower sigma_max), so the
+    answer is the column count without any search.  Otherwise the subsets
+    are enumerated, which is only allowed up to ``KRUSKAL_GUARD`` columns.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
-    if cols <= rows:
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[0] > 0 and s[-1] > DEFAULT_RANK_TOL * s[0]:
-            return cols
+    if full_column_rank(a):
+        return cols
     if cols > KRUSKAL_GUARD:
         raise SizeLimitError(
             f"brute-force k-rank needs <= {KRUSKAL_GUARD} columns, got {cols} "
@@ -166,8 +171,7 @@ def kruskal_rank(m) -> int:
     best = 0
     for size in range(1, min(rows, cols) + 1):
         for idx in combinations(range(cols), size):
-            s = np.linalg.svd(a[:, idx], compute_uv=False)
-            if not s[-1] > DEFAULT_RANK_TOL * s[0]:
+            if not full_column_rank(a[:, idx]):
                 return best
         best = size
     return best

@@ -17,9 +17,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import dstc
 from dstc.channel import CHANNEL_MODELS
-from dstc.cli import main
-from dstc.configio import ConfigError, load_config
-from dstc.experiments import ALL_RECEIVERS, default_scenarios
+from dstc.cli import MAX_AUDIT_ROWS, build_parser, main
+from dstc.configio import _KEYS, MODES, ConfigError, load_config
+from dstc.experiments import ALL_RECEIVERS, ExperimentConfig, SystemConfig, default_scenarios
 from dstc.receivers import krf_detect
 
 
@@ -294,6 +294,22 @@ class TestSizeLimit:
         assert not (tmp_path / "o" / "ber_nmse.csv").exists()
 
 
+class TestVanishingSwing:
+    """A swing this small next to P_m leaves the 30-LED code short of full column rank."""
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-300"])
+    @pytest.mark.parametrize("command", ["design", "audit", "check", "simulate"])
+    def test_exits_2_with_one_line(self, command, alpha, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "wide.cfg", WIDE30 + f"\n[dimming]\nalpha = {alpha}\n")
+        argv = [command, "--config", cfg]
+        if command in ("design", "simulate"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "full column rank" in captured.err
+
+
 # Values `check` and `simulate` refuse: (edits to SMALL_SIM, exit code, message).
 REJECTED = [
     pytest.param(
@@ -339,35 +355,61 @@ RECEIVER_SETS = [
 
 # Values no config field may get through unchecked.
 SPECIAL_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.5", "-100", str(10**30 + 1)]
+GRID_KEYS = ("snr_grid_db", "alpha_grid")
+
+# Small links: k_t without a default constellation (2), and state counts
+# with and without a Hadamard matrix or enough states for the LEDs.
+SMALL_GEOMETRIES = st.builds(
+    SystemConfig,
+    k_t=st.integers(2, 4),
+    l_t=st.integers(1, 3),
+    k_r=st.integers(1, 4),
+    l_r=st.integers(1, 3),
+    n_states=st.sampled_from([2, 4, 6, 8, 12, 16]),
+    block_len=st.integers(2, 5),
+)
+
+
+def grids(lo, hi):
+    """Sweep grids of up to four points that may be empty or repeat a point."""
+    return st.lists(st.floats(lo, hi), max_size=3).flatmap(
+        lambda points: st.lists(st.sampled_from(points), max_size=4) if points else st.just([])
+    )
 
 
 @given(
-    scenario=st.sampled_from(sorted(default_scenarios().values(), key=repr)),
+    scenario=st.one_of(
+        st.sampled_from(sorted(default_scenarios().values(), key=repr)), SMALL_GEOMETRIES
+    ),
+    mode=st.sampled_from(MODES),
     p_m=st.floats(0.0, 1.0),
     alpha=st.floats(0.0, 0.5),
-    snr_grid=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3),
-    corrupt=st.sampled_from([None, "p_m", "alpha", "snr_grid_db", "n_symbols_total"]),
+    snr_grid=grids(-20.0, 60.0),
+    alpha_grid=grids(0.0, 0.5),
+    corrupt=st.sampled_from([None, "p_m", "alpha", "n_symbols_total", *GRID_KEYS]),
     special=st.sampled_from(SPECIAL_VALUES),
     channel_model=st.sampled_from(CHANNEL_MODELS),
     receivers=st.sampled_from(RECEIVER_SETS),
 )
-@settings(max_examples=40, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink])
+@settings(max_examples=100, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink])
 def test_cli_contract_under_generated_input(
-    scenario, p_m, alpha, snr_grid, corrupt, special, channel_model, receivers
+    scenario, mode, p_m, alpha, snr_grid, alpha_grid, corrupt, special, channel_model, receivers
 ):
     """Whatever the config says, every config command exits 0-5 with at most one stderr line.
 
-    Each example sets at most one field (``corrupt``) to a special value and
-    runs one block per SNR point.  A warning would reach stderr as more
-    lines, so each one counts as a line.
+    Each example takes a default or a small generated geometry, sweep grids
+    that may be empty or repeat a point, and sets at most one field
+    (``corrupt``) to a special value; it runs one block per sweep point.  A
+    warning would reach stderr as more lines, so each one counts as a line.
     """
     values = {
         "p_m": repr(p_m),
         "alpha": repr(alpha),
         "snr_grid_db": " ".join(map(repr, snr_grid)),
+        "alpha_grid": " ".join(map(repr, alpha_grid)),
         "n_symbols_total": str(scenario.block_len),
     }
-    if corrupt == "snr_grid_db":
+    if corrupt in GRID_KEYS:
         values[corrupt] += f" {special}"
     elif corrupt is not None:
         values[corrupt] = special
@@ -378,7 +420,8 @@ def test_cli_contract_under_generated_input(
     text = (
         f"[scenario]\n{geometry}\n\n"
         f"[dimming]\np_m = {values['p_m']}\nalpha = {values['alpha']}\n\n"
-        f"[experiment]\nsnr_grid_db = {values['snr_grid_db']}\n"
+        f"[experiment]\nmode = {mode}\nsnr_grid_db = {values['snr_grid_db']}\n"
+        f"alpha_grid = {values['alpha_grid']}\n"
         f"n_symbols_total = {values['n_symbols_total']}\nreceivers = {receivers}\n"
         f"channel_model = {channel_model}\n"
     )
@@ -536,10 +579,19 @@ class TestAudit:
         assert run_cli(["audit", "--config", cfg]) == 1
         assert "scenario" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", ["10x", "0", "-3"])
+    @pytest.mark.parametrize("rows", ["10x", "0", "-3", str(MAX_AUDIT_ROWS + 1), str(10**15)])
     def test_bad_rows_exit_1(self, rows, capsys):
         assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", rows]) == 1
         assert "positive integer" in capsys.readouterr().err
+
+    def test_dark_constellation_exits_1_with_one_line(self, tmp_path, capsys):
+        points = "".join(f"point_{i:02b} = 0, 0, 0\n" for i in range(4))
+        cfg = write_cfg(
+            tmp_path / "c.cfg", Path(DESIGN_ONLY).read_text() + "\n[constellation]\n" + points
+        )
+        assert run_cli(["audit", "--config", cfg, "--rows", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{cfg}: symbol block has zero mean")
 
     def test_infeasible_code_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -671,6 +723,35 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM.replace("base_seed = 77", "base_seed = x"))
         with pytest.raises(ConfigError, match="base_seed"):
             load_config(cfg)
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
+        geometry = SMALL_SIM.split("\n\n")[0]
+        bundle = load_config(write_cfg(tmp_path / "c.cfg", geometry + "\n\n[experiment]\n"))
+        scenario = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=25)
+        assert bundle.scenario == scenario
+        assert bundle.experiment == ExperimentConfig(scenario=scenario)
+        assert bundle.mode == MODES[0]
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("p_m = 0.5", "p_m = y", "[dimming] p_m: expected numbers, got 'y'"),
+            ("k_t = 4", "k_t = x", "[scenario] k_t: expected integers, got 'x'"),
+            ("k_t = 4\n", "", "missing key 'k_t' in section [scenario]"),
+        ],
+    )
+    def test_error_names_its_section_once(self, old, new, message, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM.replace(old, new))
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg)
+        assert str(exc.value) == message
+
+    def test_help_epilog_names_every_key(self):
+        epilog = build_parser().epilog
+        for section, keys in _KEYS.items():
+            assert f"[{section}]" in epilog
+            for key in keys or ("channel_0",):
+                assert key in epilog, (section, key)
 
 
 class TestConsoleScript:
