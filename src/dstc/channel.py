@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import ZERO_RTOL, DegenerateInputError
+from .linalg import ZERO_RTOL, DegenerateInputError, gram_cond
 
 CHANNEL_MODELS = ("gaussian", "diagonal")
 
@@ -67,15 +67,32 @@ def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return stacked.reshape(*gains.shape[:-2], n_states * gains.shape[-2], n_tx)
 
 
-def stacked_noise(seed, variance: float, n_states: int, n_rx: int, n_cols: int) -> np.ndarray:
-    """White Gaussian noise of ``variance`` in the stacked (n_states * n_rx, n_cols) layout.
+def effective_cond(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """``np.linalg.cond(effective_channel(gains, code))`` without the stacked channel.
+
+    The effective channel is the column-wise Khatri-Rao product of the code
+    and the gains, so its Gram matrix is the Hadamard product ``(code.T @
+    code) * (gains.T @ gains)`` (Kolda & Bader, SIAM Review 2009, 2.6), an
+    ``n_tx x n_tx`` matrix per gain matrix in the stack; see
+    ``linalg.gram_cond`` for its accuracy.
+    """
+    gains = np.asarray(gains, dtype=float)
+    code = np.asarray(code, dtype=float)
+    return gram_cond((code.T @ code) * (gains.swapaxes(-1, -2) @ gains))
+
+
+def add_stacked_noise(target: np.ndarray, seed, variance: float, n_states: int) -> None:
+    """Add white Gaussian noise of ``variance`` in place to a stacked (n_states * n_rx, n_cols) array.
 
     The draw is taken in (n_rx, n_cols, n_states) order, the order that the
-    fixed-seed results were recorded in, and then restacked state by state.
+    fixed-seed results were recorded in, and added through the state-by-state
+    view of ``target``; splitting its row axis never copies.
     """
+    rows, n_cols = target.shape
     rng = np.random.default_rng(seed)
-    noise = rng.normal(scale=math.sqrt(variance), size=(n_rx, n_cols, n_states))
-    return noise.transpose(2, 0, 1).reshape(n_states * n_rx, n_cols)
+    noise = rng.normal(scale=math.sqrt(variance), size=(rows // n_states, n_cols, n_states))
+    by_state = target.reshape(n_states, rows // n_states, n_cols)
+    by_state += noise.transpose(2, 0, 1)
 
 
 def propagate(
@@ -86,7 +103,7 @@ def propagate(
     Returns the noiseless stacked reception ``effective @ symbols.T``, the
     noise variance that ``snr_db`` asks of it, and ``effective =
     effective_channel(gains, code)``; the caller adds the noise (see
-    ``stacked_noise``) and the pilot phase reuses the last two.  The
+    ``add_stacked_noise``) and the pilot phase reuses the last two.  The
     variance is calibrated so that the mean squared noiseless received
     entry over the block sits ``snr_db`` above it, and it is 0 for a
     noiseless run (``snr_db=math.inf``).  A received power that is rounding

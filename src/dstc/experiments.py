@@ -21,10 +21,11 @@ import numpy as np
 
 from .channel import (
     CHANNEL_MODELS,
+    add_stacked_noise,
     derive_seed,
     draw_channel,
+    effective_cond,
     propagate,
-    stacked_noise,
 )
 from .csk import (
     Constellation,
@@ -209,8 +210,10 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
     dimming ``code``; plain CSK is zero forcing on the one-state all-ones
     code.  ZF's pilots are the identity, so its channel estimate is the
     effective channel plus one pilot-noise draw at the data noise level,
-    added in place once the effective channel's cond is taken.  Everything
-    but the draws runs once for the stack.
+    added in place.  ZF and VLC-KRF report the clean effective channel's
+    cond by its Khatri-Rao Gram matrix (``effective_cond``); plain CSK's
+    square channel can be too ill-conditioned for that and keeps the SVD.
+    Everything but the draws runs once for the stack.
     """
     rngs, blocks, gains = zip(*(_draw(scenario, s, channel_model, constellation) for s in seeds))
     gains = np.stack(gains)
@@ -218,7 +221,7 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
     bits = np.stack([b.bits for b in blocks])
     stacked, variance, effective = propagate(gains, code, symbols, snr_db)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
-    conds = dict.fromkeys(on_code, np.linalg.cond(effective)) if on_code else {}
+    conds = dict.fromkeys(on_code, effective_cond(gains, code)) if on_code else {}
     noisy = [(stacked, variance, len(code))]  # (array, variance, states) in draw order
     if RECEIVER_ZF in receivers:
         noisy.append((effective, variance, len(code)))
@@ -232,7 +235,7 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
     if not math.isinf(snr_db):
         for t, rng in enumerate(rngs):
             for target, var, n_states in noisy:
-                target[t] += stacked_noise(rng, var[t], n_states, scenario.n_rx, target.shape[-1])
+                add_stacked_noise(target[t], rng, var[t], n_states)
 
     estimates = {}
     if RECEIVER_ZF in receivers:

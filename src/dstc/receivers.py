@@ -1,16 +1,18 @@
 """Receivers for dimming-coded CSK blocks.
 
 Both detectors take a noisy state-stacked reception (the clean one that
-``channel.propagate`` returns plus ``channel.stacked_noise``), one block or
-a stack of blocks along leading axes, and give back symbol and channel
+``channel.propagate`` returns plus ``channel.add_stacked_noise``), one block
+or a stack of blocks along leading axes, and give back symbol and channel
 estimates plus a per-block failure mask; the caller slices and scores
 them.  A degenerate block is flagged in the mask, never raised, so one bad
 trial does not stop its neighbours; malformed shapes and arguments still
-raise.  The zero-forcing receiver inverts an estimate of the effective
-(state-stacked) channel.  It is trained with one-LED-at-a-time pilots, so
-the pilot matrix is the identity and the least-squares estimate is the
-effective channel plus one pilot-noise draw at the data noise level, which
-the experiment engine adds.
+raise.  The zero-forcing receiver solves against an estimate of the
+effective (state-stacked) channel by the normal equations, one small Gram
+system per block, and falls back to the pseudoinverse on a block whose
+estimate is too ill-conditioned for them (``linalg.least_squares``).  It is
+trained with one-LED-at-a-time pilots, so the pilot matrix is the identity
+and the least-squares estimate is the effective channel plus one
+pilot-noise draw at the data noise level, which the experiment engine adds.
 The semi-blind receiver inverts the known dimming code out of the per-state
 rows, which leaves one rank-one matrix (channel column times symbol column)
 per LED; one batched best rank-one fit recovers both factors up to one
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_RTOL, leading_rank_one, pseudoinverse
+from .linalg import ZERO_RTOL, leading_rank_one, least_squares, pseudoinverse
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
@@ -85,9 +87,10 @@ def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> E
     ``stacked`` ``(..., n_states * n_rx, n_slots)`` and ``effective``
     ``(..., n_states * n_rx, n_tx)`` carry the same leading axes.  The
     dimming ``code`` collapses the estimate to plain gains for error
-    reporting; the one-state all-ones code leaves it unchanged.  A block
-    whose estimate is negligible next to the reception it must explain is
-    flagged as failed.
+    reporting; the one-state all-ones code leaves it unchanged.  The
+    symbols are ``pinv(effective) @ stacked``, taken by
+    ``linalg.least_squares``.  A block whose estimate is negligible next to
+    the reception it must explain is flagged as failed.
     """
     stacked = np.asarray(stacked, dtype=float)
     effective = np.asarray(effective, dtype=float)
@@ -99,7 +102,7 @@ def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> E
     largest = np.abs(effective).max(axis=(-2, -1))
     failed = largest <= ZERO_RTOL * np.abs(stacked).max(axis=(-2, -1))
     return EstimationResult(
-        symbol_estimate=(pseudoinverse(effective) @ stacked).swapaxes(-1, -2),
+        symbol_estimate=least_squares(effective, stacked).swapaxes(-1, -2),
         channel_estimate=channel_from_effective(effective, code),
         failed=failed,
     )

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dstc.channel import derive_seed, draw_channel, propagate, stacked_noise
+from dstc.channel import add_stacked_noise, derive_seed, draw_channel, propagate
 from dstc.cli import main
 from dstc.csk import (
     block_with_reference,
@@ -236,9 +236,9 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
         stacked, noise_variance, effective = propagate(gains, code, block.symbols, snr_db)
-        stacked += stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.block_len)
-        pilot_noise = stacked_noise(rng, noise_variance, scen.n_states, scen.n_rx, scen.n_tx)
-        estimate = effective + pilot_noise
+        add_stacked_noise(stacked, rng, noise_variance, scen.n_states)
+        estimate = effective.copy()
+        add_stacked_noise(estimate, rng, noise_variance, scen.n_states)
         results = {
             "ZF": zf_detect(stacked, estimate, code),
             "VLC-KRF": krf_detect(stacked, code_inverse(code), block.symbols[0]),

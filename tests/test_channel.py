@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc.channel import (
+    add_stacked_noise,
     derive_seed,
     draw_channel,
     effective_channel,
+    effective_cond,
     propagate,
-    stacked_noise,
 )
 from dstc.dimming import DimmingSpec, build_dimming_matrix
+from dstc.experiments import SystemConfig, default_scenarios
 from dstc.linalg import DegenerateInputError
 from tensor_oracles import khatri_rao, unfold, vec
 
@@ -97,7 +99,8 @@ class TestPropagate:
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
         clean, noise_variance, _ = propagate(h, c, s, 20.0)
-        noisy = clean + stacked_noise(3, noise_variance, 12, 4, 500)
+        noisy = clean.copy()
+        add_stacked_noise(noisy, 3, noise_variance, 12)
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
@@ -121,8 +124,9 @@ class TestPropagate:
 
     def test_seed_determinism(self):
         clean, noise_variance, _ = propagate(np.eye(2), np.ones((2, 2)), np.ones((3, 2)), 10.0)
-        a = clean + stacked_noise(42, noise_variance, 2, 2, 3)
-        b = clean + stacked_noise(42, noise_variance, 2, 2, 3)
+        a, b = clean.copy(), clean.copy()
+        add_stacked_noise(a, 42, noise_variance, 2)
+        add_stacked_noise(b, 42, noise_variance, 2)
         assert np.array_equal(a, b)
 
     def test_noise_is_the_restacked_draw(self):
@@ -133,11 +137,13 @@ class TestPropagate:
         clean, _, _ = propagate(h, c, s, math.inf)
         received, noise_variance, _ = propagate(h, c, s, 10.0)
         assert np.array_equal(received, clean)  # the reception comes back noiseless
-        noisy = received + stacked_noise(5, noise_variance, 8, 3, 7)
-        # the noise is drawn in (n_rx, n_slots, n_states) order, then stacked
+        add_stacked_noise(received, 5, noise_variance, 8)
+        # the noise is drawn in (n_rx, n_slots, n_states) order and added stacked
         draw = np.random.default_rng(5).normal(size=(3, 7, 8)) * math.sqrt(noise_variance)
-        assert np.array_equal(stacked_noise(5, noise_variance, 8, 3, 7), stack(draw))
-        assert np.allclose(noisy - clean, stack(draw), rtol=0.0, atol=1e-12)
+        noise = np.zeros_like(clean)
+        add_stacked_noise(noise, 5, noise_variance, 8)
+        assert np.array_equal(noise, stack(draw))
+        assert np.array_equal(received, clean + stack(draw))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
@@ -156,6 +162,25 @@ class TestPropagate:
             assert np.array_equal(stacked[t], block)
             assert noise_variance[t] == block_variance
             assert np.array_equal(effective[t], block_effective)
+
+
+class TestEffectiveCond:
+    SCENARIOS = {
+        **default_scenarios(),
+        "3-10-32": SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100),
+    }
+
+    @pytest.mark.parametrize("model", ["gaussian", "diagonal"])
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_matches_cond_of_the_stacked_channel(self, name, model):
+        scenario = self.SCENARIOS[name]
+        code = build_dimming_matrix(scenario.dimming_spec())
+        rng = np.random.default_rng(17)
+        gains = np.stack(
+            [draw_channel(scenario.n_rx, scenario.n_tx, model, seed=rng) for _ in range(4)]
+        )
+        expected = np.linalg.cond(effective_channel(gains, code))
+        assert np.allclose(effective_cond(gains, code), expected, rtol=1e-12, atol=0.0)
 
 
 class TestUnfold:

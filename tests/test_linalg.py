@@ -83,6 +83,55 @@ class TestPseudoinverse:
         assert np.allclose((p @ m).T, p @ m, atol=1e-8)
 
 
+class TestGramCond:
+    def test_matches_svd_cond(self):
+        a = rand(8, 5, 40, 6)
+        assert np.allclose(
+            linalg.gram_cond(a.swapaxes(-1, -2) @ a), np.linalg.cond(a), rtol=1e-12, atol=0.0
+        )
+
+    def test_singular_gram_is_infinite(self):
+        assert linalg.gram_cond(np.zeros((3, 3))) == np.inf
+        assert linalg.gram_cond(np.diag([1.0, 0.0])) == np.inf
+
+
+class TestLeastSquares:
+    def test_matches_pseudoinverse_on_well_conditioned_stack(self):
+        a, b = rand(9, 6, 96, 8), rand(10, 6, 96, 30)
+        assert np.all(np.linalg.cond(a) <= linalg.NORMAL_EQUATIONS_MAX_COND)
+        expected = linalg.pseudoinverse(a) @ b
+        assert np.allclose(linalg.least_squares(a, b), expected, rtol=0.0, atol=1e-12)
+
+    def test_single_matrix(self):
+        a, b = rand(11, 20, 4), rand(12, 20, 3)
+        out = linalg.least_squares(a, b)
+        assert out.shape == (4, 3)
+        assert np.allclose(out, linalg.pseudoinverse(a) @ b, rtol=0.0, atol=1e-12)
+
+    def test_ill_conditioned_blocks_take_the_pseudoinverse(self, monkeypatch):
+        a, b = rand(13, 3, 12, 4), rand(14, 3, 12, 5)
+        a[1, :, 3] = a[1, :, 0]  # duplicated columns: rank 3 of 4
+        a[2] = 0.0
+        inverted = []
+        pseudoinverse = linalg.pseudoinverse
+
+        def spy(m):
+            inverted.append(np.array(m))
+            return pseudoinverse(m)
+
+        monkeypatch.setattr(linalg, "pseudoinverse", spy)
+        out = linalg.least_squares(a, b)
+        assert len(inverted) == 1 and np.array_equal(inverted[0], a[1:])
+        for i in (1, 2):
+            assert np.array_equal(out[i], pseudoinverse(a[i]) @ b[i])
+        assert np.array_equal(out[2], np.zeros((4, 5)))
+        assert np.allclose(out[0], pseudoinverse(a[0]) @ b[0], rtol=0.0, atol=1e-12)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.least_squares(np.full((3, 2), np.nan), np.ones((3, 1)))
+
+
 class TestLeadingSingularTriplet:
     def test_scaled_unit_outer_product(self):
         m = 3.0 * np.outer(np.eye(3)[:, 0], np.eye(3)[:, 0])

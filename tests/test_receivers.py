@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc.channel import draw_channel, effective_channel, propagate, stacked_noise
+from dstc.channel import add_stacked_noise, draw_channel, effective_channel, propagate
 from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.experiments import ExperimentConfig, SystemConfig, run_point
@@ -29,7 +29,7 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
     stacked, variance, _ = propagate(gains, code, block.symbols, snr_db)
     if not math.isinf(snr_db):
-        stacked += stacked_noise(rng, variance, spec.n_states, n_rx, n_slots)
+        add_stacked_noise(stacked, rng, variance, spec.n_states)
     return constellation, code, block, gains, stacked, rng
 
 
@@ -311,6 +311,19 @@ class TestStackedBlocks:
         batch = zf_detect(stacked, effective, code)
         singles = [zf_detect(stacked[i], effective[i], code) for i in range(4)]
         self.assert_only_flagged(batch, singles, 2)
+
+    def test_ill_conditioned_estimates_take_the_pseudoinverse(self):
+        code, stacked, effective, _ = self.stack()
+        effective[1][:, 4] = effective[1][:, 0]  # duplicated columns
+        effective[2] = 0.0
+        batch = zf_detect(stacked, effective, code)
+        assert batch.failed.tolist() == [False, False, True, False]
+        for i in (1, 2):
+            expected = (pseudoinverse(effective[i]) @ stacked[i]).T
+            assert np.array_equal(batch.symbol_estimate[i], expected)
+        assert np.allclose(
+            batch.symbol_estimate[0], (pseudoinverse(effective[0]) @ stacked[0]).T, atol=1e-12
+        )
 
     def test_all_zero_reception(self):
         code, stacked, _, known = self.stack()
