@@ -185,7 +185,6 @@ class TestRunPoint:
                 cond, rel=1e-12, abs=0.0
             ), r
 
-
     def test_wide_point_takes_no_svd_per_trial(self, monkeypatch):
         # ZF solves and both receivers' conds go by n_tx x n_tx Gram matrices, so
         # the 960 x 30 effective channel of a trial is never decomposed
@@ -197,7 +196,8 @@ class TestRunPoint:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        # pinv, cond and matrix_rank reach svd through numpy's private module
+        monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", counted)
         wide = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
         per_point = []
         for n_trials in (1, 4):
@@ -205,6 +205,7 @@ class TestRunPoint:
             run_point(wide, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"))
             per_point.append(len(calls))
         assert per_point[0] == per_point[1] < 4, per_point
+
 
     # 18 + 18 LEDs, 20 states: one trial per chunk at the default budget
     WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
