@@ -169,12 +169,10 @@ class TestRunPoint:
         "plain-CSK": (2896, 7920, 0, 0.47565340876502055, 39.56863773157608),
     }
 
-    def test_pinned_point_with_every_receiver(self):
-        out = run_point(
-            default_scenarios()["qled2x2-k12"], 6.0, 20, 20260814, ("ZF", "VLC-KRF", "plain-CSK")
-        )
-        assert set(out) == set(self.PINNED)
-        for r, (n_errors, n_bits, failures, nmse, cond) in self.PINNED.items():
+    @staticmethod
+    def assert_pinned(out, pinned):
+        assert set(out) == set(pinned)
+        for r, (n_errors, n_bits, failures, nmse, cond) in pinned.items():
             ok = [t for t in out[r] if not t.failed]
             assert len(out[r]) == 20, r
             assert sum(t.bit_errors for t in ok) == n_errors, r
@@ -184,6 +182,25 @@ class TestRunPoint:
             assert np.mean([t.cond_effective for t in ok]) == pytest.approx(
                 cond, rel=1e-12, abs=0.0
             ), r
+
+    def test_pinned_point_with_every_receiver(self):
+        out = run_point(
+            default_scenarios()["qled2x2-k12"], 6.0, 20, 20260814, ("ZF", "VLC-KRF", "plain-CSK")
+        )
+        self.assert_pinned(out, self.PINNED)
+
+    # run_point on qled2x2-k12 with the diagonal channel at 12 dB, 20 trials from
+    # seed 20260814: some of its rank-one blocks have close top eigenvalues
+    PINNED_DIAGONAL = {
+        "ZF": (157, 7920, 0, 0.22682942540359075, 37.14605217326793),
+        "VLC-KRF": (404, 7920, 0, 0.05342988413110664, 37.14605217326793),
+    }
+
+    def test_pinned_diagonal_point(self):
+        out = run_point(
+            default_scenarios()["qled2x2-k12"], 12.0, 20, 20260814, ("ZF", "VLC-KRF"), "diagonal"
+        )
+        self.assert_pinned(out, self.PINNED_DIAGONAL)
 
     def test_wide_point_takes_no_svd_per_trial(self, monkeypatch):
         # ZF solves and both receivers' conds go by n_tx x n_tx Gram matrices, so
