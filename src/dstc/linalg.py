@@ -26,6 +26,10 @@ ZERO_RTOL = 1e-12
 # equations; their relative error grows as eps * cond**2, so about 1e-10 here.
 NORMAL_EQUATIONS_MAX_COND = 1e3
 
+# Largest relative eigen-residual |G u - lambda u| / lambda at which
+# ``leading_rank_one`` accepts a Gram power's leading eigenvector.
+RANK_ONE_RTOL = 1e-12
+
 
 class HadamardOrderError(ValueError):
     """No supported Hadamard construction exists for the requested order."""
@@ -113,18 +117,44 @@ def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
     ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
     rank-one approximation of each matrix in Frobenius norm.  ``u`` is the
-    leading eigenvector of ``B @ B.T`` (one batched ``eigh``), ``sigma`` the
-    root of its eigenvalue and ``v = B.T @ u / sigma``, so ``sigma * outer(u,
-    v)`` is the exact projection ``outer(u, u) @ B``.  A zero matrix gives
-    ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and ``v`` is whatever
-    LAPACK returns.
+    unit leading eigenvector of ``G = B @ B.T``, ``sigma`` the root of its
+    eigenvalue and ``v = B.T @ u / sigma``, so ``sigma * outer(u, v)`` is the
+    exact projection ``outer(u, u) @ B``.  ``u`` comes from the largest
+    column of ``G**32`` (five squarings of ``G`` over its trace), times ``G``
+    once more; a matrix is accepted where that ``u`` leaves an
+    eigen-residual within ``RANK_ONE_RTOL`` of its eigenvalue, which is
+    itself clear of zero next to the trace.  Every other matrix (a small
+    eigengap, a zero or underflowing ``G``) takes one batched ``eigh``.  A
+    zero matrix gives ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and
+    ``v`` is arbitrary.
     """
     b = np.asarray(blocks, dtype=float)
-    eigenvalues, eigenvectors = np.linalg.eigh(b @ b.swapaxes(-1, -2))
-    sigma = np.sqrt(np.maximum(eigenvalues[..., -1], 0.0))
-    u = eigenvectors[..., :, -1]
-    v = (u[..., None, :] @ b)[..., 0, :] / np.where(sigma > 0.0, sigma, 1.0)[..., None]
-    return sigma, u, v
+    lead, (m, n) = b.shape[:-2], b.shape[-2:]
+    b = b.reshape(-1, m, n)
+    gram = b @ b.swapaxes(-1, -2)
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    # over its trace G's top eigenvalue lies in [1/m, 1], so G**32 stays in range
+    scaled = gram / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    power = scaled
+    for _ in range(5):
+        power = power @ power
+    column = np.argmax(np.linalg.norm(power, axis=-2), axis=-1)
+    y = (scaled @ np.take_along_axis(power, column[:, None, None], axis=-1))[..., 0]
+    norm = np.linalg.norm(y, axis=-1)
+    u = y / np.where(norm > 0.0, norm, 1.0)[:, None]
+    gu = (scaled @ u[..., None])[..., 0]
+    lam = (u * gu).sum(axis=-1)
+    residual = np.linalg.norm(gu - lam[:, None] * u, axis=-1)
+    # a zero G leaves u = 0 and lam = 0, which the second test refuses
+    slow = ~((residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL))
+    lam *= trace
+    if slow.any():
+        eigenvalues, eigenvectors = np.linalg.eigh(gram[slow])
+        lam[slow] = eigenvalues[:, -1]
+        u[slow] = eigenvectors[:, :, -1]
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    v = (u[:, None, :] @ b)[:, 0, :] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    return sigma.reshape(lead), u.reshape(*lead, m), v.reshape(*lead, n)
 
 
 def _is_prime(n: int) -> bool:

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_RTOL, leading_rank_one, least_squares, pseudoinverse
+from .linalg import (
+    ZERO_RTOL,
+    full_column_rank,
+    leading_rank_one,
+    least_squares,
+    pseudoinverse,
+)
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
@@ -109,13 +115,14 @@ def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> E
 
 
 def code_inverse(code: np.ndarray) -> np.ndarray:
-    """The pseudoinverse that ``krf_detect`` applies; the code must have full column rank.
+    """The pseudoinverse that ``krf_detect`` applies; the code must pass ``full_column_rank``.
 
-    It is the same for every trial of a sweep point, so it is formed once
-    per point.
+    That is the rank test ``build_dimming_matrix`` applies too.  The inverse
+    is the same for every trial of a sweep point, so it is formed once per
+    point.
     """
     code = np.asarray(code, dtype=float)
-    if np.linalg.matrix_rank(code) < code.shape[1]:
+    if not full_column_rank(code):
         raise ValueError("dimming code must have full column rank")
     return pseudoinverse(code)
 

@@ -190,7 +190,8 @@ class TestRunPoint:
         self.assert_pinned(out, self.PINNED)
 
     # run_point on qled2x2-k12 with the diagonal channel at 12 dB, 20 trials from
-    # seed 20260814: some of its rank-one blocks have close top eigenvalues
+    # seed 20260814: 11 of its 160 rank-one fits have too small an eigengap for
+    # the Gram powers and fall back to eigh, so both routes of the fit run
     PINNED_DIAGONAL = {
         "ZF": (157, 7920, 0, 0.22682942540359075, 37.14605217326793),
         "VLC-KRF": (404, 7920, 0, 0.05342988413110664, 37.14605217326793),
@@ -222,6 +223,22 @@ class TestRunPoint:
             run_point(wide, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"))
             per_point.append(len(calls))
         assert per_point[0] == per_point[1] < 4, per_point
+
+    def test_wide_point_takes_no_eigh_per_trial(self, monkeypatch):
+        # on a Gaussian channel every rank-one fit converges by Gram powers, so
+        # VLC-KRF never falls back to eigh (gram_cond's eigvalsh is another function)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        wide = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
+        for n_trials in (1, 4):
+            run_point(wide, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"), "gaussian")
+        assert calls == []
 
 
     # 18 + 18 LEDs, 20 states: one trial per chunk at the default budget

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -156,17 +157,88 @@ class TestLeadingSingularTriplet:
     @settings(max_examples=50, deadline=None)
     def test_is_best_rank_one(self, seed):
         rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 8, size=2)
-        m = rng.standard_normal((rows, cols))
-        sigma, u, v = linalg.leading_rank_one(m)
-        assert np.allclose(m @ v, sigma * u, atol=1e-9 * max(1.0, sigma))
-        best = np.linalg.norm(m - sigma * np.outer(u, v))
-        # No sampled rank-one competitor does better.
-        for _ in range(10):
-            a = rng.standard_normal(rows)
-            b = rng.standard_normal(cols)
-            cand = np.outer(a, b) * (np.sum(m * np.outer(a, b)) / np.sum(np.outer(a, b) ** 2))
-            assert np.linalg.norm(m - cand) >= best - 1e-9
+        n_blocks, rows, cols = rng.integers(1, 6), *rng.integers(1, 8, size=2)
+        stack = rng.standard_normal((n_blocks, rows, cols))
+        sigmas, us, vs = linalg.leading_rank_one(stack)
+        assert sigmas.shape == (n_blocks,) and us.shape == (n_blocks, rows)
+        for m, sigma, u, v in zip(stack, sigmas, us, vs):
+            assert np.allclose(m @ v, sigma * u, atol=1e-9 * max(1.0, sigma))
+            best = np.linalg.norm(m - sigma * np.outer(u, v))
+            # No sampled rank-one competitor does better.
+            for _ in range(10):
+                a = rng.standard_normal(rows)
+                b = rng.standard_normal(cols)
+                cand = np.outer(a, b) * (np.sum(m * np.outer(a, b)) / np.sum(np.outer(a, b) ** 2))
+                assert np.linalg.norm(m - cand) >= best - 1e-9
+
+    @staticmethod
+    def mixed_stack():
+        """Three near-rank-one blocks, then three the Gram powers cannot resolve."""
+        rng = np.random.default_rng(21)
+        stack = np.einsum("ki,kj->kij", rng.standard_normal((6, 5)), rng.standard_normal((6, 7)))
+        stack += 0.05 * rng.standard_normal(stack.shape)
+        # the top two eigenvalues of B @ B.T are 1 and 1 - 1e-6
+        left, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        right, _ = np.linalg.qr(rng.standard_normal((7, 5)))
+        stack[3] = left @ np.diag(np.sqrt([1.0, 1.0 - 1e-6, 0.3, 0.2, 0.1])) @ right.T
+        stack[4] = 0.0
+        stack[5] *= 1e-300
+        return stack
+
+    @staticmethod
+    def eigh_rank_one(stack):
+        """The fit as one batched eigh of every B @ B.T, which the Gram powers replace."""
+        eigenvalues, eigenvectors = np.linalg.eigh(stack @ stack.swapaxes(-1, -2))
+        sigma = np.sqrt(np.maximum(eigenvalues[:, -1], 0.0))
+        u = eigenvectors[:, :, -1]
+        v = (u[:, None, :] @ stack)[:, 0, :] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
+        return sigma, u, v
+
+    def test_mixed_stack_matches_eigh(self):
+        stack = self.mixed_stack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sigma, u, v = linalg.leading_rank_one(stack)
+        expected_sigma, expected_u, expected_v = self.eigh_rank_one(stack)
+        for out in (sigma, u, v):
+            assert np.all(np.isfinite(out))
+        assert np.allclose(np.linalg.norm(u, axis=-1), 1.0, rtol=0.0, atol=1e-14)
+        assert np.allclose(sigma, expected_sigma, rtol=1e-12, atol=0.0)
+        # the scaled block's B @ B.T underflows to zero as well
+        assert np.array_equal(sigma[4:], [0.0, 0.0]) and not v[4].any()
+        for k in range(len(stack)):
+            assert np.allclose(
+                sigma[k] * np.outer(u[k], v[k]),
+                expected_sigma[k] * np.outer(expected_u[k], expected_v[k]),
+                rtol=0.0,
+                atol=1e-10,
+            ), k
+
+    def test_eigh_only_on_unresolved_blocks(self, monkeypatch):
+        stack = self.mixed_stack()
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            decomposed.append(np.array(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        linalg.leading_rank_one(stack)
+        assert len(decomposed) == 1
+        unresolved = stack[3:]
+        assert np.allclose(
+            decomposed[0], unresolved @ unresolved.swapaxes(-1, -2), rtol=1e-14, atol=0.0
+        )
+
+    def test_well_separated_stack_takes_no_eigh(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        sigma, u, v = linalg.leading_rank_one(self.mixed_stack()[:3])
+        assert sigma.shape == (3,) and np.all(sigma > 0.0)
+
 
 class TestHadamard:
     def test_order_two(self):

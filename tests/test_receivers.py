@@ -351,6 +351,17 @@ class TestStackedBlocks:
         with pytest.raises(ValueError, match="full column rank"):
             code_inverse(code)
 
+    def test_nearly_rank_deficient_code_refused(self):
+        # sigma_min / sigma_max = 1e-11 is full rank to matrix_rank's default
+        # tolerance but not to full_column_rank, which build_dimming_matrix applies
+        rng = np.random.default_rng(13)
+        left, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+        right, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        code = left @ np.diag([1.0, 0.5, 0.3, 0.2, 0.1, 1e-11]) @ right.T
+        assert np.linalg.matrix_rank(code) == 6
+        with pytest.raises(ValueError, match="full column rank"):
+            code_inverse(code)
+
 
 class TestPlainCskBaseline:
     """Conventional CSK: zero forcing on the one-state all-ones code."""
