@@ -231,14 +231,6 @@ class TestLeadingSingularTriplet:
             decomposed[0], unresolved @ unresolved.swapaxes(-1, -2), rtol=1e-14, atol=0.0
         )
 
-    def test_well_separated_stack_takes_no_eigh(self, monkeypatch):
-        def refused(a):
-            raise AssertionError("eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", refused)
-        sigma, u, v = linalg.leading_rank_one(self.mixed_stack()[:3])
-        assert sigma.shape == (3,) and np.all(sigma > 0.0)
-
 
 class TestHadamard:
     def test_order_two(self):
