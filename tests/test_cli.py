@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -136,6 +137,33 @@ class TestDesign:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert run_cli(["design", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    # SHA-256 of (design_report.txt, dimming_matrix.csv) for each bundled config;
+    # the code's construction and its report must not move by one byte.
+    PINNED_OUTPUTS = {
+        "qled2x2": (
+            "07610dbbae0e78c77326c16087f3c8bf58974239518fef762e851b4c6d5813db",
+            "b3efb1472ff2276873ddb1c4937ff5b851f711681b1ecf8f6f7ba9bb7f9b2ce5",
+        ),
+        "alpha_qled2x2": (
+            "07610dbbae0e78c77326c16087f3c8bf58974239518fef762e851b4c6d5813db",
+            "b3efb1472ff2276873ddb1c4937ff5b851f711681b1ecf8f6f7ba9bb7f9b2ce5",
+        ),
+        "tled2x2_design": (
+            "3e36f60ff80475d0927722f5f4b9b2309b72bbec264e1a57448c7d6d4a897e97",
+            "0fbb171fe5fc3f423e5fe1cf9ecaa72c6c5a833a7ad1a8c10f32c797fd05de1e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_bundled_outputs_are_pinned(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["design", "--config", f"configs/{name}.cfg", "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("design_report.txt", "dimming_matrix.csv")
+        )
+        assert digests == self.PINNED_OUTPUTS[name]
 
 
 class TestSimulate:
