@@ -13,11 +13,12 @@ column rank, so it can double as a diversity code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
+    DEFAULT_RANK_TOL,
     ZERO_RTOL,
     DegenerateInputError,
     HadamardOrderError,
@@ -110,11 +111,6 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
             "K_T*L_T <= K - 1",
             f"got K_T*L_T = {n_tx} with K = {k} (only K - 1 nonconstant columns exist)",
         )
-    try:
-        h = hadamard(k)
-    except HadamardOrderError as exc:
-        raise ConstraintViolationError("K is a constructible Hadamard order", str(exc)) from exc
-
     columns = spec.columns if spec.columns is not None else tuple(range(2, n_tx + 2))
     if len(columns) != n_tx:
         raise ConstraintViolationError(
@@ -131,7 +127,10 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
             raise ConstraintViolationError(
                 "column indices lie in 2..K", f"got {c} with K = {k}"
             )
-    b = h[:, [c - 1 for c in columns]].astype(float)
+    try:
+        b = hadamard(k, [c - 1 for c in columns]).astype(float)
+    except HadamardOrderError as exc:
+        raise ConstraintViolationError("K is a constructible Hadamard order", str(exc)) from exc
     code = spec.p_m + spec.alpha * b
     if not full_column_rank(code):
         raise ConstraintViolationError(
@@ -181,37 +180,46 @@ def average_chromaticity(
 
 @dataclass(frozen=True)
 class DimmingReport:
-    """Feasibility audit of a constructed code against its design request."""
+    """Feasibility audit of a code against its design request, with every verdict."""
 
     entries_in_range: bool
     column_mean_error: float
     rank: int
     kruskal: int
     condition_number: float
-    n_tx: int = field(repr=False, default=0)
+    n_tx: int
+
+    @property
+    def means_ok(self) -> bool:
+        return self.column_mean_error <= COLUMN_MEAN_TOL
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank == self.n_tx
+
+    @property
+    def kruskal_ok(self) -> bool:
+        return self.kruskal == self.n_tx
 
     @property
     def ok(self) -> bool:
-        return (
-            self.entries_in_range
-            and self.column_mean_error <= COLUMN_MEAN_TOL
-            and self.rank == self.n_tx
-            and self.kruskal == self.n_tx
-        )
+        return self.entries_in_range and self.means_ok and self.rank_ok and self.kruskal_ok
 
 
 def validate_dimming_matrix(code: np.ndarray, spec: DimmingSpec) -> DimmingReport:
-    """Check range, per-column mean, rank, and k-rank of a dimming code."""
+    """Check range, per-column mean, rank, k-rank and cond of a code from one SVD.
+
+    The rank counts singular values above ``DEFAULT_RANK_TOL * sigma_max``, as
+    ``full_column_rank`` does; at full column rank that is also the k-rank.
+    """
     code = np.asarray(code, dtype=float)
-    in_range = bool(np.all(code >= 0.0) and np.all(code <= 1.0))
-    mean_err = float(np.max(np.abs(code.mean(axis=0) - spec.p_m)))
-    rank = int(np.linalg.matrix_rank(code))
-    cond = float(np.linalg.cond(code))
+    s = np.linalg.svd(code, compute_uv=False)
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     return DimmingReport(
-        entries_in_range=in_range,
-        column_mean_error=mean_err,
+        entries_in_range=bool(np.all(code >= 0.0) and np.all(code <= 1.0)),
+        column_mean_error=float(np.max(np.abs(code.mean(axis=0) - spec.p_m))),
         rank=rank,
-        kruskal=kruskal_rank(code),
-        condition_number=cond,
+        kruskal=rank if rank == code.shape[1] else kruskal_rank(code),
+        condition_number=float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf,
         n_tx=spec.n_tx,
     )

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernel shared by the transmit and receive chains.
 
-Everything works on plain float64 ndarrays. ``hadamard`` returns an integer
-matrix whose first column is all ones, which the dimming code relies on.
+Everything works on plain float64 ndarrays. ``hadamard`` returns integer
+columns of a matrix whose first column is all ones, which the dimming code
+relies on.
 """
 
 from __future__ import annotations
@@ -168,55 +169,46 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _paley_type1(order: int) -> np.ndarray:
-    # Quadratic-residue (Jacobsthal) core; q = order-1 is a prime = 3 (mod 4),
-    # so the core is skew and identity-plus-core is a Hadamard matrix.
-    q = order - 1
-    chi = np.full(q, -1, dtype=np.int64)
-    chi[0] = 0
-    chi[list({(i * i) % q for i in range(1, q)})] = 1
-    diff = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
-    h = np.ones((order, order), dtype=np.int64)
-    h[1:, 0] = -1
-    h[1:, 1:] = chi[diff] + np.eye(q, dtype=np.int64)
-    # Negate rows that start with -1 so the first column is all ones.
-    h[h[:, 0] == -1] *= -1
-    return h
+def hadamard(order: int, columns) -> np.ndarray:
+    """Columns ``columns`` (0-based) of the order-``order`` Hadamard matrix, as int64.
 
-
-def hadamard(order: int) -> np.ndarray:
-    """Hadamard matrix of the given order with an all-ones first column.
-
-    Orders 1 and 2 are built directly, ``q + 1`` for a prime ``q = 3 (mod 4)``
-    by Paley's construction, and every other multiple of 4 by Sylvester
-    doubling, ``kron(hadamard(2), hadamard(order // 2))``, which fails when
-    the half has no construction.  Powers of two always double, also where
-    Paley applies (4, 8, 32).  Entries are int64 and ``h @ h.T == order * I``
-    holds exactly.
+    Only those columns are built.  Orders 1 and 2 are literals.  Paley's
+    ``q + 1``, for a prime ``q = 3 (mod 4)``, gives column ``c > 0`` as a
+    negated Jacobsthal column under a one.  Every other multiple of 4 doubles:
+    column ``c`` is ``hadamard(half, c % half)`` over itself, the lower copy
+    negated for ``c >= half``, and fails when the half has no construction.
+    Powers of two always double, also where Paley applies (4, 8, 32).  Column
+    0 is all ones, and all columns together satisfy ``h @ h.T == order * I``.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise HadamardOrderError(f"order must be a positive integer, got {order!r}")
     order = int(order)
-    if order == 1:
-        return np.array([[1]], dtype=np.int64)
-    if order == 2:
-        return np.array([[1, 1], [1, -1]], dtype=np.int64)
+    cols = np.asarray(columns, dtype=np.int64)
+    if cols.ndim != 1 or np.any((cols < 0) | (cols >= order)):
+        raise ValueError(f"columns must be indices in 0..{order - 1}, got {columns!r}")
+    if order <= 2:
+        return np.array([[1, 1], [1, -1]], dtype=np.int64)[:order, cols]
     if order % 4 != 0:
         raise HadamardOrderError(
             f"no Hadamard matrix of order {order}: order must be 1, 2, or a multiple of 4"
         )
     # Sylvester stays ahead of Paley: at 4, 8 and 32 both apply and differ.
     if order & (order - 1) != 0 and _is_prime(order - 1) and (order - 1) % 4 == 3:
-        return _paley_type1(order)
+        q = order - 1
+        chi = np.full(q, -1, dtype=np.int64)
+        chi[np.arange(q) ** 2 % q] = 1  # 0 counts as a square: the identity term
+        core = -chi[(cols - 1 - np.arange(q)[:, None]) % q]
+        return np.vstack([np.ones_like(cols), np.where(cols > 0, core, 1)])
+    half = order // 2
     try:
-        half = hadamard(order // 2)
+        h = hadamard(half, cols % half)
     except HadamardOrderError:
         raise HadamardOrderError(
             f"no construction available for order {order}; supported orders are 1, 2, "
             "powers of two (Sylvester), q+1 for prime q = 3 (mod 4) (Paley), and "
             "products of supported orders by doubling"
         ) from None
-    return np.kron(hadamard(2), half)
+    return np.vstack([h, np.where(cols < half, h, -h)])
 
 
 def full_column_rank(a: np.ndarray) -> bool:

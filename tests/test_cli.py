@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -320,6 +321,39 @@ class TestSizeLimit:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "too large" in captured.err
         assert not (tmp_path / "o" / "ber_nmse.csv").exists()
+
+
+class TestManyStates:
+    """65536 states: the code takes only its 8 Hadamard columns, never all 65536²."""
+
+    CAP = 1 << 30  # bytes of address space for the child
+
+    @classmethod
+    def cap_address_space(cls):
+        resource.setrlimit(resource.RLIMIT_AS, (cls.CAP, cls.CAP))
+
+    @pytest.mark.parametrize("command", ["check", "design", "audit"])
+    def test_runs_within_one_gib(self, command, tmp_path):
+        cfg = write_cfg(tmp_path / "big.cfg", SMALL_SIM.replace("n_states = 12", "n_states = 65536"))
+        argv = [command, "--config", cfg]
+        if command == "design":
+            argv += ["--out", str(tmp_path / "o")]
+        src = str(Path(dstc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # one BLAS thread keeps the child's reserved buffers small under the cap
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dstc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=self.cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if command == "design":
+            assert "all checks: pass" in proc.stdout
+            assert len((tmp_path / "o" / "dimming_matrix.csv").read_text().splitlines()) == 65536
 
 
 class TestVanishingSwing:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dstc.dimming import (
     default_chromaticity,
     validate_dimming_matrix,
 )
+from dstc.linalg import hadamard, kruskal_rank
 
 FEASIBLE = [
     DimmingSpec(n_states=8, n_tx=6, p_m=0.5, alpha=0.4),
@@ -115,6 +117,76 @@ class TestBuild:
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
         assert np.max(np.abs(c.mean(axis=0) - p_m)) <= 1e-12
         assert np.linalg.matrix_rank(c) == n_tx
+
+    def test_builds_only_the_picked_columns(self, monkeypatch):
+        requested = []
+
+        def spy(order, columns):
+            requested.append((order, list(columns)))
+            return hadamard(order, columns)
+
+        monkeypatch.setattr(dimming, "hadamard", spy)
+        build_dimming_matrix(DimmingSpec(12, 3, 0.5, 0.4, columns=(5, 2, 9)))
+        build_dimming_matrix(DimmingSpec(65536, 2, 0.5, 0.4))
+        assert requested == [(12, [4, 1, 8]), (65536, [1, 2])]
+
+
+class TestValidate:
+    def test_one_svd_for_a_full_column_rank_code(self, monkeypatch):
+        spec = DimmingSpec(32, 30, 0.5, 0.4)
+        code = build_dimming_matrix(spec)
+        cond = np.linalg.cond(code)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # cond and matrix_rank reach svd through numpy's private module
+        monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", counted)
+        report = validate_dimming_matrix(code, spec)
+        assert len(calls) == 1
+        assert report.rank == report.kruskal == 30 and report.ok
+        assert report.condition_number == cond  # bit for bit
+
+    def test_rank_follows_full_column_rank(self):
+        # sigma_min / sigma_max = 1e-11 is full rank to matrix_rank's default
+        # tolerance, but not to the rule that build_dimming_matrix applies
+        rng = np.random.default_rng(13)
+        left, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+        right, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        code = left @ np.diag([1.0, 0.5, 0.3, 0.2, 0.1, 1e-11]) @ right.T
+        assert np.linalg.matrix_rank(code) == 6
+        report = validate_dimming_matrix(code, DimmingSpec(8, 6, 0.5, 0.4))
+        assert report.rank == 5 and not report.rank_ok
+        assert report.kruskal == kruskal_rank(code) < 6 and not report.kruskal_ok
+        assert report.condition_number == pytest.approx(1e11, rel=1e-3)
+        assert not report.ok
+
+    def test_zero_code_is_infinitely_conditioned(self):
+        report = validate_dimming_matrix(np.zeros((4, 3)), DimmingSpec(4, 3, 0.5, 0.4))
+        assert report.rank == report.kruskal == 0
+        assert report.condition_number == math.inf and not report.means_ok
+
+    def test_each_verdict_decides_ok(self):
+        good = dimming.DimmingReport(
+            entries_in_range=True, column_mean_error=0.0, rank=3, kruskal=3,
+            condition_number=1.0, n_tx=3,
+        )
+        assert good.means_ok and good.rank_ok and good.kruskal_ok and good.ok
+        for change in (
+            {"entries_in_range": False},
+            {"column_mean_error": 2 * dimming.COLUMN_MEAN_TOL},
+            {"rank": 2},
+            {"kruskal": 2},
+        ):
+            assert not dataclasses.replace(good, **change).ok, change
+
+    def test_n_tx_is_required(self):
+        with pytest.raises(TypeError, match="n_tx"):
+            dimming.DimmingReport(True, 0.0, 3, 3, 1.0)
 
 
 def transmitted(code, symbols):

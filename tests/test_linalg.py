@@ -232,13 +232,24 @@ class TestLeadingSingularTriplet:
         )
 
 
+def full_hadamard(order):
+    return linalg.hadamard(order, range(order))
+
+
+# The 24 supported orders up to 128: 1, 2, Paley's q + 1 and their doublings.
+SUPPORTED_ORDERS = [
+    1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 44, 48, 60, 64, 68, 72, 80, 84, 88, 96, 104, 108,
+    120, 128,
+]
+
+
 class TestHadamard:
     def test_order_two(self):
-        assert np.array_equal(linalg.hadamard(2), np.array([[1, 1], [1, -1]]))
+        assert np.array_equal(full_hadamard(2), np.array([[1, 1], [1, -1]]))
 
     @pytest.mark.parametrize("order", [1, 2, 4, 8, 12, 16, 20, 24, 32])
     def test_orthogonal_with_ones_column(self, order):
-        h = linalg.hadamard(order)
+        h = full_hadamard(order)
         assert h.dtype == np.int64
         assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
         assert np.all(np.abs(h) == 1)
@@ -246,9 +257,10 @@ class TestHadamard:
         # every other column of a normalized Hadamard matrix sums to zero
         assert np.all(h[:, 1:].sum(axis=0) == 0)
 
-    # SHA-256 of hadamard(n).tobytes(). The dimming code takes its columns from
-    # these matrices, so any change in the construction (for example Paley
-    # taking precedence over Sylvester at 4, 8 or 32) changes every curve.
+    # SHA-256 of hadamard(n, range(n)).tobytes(), the full matrix. The dimming
+    # code takes its columns from these matrices, so any change in the
+    # construction (for example Paley taking precedence over Sylvester at 4, 8
+    # or 32) changes every curve.
     PINNED_DIGESTS = {
         4: "aa60fb6df530078eac7046de94dd6acfaf67c83ac155f77ae6b06e308b528d22",
         8: "5d6b6ffc8a5aca0cce07fe3aa8a0722a8bef21e28805479246232aa17a5c2abb",
@@ -261,13 +273,35 @@ class TestHadamard:
 
     @pytest.mark.parametrize("order", sorted(PINNED_DIGESTS))
     def test_matrices_are_pinned(self, order):
-        digest = hashlib.sha256(linalg.hadamard(order).tobytes()).hexdigest()
+        digest = hashlib.sha256(full_hadamard(order).tobytes()).hexdigest()
         assert digest == self.PINNED_DIGESTS[order]
+
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_column_subsets_match_the_full_matrix(self, order):
+        h = full_hadamard(order)
+        assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
+        rng = np.random.default_rng(order)
+        for size in (0, 1, order // 2, order):
+            columns = rng.choice(order, size=size, replace=False)
+            sub = linalg.hadamard(order, columns)
+            assert sub.shape == (order, size) and sub.dtype == np.int64
+            assert np.array_equal(sub, h[:, columns])
+        assert np.array_equal(linalg.hadamard(order, [0, 0]), h[:, [0, 0]])
+
+    def test_no_other_order_up_to_128_is_supported(self):
+        for order in set(range(1, 129)) - set(SUPPORTED_ORDERS):
+            with pytest.raises(linalg.HadamardOrderError, match=rf"order {order}\b"):
+                linalg.hadamard(order, [0])
+
+    @pytest.mark.parametrize("columns", [[-1], [4], [[1]]])
+    def test_rejects_columns_outside_the_order(self, columns):
+        with pytest.raises(ValueError, match=r"indices in 0\.\.3"):
+            linalg.hadamard(4, columns)
 
     @pytest.mark.parametrize("order", [3, 6, 10, 36])
     def test_unsupported_orders(self, order):
         with pytest.raises(linalg.HadamardOrderError, match=rf"order {order}\b"):
-            linalg.hadamard(order)
+            linalg.hadamard(order, [0])
 
 
 class TestKruskalRank:
