@@ -95,6 +95,21 @@ def add_stacked_noise(target: np.ndarray, seed, variance: float, n_states: int) 
     by_state += noise.transpose(2, 0, 1)
 
 
+def _mean_square(stacked: np.ndarray) -> np.ndarray:
+    """``np.mean(stacked**2, axis=(-2, -1))``, squaring a quarter of the blocks at a time.
+
+    The squares of a stack of blocks never all exist at once, and each
+    block's mean is bit-identical to the one-call form: a block's sum never
+    spans two slabs.
+    """
+    blocks = stacked.reshape(-1, *stacked.shape[-2:])
+    power = np.empty(len(blocks))
+    step = max(1, -(-len(blocks) // 4))
+    for start in range(0, len(blocks), step):
+        power[start:start + step] = np.mean(blocks[start:start + step] ** 2, axis=(-2, -1))
+    return power.reshape(stacked.shape[:-2])
+
+
 def propagate(
     gains: np.ndarray, code: np.ndarray, symbols: np.ndarray, snr_db: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +141,7 @@ def propagate(
     stacked = effective @ symbols.swapaxes(-1, -2)
     if math.isinf(snr_db):
         return stacked, np.zeros(stacked.shape[:-2]), effective
-    power = np.mean(stacked**2, axis=(-2, -1))
+    power = _mean_square(stacked)
     peak = np.abs(gains).max(axis=(-2, -1)) * np.abs(code).max()
     scale = peak * np.abs(symbols).max(axis=(-2, -1))
     if np.any(power <= (ZERO_RTOL * scale) ** 2):

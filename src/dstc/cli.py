@@ -8,8 +8,11 @@ prints spectral efficiencies.
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible code
 design (also a power swing too small for a full-column-rank code), 3 failed
 identifiability check, 4 simulation producing a sweep point where every trial
-failed or a block with no received power, 5 identifiability check too wide to
-decide (a k-rank search over more columns than the brute-force limit).
+failed or a block with no received power, 5 input too large: an identifiability
+check too wide to decide (a k-rank search over more columns than the
+brute-force limit), or an array over ``linalg.MAX_ARRAY_BYTES`` (the dimming
+code, one trial's stacked reception, effective channel or symbol block, or the
+audited stream), refused before it is allocated.
 ``main`` maps every exception a command raises to its code through ``_ERRORS``.
 """
 
@@ -41,7 +44,7 @@ from .experiments import (
     spectral_efficiency,
     write_curves_csv,
 )
-from .linalg import DegenerateInputError, SizeLimitError
+from .linalg import ArraySizeError, DegenerateInputError, SizeLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,6 +71,7 @@ _ERRORS = (
     (IdentifiabilityError, EXIT_NOT_UNIQUE, "identifiability check failed: "),
     (DegenerateInputError, EXIT_DEGENERATE, "simulation failed: "),
     (SizeLimitError, EXIT_SIZE_LIMIT, "identifiability check too large: "),
+    (ArraySizeError, EXIT_SIZE_LIMIT, "input too large: "),
 )
 
 

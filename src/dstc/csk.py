@@ -45,23 +45,31 @@ def default_constellation(k_t: int) -> Constellation:
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """A block of transmit rows plus the payload bits they carry."""
+    """A block of transmit rows, or a stack of blocks, plus the payload bits they carry."""
 
     symbols: np.ndarray
     bits: np.ndarray
 
 
 def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> SymbolBlock:
-    """Map a bit vector onto a block of ``n_rows`` slots, two bits per group symbol."""
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    """Map a bit row onto a block of ``n_rows`` slots, two bits per group symbol.
+
+    ``bits`` is one row of ``2 * n_groups * n_rows`` bits or a stack of such
+    rows ``(..., 2 * n_groups * n_rows)``; the block carries the same leading
+    axes.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
     if np.any(bits > 1):
         raise ValueError("bits must be 0/1 valued")
     needed = BITS_PER_SYMBOL * n_groups * n_rows
-    if bits.size != needed:
-        raise ValueError(f"need {needed} bits for {n_rows}x{n_groups} symbols, got {bits.size}")
-    pairs = bits.reshape(n_rows, n_groups, 2)
-    idx = 2 * pairs[:, :, 0].astype(int) + pairs[:, :, 1].astype(int)
-    symbols = constellation.points[idx].reshape(n_rows, n_groups * constellation.k_t)
+    if bits.shape[-1:] != (needed,):
+        raise ValueError(
+            f"need {needed} bits for {n_rows}x{n_groups} symbols, got shape {bits.shape}"
+        )
+    lead = bits.shape[:-1]
+    pairs = bits.reshape(*lead, n_rows, n_groups, 2)
+    idx = 2 * pairs[..., 0] + pairs[..., 1]
+    symbols = constellation.points[idx].reshape(*lead, n_rows, n_groups * constellation.k_t)
     return SymbolBlock(symbols=symbols, bits=bits.copy())
 
 
@@ -101,10 +109,17 @@ def reference_row(constellation: Constellation, n_groups: int) -> np.ndarray:
 def block_with_reference(
     bits, n_rows: int, n_groups: int, constellation: Constellation
 ) -> SymbolBlock:
-    """Payload block of ``n_rows`` slots whose first row is the bit-free training row."""
+    """Payload block of ``n_rows`` slots whose first row is the bit-free training row.
+
+    ``bits`` is one row of payload bits or a stack of rows, one block each,
+    and all of them are modulated in one call (see ``modulate``).
+    """
     if n_rows < 2:
         raise ValueError("need at least one payload row besides the training row")
     payload = modulate(bits, n_rows - 1, n_groups, constellation)
-    symbols = np.vstack([reference_row(constellation, n_groups), payload.symbols])
+    reference = reference_row(constellation, n_groups)
+    lead = payload.symbols.shape[:-2]
+    symbols = np.concatenate(
+        [np.broadcast_to(reference, (*lead, 1, reference.size)), payload.symbols], axis=-2
+    )
     return SymbolBlock(symbols=symbols, bits=payload.bits)
-

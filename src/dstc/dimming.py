@@ -22,6 +22,7 @@ from .linalg import (
     ZERO_RTOL,
     DegenerateInputError,
     HadamardOrderError,
+    check_array_bytes,
     full_column_rank,
     hadamard,
     kruskal_rank,
@@ -89,7 +90,9 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     Raises :class:`ConstraintViolationError` naming the violated condition
     when the request is infeasible (alpha out of range, too many LEDs for the
     state count, no Hadamard matrix of the requested order, bad column pick,
-    or a swing so small next to P_m that the code fails ``full_column_rank``).
+    or a swing so small next to P_m that the code fails ``full_column_rank``),
+    and ``linalg.ArraySizeError`` before building a code over
+    ``linalg.MAX_ARRAY_BYTES``.
     """
     k, n_tx = spec.n_states, spec.n_tx
     if n_tx < 1:
@@ -127,6 +130,7 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
             raise ConstraintViolationError(
                 "column indices lie in 2..K", f"got {c} with K = {k}"
             )
+    check_array_bytes(f"the {k} x {n_tx} dimming code", 8 * k * n_tx)
     try:
         b = hadamard(k, [c - 1 for c in columns]).astype(float)
     except HadamardOrderError as exc:

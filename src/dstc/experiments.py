@@ -43,6 +43,7 @@ from .dimming import (
     default_chromaticity,
 )
 from .identifiability import UniquenessReport, check_uniqueness
+from .linalg import check_array_bytes
 from .receivers import (
     RECEIVER_KRF,
     RECEIVER_PLAIN,
@@ -98,6 +99,24 @@ class SystemConfig:
     @property
     def n_rx(self) -> int:
         return self.k_r * self.l_r
+
+    @property
+    def reception_bytes(self) -> int:
+        """Bytes of one trial's stacked reception, ``n_states * n_rx`` rows of ``block_len``."""
+        return 8 * self.n_states * self.n_rx * self.block_len
+
+    def check_size(self) -> None:
+        """Refuse, before anything is allocated, a link whose trial arrays exceed the budget.
+
+        One trial's stacked reception, its effective channel and its symbol
+        block must each fit ``linalg.MAX_ARRAY_BYTES``; the code is checked by
+        ``build_dimming_matrix``.  Raises ``ArraySizeError``.
+        """
+        check_array_bytes("one trial's stacked reception", self.reception_bytes)
+        check_array_bytes(
+            "one trial's effective channel", 8 * self.n_states * self.n_rx * self.n_tx
+        )
+        check_array_bytes("one trial's symbol block", 8 * self.block_len * self.n_tx)
 
     def dimming_spec(self) -> DimmingSpec:
         return DimmingSpec(
@@ -192,33 +211,41 @@ class CurvePoint:
     failures: int
 
 
-def _draw(scenario: SystemConfig, seed: int, channel_model: str, constellation: Constellation):
-    """A trial's generator, block and channel, drawn in that order (bits, then gains)."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=2 * scenario.l_t * (scenario.block_len - 1), dtype=np.uint8)
+def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation: Constellation):
+    """The generators, blocks and channels of ``seeds``, stacked along a leading axis.
+
+    Each trial draws from its own generator in the recorded order, its
+    payload bits and then its gains; the chunk's bits are modulated in one
+    call.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    bits = np.empty((len(seeds), 2 * scenario.l_t * (scenario.block_len - 1)), dtype=np.uint8)
+    gains = np.empty((len(seeds), scenario.n_rx, scenario.n_tx))
+    for t, rng in enumerate(rngs):
+        bits[t] = rng.integers(0, 2, size=bits.shape[1], dtype=np.uint8)
+        gains[t] = draw_channel(scenario.n_rx, scenario.n_tx, channel_model, seed=rng)
     block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
-    gains = draw_channel(scenario.n_rx, scenario.n_tx, channel_model, seed=rng)
-    return rng, block, gains
+    return rngs, block, gains
 
 
 def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation):
     """Trials stacked along a leading axis, keyed by receiver.
 
-    Each trial draws its bits and channel from its own generator, and then
-    its noise in the recorded order: data noise, ZF pilot noise, plain data
-    noise, plain pilot noise.  ZF and VLC-KRF share the data noise of the
-    dimming ``code``; plain CSK is zero forcing on the one-state all-ones
-    code.  ZF's pilots are the identity, so its channel estimate is the
-    effective channel plus one pilot-noise draw at the data noise level,
-    added in place.  ZF and VLC-KRF report the clean effective channel's
-    cond by its Khatri-Rao Gram matrix (``effective_cond``); plain CSK's
-    square channel can be too ill-conditioned for that and keeps the SVD.
-    Everything but the draws runs once for the stack.
+    Each trial draws its bits and channel from its own generator (see
+    ``_draw_chunk``), and then its noise in the recorded order: data noise,
+    ZF pilot noise, plain data noise, plain pilot noise.  ZF and VLC-KRF
+    share the data noise of the dimming ``code``; plain CSK is zero forcing
+    on the one-state all-ones code.  ZF's pilots are the identity, so its
+    channel estimate is the effective channel plus one pilot-noise draw at
+    the data noise level, added in place.  ZF and VLC-KRF report the clean
+    effective channel's cond by its Khatri-Rao Gram matrix
+    (``effective_cond``); plain CSK's square channel can be too
+    ill-conditioned for that and keeps the SVD.  Everything but the draws
+    runs once for the stack.  VLC-KRF detects last and is handed the
+    reception's only reference, which it frees before its rank-one fit.
     """
-    rngs, blocks, gains = zip(*(_draw(scenario, s, channel_model, constellation) for s in seeds))
-    gains = np.stack(gains)
-    symbols = np.stack([b.symbols for b in blocks])
-    bits = np.stack([b.bits for b in blocks])
+    rngs, block, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
+    symbols, bits = block.symbols, block.bits
     stacked, variance, effective = propagate(gains, code, symbols, snr_db)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
     conds = dict.fromkeys(on_code, effective_cond(gains, code)) if on_code else {}
@@ -236,15 +263,19 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
         for t, rng in enumerate(rngs):
             for target, var, n_states in noisy:
                 add_stacked_noise(target[t], rng, var[t], n_states)
+    del noisy
 
     estimates = {}
     if RECEIVER_ZF in receivers:
         estimates[RECEIVER_ZF] = zf_detect(stacked, effective, code)
-    if RECEIVER_KRF in receivers:
-        estimates[RECEIVER_KRF] = krf_detect(stacked, inverse, symbols[:, 0])
+    del effective
     if RECEIVER_PLAIN in receivers:
         estimates[RECEIVER_PLAIN] = zf_detect(plain_stacked, plain_effective, one_state)
-    del stacked, noisy  # free the largest array before the chunk is scored
+    reception = [stacked]  # the only reference left, for VLC-KRF to take
+    del stacked
+    if RECEIVER_KRF in receivers:
+        estimates[RECEIVER_KRF] = krf_detect(reception.pop(), inverse, symbols[:, 0])
+    del reception  # without VLC-KRF, free the reception before the chunk is scored
     results = list(estimates.values())
     payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
     detected = demodulate(payload.reshape(-1, scenario.n_tx), constellation)
@@ -264,19 +295,20 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
 
 
 # Bytes of one chunk's stacked reception.  Stacking more trials saves
-# per-call overhead but costs memory in every stacked array, so the trial
-# count per chunk follows from this and the link size: 6 trials on the QLED
-# 2x2 link, 1 at 30 LEDs.  Four times this budget ran the bundled sweeps
-# about 1.3x faster but raised peak RSS by about 10%.
-_CHUNK_BYTES = 512 * 1024
+# per-call overhead but costs memory: a chunk's traced peak is about 2.1
+# times its reception at 13 QLED trials (the reception next to VLC-KRF's
+# residual) and 2.5 times at 30 LEDs (a one-trial temporary next to it).
+# The trial count per chunk follows from this and the link size: 13 trials
+# on the QLED 2x2 link, 3 at 18 LEDs and 20 states, and 1 at 30 LEDs, whose
+# one reception is 750 KiB.
+_CHUNK_BYTES = 1024 * 1024
 
 
 def _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation):
     """The trials of ``seeds`` at one point, in chunks; the per-point work is done once."""
     constellation = constellation or default_constellation(scenario.k_t)
     inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
-    reception_bytes = code.shape[0] * scenario.n_rx * scenario.block_len * 8
-    size = max(1, _CHUNK_BYTES // reception_bytes)
+    size = max(1, _CHUNK_BYTES // scenario.reception_bytes)
     outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
     for start in range(0, len(seeds), size):
         chunk = _run_chunk(
@@ -312,6 +344,7 @@ def run_point(
     CSK has its own data and pilot noise.  Use ``snr_db=math.inf`` for a
     noiseless run.
     """
+    scenario.check_size()
     code = build_dimming_matrix(scenario.dimming_spec())
     seeds = [derive_seed(base_seed, t) for t in range(n_trials)]
     return _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation)
@@ -342,12 +375,13 @@ def check_scenario_identifiability(
     The draw replays trial 0's payload and channel under the scenario's own
     dimming depth; ``None`` selects the default constellation.
     """
+    cfg.scenario.check_size()
     code = build_dimming_matrix(cfg.scenario.dimming_spec())
     constellation = constellation or default_constellation(cfg.scenario.k_t)
-    _, block, gains = _draw(
-        cfg.scenario, derive_seed(cfg.base_seed, 0), cfg.channel_model, constellation
+    _, block, gains = _draw_chunk(
+        cfg.scenario, [derive_seed(cfg.base_seed, 0)], cfg.channel_model, constellation
     )
-    return check_uniqueness(gains, block.symbols, code)
+    return check_uniqueness(gains[0], block.symbols[0], code)
 
 
 def run_sweep(
@@ -371,6 +405,7 @@ def run_sweep(
         ]
     else:
         raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
+    cfg.scenario.check_size()  # every point shares the scenario's array sizes
     constellation = constellation or default_constellation(cfg.scenario.k_t)
     codes: dict[DimmingSpec, np.ndarray] = {}
     for _, _, scenario in points:  # fail fast if any point's code is infeasible
@@ -455,6 +490,7 @@ def audit_power_color(
     """
     table = table or default_chromaticity(scenario.k_t)
     constellation = constellation or default_constellation(scenario.k_t)
+    check_array_bytes("the audited symbol stream", 8 * n_rows * scenario.n_tx)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * scenario.l_t * n_rows, dtype=np.uint8)
     block = modulate(bits, n_rows, scenario.l_t, constellation)

@@ -32,6 +32,14 @@ NORMAL_EQUATIONS_MAX_COND = 1e3
 RANK_ONE_RTOL = 1e-12
 
 
+# Largest array, in bytes, that the dimming code, one trial (its stacked
+# reception, effective channel and symbol block) or the audited symbol stream
+# may take.  It is checked before anything is allocated.  A one-trial chunk's
+# working set is about 2.5 times its reception, and numpy and the interpreter
+# take about 40 MiB more.
+MAX_ARRAY_BYTES = 256 * 2**20
+
+
 class HadamardOrderError(ValueError):
     """No supported Hadamard construction exists for the requested order."""
 
@@ -42,6 +50,19 @@ class SizeLimitError(ValueError):
 
 class DegenerateInputError(ValueError):
     """The input carries no usable signal (for example an all-zero matrix)."""
+
+
+class ArraySizeError(ValueError):
+    """An input would need an array larger than ``MAX_ARRAY_BYTES``."""
+
+
+def check_array_bytes(what: str, n_bytes: int) -> None:
+    """Raise ``ArraySizeError`` naming ``what`` if ``n_bytes`` exceeds ``MAX_ARRAY_BYTES``."""
+    if n_bytes > MAX_ARRAY_BYTES:
+        raise ArraySizeError(
+            f"{what} would take {n_bytes / 2**20:.4g} MiB, over the "
+            f"{MAX_ARRAY_BYTES / 2**20:g} MiB array budget"
+        )
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -132,15 +153,21 @@ def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = np.asarray(blocks, dtype=float)
     lead, (m, n) = b.shape[:-2], b.shape[-2:]
     b = b.reshape(-1, m, n)
-    gram = b @ b.swapaxes(-1, -2)
-    trace = np.trace(gram, axis1=-2, axis2=-1)
+    # three (m, m) arrays per matrix at most: G scaled in place, and G's
+    # powers squared back and forth between two buffers
+    scaled = b @ b.swapaxes(-1, -2)
+    trace = np.trace(scaled, axis1=-2, axis2=-1)
     # over its trace G's top eigenvalue lies in [1/m, 1], so G**32 stays in range
-    scaled = gram / np.where(trace > 0.0, trace, 1.0)[:, None, None]
-    power = scaled
-    for _ in range(5):
-        power = power @ power
-    column = np.argmax(np.linalg.norm(power, axis=-2), axis=-1)
+    scaled /= np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    power = scaled @ scaled
+    spare = np.empty_like(power)
+    for _ in range(4):
+        np.matmul(power, power, out=spare)
+        power, spare = spare, power
+    np.multiply(power, power, out=spare)  # G**32's column norms as np.linalg.norm takes them
+    column = np.argmax(np.sqrt(np.add.reduce(spare, axis=-2)), axis=-1)
     y = (scaled @ np.take_along_axis(power, column[:, None, None], axis=-1))[..., 0]
+    del power, spare
     norm = np.linalg.norm(y, axis=-1)
     u = y / np.where(norm > 0.0, norm, 1.0)[:, None]
     gu = (scaled @ u[..., None])[..., 0]
@@ -150,7 +177,8 @@ def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slow = ~((residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL))
     lam *= trace
     if slow.any():
-        eigenvalues, eigenvectors = np.linalg.eigh(gram[slow])
+        b_slow = b[slow]  # G again, by the same product as above
+        eigenvalues, eigenvectors = np.linalg.eigh(b_slow @ b_slow.swapaxes(-1, -2))
         lam[slow] = eigenvalues[:, -1]
         u[slow] = eigenvectors[:, :, -1]
     sigma = np.sqrt(np.maximum(lam, 0.0))

@@ -106,7 +106,9 @@ def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> E
             f"({effective.shape[:-1]})"
         )
     largest = np.abs(effective).max(axis=(-2, -1))
-    failed = largest <= ZERO_RTOL * np.abs(stacked).max(axis=(-2, -1))
+    # the largest |entry| of the reception without an |stacked|-sized temporary
+    peak = np.maximum(stacked.max(axis=(-2, -1)), -stacked.min(axis=(-2, -1)))
+    failed = largest <= ZERO_RTOL * peak
     return EstimationResult(
         symbol_estimate=least_squares(effective, stacked).swapaxes(-1, -2),
         channel_estimate=channel_from_effective(effective, code),
@@ -165,6 +167,7 @@ def krf_detect(
 
     lead, (rows, n_slots) = stacked.shape[:-2], stacked.shape[-2:]
     residual = inverse @ stacked.reshape(*lead, n_states, -1)
+    del stacked  # a caller that handed over its only reference frees the reception here
     blocks = residual.reshape(*lead, n_tx, rows // n_states, n_slots)
     sigma, u, v = leading_rank_one(blocks)
     gains = (sigma[..., None] * u).swapaxes(-1, -2)

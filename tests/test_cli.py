@@ -18,6 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import dstc
+from dstc import linalg
 from dstc.channel import CHANNEL_MODELS
 from dstc.cli import MAX_AUDIT_ROWS, build_parser, main
 from dstc.configio import _KEYS, MODES, ConfigError, load_config
@@ -354,6 +355,67 @@ class TestManyStates:
         if command == "design":
             assert "all checks: pass" in proc.stdout
             assert len((tmp_path / "o" / "dimming_matrix.csv").read_text().splitlines()) == 65536
+
+
+class TestArrayBudget:
+    """Inputs whose arrays exceed linalg.MAX_ARRAY_BYTES exit 5 before allocating them."""
+
+    # (command, edits to SMALL_SIM, the array refused first)
+    OVERSIZED = [
+        pytest.param(
+            command,
+            (("k_t = 4", "k_t = 3"), ("k_r = 4", "k_r = 3"),
+             ("n_states = 12", "n_states = 134217728")),
+            what,
+            id=f"{command}-2**27-states",
+        )
+        for command, what in (("check", "stacked reception"), ("design", "dimming code"))
+    ] + [
+        pytest.param(
+            "check",
+            (("block_len = 25", "block_len = 100000000"),
+             ("n_symbols_total = 250", "n_symbols_total = 100000000")),
+            "stacked reception",
+            id="check-1e8-slots",
+        ),
+    ]
+
+    @pytest.mark.parametrize("command,edits,what", OVERSIZED)
+    def test_oversized_input_exits_5_within_one_gib(self, command, edits, what, tmp_path):
+        text = SMALL_SIM
+        for old, new in edits:
+            text = text.replace(old, new)
+        argv = [command, "--config", write_cfg(tmp_path / "big.cfg", text)]
+        if command == "design":
+            argv += ["--out", str(tmp_path / "o")]
+        src = str(Path(dstc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dstc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=TestManyStates.cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("input too large: ") and what in proc.stderr
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "design", "audit"])
+    def test_every_command_exits_5_with_one_line(self, command, tmp_path, monkeypatch, capsys):
+        # smaller than the 12 x 8 code, so every command refuses its first array
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 12 * 8 - 1)
+        argv = [command, "--config", write_cfg(tmp_path / "c.cfg", SMALL_SIM)]
+        if command in ("simulate", "design"):
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input too large: ")
+        assert not any((tmp_path / "o").glob("*"))
 
 
 class TestVanishingSwing:

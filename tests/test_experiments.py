@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc import experiments
+from dstc import experiments, linalg
 from dstc.channel import CHANNEL_MODELS, derive_seed
-from dstc.dimming import ConstraintViolationError
-from dstc.receivers import krf_detect
+from dstc.csk import default_constellation
+from dstc.dimming import ConstraintViolationError, build_dimming_matrix
+from dstc.receivers import code_inverse, krf_detect
 from dstc.experiments import (
     ALL_RECEIVERS,
     CSV_COLUMNS,
@@ -241,10 +244,11 @@ class TestRunPoint:
         assert calls == []
 
 
-    # 18 + 18 LEDs, 20 states: one trial per chunk at the default budget
+    # 18 + 18 LEDs, 20 states: 3 trials per chunk at the default budget, against
+    # 13 on qled2x2-k12; 2**16 bytes leaves one trial per chunk on both
     WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
 
-    @pytest.mark.parametrize("budget", [None, 2**20])
+    @pytest.mark.parametrize("budget", [None, 2**16])
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
     @pytest.mark.parametrize("channel_model", CHANNEL_MODELS)
     @pytest.mark.parametrize(
@@ -260,6 +264,87 @@ class TestRunPoint:
         for t in range(23):
             single = one_trial(scenario, snr_db, derive_seed(301, t), ALL_RECEIVERS, channel_model)
             assert {r: out[r][t] for r in ALL_RECEIVERS} == single, t
+
+
+class TestChunkMemory:
+    """A chunk's working set stays a small multiple of its stacked reception."""
+
+    WIDE30 = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
+
+    # (scenario, trials per chunk at the default budget, bound on peak / reception)
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller keeps its call's arguments alive until the call "
+        "returns, so VLC-KRF cannot free the reception before its fit",
+    )
+    @pytest.mark.parametrize(
+        "scenario,n_trials,bound",
+        [(default_scenarios()["qled2x2-k12"], 13, 2.1), (WIDE30, 1, 2.5)],
+        ids=["qled2x2-k12", "3-10-32"],
+    )
+    def test_traced_peak_is_bounded_by_the_reception(self, scenario, n_trials, bound):
+        assert max(1, experiments._CHUNK_BYTES // scenario.reception_bytes) == n_trials
+        code = build_dimming_matrix(scenario.dimming_spec())
+        args = (
+            scenario,
+            code,
+            code_inverse(code),
+            20.0,
+            [derive_seed(5, t) for t in range(n_trials)],
+            ALL_RECEIVERS,
+            "gaussian",
+            default_constellation(scenario.k_t),
+        )
+        experiments._run_chunk(*args)  # warm: numpy's one-off allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            experiments._run_chunk(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n_trials * scenario.reception_bytes, peak
+
+
+class TestArrayBudget:
+    def test_reception_bytes(self):
+        assert QLED12.reception_bytes == 8 * 12 * 8 * 50
+
+    # links whose largest trial array is the one named, and its size in bytes
+    @pytest.mark.parametrize(
+        "scenario,what,n_bytes",
+        [
+            (QLED12, "stacked reception", 8 * 12 * 8 * 50),
+            (dataclasses.replace(QLED12, block_len=2), "effective channel", 8 * 12 * 8 * 8),
+            (dataclasses.replace(QLED12, k_r=1, l_r=1, n_states=2), "symbol block", 8 * 50 * 8),
+        ],
+    )
+    def test_largest_trial_array_sets_the_limit(self, monkeypatch, scenario, what, n_bytes):
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", n_bytes)
+        scenario.check_size()
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", n_bytes - 1)
+        with pytest.raises(linalg.ArraySizeError, match=what):
+            scenario.check_size()
+
+    def test_runs_refuse_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", QLED12.reception_bytes - 1)
+        monkeypatch.setattr(experiments, "_run_chunk", None)  # any trial would fail here
+        cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
+        for run in (
+            lambda: run_point(QLED12, 20.0, 2, 1),
+            lambda: run_sweep(cfg, "ber"),
+            lambda: check_scenario_identifiability(cfg),
+        ):
+            with pytest.raises(linalg.ArraySizeError, match="stacked reception"):
+                run()
+
+    def test_code_and_audit_stream_are_checked(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 12 * 8 - 1)
+        with pytest.raises(linalg.ArraySizeError, match="12 x 8 dimming code"):
+            build_dimming_matrix(QLED12.dimming_spec())
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 8 * 100)
+        audit_power_color(QLED12, n_rows=100)
+        with pytest.raises(linalg.ArraySizeError, match="audited symbol stream"):
+            audit_power_color(QLED12, n_rows=101)
 
 
 class TestSweeps:
