@@ -43,34 +43,34 @@ def default_constellation(k_t: int) -> Constellation:
     raise ValueError(f"no default constellation for k_t = {k_t}")
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """A block of transmit rows, or a stack of blocks, plus the payload bits they carry."""
-
-    symbols: np.ndarray
-    bits: np.ndarray
-
-
-def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> SymbolBlock:
-    """Map a bit row onto a block of ``n_rows`` slots, two bits per group symbol.
+def symbol_labels(bits, n_rows: int, n_groups: int) -> np.ndarray:
+    """Constellation labels ``2*b0 + b1`` of a bit row, two bits per group symbol.
 
     ``bits`` is one row of ``2 * n_groups * n_rows`` bits or a stack of such
-    rows ``(..., 2 * n_groups * n_rows)``; the block carries the same leading
-    axes.
+    rows ``(..., 2 * n_groups * n_rows)``; the ``uint8`` labels have shape
+    ``(..., n_rows, n_groups)``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    if np.any(bits > 1):
+    if bits.max(initial=0) > 1:
         raise ValueError("bits must be 0/1 valued")
     needed = BITS_PER_SYMBOL * n_groups * n_rows
     if bits.shape[-1:] != (needed,):
         raise ValueError(
             f"need {needed} bits for {n_rows}x{n_groups} symbols, got shape {bits.shape}"
         )
-    lead = bits.shape[:-1]
-    pairs = bits.reshape(*lead, n_rows, n_groups, 2)
-    idx = 2 * pairs[..., 0] + pairs[..., 1]
-    symbols = constellation.points[idx].reshape(*lead, n_rows, n_groups * constellation.k_t)
-    return SymbolBlock(symbols=symbols, bits=bits.copy())
+    pairs = bits.reshape(*bits.shape[:-1], n_rows, n_groups, 2)
+    return 2 * pairs[..., 0] + pairs[..., 1]
+
+
+def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> np.ndarray:
+    """Map a bit row onto a block of ``n_rows`` slots (see ``symbol_labels``).
+
+    A stack of bit rows gives a stack of blocks with the same leading axes.
+    """
+    labels = symbol_labels(bits, n_rows, n_groups)
+    return constellation.points[labels].reshape(
+        *labels.shape[:-2], n_rows, n_groups * constellation.k_t
+    )
 
 
 def demodulate(estimates, constellation: Constellation) -> np.ndarray:
@@ -108,7 +108,7 @@ def reference_row(constellation: Constellation, n_groups: int) -> np.ndarray:
 
 def block_with_reference(
     bits, n_rows: int, n_groups: int, constellation: Constellation
-) -> SymbolBlock:
+) -> np.ndarray:
     """Payload block of ``n_rows`` slots whose first row is the bit-free training row.
 
     ``bits`` is one row of payload bits or a stack of rows, one block each,
@@ -118,8 +118,7 @@ def block_with_reference(
         raise ValueError("need at least one payload row besides the training row")
     payload = modulate(bits, n_rows - 1, n_groups, constellation)
     reference = reference_row(constellation, n_groups)
-    lead = payload.symbols.shape[:-2]
-    symbols = np.concatenate(
-        [np.broadcast_to(reference, (*lead, 1, reference.size)), payload.symbols], axis=-2
+    lead = payload.shape[:-2]
+    return np.concatenate(
+        [np.broadcast_to(reference, (*lead, 1, reference.size)), payload], axis=-2
     )
-    return SymbolBlock(symbols=symbols, bits=payload.bits)

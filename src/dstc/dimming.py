@@ -143,35 +143,38 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     return code
 
 
-def average_power(code: np.ndarray, symbols: np.ndarray) -> float:
-    """Mean emitted level across states, slots, and LEDs, relative to no dimming."""
+def average_power(code: np.ndarray, totals: np.ndarray) -> float:
+    """Mean emitted level across states, slots, and LEDs, relative to no dimming.
+
+    ``totals`` holds each LED's symbol level summed over the slots.
+    """
     code = np.asarray(code, dtype=float)
-    symbols = np.asarray(symbols, dtype=float)
-    baseline = float(symbols.mean())
-    if abs(baseline) <= ZERO_RTOL * float(np.abs(symbols).mean()):
+    totals = np.asarray(totals, dtype=float)
+    baseline = float(totals.mean())
+    if abs(baseline) <= ZERO_RTOL * float(np.abs(totals).mean()):
         raise DegenerateInputError("symbol block has zero mean; relative power undefined")
-    dimmed = float(np.mean(code.mean(axis=0) * symbols.mean(axis=0)))
-    return dimmed / baseline
+    return float(np.mean(code.mean(axis=0) * totals)) / baseline
 
 
 def average_chromaticity(
-    code: np.ndarray, symbols: np.ndarray, table: ChromaticityTable
+    code: np.ndarray, totals: np.ndarray, table: ChromaticityTable
 ) -> tuple[float, float]:
     """Mixture chromaticity of the emitted light under color mixing.
 
-    LEDs are assigned to color channels cyclically (LED i drives channel
+    ``totals`` holds each LED's symbol level summed over the slots.  LEDs
+    are assigned to color channels cyclically (LED i drives channel
     i mod len(table)), so each group contributes one LED per channel.  The
     mixture point is the per-channel-power weighted average of the table.
     """
     code = np.asarray(code, dtype=float)
-    symbols = np.asarray(symbols, dtype=float)
+    totals = np.asarray(totals, dtype=float)
     n_tx = code.shape[1]
     n_ch = len(table)
-    if symbols.shape[1] != n_tx:
-        raise ValueError(f"symbol block must have {n_tx} columns, got {symbols.shape}")
+    if totals.shape != (n_tx,):
+        raise ValueError(f"expected {n_tx} LED totals, got shape {totals.shape}")
     if n_tx % n_ch != 0:
         raise ValueError(f"{n_tx} LEDs cannot be split into {n_ch} color channels")
-    per_led = code.sum(axis=0) * symbols.sum(axis=0)
+    per_led = code.sum(axis=0) * totals
     per_channel = np.array([per_led[ch::n_ch].sum() for ch in range(n_ch)])
     total = per_channel.sum()
     if total <= 0.0:

@@ -32,7 +32,7 @@ from .csk import (
     block_with_reference,
     default_constellation,
     demodulate,
-    modulate,
+    symbol_labels,
 )
 from .dimming import (
     ChromaticityTable,
@@ -212,7 +212,7 @@ class CurvePoint:
 
 
 def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation: Constellation):
-    """The generators, blocks and channels of ``seeds``, stacked along a leading axis.
+    """The generators, bits, blocks and channels of ``seeds``, stacked along a leading axis.
 
     Each trial draws from its own generator in the recorded order, its
     payload bits and then its gains; the chunk's bits are modulated in one
@@ -224,8 +224,8 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
     for t, rng in enumerate(rngs):
         bits[t] = rng.integers(0, 2, size=bits.shape[1], dtype=np.uint8)
         gains[t] = draw_channel(scenario.n_rx, scenario.n_tx, channel_model, seed=rng)
-    block = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
-    return rngs, block, gains
+    symbols = block_with_reference(bits, scenario.block_len, scenario.l_t, constellation)
+    return rngs, bits, symbols, gains
 
 
 def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation):
@@ -244,8 +244,7 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
     runs once for the stack.  VLC-KRF detects last and is handed the
     reception's only reference, which it frees before its rank-one fit.
     """
-    rngs, block, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    symbols, bits = block.symbols, block.bits
+    rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     stacked, variance, effective = propagate(gains, code, symbols, snr_db)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
     conds = dict.fromkeys(on_code, effective_cond(gains, code)) if on_code else {}
@@ -304,28 +303,6 @@ def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model,
 _CHUNK_BYTES = 1024 * 1024
 
 
-def _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation):
-    """The trials of ``seeds`` at one point, in chunks; the per-point work is done once."""
-    constellation = constellation or default_constellation(scenario.k_t)
-    inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
-    size = max(1, _CHUNK_BYTES // scenario.reception_bytes)
-    outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
-    for start in range(0, len(seeds), size):
-        chunk = _run_chunk(
-            scenario,
-            code,
-            inverse,
-            snr_db,
-            seeds[start:start + size],
-            receivers,
-            channel_model,
-            constellation,
-        )
-        for r in receivers:
-            outcomes[r] += chunk[r]
-    return outcomes
-
-
 def run_point(
     scenario: SystemConfig,
     snr_db: float,
@@ -346,8 +323,18 @@ def run_point(
     """
     scenario.check_size()
     code = build_dimming_matrix(scenario.dimming_spec())
-    seeds = [derive_seed(base_seed, t) for t in range(n_trials)]
-    return _run_trials(scenario, code, snr_db, seeds, receivers, channel_model, constellation)
+    constellation = constellation or default_constellation(scenario.k_t)
+    inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
+    size = max(1, _CHUNK_BYTES // scenario.reception_bytes)
+    outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
+    for start in range(0, n_trials, size):
+        seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
+        chunk = _run_chunk(
+            scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation
+        )
+        for r in receivers:
+            outcomes[r] += chunk[r]
+    return outcomes
 
 
 def _aggregate(x: float, receiver: str, outcomes: list[TrialOutcome]) -> CurvePoint:
@@ -378,10 +365,10 @@ def check_scenario_identifiability(
     cfg.scenario.check_size()
     code = build_dimming_matrix(cfg.scenario.dimming_spec())
     constellation = constellation or default_constellation(cfg.scenario.k_t)
-    _, block, gains = _draw_chunk(
+    _, _, symbols, gains = _draw_chunk(
         cfg.scenario, [derive_seed(cfg.base_seed, 0)], cfg.channel_model, constellation
     )
-    return check_uniqueness(gains[0], block.symbols[0], code)
+    return check_uniqueness(gains[0], symbols[0], code)
 
 
 def run_sweep(
@@ -391,9 +378,9 @@ def run_sweep(
 
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
-    ``alpha_sweep_snr_db``.  Every distinct code is built once, and the
-    scenario's identifiability checked, before any trial runs; the check
-    builds its own code.  Trial seeds do not depend on the point, so
+    ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
+    identifiability checked, before any trial runs; each point then runs
+    through ``run_point``.  Trial seeds do not depend on the point, so
     channels are paired across the sweep.
     """
     if mode == "ber":
@@ -406,26 +393,21 @@ def run_sweep(
     else:
         raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
     cfg.scenario.check_size()  # every point shares the scenario's array sizes
-    constellation = constellation or default_constellation(cfg.scenario.k_t)
-    codes: dict[DimmingSpec, np.ndarray] = {}
     for _, _, scenario in points:  # fail fast if any point's code is infeasible
-        spec = scenario.dimming_spec()
-        if spec not in codes:
-            codes[spec] = build_dimming_matrix(spec)
+        build_dimming_matrix(scenario.dimming_spec())
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(
                 f"scenario fails the k-rank sum condition: {report}"
             )
-    seeds = [derive_seed(cfg.base_seed, t) for t in range(cfg.n_trials)]
     curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
     for x, snr_db, scenario in points:
-        point = _run_trials(
+        point = run_point(
             scenario,
-            codes[scenario.dimming_spec()],
             math.inf if cfg.noiseless else snr_db,
-            seeds,
+            cfg.n_trials,
+            cfg.base_seed,
             cfg.receivers,
             cfg.channel_model,
             constellation,
@@ -486,14 +468,20 @@ def audit_power_color(
 ) -> PowerColorAudit:
     """Check that dimming scales power to the target without moving the color point.
 
-    ``None`` for ``table`` or ``constellation`` selects the default for ``k_t``.
+    The stream of ``n_rows`` random slots enters only through each LED's
+    total level, so each group's four labels are counted instead of
+    modulated.  ``None`` for ``table`` or ``constellation`` selects the
+    default for ``k_t``.
     """
     table = table or default_chromaticity(scenario.k_t)
     constellation = constellation or default_constellation(scenario.k_t)
-    check_array_bytes("the audited symbol stream", 8 * n_rows * scenario.n_tx)
+    check_array_bytes("the audited bit draw", 2 * scenario.l_t * n_rows)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * scenario.l_t * n_rows, dtype=np.uint8)
-    block = modulate(bits, n_rows, scenario.l_t, constellation)
+    labels = symbol_labels(bits, n_rows, scenario.l_t)
+    del bits  # the counts need only the labels
+    counts = np.stack([np.count_nonzero(labels == v, axis=0) for v in range(4)], axis=-1)
+    totals = (counts @ constellation.points).reshape(-1)
     if scenario.alpha == 0.0 and 0.0 < scenario.p_m < 1.0:
         # constant dimming: useless as a code but a valid optical operating point;
         # build_dimming_matrix rejects any other P_m, as `design` does
@@ -503,9 +491,9 @@ def audit_power_color(
     no_dimming = np.ones_like(code)
     return PowerColorAudit(
         power_target=scenario.p_m,
-        relative_power=average_power(code, block.symbols),
-        chroma_before=average_chromaticity(no_dimming, block.symbols, table),
-        chroma_after=average_chromaticity(code, block.symbols, table),
+        relative_power=average_power(code, totals),
+        chroma_before=average_chromaticity(no_dimming, totals, table),
+        chroma_after=average_chromaticity(code, totals, table),
     )
 
 

@@ -13,7 +13,7 @@ decides the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +22,25 @@ from .linalg import kruskal_rank
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """k-ranks of the three factors plus the resulting uniqueness verdict."""
+    """k-ranks of the three factors; ``unique`` follows from the k-rank sum rule."""
 
     k_gains: int
     k_symbols: int
     k_code: int
     n_columns: int
-    unique: bool
+    unique: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unique", self.k_rank_sum >= self.threshold)
+
+    @property
+    def k_rank_sum(self) -> int:
+        return self.k_gains + self.k_symbols + self.k_code
+
+    @property
+    def threshold(self) -> int:
+        """The sum that essential uniqueness needs, ``2 R + 2``."""
+        return 2 * self.n_columns + 2
 
 
 def check_uniqueness(gains, symbols, code) -> UniquenessReport:
@@ -42,14 +54,9 @@ def check_uniqueness(gains, symbols, code) -> UniquenessReport:
             f"factor column counts differ: gains {gains.shape[1]}, "
             f"symbols {symbols.shape[1]}, code {code.shape[1]}"
         )
-    r = gains.shape[1]
-    k_gains = kruskal_rank(gains)
-    k_symbols = kruskal_rank(symbols)
-    k_code = kruskal_rank(code)
     return UniquenessReport(
-        k_gains=k_gains,
-        k_symbols=k_symbols,
-        k_code=k_code,
-        n_columns=r,
-        unique=k_gains + k_symbols + k_code >= 2 * r + 2,
+        k_gains=kruskal_rank(gains),
+        k_symbols=kruskal_rank(symbols),
+        k_code=kruskal_rank(code),
+        n_columns=gains.shape[1],
     )

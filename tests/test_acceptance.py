@@ -233,26 +233,26 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         bits = rng.integers(
             0, 2, size=2 * scen.l_t * (scen.block_len - 1), dtype=np.uint8
         )
-        block = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
+        symbols = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        stacked, noise_variance, effective = propagate(gains, code, block.symbols, snr_db)
+        stacked, noise_variance, effective = propagate(gains, code, symbols, snr_db)
         add_stacked_noise(stacked, rng, noise_variance, scen.n_states)
         estimate = effective.copy()
         add_stacked_noise(estimate, rng, noise_variance, scen.n_states)
         results = {
             "ZF": zf_detect(stacked, estimate, code),
-            "VLC-KRF": krf_detect(stacked, code_inverse(code), block.symbols[0]),
+            "VLC-KRF": krf_detect(stacked, code_inverse(code), symbols[0]),
         }
         for r, result in results.items():
-            err = result.symbol_estimate[1:] - block.symbols[1:]
+            err = result.symbol_estimate[1:] - symbols[1:]
             soft[r].append(float(np.mean(err**2)))
             nmse[r].append(
                 np.linalg.norm(gains - result.channel_estimate) ** 2
                 / np.linalg.norm(gains) ** 2
             )
             detected = demodulate(result.symbol_estimate[1:], constellation)
-            counts[r][0] += int(np.sum(detected != block.bits))
-            counts[r][1] += int(block.bits.size)
+            counts[r][0] += int(np.sum(detected != bits))
+            counts[r][1] += int(bits.size)
     outcomes = _qled_run(n_states, snr_db, receivers, n_symbols)
     expected = _pooled_counts(outcomes)
     assert {r: tuple(c) for r, c in counts.items()} == expected

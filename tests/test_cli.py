@@ -20,7 +20,7 @@ from hypothesis import Phase, given, settings, strategies as st
 import dstc
 from dstc import linalg
 from dstc.channel import CHANNEL_MODELS
-from dstc.cli import MAX_AUDIT_ROWS, build_parser, main
+from dstc.cli import build_parser, main
 from dstc.configio import _KEYS, MODES, ConfigError, load_config
 from dstc.experiments import ALL_RECEIVERS, ExperimentConfig, SystemConfig, default_scenarios
 from dstc.receivers import krf_detect
@@ -703,10 +703,21 @@ class TestAudit:
         assert run_cli(["audit", "--config", cfg]) == 1
         assert "scenario" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", ["10x", "0", "-3", str(MAX_AUDIT_ROWS + 1), str(10**15)])
+    @pytest.mark.parametrize("rows", ["10x", "0", "-3"])
     def test_bad_rows_exit_1(self, rows, capsys):
         assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", rows]) == 1
         assert "positive integer" in capsys.readouterr().err
+
+    def test_rows_past_a_million_run(self, capsys):
+        assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", "1000001"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
+    def test_rows_over_the_array_budget_exit_5_with_one_line(self, capsys):
+        assert run_cli(["audit", "--config", DESIGN_ONLY, "--rows", str(10**15)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input too large: the audited bit draw")
 
     def test_dark_constellation_exits_1_with_one_line(self, tmp_path, capsys):
         points = "".join(f"point_{i:02b} = 0, 0, 0\n" for i in range(4))

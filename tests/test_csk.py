@@ -44,21 +44,21 @@ class TestConstellation:
     def test_labels_follow_index_order(self):
         # bit label b0 b1 selects point 2*b0 + b1
         c = default_constellation(4)
-        block = modulate(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8), 4, 1, c)
-        assert np.array_equal(block.symbols, c.points)
+        symbols = modulate(np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8), 4, 1, c)
+        assert np.array_equal(symbols, c.points)
 
 
 class TestModulate:
     def test_all_zero_bits(self):
         c = default_constellation(4)
-        block = modulate(np.zeros(12, dtype=np.uint8), 3, 2, c)
-        assert block.symbols.shape == (3, 8)
-        assert np.array_equal(block.symbols, np.tile(np.r_[c.points[0], c.points[0]], (3, 1)))
+        symbols = modulate(np.zeros(12, dtype=np.uint8), 3, 2, c)
+        assert symbols.shape == (3, 8)
+        assert np.array_equal(symbols, np.tile(np.r_[c.points[0], c.points[0]], (3, 1)))
 
     def test_label_11_selects_last_point(self):
         c = default_constellation(3)
-        block = modulate(np.array([1, 1], dtype=np.uint8), 1, 1, c)
-        assert np.allclose(block.symbols[0], np.full(3, 1 / 3))
+        symbols = modulate(np.array([1, 1], dtype=np.uint8), 1, 1, c)
+        assert np.allclose(symbols[0], np.full(3, 1 / 3))
 
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError, match="bits"):
@@ -78,18 +78,18 @@ class TestDemodulate:
         c = default_constellation(k_t)
         n_rows, n_groups = int(rng.integers(1, 12)), int(rng.integers(1, 4))
         bits = rng.integers(0, 2, size=2 * n_groups * n_rows, dtype=np.uint8)
-        block = modulate(bits, n_rows, n_groups, c)
-        assert np.array_equal(demodulate(block.symbols, c), bits)
+        symbols = modulate(bits, n_rows, n_groups, c)
+        assert np.array_equal(demodulate(symbols, c), bits)
 
     def test_small_perturbation_is_absorbed(self):
         c = default_constellation(4)
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=40, dtype=np.uint8)
-        block = modulate(bits, 10, 2, c)
-        noise = rng.standard_normal(block.symbols.shape)
+        symbols = modulate(bits, 10, 2, c)
+        noise = rng.standard_normal(symbols.shape)
         noise *= 0.49 * d_min(c) / np.linalg.norm(noise, axis=1, keepdims=True)
         # per-row perturbation norm < d_min/2 cannot flip any group decision
-        assert np.array_equal(demodulate(block.symbols + noise, c), bits)
+        assert np.array_equal(demodulate(symbols + noise, c), bits)
 
     def test_zero_vector_maps_to_nearest_point(self):
         c = default_constellation(3)
@@ -126,10 +126,10 @@ class TestBlockWithReference:
         c = default_constellation(4)
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=2 * 2 * 9, dtype=np.uint8)
-        block = block_with_reference(bits, 10, 2, c)
-        assert block.symbols.shape == (10, 8)
-        assert np.all(block.symbols[0] == 0.25)
-        assert np.array_equal(block.bits, bits)
+        symbols = block_with_reference(bits, 10, 2, c)
+        assert symbols.shape == (10, 8)
+        assert np.all(symbols[0] == 0.25)
+        assert np.array_equal(demodulate(symbols[1:], c), bits)
 
     def test_needs_payload_row(self):
         with pytest.raises(ValueError):

@@ -227,26 +227,26 @@ class TestTransmitBlock:
 class TestAveragePower:
     def test_no_dimming(self):
         s = np.random.default_rng(0).random((50, 4))
-        assert average_power(np.ones((6, 4)), s) == pytest.approx(1.0)
+        assert average_power(np.ones((6, 4)), s.sum(axis=0)) == pytest.approx(1.0)
 
     def test_constant_half_code(self):
         s = np.random.default_rng(1).random((50, 4))
-        assert average_power(np.full((6, 4), 0.5), s) == pytest.approx(0.5)
+        assert average_power(np.full((6, 4), 0.5), s.sum(axis=0)) == pytest.approx(0.5)
 
     def test_structured_code_hits_target_exactly(self):
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
         s = np.random.default_rng(2).random((500, 6))
-        assert average_power(c, s) == pytest.approx(0.5, abs=1e-12)
+        assert average_power(c, s.sum(axis=0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_block_rejected(self):
         with pytest.raises(dimming.DegenerateInputError):
-            average_power(np.ones((2, 3)), np.zeros((4, 3)))
+            average_power(np.ones((2, 3)), np.zeros((4, 3)).sum(axis=0))
 
     def test_rounding_error_mean_rejected(self):
         # the block's mean is one unit in the last place of its entries
         s = np.array([[1.0, -(1.0 - 2.0**-52)]])
         with pytest.raises(dimming.DegenerateInputError):
-            average_power(np.ones((2, 2)), s)
+            average_power(np.ones((2, 2)), s.sum(axis=0))
 
 
 class TestChromaticity:
@@ -254,12 +254,13 @@ class TestChromaticity:
         table = default_chromaticity(3)
         s = np.zeros((10, 3))
         s[:, 1] = 1.0  # only the green LED emits
-        assert average_chromaticity(np.ones((4, 3)), s, table) == pytest.approx((0.30, 0.60))
+        xy = average_chromaticity(np.ones((4, 3)), s.sum(axis=0), table)
+        assert xy == pytest.approx((0.30, 0.60))
 
     def test_equal_power_mix_is_centroid(self):
         table = default_chromaticity(3)
         s = np.ones((10, 3))
-        x, y = average_chromaticity(np.ones((4, 3)), s, table)
+        x, y = average_chromaticity(np.ones((4, 3)), s.sum(axis=0), table)
         coords = np.array(table.coords)
         assert (x, y) == pytest.approx(tuple(coords.mean(axis=0)))
 
@@ -269,8 +270,8 @@ class TestChromaticity:
         table = default_chromaticity(3)
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
         s = rng.random((10_000, 6))
-        before = average_chromaticity(np.ones_like(c), s, table)
-        after = average_chromaticity(c, s, table)
+        before = average_chromaticity(np.ones_like(c), s.sum(axis=0), table)
+        after = average_chromaticity(c, s.sum(axis=0), table)
         assert abs(before[0] - after[0]) < 1e-3
         assert abs(before[1] - after[1]) < 1e-3
 
@@ -286,4 +287,6 @@ class TestChromaticity:
 
     def test_zero_power_rejected(self):
         with pytest.raises(dimming.DegenerateInputError):
-            average_chromaticity(np.ones((2, 3)), np.zeros((4, 3)), default_chromaticity(3))
+            average_chromaticity(
+                np.ones((2, 3)), np.zeros((4, 3)).sum(axis=0), default_chromaticity(3)
+            )

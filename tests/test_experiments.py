@@ -9,8 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from dstc import experiments, linalg
 from dstc.channel import CHANNEL_MODELS, derive_seed
-from dstc.csk import default_constellation
-from dstc.dimming import ConstraintViolationError, build_dimming_matrix
+from dstc.csk import Constellation, default_constellation, modulate
+from dstc.dimming import (
+    ChromaticityTable,
+    ConstraintViolationError,
+    build_dimming_matrix,
+    default_chromaticity,
+)
 from dstc.receivers import code_inverse, krf_detect
 from dstc.experiments import (
     ALL_RECEIVERS,
@@ -341,10 +346,11 @@ class TestArrayBudget:
         monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 12 * 8 - 1)
         with pytest.raises(linalg.ArraySizeError, match="12 x 8 dimming code"):
             build_dimming_matrix(QLED12.dimming_spec())
-        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 8 * 100)
-        audit_power_color(QLED12, n_rows=100)
-        with pytest.raises(linalg.ArraySizeError, match="audited symbol stream"):
-            audit_power_color(QLED12, n_rows=101)
+        # the audit's largest array is its bit draw, 2 * l_t bytes per row
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 2 * 2 * 200)
+        audit_power_color(QLED12, n_rows=200)
+        with pytest.raises(linalg.ArraySizeError, match="audited bit draw"):
+            audit_power_color(QLED12, n_rows=201)
 
 
 class TestSweeps:
@@ -525,6 +531,48 @@ class TestPowerColorAudit:
         audit = audit_power_color(scen, n_rows=500, seed=2)
         assert audit.relative_power == pytest.approx(0.5, abs=1e-15)
         assert audit.chroma_shift == pytest.approx((0.0, 0.0), abs=1e-15)
+
+    @staticmethod
+    def stream_audit(scenario, n_rows, seed, table, constellation):
+        """Power and chromaticities summed over the modulated stream, the audit's reference."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=2 * scenario.l_t * n_rows, dtype=np.uint8)
+        symbols = modulate(bits, n_rows, scenario.l_t, constellation)
+        if scenario.alpha == 0.0:
+            code = np.full((scenario.n_states, scenario.n_tx), scenario.p_m)
+        else:
+            code = build_dimming_matrix(scenario.dimming_spec())
+
+        def chromaticity(c):
+            per_led = c.sum(axis=0) * symbols.sum(axis=0)
+            per_channel = np.array([per_led[ch::len(table)].sum() for ch in range(len(table))])
+            return tuple(per_channel / per_channel.sum() @ np.array(table.coords))
+
+        power = np.mean(code.mean(axis=0) * symbols.mean(axis=0)) / symbols.mean()
+        return power, chromaticity(np.ones_like(code)), chromaticity(code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k_t=st.sampled_from([3, 4, 5]),
+        l_t=st.integers(1, 10),
+        n_rows=st.sampled_from([1, 2, 7, 100, 1001, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.0, 0.4]),
+    )
+    def test_label_counts_match_the_stream(self, k_t, l_t, n_rows, seed, alpha):
+        n_states = 1 << (k_t * l_t).bit_length()  # a Sylvester order above n_tx
+        scen = SystemConfig(k_t, l_t, 1, 1, n_states, 2, alpha=alpha)
+        if k_t == 5:  # no default: a [constellation] and [chromaticity] of its own
+            constellation = Constellation(np.random.default_rng(seed).random((4, 5)))
+            table = ChromaticityTable(((0.7, 0.29), (0.3, 0.6), (0.15, 0.06), (0.4, 0.5),
+                                       (0.33, 0.33)))
+        else:
+            constellation, table = default_constellation(k_t), default_chromaticity(k_t)
+        audit = audit_power_color(scen, n_rows, seed, table, constellation)
+        power, before, after = self.stream_audit(scen, n_rows, seed, table, constellation)
+        assert audit.relative_power == pytest.approx(power, rel=1e-12, abs=0.0)
+        assert audit.chroma_before == pytest.approx(before, rel=1e-12, abs=0.0)
+        assert audit.chroma_after == pytest.approx(after, rel=1e-12, abs=0.0)
 
 
 class TestCurvePointInvariants:

@@ -12,10 +12,10 @@ def typical_factors(seed, n_rx=4, n_slots=20, order=8, n_tx=6, k_t=3, l_t=2):
     rng = np.random.default_rng(seed)
     constellation = default_constellation(k_t)
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
-    block = block_with_reference(bits, n_slots, l_t, constellation)
+    symbols = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, n_tx, "gaussian", seed=rng)
     code = build_dimming_matrix(DimmingSpec(order, n_tx, 0.5, 0.4))
-    return gains, block.symbols, code
+    return gains, symbols, code
 
 
 class TestCheckUniqueness:
@@ -101,7 +101,7 @@ class TestCheckUniqueness:
         trials = 1000
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=2 * 2 * 99, dtype=np.uint8)
-        symbols = block_with_reference(bits, 100, 2, constellation).symbols
+        symbols = block_with_reference(bits, 100, 2, constellation)
         fixed = kruskal_rank(symbols) + kruskal_rank(code)
         for draw in range(trials):
             gains = draw_channel(8, 8, "gaussian", seed=rng)

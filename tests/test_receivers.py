@@ -25,12 +25,12 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     constellation = default_constellation(k_t)
     code = build_dimming_matrix(spec)
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
-    block = block_with_reference(bits, n_slots, l_t, constellation)
+    symbols = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    stacked, variance, _ = propagate(gains, code, block.symbols, snr_db)
+    stacked, variance, _ = propagate(gains, code, symbols, snr_db)
     if not math.isinf(snr_db):
         add_stacked_noise(stacked, rng, variance, spec.n_states)
-    return constellation, code, block, gains, stacked, rng
+    return constellation, code, symbols, bits, gains, stacked, rng
 
 
 def payload(est, constellation):
@@ -142,11 +142,11 @@ class TestChannelFromEffective:
 
 class TestZfDetect:
     def test_noiseless_block_is_error_free(self):
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             0, DimmingSpec(12, 8, 0.5, 0.4), 4, 2, 8, 30, math.inf
         )
         est = zf_detect(stacked, effective_channel(gains, code), code)
-        assert np.array_equal(payload(est, constellation), block.bits)
+        assert np.array_equal(payload(est, constellation), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
 
     def test_high_snr_low_error(self):
@@ -169,34 +169,34 @@ class TestZfDetect:
 
 class TestKrfDetect:
     def test_noiseless_joint_recovery(self):
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             4, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
-        assert np.array_equal(payload(est, constellation), block.bits)
+        est = krf_detect(stacked, code_inverse(code), symbols[0])
+        assert np.array_equal(payload(est, constellation), bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
-        assert np.allclose(est.symbol_estimate, block.symbols, atol=1e-8)
+        assert np.allclose(est.symbol_estimate, symbols, atol=1e-8)
 
     def test_scaling_cancels_in_reconstruction(self):
         # the per-column scale moves between factors without changing their product
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             5, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 40, math.inf
         )
-        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), symbols[0])
         assert np.allclose(
             est.channel_estimate @ est.symbol_estimate.T,
-            gains @ block.symbols.T,
+            gains @ symbols.T,
             atol=1e-8,
         )
 
     def test_batched_fit_matches_per_column_svd(self):
         # every column pair is the leading rank-one term of the matching column
         # of the Khatri-Rao estimate, whatever scale the known row assigns it
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             11, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 30, 10.0
         )
-        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
+        est = krf_detect(stacked, code_inverse(code), symbols[0])
         n_states, n_slots = code.shape[0], stacked.shape[1]
         n_rx = stacked.shape[0] // n_states
         receptions = stacked.reshape(n_states, n_rx, n_slots)
@@ -207,7 +207,7 @@ class TestKrfDetect:
             leading = sigma[0] * np.outer(u[:, 0], vt[0])
             fitted = np.outer(est.channel_estimate[:, r], est.symbol_estimate[:, r])
             assert np.allclose(fitted, leading, rtol=0.0, atol=1e-10)
-        assert np.allclose(est.symbol_estimate[0], block.symbols[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(est.symbol_estimate[0], symbols[0], rtol=1e-12, atol=0.0)
 
     def test_all_zero_reception_rejected(self):
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
@@ -215,26 +215,26 @@ class TestKrfDetect:
 
     def test_needs_fewer_receivers_than_leds(self):
         # works even when the stacked-channel inverse would be the only other option
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             6, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 2, 40, math.inf
         )
-        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
-        assert np.array_equal(payload(est, constellation), block.bits)
+        est = krf_detect(stacked, code_inverse(code), symbols[0])
+        assert np.array_equal(payload(est, constellation), bits)
 
     def test_zero_in_known_row_rejected(self):
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             7, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
-        bad = block.symbols[0].copy()
+        bad = symbols[0].copy()
         bad[2] = 0.0
         with pytest.raises(AmbiguityError, match="column 2"):
             krf_detect(stacked, code_inverse(code), bad)
 
     def test_negligible_known_value_rejected(self):
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             7, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
-        bad = block.symbols[0].copy()
+        bad = symbols[0].copy()
         bad[2] = 1e-300
         with pytest.raises(AmbiguityError, match="known symbol row is zero in column 2"):
             krf_detect(stacked, code_inverse(code), bad)
@@ -250,7 +250,7 @@ class TestKrfDetect:
         assert krf_detect(stacked, code_inverse(code), np.full(6, 1 / 3)).failed
 
     def test_known_row_length_checked(self):
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             8, DimmingSpec(8, 6, 0.5, 0.4), 3, 2, 4, 20, math.inf
         )
         with pytest.raises(ValueError, match="entries"):
@@ -274,11 +274,11 @@ class TestKrfDetect:
         n_rx = int(rng.integers(2, 7))
         n_slots = int(rng.integers(6, 30))
         spec = DimmingSpec(order, n_tx, 0.5, 0.4)
-        constellation, code, block, gains, stacked, _ = dstc_link(
+        constellation, code, symbols, bits, gains, stacked, _ = dstc_link(
             int(rng.integers(2**31)), spec, k_t, l_t, n_rx, n_slots, math.inf
         )
-        est = krf_detect(stacked, code_inverse(code), block.symbols[0])
-        assert np.array_equal(payload(est, constellation), block.bits)
+        est = krf_detect(stacked, code_inverse(code), symbols[0])
+        assert np.array_equal(payload(est, constellation), bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
 
@@ -291,9 +291,9 @@ class TestStackedBlocks:
     def stack(self):
         links = [dstc_link(20 + i, self.SPEC, 3, 2, 4, 20, 15.0) for i in range(4)]
         code = links[0][1]
-        stacked = np.stack([link[4] for link in links])
-        effective = np.stack([effective_channel(link[3], code) for link in links])
-        known = np.stack([link[2].symbols[0] for link in links])
+        stacked = np.stack([link[5] for link in links])
+        effective = np.stack([effective_channel(link[4], code) for link in links])
+        known = np.stack([link[2][0] for link in links])
         return code, stacked, effective, known
 
     @staticmethod
@@ -370,10 +370,10 @@ class TestPlainCskBaseline:
         rng = np.random.default_rng(9)
         constellation = default_constellation(4)
         bits = rng.integers(0, 2, size=2 * 2 * 19, dtype=np.uint8)
-        block = block_with_reference(bits, 20, 2, constellation)
+        symbols = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        stacked, _, _ = propagate(gains, one_state, block.symbols, math.inf)
+        stacked, _, _ = propagate(gains, one_state, symbols, math.inf)
         # noiseless identity pilots return the effective channel itself
         estimate = effective_channel(gains, one_state)
         est = zf_detect(stacked, estimate, one_state)
