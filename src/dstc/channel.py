@@ -81,18 +81,18 @@ def effective_cond(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return gram_cond((code.T @ code) * (gains.swapaxes(-1, -2) @ gains))
 
 
-def add_stacked_noise(target: np.ndarray, seed, variance: float, n_states: int) -> None:
-    """Add white Gaussian noise of ``variance`` in place to a stacked (n_states * n_rx, n_cols) array.
+def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
+    """Add ``noise`` in place to a stacked ``(..., n_states * n_rx, n_cols)`` array.
 
-    The draw is taken in (n_rx, n_cols, n_states) order, the order that the
-    fixed-seed results were recorded in, and added through the state-by-state
-    view of ``target``; splitting its row axis never copies.
+    ``noise`` ``(..., n_rx, n_cols, n_states)`` is in the order that the
+    fixed-seed results were drawn in.  It is added through the
+    state-by-state view of ``target``; splitting its row axis never copies.
+    ``sd * rng.standard_normal(shape)`` is the draw that ``rng.normal(scale=sd,
+    size=shape)`` makes, and leaves ``rng`` in the same place.
     """
-    rows, n_cols = target.shape
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(scale=math.sqrt(variance), size=(rows // n_states, n_cols, n_states))
-    by_state = target.reshape(n_states, rows // n_states, n_cols)
-    by_state += noise.transpose(2, 0, 1)
+    *lead, n_rx, n_cols, n_states = noise.shape
+    by_state = target.reshape(*lead, n_states, n_rx, n_cols)
+    by_state += np.moveaxis(noise, -1, -3)
 
 
 def _mean_square(stacked: np.ndarray) -> np.ndarray:
@@ -111,22 +111,20 @@ def _mean_square(stacked: np.ndarray) -> np.ndarray:
 
 
 def propagate(
-    gains: np.ndarray, code: np.ndarray, symbols: np.ndarray, snr_db: float
+    gains: np.ndarray, code: np.ndarray, symbols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Send a symbol block through the channel in every dimming state.
 
-    Returns the noiseless stacked reception ``effective @ symbols.T``, the
-    noise variance that ``snr_db`` asks of it, and ``effective =
-    effective_channel(gains, code)``; the caller adds the noise (see
-    ``add_stacked_noise``) and the pilot phase reuses the last two.  The
-    variance is calibrated so that the mean squared noiseless received
-    entry over the block sits ``snr_db`` above it, and it is 0 for a
-    noiseless run (``snr_db=math.inf``).  A received power that is rounding
-    error next to the scale of the channel and the transmitted block leaves
-    the SNR undefined, and so does a finite SNR whose variance underflows.
+    Returns the noiseless stacked reception ``effective @ symbols.T``,
+    ``effective = effective_channel(gains, code)``, and the received power,
+    the mean squared entry of each noiseless block, from which
+    ``noise_variance`` sets the noise of any SNR.  The caller adds the noise
+    (see ``add_stacked_noise``) and the pilot phase reuses ``effective``.  A
+    power that is rounding error next to the scale of the channel and the
+    transmitted block leaves every SNR undefined, and is returned as NaN.
 
     ``gains`` ``(..., n_rx, n_tx)`` and ``symbols`` ``(..., n_slots, n_tx)``
-    broadcast over their leading axes, and so the variance has one entry per
+    broadcast over their leading axes, and so the power has one entry per
     block.
     """
     gains = np.asarray(gains, dtype=float)
@@ -139,16 +137,28 @@ def propagate(
         )
     effective = effective_channel(gains, code)
     stacked = effective @ symbols.swapaxes(-1, -2)
-    if math.isinf(snr_db):
-        return stacked, np.zeros(stacked.shape[:-2]), effective
     power = _mean_square(stacked)
     peak = np.abs(gains).max(axis=(-2, -1)) * np.abs(code).max()
     scale = peak * np.abs(symbols).max(axis=(-2, -1))
-    if np.any(power <= (ZERO_RTOL * scale) ** 2):
+    power = np.where(power <= (ZERO_RTOL * scale) ** 2, np.nan, power)
+    return stacked, effective, power
+
+
+def noise_variance(power: np.ndarray, snr_db: float) -> np.ndarray:
+    """The noise variance of each block whose received ``power`` sits ``snr_db`` above it.
+
+    ``power`` is what ``propagate`` returns; the variance is 0 for a
+    noiseless run (``snr_db=math.inf``).  A power that leaves the SNR
+    undefined (NaN), or a finite SNR whose variance underflows, raises
+    ``DegenerateInputError``.
+    """
+    if math.isinf(snr_db):
+        return np.zeros_like(power)
+    if np.isnan(power).any():
         raise DegenerateInputError("noiseless received power is zero; SNR undefined")
-    noise_variance = power / (10.0 ** (snr_db / 10.0))
-    if not np.all(noise_variance >= np.finfo(float).tiny):
+    variance = power / (10.0 ** (snr_db / 10.0))
+    if not np.all(variance >= np.finfo(float).tiny):
         raise DegenerateInputError(
             f"noise variance underflows at {snr_db:g} dB (received power {np.min(power):.3g})"
         )
-    return stacked, noise_variance, effective
+    return variance

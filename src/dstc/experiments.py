@@ -5,7 +5,10 @@ semi-blind receiver's training row) over a freshly drawn channel.  Trial
 seeds are split deterministically from the base seed and are independent of
 the sweep point, so every receiver at a given (trial, point) sees the same
 channel and payload, and paired runs that share a base seed stay paired
-across sweeps.
+across sweeps.  Since every point draws the same trials (common random
+numbers), a sweep draws each trial once: its bits, channel and unit noise,
+which each point scales to its own noise level.  The results equal those
+of each point run alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .channel import (
     derive_seed,
     draw_channel,
     effective_cond,
+    noise_variance,
     propagate,
 )
 from .csk import (
@@ -228,79 +232,184 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
     return rngs, bits, symbols, gains
 
 
-def _run_chunk(scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation):
-    """Trials stacked along a leading axis, keyed by receiver.
+def _caches_noise(points) -> bool:
+    """Whether a chunk keeps its unit noise for reuse: it runs several points, not all noiseless."""
+    return len(points) > 1 and not all(math.isinf(snr_db) for *_, snr_db in points)
 
-    Each trial draws its bits and channel from its own generator (see
-    ``_draw_chunk``), and then its noise in the recorded order: data noise,
-    ZF pilot noise, plain data noise, plain pilot noise.  ZF and VLC-KRF
-    share the data noise of the dimming ``code``; plain CSK is zero forcing
-    on the one-state all-ones code.  ZF's pilots are the identity, so its
-    channel estimate is the effective channel plus one pilot-noise draw at
-    the data noise level, added in place.  ZF and VLC-KRF report the clean
-    effective channel's cond by its Khatri-Rao Gram matrix
-    (``effective_cond``); plain CSK's square channel can be too
-    ill-conditioned for that and keeps the SVD.  Everything but the draws
-    runs once for the stack.  VLC-KRF detects last and is handed the
-    reception's only reference, which it frees before its rank-one fit.
+
+def _propagate(gains, code, symbols, receivers):
+    """The clean noise targets in draw order, their channels and power, and each receiver's cond.
+
+    The targets are the data reception and ZF's pilot estimate under
+    ``code``, which ZF and VLC-KRF share, then plain CSK's reception and
+    pilot estimate under the one-state all-ones code (zero forcing without
+    a dimming code).  Each target's channel is given as ``(effective,
+    is_data)``: the clean reception is ``effective @ symbols.T``, and ZF's
+    pilots are the identity, so its clean estimate is the effective channel
+    itself.  ZF and VLC-KRF report the clean effective channel's cond by its
+    Khatri-Rao Gram matrix (``effective_cond``); plain CSK's square channel
+    can be too ill-conditioned for that and keeps the SVD.
     """
-    rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    stacked, variance, effective = propagate(gains, code, symbols, snr_db)
+    stacked, effective, power = propagate(gains, code, symbols)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
     conds = dict.fromkeys(on_code, effective_cond(gains, code)) if on_code else {}
-    noisy = [(stacked, variance, len(code))]  # (array, variance, states) in draw order
+    clean, channels, powers = [stacked], [(effective, True)], [power]
     if RECEIVER_ZF in receivers:
-        noisy.append((effective, variance, len(code)))
+        clean.append(effective)
+        channels.append((effective, False))
+        powers.append(power)
     if RECEIVER_PLAIN in receivers:
-        one_state = np.ones((1, scenario.n_tx))
-        plain_stacked, plain_variance, plain_effective = propagate(
-            gains, one_state, symbols, snr_db
+        plain_stacked, plain_effective, plain_power = propagate(
+            gains, np.ones((1, gains.shape[-1])), symbols
         )
         conds[RECEIVER_PLAIN] = np.linalg.cond(plain_effective)
-        noisy += [(plain_stacked, plain_variance, 1), (plain_effective, plain_variance, 1)]
-    if not math.isinf(snr_db):
-        for t, rng in enumerate(rngs):
-            for target, var, n_states in noisy:
-                add_stacked_noise(target[t], rng, var[t], n_states)
-    del noisy
+        clean += [plain_stacked, plain_effective]
+        channels += [(plain_effective, True), (plain_effective, False)]
+        powers += [plain_power, plain_power]
+    return clean, channels, powers, conds
 
+
+def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
+    """Detect and score one point of a chunk: its outcomes keyed by receiver.
+
+    ``received`` lists the noisy arrays in ``_propagate``'s order and is
+    emptied: VLC-KRF detects last and is handed the reception's only
+    reference, which it frees before its rank-one fit.
+    """
+    stacked = received.pop(0)
     estimates = {}
     if RECEIVER_ZF in receivers:
-        estimates[RECEIVER_ZF] = zf_detect(stacked, effective, code)
-    del effective
+        estimates[RECEIVER_ZF] = zf_detect(stacked, received.pop(0), code)
     if RECEIVER_PLAIN in receivers:
-        estimates[RECEIVER_PLAIN] = zf_detect(plain_stacked, plain_effective, one_state)
-    reception = [stacked]  # the only reference left, for VLC-KRF to take
+        one_state = np.ones((1, code.shape[1]))
+        estimates[RECEIVER_PLAIN] = zf_detect(received.pop(0), received.pop(0), one_state)
+    received.append(stacked)
     del stacked
     if RECEIVER_KRF in receivers:
-        estimates[RECEIVER_KRF] = krf_detect(reception.pop(), inverse, symbols[:, 0])
-    del reception  # without VLC-KRF, free the reception before the chunk is scored
+        estimates[RECEIVER_KRF] = krf_detect(received.pop(), inverse, symbols[:, 0])
+    received.clear()  # without VLC-KRF, free the reception before the point is scored
     results = list(estimates.values())
     payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
-    detected = demodulate(payload.reshape(-1, scenario.n_tx), constellation)
+    detected = demodulate(payload.reshape(-1, code.shape[1]), constellation)
     errors = np.sum(detected.reshape(len(results), *bits.shape) != bits, axis=-1)
     nmse = np.stack(
         [np.sum((gains - e.channel_estimate) ** 2, axis=(-2, -1)) for e in results]
     ) / np.sum(gains**2, axis=(-2, -1))
     outcomes: dict[str, list[TrialOutcome]] = {}
-    for i, (r, result) in enumerate(estimates.items()):
+    for (r, result), n_errors, nmses in zip(estimates.items(), errors.tolist(), nmse.tolist()):
         outcomes[r] = [
             TrialOutcome(0, 0, math.nan, cond, failed=True)
             if failed
-            else TrialOutcome(int(errors[i, t]), bits.shape[1], float(nmse[i, t]), cond)
-            for t, (failed, cond) in enumerate(zip(result.failed, conds[r].tolist()))
+            else TrialOutcome(e, bits.shape[1], m, cond)
+            for failed, e, m, cond in zip(result.failed.tolist(), n_errors, nmses, conds[r].tolist())
         ]
     return outcomes
 
 
-# Bytes of one chunk's stacked reception.  Stacking more trials saves
-# per-call overhead but costs memory: a chunk's traced peak is about 2.1
-# times its reception at 13 QLED trials (the reception next to VLC-KRF's
-# residual) and 2.5 times at 30 LEDs (a one-trial temporary next to it).
-# The trial count per chunk follows from this and the link size: 13 trials
-# on the QLED 2x2 link, 3 at 18 LEDs and 20 states, and 1 at 30 LEDs, whose
-# one reception is 750 KiB.
+def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
+    """Trials stacked along a leading axis, run at every point of a grid.
+
+    ``points`` lists ``(code, inverse, snr_db)``; the result lists, per
+    point, the outcomes keyed by receiver.  Each trial draws its bits and
+    channel from its own generator (see ``_draw_chunk``), and then its unit
+    noise for each target of ``_propagate``, in that order.  A point scales
+    it by its own standard deviation, which is the draw that
+    ``Generator.normal`` makes at that point alone (see
+    ``add_stacked_noise``), so its outcomes equal its trials run one point
+    at a time.  Consecutive points that share a code object share its
+    propagation.  Everything but the draws runs once for the stack.
+
+    A point after the first of its code forms its clean reception again,
+    one matrix product, rather than keep it.  A chunk of several noisy
+    points keeps the unit noise and adds it, scaled, to fresh arrays; a
+    one-point chunk keeps none, and scales each trial's draw in place as it
+    adds it to the clean arrays.
+    """
+    rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
+    # (n_rx, columns, states) of each trial's unit noise, in draw order
+    shapes = [(scenario.n_rx, scenario.block_len, scenario.n_states)]
+    if RECEIVER_ZF in receivers:
+        shapes.append((scenario.n_rx, scenario.n_tx, scenario.n_states))
+    if RECEIVER_PLAIN in receivers:
+        shapes += [(scenario.n_rx, scenario.block_len, 1), (scenario.n_rx, scenario.n_tx, 1)]
+    units = [np.empty((len(rngs), *shape)) for shape in shapes] if _caches_noise(points) else []
+    for unit in units:  # each generator still draws its targets in order
+        for t, rng in enumerate(rngs):
+            rng.standard_normal(out=unit[t])
+    outcomes = []
+    code = None
+    for point_code, inverse, snr_db in points:
+        if point_code is not code:
+            code = point_code
+            received, channels, powers, conds = _propagate(gains, code, symbols, receivers)
+            if units:  # later points need the clean channels: noise copies of the pilots'
+                received = [r if data else r.copy() for r, (_, data) in zip(received, channels)]
+        else:  # form the clean reception again, one matrix product, rather than keep it
+            received = [e @ symbols.swapaxes(-1, -2) if data else e.copy() for e, data in channels]
+        sds = [np.sqrt(noise_variance(power, snr_db)) for power in powers]
+        if math.isinf(snr_db):
+            pass  # noiseless: the clean arrays are received as they are
+        elif units:
+            for target, unit, sd in zip(received, units, sds):
+                add_stacked_noise(target, unit * sd[:, None, None, None])
+        else:  # one point: each trial's noise is scaled in place as it is drawn
+            for target, shape, sd in zip(received, shapes, sds):
+                for t, rng in enumerate(rngs):
+                    noise = rng.standard_normal(shape)
+                    noise *= sd[t]
+                    add_stacked_noise(target[t], noise)
+                    del noise  # before the next draw
+            del target  # the list keeps the only references, for VLC-KRF to take
+        outcomes.append(
+            _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
+        )
+    return outcomes
+
+
+# Bytes of a one-point chunk's stacked reception.  Stacking more trials saves
+# per-call overhead but costs memory: a one-point chunk's traced peak is
+# about 2.1 times its reception at 13 QLED trials (the reception next to
+# VLC-KRF's residual) and 2.5 times at 30 LEDs (a one-trial temporary next
+# to it).  A one-point chunk holds two reception-sized arrays, and a chunk
+# of several points about four: its unit noise, the reception it forms at
+# each point, the scaled noise or VLC-KRF's residual next to that, and the
+# smaller arrays of ZF, plain CSK and scoring (3.7 times its reception at 6
+# QLED trials).  The trial count per chunk follows from this and the link
+# size: 13 and 6 on the QLED 2x2 link (one point, several), 3 and 1 at 18
+# LEDs and 20 states, and 1 at 30 LEDs, whose one reception is 750 KiB and
+# whose points run one at a time.
 _CHUNK_BYTES = 1024 * 1024
+
+
+def _chunk_trials(scenario: SystemConfig, points) -> int:
+    """Trials per chunk of ``points``: 0 if a chunk of several would not hold one trial."""
+    arrays = 4 if _caches_noise(points) else 2  # reception-sized arrays that a chunk holds
+    size = 2 * _CHUNK_BYTES // (arrays * scenario.reception_bytes)
+    return size if len(points) > 1 else max(1, size)
+
+
+def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):
+    """Trials ``0 .. n_trials - 1`` at every point of ``points`` (see ``_run_chunk``).
+
+    The result lists, per point, the outcomes keyed by receiver.  Trial t
+    draws from ``derive_seed(base_seed, t)`` whatever the chunking, so a
+    chunk of trials equals the same trials run one at a time.  A grid whose
+    chunk would not hold one trial runs one point at a time.
+    """
+    size = _chunk_trials(scenario, points)
+    if size == 0:
+        return [
+            _run_grid(scenario, [p], n_trials, base_seed, receivers, channel_model, constellation)[0]
+            for p in points
+        ]
+    outcomes = [{r: [] for r in receivers} for _ in points]
+    for start in range(0, n_trials, size):
+        seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
+        chunk = _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
+        for point, result in zip(outcomes, chunk):
+            for r in receivers:
+                point[r] += result[r]
+    return outcomes
 
 
 def run_point(
@@ -314,27 +423,20 @@ def run_point(
 ) -> dict[str, list[TrialOutcome]]:
     """Independent trials at one sweep point, keyed by receiver; the code is built once.
 
-    Trial t draws from ``derive_seed(base_seed, t)`` whatever the chunking,
-    so a chunk of trials equals the same trials run one at a time, and a
-    one-trial point with base seed s is the trial of seed s.  ZF and VLC-KRF
-    share the payload, channel and data noise of the dimming code; plain
-    CSK has its own data and pilot noise.  Use ``snr_db=math.inf`` for a
-    noiseless run.
+    This is the sweep's engine on a one-point grid.  Trial t draws from
+    ``derive_seed(base_seed, t)``, so a one-trial point with base seed s is
+    the trial of seed s.  ZF and VLC-KRF share the payload, channel and
+    data noise of the dimming code; plain CSK has its own data and pilot
+    noise.  Use ``snr_db=math.inf`` for a noiseless run.
     """
     scenario.check_size()
     code = build_dimming_matrix(scenario.dimming_spec())
     constellation = constellation or default_constellation(scenario.k_t)
     inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
-    size = max(1, _CHUNK_BYTES // scenario.reception_bytes)
-    outcomes: dict[str, list[TrialOutcome]] = {r: [] for r in receivers}
-    for start in range(0, n_trials, size):
-        seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
-        chunk = _run_chunk(
-            scenario, code, inverse, snr_db, seeds, receivers, channel_model, constellation
-        )
-        for r in receivers:
-            outcomes[r] += chunk[r]
-    return outcomes
+    point = (code, inverse, snr_db)
+    return _run_grid(
+        scenario, [point], n_trials, base_seed, receivers, channel_model, constellation
+    )[0]
 
 
 def _aggregate(x: float, receiver: str, outcomes: list[TrialOutcome]) -> CurvePoint:
@@ -379,9 +481,11 @@ def run_sweep(
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
     ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
-    identifiability checked, before any trial runs; each point then runs
-    through ``run_point``.  Trial seeds do not depend on the point, so
-    channels are paired across the sweep.
+    identifiability checked, before any trial runs.  Every point runs the
+    same trials, so each trial is drawn once for the whole grid: its bits,
+    channel and unit noise, and in BER mode its clean reception and cond
+    too; each point then scales the noise to its SNR.  The curves equal
+    those of each point run alone through ``run_point``.
     """
     if mode == "ber":
         points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]
@@ -393,28 +497,35 @@ def run_sweep(
     else:
         raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
     cfg.scenario.check_size()  # every point shares the scenario's array sizes
-    for _, _, scenario in points:  # fail fast if any point's code is infeasible
-        build_dimming_matrix(scenario.dimming_spec())
+    codes = {}  # (code, inverse) per dimming depth; fails fast if any point's code is infeasible
+    for _, _, scenario in points:
+        if scenario.alpha not in codes:
+            code = build_dimming_matrix(scenario.dimming_spec())
+            inverse = code_inverse(code) if RECEIVER_KRF in cfg.receivers else None
+            codes[scenario.alpha] = (code, inverse)
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(
                 f"scenario fails the k-rank sum condition: {report}"
             )
-    curves: dict[str, list[CurvePoint]] = {r: [] for r in cfg.receivers}
-    for x, snr_db, scenario in points:
-        point = run_point(
-            scenario,
-            math.inf if cfg.noiseless else snr_db,
-            cfg.n_trials,
-            cfg.base_seed,
-            cfg.receivers,
-            cfg.channel_model,
-            constellation,
-        )
-        for r in cfg.receivers:
-            curves[r].append(_aggregate(x, r, point[r]))
-    return curves
+    grid = [
+        (*codes[scenario.alpha], math.inf if cfg.noiseless else snr_db)
+        for _, snr_db, scenario in points
+    ]
+    results = _run_grid(
+        cfg.scenario,
+        grid,
+        cfg.n_trials,
+        cfg.base_seed,
+        cfg.receivers,
+        cfg.channel_model,
+        constellation or default_constellation(cfg.scenario.k_t),
+    )
+    return {
+        r: [_aggregate(x, r, point[r]) for (x, _, _), point in zip(points, results)]
+        for r in cfg.receivers
+    }
 
 
 @dataclass(frozen=True)

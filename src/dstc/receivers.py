@@ -1,10 +1,13 @@
 """Receivers for dimming-coded CSK blocks.
 
-Both detectors take a noisy state-stacked reception (the clean one that
-``channel.propagate`` returns plus ``channel.add_stacked_noise``), one block
-or a stack of blocks along leading axes, and give back symbol and channel
-estimates plus a per-block failure mask; the caller slices and scores
-them.  A degenerate block is flagged in the mask, never raised, so one bad
+Both detectors take a noisy state-stacked reception, one block or a stack
+of blocks along leading axes: the clean one that ``channel.propagate``
+returns, plus noise at the variance that ``channel.noise_variance`` sets
+for an SNR, added by ``channel.add_stacked_noise``.  The detectors read
+their inputs and never write them, so the experiment engine may hand them
+arrays it forms again at each sweep point.  They give back symbol and
+channel estimates plus a per-block failure mask; the caller slices and
+scores them.  A degenerate block is flagged in the mask, never raised, so one bad
 trial does not stop its neighbours; malformed shapes and arguments still
 raise.  The zero-forcing receiver solves against an estimate of the
 effective (state-stacked) channel by the normal equations, one small Gram
@@ -120,8 +123,8 @@ def code_inverse(code: np.ndarray) -> np.ndarray:
     """The pseudoinverse that ``krf_detect`` applies; the code must pass ``full_column_rank``.
 
     That is the rank test ``build_dimming_matrix`` applies too.  The inverse
-    is the same for every trial of a sweep point, so it is formed once per
-    point.
+    is the same for every trial under one code, so it is formed once per
+    code.
     """
     code = np.asarray(code, dtype=float)
     if not full_column_rank(code):

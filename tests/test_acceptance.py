@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dstc.channel import add_stacked_noise, derive_seed, draw_channel, propagate
+from dstc.channel import (
+    add_stacked_noise,
+    derive_seed,
+    draw_channel,
+    noise_variance,
+    propagate,
+)
 from dstc.cli import main
 from dstc.csk import (
     block_with_reference,
@@ -235,12 +241,12 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         symbols = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        stacked, noise_variance, effective = propagate(gains, code, symbols, snr_db)
-        add_stacked_noise(stacked, rng, noise_variance, scen.n_states)
-        estimate = effective.copy()
-        add_stacked_noise(estimate, rng, noise_variance, scen.n_states)
+        stacked, effective, power = propagate(gains, code, symbols)
+        sd = np.sqrt(noise_variance(power, snr_db))
+        for target, n_cols in ((stacked, scen.block_len), (effective, scen.n_tx)):
+            add_stacked_noise(target, sd * rng.standard_normal((scen.n_rx, n_cols, scen.n_states)))
         results = {
-            "ZF": zf_detect(stacked, estimate, code),
+            "ZF": zf_detect(stacked, effective, code),
             "VLC-KRF": krf_detect(stacked, code_inverse(code), symbols[0]),
         }
         for r, result in results.items():

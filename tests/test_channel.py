@@ -10,6 +10,7 @@ from dstc.channel import (
     draw_channel,
     effective_channel,
     effective_cond,
+    noise_variance,
     propagate,
 )
 from dstc.dimming import DimmingSpec, build_dimming_matrix
@@ -80,8 +81,8 @@ class TestPropagate:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(0)
         s = rng.random((6, 4))
-        stacked, noise_variance, _ = propagate(np.eye(4), np.ones((3, 4)), s, math.inf)
-        assert noise_variance == 0.0
+        stacked, _, power = propagate(np.eye(4), np.ones((3, 4)), s)
+        assert noise_variance(power, math.inf) == 0.0
         for k in range(3):
             assert np.allclose(stacked[4 * k:4 * k + 4], s.T)
 
@@ -90,7 +91,7 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        stacked, _, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s)
         assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), atol=1e-12)
 
     def test_empirical_snr_calibration(self):
@@ -98,35 +99,40 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        clean, noise_variance, _ = propagate(h, c, s, 20.0)
+        clean, _, power = propagate(h, c, s)
         noisy = clean.copy()
-        add_stacked_noise(noisy, 3, noise_variance, 12)
+        sd = math.sqrt(noise_variance(power, 20.0))
+        add_stacked_noise(noisy, sd * np.random.default_rng(3).standard_normal((4, 500, 12)))
         measured = 10.0 * np.log10(np.mean(clean**2) / np.mean((noisy - clean) ** 2))
         assert measured == pytest.approx(20.0, abs=0.2)
 
     def test_zero_signal_rejected(self):
+        _, _, power = propagate(np.eye(2), np.ones((2, 2)), np.zeros((3, 2)))
+        assert noise_variance(power, math.inf) == 0.0  # a noiseless run needs no power
         with pytest.raises(DegenerateInputError):
-            propagate(np.eye(2), np.ones((2, 2)), np.zeros((3, 2)), 20.0)
+            noise_variance(power, 20.0)
 
     def test_rounding_error_signal_rejected(self):
         # the two LEDs cancel at the receiver up to one unit in the last place
         h = np.array([[1.0, -(1.0 - 2.0**-52)]])
         with pytest.raises(DegenerateInputError):
-            propagate(h, np.ones((2, 2)), np.ones((3, 2)), 20.0)
+            noise_variance(propagate(h, np.ones((2, 2)), np.ones((3, 2)))[2], 20.0)
 
     def test_underflowing_noise_variance_rejected(self):
         # the received power is subnormal, so its 60 dB noise variance rounds to
         # 0, which would make this noisy point a noiseless one
         rng = np.random.default_rng(8)
         c = build_dimming_matrix(DimmingSpec(12, 8, 1e-160, 1e-160))
+        _, _, power = propagate(rng.standard_normal((8, 8)), c, rng.random((100, 8)))
         with pytest.raises(DegenerateInputError, match="underflows at 60 dB"):
-            propagate(rng.standard_normal((8, 8)), c, rng.random((100, 8)), 60.0)
+            noise_variance(power, 60.0)
 
     def test_seed_determinism(self):
-        clean, noise_variance, _ = propagate(np.eye(2), np.ones((2, 2)), np.ones((3, 2)), 10.0)
+        clean, _, power = propagate(np.eye(2), np.ones((2, 2)), np.ones((3, 2)))
+        sd = math.sqrt(noise_variance(power, 10.0))
         a, b = clean.copy(), clean.copy()
-        add_stacked_noise(a, 42, noise_variance, 2)
-        add_stacked_noise(b, 42, noise_variance, 2)
+        for target in (a, b):
+            add_stacked_noise(target, sd * np.random.default_rng(42).standard_normal((2, 3, 2)))
         assert np.array_equal(a, b)
 
     def test_noise_is_the_restacked_draw(self):
@@ -134,20 +140,29 @@ class TestPropagate:
         h = rng.standard_normal((3, 4))
         s = rng.random((7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
-        clean, _, _ = propagate(h, c, s, math.inf)
-        received, noise_variance, _ = propagate(h, c, s, 10.0)
-        assert np.array_equal(received, clean)  # the reception comes back noiseless
-        add_stacked_noise(received, 5, noise_variance, 8)
-        # the noise is drawn in (n_rx, n_slots, n_states) order and added stacked
-        draw = np.random.default_rng(5).normal(size=(3, 7, 8)) * math.sqrt(noise_variance)
-        noise = np.zeros_like(clean)
-        add_stacked_noise(noise, 5, noise_variance, 8)
-        assert np.array_equal(noise, stack(draw))
+        clean, _, power = propagate(h, c, s)
+        sd = math.sqrt(noise_variance(power, 10.0))
+        # the scaled unit draw is Generator.normal's draw, and the noise is
+        # added stacked from its (n_rx, n_slots, n_states) order
+        noise = sd * np.random.default_rng(5).standard_normal((3, 7, 8))
+        draw = np.random.default_rng(5).normal(scale=sd, size=(3, 7, 8))
+        assert np.array_equal(noise, draw)
+        received = clean.copy()
+        add_stacked_noise(received, noise)
         assert np.array_equal(received, clean + stack(draw))
+
+    def test_stacked_noise_broadcasts_over_blocks(self):
+        rng = np.random.default_rng(11)
+        clean = rng.standard_normal((4, 8 * 3, 7))
+        noise = rng.standard_normal((4, 3, 7, 8))
+        received = clean.copy()
+        add_stacked_noise(received, noise)
+        for t in range(4):
+            assert np.array_equal(received[t], clean[t] + stack(noise[t]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            propagate(np.eye(2), np.ones((2, 3)), np.ones((4, 3)), 10.0)
+            propagate(np.eye(2), np.ones((2, 3)), np.ones((4, 3)))
 
     @pytest.mark.parametrize("snr_db", [10.0, math.inf])
     def test_stack_equals_each_block(self, snr_db):
@@ -155,12 +170,13 @@ class TestPropagate:
         h = rng.standard_normal((5, 3, 4))
         s = rng.random((5, 7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
-        stacked, noise_variance, effective = propagate(h, c, s, snr_db)
-        assert noise_variance.shape == (5,)
+        stacked, effective, power = propagate(h, c, s)
+        variance = noise_variance(power, snr_db)
+        assert variance.shape == (5,)
         for t in range(5):
-            block, block_variance, block_effective = propagate(h[t], c, s[t], snr_db)
+            block, block_effective, block_power = propagate(h[t], c, s[t])
             assert np.array_equal(stacked[t], block)
-            assert noise_variance[t] == block_variance
+            assert noise_variance(block_power, snr_db) == variance[t]
             assert np.array_equal(effective[t], block_effective)
 
 
@@ -205,7 +221,7 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        stacked, _, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s)
         assert np.allclose(stacked, effective_channel(h, c) @ s.T, atol=1e-10)
         assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, atol=1e-10)
 
@@ -215,7 +231,7 @@ class TestUnfold:
         s = rng.random((6, 3))
         c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
         y = trilinear_oracle(h, s, c)
-        rows = propagate(h, c, s, math.inf)[0].reshape(4, -1)
+        rows = propagate(h, c, s)[0].reshape(4, -1)
         for k in range(4):
             assert np.allclose(rows[k], vec(y[:, :, k].T), atol=1e-12)
             # each state's row is the dimming row pushed through the joint factor
@@ -240,6 +256,6 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        stacked, _, _ = propagate(h, c, s, math.inf)
+        stacked, _, _ = propagate(h, c, s)
         assert np.allclose(stacked, stack(y), atol=1e-10)
         assert np.allclose(stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, atol=1e-10)

@@ -169,6 +169,31 @@ class TestDesign:
 
 
 class TestSimulate:
+    # SHA-256 of (curves CSV, summary.txt) of each bundled simulate config at
+    # its own seed: every count, NMSE and cond must stay byte-identical
+    PINNED_OUTPUTS = {
+        "qled2x2": (
+            "ber_nmse.csv",
+            "fc9d597aa4c9d56df4d93c081d70d72de94c7daffe84ad1772d0536151cfd84e",
+            "1207da23c85cc7284c1f0055c2d1077cc851cba59ddbe2970797d3998c526fa4",
+        ),
+        "alpha_qled2x2": (
+            "alpha_sweep.csv",
+            "9d38f06962dad8cec1e49c18e62abab7ddb4392ac3a8378f72c11bddf81331e0",
+            "8f1b3e0441ad46797ce6ed241c6ba91c3c4e5687f0a6b118161f6508bd3b3d84",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_bundled_outputs_are_pinned(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", f"configs/{name}.cfg", "--out", str(out)]) == 0
+        csv_name, *pinned = self.PINNED_OUTPUTS[name]
+        digests = [
+            hashlib.sha256((out / f).read_bytes()).hexdigest() for f in (csv_name, "summary.txt")
+        ]
+        assert digests == pinned
+
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
         out = tmp_path / "out"
@@ -280,6 +305,17 @@ class TestSimulate:
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "noise variance underflows at 60 dB" in err
+
+    def test_underflow_at_a_later_point_exits_4_with_one_line(self, tmp_path, capsys):
+        # 20 dB leaves a normal noise variance; 60 dB underflows
+        text = SMALL_SIM.replace("p_m = 0.5\nalpha = 0.4", "p_m = 1e-152\nalpha = 1e-152")
+        cfg = write_cfg(tmp_path / "sim.cfg", text.replace("snr_grid_db = 10 20", "snr_grid_db = 20 60"))
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise variance underflows at 60 dB" in err
+        assert "Traceback" not in err
+        assert not (out / "ber_nmse.csv").exists()
 
     def test_plain_csk_on_short_channel_exits_1_with_one_line(self, tmp_path, capsys):
         # 6 photodiodes cannot zero-force 8 LEDs without a dimming code

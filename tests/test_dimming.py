@@ -191,7 +191,7 @@ class TestValidate:
 
 def transmitted(code, symbols):
     """What ``propagate`` sends per state, read through an identity channel."""
-    stacked, _, _ = propagate(np.eye(code.shape[1]), code, symbols, math.inf)
+    stacked, _, _ = propagate(np.eye(code.shape[1]), code, symbols)
     return stacked.reshape(code.shape[0], code.shape[1], -1)
 
 

@@ -16,6 +16,7 @@ from dstc.dimming import (
     build_dimming_matrix,
     default_chromaticity,
 )
+from dstc.linalg import DegenerateInputError
 from dstc.receivers import code_inverse, krf_detect
 from dstc.experiments import (
     ALL_RECEIVERS,
@@ -275,26 +276,32 @@ class TestChunkMemory:
     """A chunk's working set stays a small multiple of its stacked reception."""
 
     WIDE30 = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
+    QLED_GRID = (12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0)
 
-    # (scenario, trials per chunk at the default budget, bound on peak / reception)
+    # (scenario, SNR grid, trials per chunk at the default budget, bound on
+    # peak / the chunk's reception); the 7-point chunk of 6 trials is held to
+    # the one-point chunk's absolute bound, 2.1 receptions of 13 trials
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
         "returns, so VLC-KRF cannot free the reception before its fit",
     )
     @pytest.mark.parametrize(
-        "scenario,n_trials,bound",
-        [(default_scenarios()["qled2x2-k12"], 13, 2.1), (WIDE30, 1, 2.5)],
-        ids=["qled2x2-k12", "3-10-32"],
+        "scenario,grid,n_trials,bound",
+        [
+            (default_scenarios()["qled2x2-k12"], (20.0,), 13, 2.1),
+            (WIDE30, (20.0,), 1, 2.5),
+            (default_scenarios()["qled2x2-k12"], QLED_GRID, 6, 2.1 * 13 / 6),
+        ],
+        ids=["qled2x2-k12", "3-10-32", "qled2x2-k12-7-points"],
     )
-    def test_traced_peak_is_bounded_by_the_reception(self, scenario, n_trials, bound):
-        assert max(1, experiments._CHUNK_BYTES // scenario.reception_bytes) == n_trials
+    def test_traced_peak_is_bounded_by_the_reception(self, scenario, grid, n_trials, bound):
         code = build_dimming_matrix(scenario.dimming_spec())
+        points = [(code, code_inverse(code), snr_db) for snr_db in grid]
+        assert experiments._chunk_trials(scenario, points) == n_trials
         args = (
             scenario,
-            code,
-            code_inverse(code),
-            20.0,
+            points,
             [derive_seed(5, t) for t in range(n_trials)],
             ALL_RECEIVERS,
             "gaussian",
@@ -308,6 +315,95 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n_trials * scenario.reception_bytes, peak
+
+    def test_grid_too_wide_for_kept_noise_runs_point_by_point(self):
+        code = build_dimming_matrix(self.WIDE30.dimming_spec())
+        points = [(code, None, snr_db) for snr_db in (8.0, 20.0)]
+        assert experiments._chunk_trials(self.WIDE30, points) == 0
+        assert experiments._chunk_trials(self.WIDE30, points[:1]) == 1
+
+
+class TestSweepEngine:
+    """A sweep draws each trial once for its grid, and equals its points run alone."""
+
+    QLED = default_scenarios()["qled2x2-k12"]  # 6 trials per chunk of several points
+
+    @staticmethod
+    def sweep_outcomes(monkeypatch, cfg, mode):
+        """Per point, the trial outcomes that ``run_sweep`` aggregated."""
+        returned = []
+        run_grid = experiments._run_grid
+
+        def recording(*args):
+            returned.append(run_grid(*args))
+            return returned[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_run_grid", recording)
+            run_sweep(cfg, mode)
+        return returned[-1]  # the outermost call returns last
+
+    # 23 trials leave a partial last chunk at 6, 2 and 1 trials per chunk
+    @pytest.mark.parametrize("budget", ["default", "one trial per chunk", "point by point"])
+    @pytest.mark.parametrize(
+        "mode,changes",
+        [
+            ("ber", dict(receivers=ALL_RECEIVERS)),
+            ("alpha", dict(receivers=("ZF", "VLC-KRF"))),
+            ("ber", dict(receivers=ALL_RECEIVERS, noiseless=True)),
+            ("ber", dict(receivers=("plain-CSK",))),
+            ("ber", dict(receivers=("ZF", "VLC-KRF"), channel_model="diagonal")),
+        ],
+        ids=["ber", "alpha", "noiseless", "plain-only", "diagonal"],
+    )
+    def test_sweep_equals_each_point_run_alone(self, monkeypatch, mode, changes, budget):
+        cfg = ExperimentConfig(
+            scenario=self.QLED,
+            snr_grid_db=(4.0, 10.0, 16.0),
+            alpha_grid=(0.2, 0.4),
+            alpha_sweep_snr_db=8.0,
+            n_symbols_total=23 * self.QLED.block_len,
+            base_seed=41,
+            **changes,
+        )
+        # "one trial per chunk" gives a chunk of several points one trial; a
+        # grid at "point by point" holds none and runs one point at a time
+        # (two trials per chunk)
+        budgets = {"one trial per chunk": 2, "point by point": 1}
+        if budget in budgets:
+            monkeypatch.setattr(
+                experiments, "_CHUNK_BYTES", budgets[budget] * self.QLED.reception_bytes
+            )
+        swept = self.sweep_outcomes(monkeypatch, cfg, mode)
+        if mode == "ber":
+            alone = [(cfg.scenario, snr_db) for snr_db in cfg.snr_grid_db]
+        else:
+            alone = [
+                (dataclasses.replace(cfg.scenario, alpha=alpha), cfg.alpha_sweep_snr_db)
+                for alpha in cfg.alpha_grid
+            ]
+        assert len(swept) == len(alone)
+        for point, (scenario, snr_db) in zip(swept, alone):
+            expected = run_point(
+                scenario,
+                math.inf if cfg.noiseless else snr_db,
+                cfg.n_trials,
+                cfg.base_seed,
+                cfg.receivers,
+                cfg.channel_model,
+            )
+            assert point == expected, snr_db
+
+    def test_snr_checks_run_at_every_point(self):
+        # the received power is ~1e-303: its 20 dB noise variance is normal,
+        # its 60 dB one underflows in every trial
+        dim = SystemConfig(
+            k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=25, p_m=1e-152, alpha=1e-152
+        )
+        cfg = ExperimentConfig(scenario=dim, snr_grid_db=(20.0, 60.0), n_symbols_total=250)
+        run_point(dim, 20.0, cfg.n_trials, cfg.base_seed)
+        with pytest.raises(DegenerateInputError, match="underflows at 60 dB"):
+            run_sweep(cfg, "ber")
 
 
 class TestArrayBudget:
@@ -428,7 +524,7 @@ class TestSweeps:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the feasibility check")
 
-        monkeypatch.setattr("dstc.experiments.run_point", no_trials)
+        monkeypatch.setattr("dstc.experiments._run_chunk", no_trials)
         cfg = ExperimentConfig(
             scenario=dataclasses.replace(QLED12, alpha=0.7),
             snr_grid_db=(20.0,),
