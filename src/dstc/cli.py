@@ -5,14 +5,15 @@ measures its average power and chromaticity, ``simulate`` runs a config's
 Monte Carlo sweeps, ``check`` runs its identifiability check, and ``eta``
 prints spectral efficiencies.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 infeasible code
-design (also a power swing too small for a full-column-rank code), 3 failed
-identifiability check, 4 simulation producing a sweep point where every trial
-failed or a block with no received power, 5 input too large: an identifiability
-check too wide to decide (a k-rank search over more columns than the
-brute-force limit), or an array over ``linalg.MAX_ARRAY_BYTES`` (the dimming
-code, one trial's stacked reception, effective channel or symbol block, or the
-audit's bit draw), refused before it is allocated.
+Exit codes: 0 success, 1 usage or configuration error or an output path that
+cannot be written, 2 infeasible code design (also a power swing too small for
+a full-column-rank code), 3 failed identifiability check, 4 simulation
+producing a sweep point where every trial failed or a block with no received
+power, 5 input too large: an identifiability check too wide to decide (a
+k-rank search over more columns than the brute-force limit), or an array over
+``linalg.MAX_ARRAY_BYTES`` (the dimming code, one trial's stacked reception,
+effective channel or symbol block, or the audit's bit draw), refused before it
+is allocated.
 ``main`` maps every exception a command raises to its code through ``_ERRORS``.
 """
 
@@ -68,6 +69,7 @@ _ERRORS = (
     (DegenerateInputError, EXIT_DEGENERATE, "simulation failed: "),
     (SizeLimitError, EXIT_SIZE_LIMIT, "identifiability check too large: "),
     (ArraySizeError, EXIT_SIZE_LIMIT, "input too large: "),
+    (OSError, EXIT_USAGE, "cannot write output: "),
 )
 
 

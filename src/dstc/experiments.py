@@ -232,11 +232,6 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
     return rngs, bits, symbols, gains
 
 
-def _caches_noise(points) -> bool:
-    """Whether a chunk keeps its unit noise for reuse: it runs several points, not all noiseless."""
-    return len(points) > 1 and not all(math.isinf(snr_db) for *_, snr_db in points)
-
-
 def _propagate(gains, code, symbols, receivers):
     """The clean noise targets in draw order, their channels and power, and each receiver's cond.
 
@@ -273,20 +268,18 @@ def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, con
     """Detect and score one point of a chunk: its outcomes keyed by receiver.
 
     ``received`` lists the noisy arrays in ``_propagate``'s order and is
-    emptied: VLC-KRF detects last and is handed the reception's only
-    reference, which it frees before its rank-one fit.
+    emptied: the arrays after the reception are taken out as they are used,
+    and VLC-KRF detects last and is handed the reception's only reference,
+    which it frees before its rank-one fit.
     """
-    stacked = received.pop(0)
     estimates = {}
     if RECEIVER_ZF in receivers:
-        estimates[RECEIVER_ZF] = zf_detect(stacked, received.pop(0), code)
+        estimates[RECEIVER_ZF] = zf_detect(received[0], received.pop(1), code)
     if RECEIVER_PLAIN in receivers:
         one_state = np.ones((1, code.shape[1]))
-        estimates[RECEIVER_PLAIN] = zf_detect(received.pop(0), received.pop(0), one_state)
-    received.append(stacked)
-    del stacked
+        estimates[RECEIVER_PLAIN] = zf_detect(received.pop(1), received.pop(1), one_state)
     if RECEIVER_KRF in receivers:
-        estimates[RECEIVER_KRF] = krf_detect(received.pop(), inverse, symbols[:, 0])
+        estimates[RECEIVER_KRF] = krf_detect(received.pop(0), inverse, symbols[:, 0])
     received.clear()  # without VLC-KRF, free the reception before the point is scored
     results = list(estimates.values())
     payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
@@ -311,54 +304,50 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
 
     ``points`` lists ``(code, inverse, snr_db)``; the result lists, per
     point, the outcomes keyed by receiver.  Each trial draws its bits and
-    channel from its own generator (see ``_draw_chunk``), and then its unit
-    noise for each target of ``_propagate``, in that order.  A point scales
-    it by its own standard deviation, which is the draw that
-    ``Generator.normal`` makes at that point alone (see
-    ``add_stacked_noise``), so its outcomes equal its trials run one point
-    at a time.  Consecutive points that share a code object share its
-    propagation.  Everything but the draws runs once for the stack.
+    channel from its own generator (see ``_draw_chunk``), and at the first
+    noisy point its unit noise for each target of ``_propagate``, in that
+    order.  Each noisy point scales a trial's draw by its own standard
+    deviation, which is the draw that ``Generator.normal`` makes at that
+    point alone (see ``add_stacked_noise``), so its outcomes equal its
+    trials run one point at a time.  Consecutive points that share a code
+    object share its propagation.  Everything but the draws runs once for
+    the stack.
 
-    A point after the first of its code forms its clean reception again,
-    one matrix product, rather than keep it.  A chunk of several noisy
-    points keeps the unit noise and adds it, scaled, to fresh arrays; a
-    one-point chunk keeps none, and scales each trial's draw in place as it
-    adds it to the clean arrays.
+    A draw is kept only while a later point follows: a point before the last
+    adds it scaled into a one-trial temporary, and the last point scales it
+    in place.  A point after the first of its code forms its clean reception
+    again, one matrix product, rather than keep it, and adds noise to copies
+    of the clean pilot estimates; the first point of a code copies them only
+    when a later point follows.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    # (n_rx, columns, states) of each trial's unit noise, in draw order
-    shapes = [(scenario.n_rx, scenario.block_len, scenario.n_states)]
-    if RECEIVER_ZF in receivers:
-        shapes.append((scenario.n_rx, scenario.n_tx, scenario.n_states))
-    if RECEIVER_PLAIN in receivers:
-        shapes += [(scenario.n_rx, scenario.block_len, 1), (scenario.n_rx, scenario.n_tx, 1)]
-    units = [np.empty((len(rngs), *shape)) for shape in shapes] if _caches_noise(points) else []
-    for unit in units:  # each generator still draws its targets in order
-        for t, rng in enumerate(rngs):
-            rng.standard_normal(out=unit[t])
+    kept = []  # the unit draws by target, then trial, while a later point reads them
     outcomes = []
     code = None
-    for point_code, inverse, snr_db in points:
+    for i, (point_code, inverse, snr_db) in enumerate(points):
+        later = i + 1 < len(points)
         if point_code is not code:
             code = point_code
             received, channels, powers, conds = _propagate(gains, code, symbols, receivers)
-            if units:  # later points need the clean channels: noise copies of the pilots'
+            if later:  # later points need the clean channels: noise copies of the pilots
                 received = [r if data else r.copy() for r, (_, data) in zip(received, channels)]
         else:  # form the clean reception again, one matrix product, rather than keep it
             received = [e @ symbols.swapaxes(-1, -2) if data else e.copy() for e, data in channels]
-        sds = [np.sqrt(noise_variance(power, snr_db)) for power in powers]
-        if math.isinf(snr_db):
-            pass  # noiseless: the clean arrays are received as they are
-        elif units:
-            for target, unit, sd in zip(received, units, sds):
-                add_stacked_noise(target, unit * sd[:, None, None, None])
-        else:  # one point: each trial's noise is scaled in place as it is drawn
-            for target, shape, sd in zip(received, shapes, sds):
+        if not math.isinf(snr_db):  # noiseless: the clean arrays are received as they are
+            fresh, draws = not kept, iter(kept)
+            for target, power in zip(received, powers):
+                sd = np.sqrt(noise_variance(power, snr_db))
+                shape = (scenario.n_rx, target.shape[-1], target.shape[-2] // scenario.n_rx)
                 for t, rng in enumerate(rngs):
-                    noise = rng.standard_normal(shape)
-                    noise *= sd[t]
-                    add_stacked_noise(target[t], noise)
-                    del noise  # before the next draw
+                    unit = rng.standard_normal(shape) if fresh else next(draws)
+                    if later:
+                        add_stacked_noise(target[t], unit * sd[t])
+                        if fresh:
+                            kept.append(unit)
+                    else:  # no later point reads the draw
+                        unit *= sd[t]
+                        add_stacked_noise(target[t], unit)
+                    del unit  # before the next draw
             del target  # the list keeps the only references, for VLC-KRF to take
         outcomes.append(
             _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
@@ -371,21 +360,21 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
 # about 2.1 times its reception at 13 QLED trials (the reception next to
 # VLC-KRF's residual) and 2.5 times at 30 LEDs (a one-trial temporary next
 # to it).  A one-point chunk holds two reception-sized arrays, and a chunk
-# of several points about four: its unit noise, the reception it forms at
-# each point, the scaled noise or VLC-KRF's residual next to that, and the
-# smaller arrays of ZF, plain CSK and scoring (3.7 times its reception at 6
-# QLED trials).  The trial count per chunk follows from this and the link
-# size: 13 and 6 on the QLED 2x2 link (one point, several), 3 and 1 at 18
-# LEDs and 20 states, and 1 at 30 LEDs, whose one reception is 750 KiB and
-# whose points run one at a time.
+# of several points about four: the unit noise it keeps, the reception it
+# forms at each point, VLC-KRF's residual next to that, and the smaller
+# arrays of ZF, plain CSK and scoring (3.3 times its reception at 6 QLED
+# trials).  The trial count per chunk follows from the point count alone,
+# noiseless or not, and the link size: 13 and 6 on the QLED 2x2 link (one
+# point, several), 3 and 1 at 18 LEDs and 20 states, and 1 at 30 LEDs, whose
+# one reception is 750 KiB and whose points run one at a time.
 _CHUNK_BYTES = 1024 * 1024
 
 
 def _chunk_trials(scenario: SystemConfig, points) -> int:
     """Trials per chunk of ``points``: 0 if a chunk of several would not hold one trial."""
-    arrays = 4 if _caches_noise(points) else 2  # reception-sized arrays that a chunk holds
-    size = 2 * _CHUNK_BYTES // (arrays * scenario.reception_bytes)
-    return size if len(points) > 1 else max(1, size)
+    several = len(points) > 1
+    size = 2 * _CHUNK_BYTES // ((4 if several else 2) * scenario.reception_bytes)
+    return size if several else max(1, size)
 
 
 def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):

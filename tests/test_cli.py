@@ -140,6 +140,13 @@ class TestDesign:
         assert run_cli(["design", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["design", "--config", DESIGN_ONLY, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err, err
+
     # SHA-256 of (design_report.txt, dimming_matrix.csv) for each bundled config;
     # the code's construction and its report must not move by one byte.
     PINNED_OUTPUTS = {
@@ -206,6 +213,14 @@ class TestSimulate:
         for name in manifest["outputs"]:
             assert (out / name).is_file()
         assert (out / "summary.txt").read_text().startswith("[ber_nmse]")
+
+    def test_output_taken_by_a_directory_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
+        taken = tmp_path / "out" / "ber_nmse.csv"
+        taken.mkdir(parents=True)
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(taken) in err, err
 
     def test_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
@@ -859,6 +874,16 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path / "c.cfg", "[dimming]\np_m = 0.5\n")
         with pytest.raises(ConfigError, match="scenario"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("command", ["design", "audit", "check", "simulate"])
+    def test_non_utf8_config_exits_1_with_one_line(self, command, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"[scenario]\nk_t = 4\xff\n")
+        with pytest.raises(ConfigError, match="utf-8"):
+            load_config(cfg)
+        assert run_cli([command, "--config", str(cfg)]) == 1  # fails before any output
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err, err
 
     def test_unknown_key_rejected_with_hint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM.replace("alpha = 0.4", "alpah = 0.1"))

@@ -279,8 +279,8 @@ class TestChunkMemory:
     QLED_GRID = (12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0)
 
     # (scenario, SNR grid, trials per chunk at the default budget, bound on
-    # peak / the chunk's reception); the 7-point chunk of 6 trials is held to
-    # the one-point chunk's absolute bound, 2.1 receptions of 13 trials
+    # peak / the chunk's reception); the 7-point chunk keeps one reception of
+    # unit noise and adds each point's scaled noise one trial at a time
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
@@ -291,7 +291,7 @@ class TestChunkMemory:
         [
             (default_scenarios()["qled2x2-k12"], (20.0,), 13, 2.1),
             (WIDE30, (20.0,), 1, 2.5),
-            (default_scenarios()["qled2x2-k12"], QLED_GRID, 6, 2.1 * 13 / 6),
+            (default_scenarios()["qled2x2-k12"], QLED_GRID, 6, 3.5),
         ],
         ids=["qled2x2-k12", "3-10-32", "qled2x2-k12-7-points"],
     )
