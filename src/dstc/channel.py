@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import ZERO_RTOL, DegenerateInputError, gram_cond
+from .linalg import ZERO_RTOL, DegenerateInputError
 
 CHANNEL_MODELS = ("gaussian", "diagonal")
 
@@ -67,20 +67,6 @@ def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return stacked.reshape(*gains.shape[:-2], n_states * gains.shape[-2], n_tx)
 
 
-def effective_cond(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """``np.linalg.cond(effective_channel(gains, code))`` without the stacked channel.
-
-    The effective channel is the column-wise Khatri-Rao product of the code
-    and the gains, so its Gram matrix is the Hadamard product ``(code.T @
-    code) * (gains.T @ gains)`` (Kolda & Bader, SIAM Review 2009, 2.6), an
-    ``n_tx x n_tx`` matrix per gain matrix in the stack; see
-    ``linalg.gram_cond`` for its accuracy.
-    """
-    gains = np.asarray(gains, dtype=float)
-    code = np.asarray(code, dtype=float)
-    return gram_cond((code.T @ code) * (gains.swapaxes(-1, -2) @ gains))
-
-
 def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
     """Add ``noise`` in place to a stacked ``(..., n_states * n_rx, n_cols)`` array.
 
@@ -95,33 +81,28 @@ def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
     by_state += np.moveaxis(noise, -1, -3)
 
 
-def _mean_square(stacked: np.ndarray) -> np.ndarray:
-    """``np.mean(stacked**2, axis=(-2, -1))``, squaring a quarter of the blocks at a time.
-
-    The squares of a stack of blocks never all exist at once, and each
-    block's mean is bit-identical to the one-call form: a block's sum never
-    spans two slabs.
-    """
-    blocks = stacked.reshape(-1, *stacked.shape[-2:])
-    power = np.empty(len(blocks))
-    step = max(1, -(-len(blocks) // 4))
-    for start in range(0, len(blocks), step):
-        power[start:start + step] = np.mean(blocks[start:start + step] ** 2, axis=(-2, -1))
-    return power.reshape(stacked.shape[:-2])
-
-
 def propagate(
     gains: np.ndarray, code: np.ndarray, symbols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Send a symbol block through the channel in every dimming state.
+    """The effective channel, its Gram matrix and the received power of a symbol block.
 
-    Returns the noiseless stacked reception ``effective @ symbols.T``,
-    ``effective = effective_channel(gains, code)``, and the received power,
-    the mean squared entry of each noiseless block, from which
-    ``noise_variance`` sets the noise of any SNR.  The caller adds the noise
-    (see ``add_stacked_noise``) and the pilot phase reuses ``effective``.  A
-    power that is rounding error next to the scale of the channel and the
-    transmitted block leaves every SNR undefined, and is returned as NaN.
+    Returns ``effective = effective_channel(gains, code)``, whose noiseless
+    stacked reception is ``effective @ symbols.T``, the Gram matrix
+    ``effective.T @ effective``, and the received power, the mean squared
+    entry of each noiseless block, from which ``noise_variance`` sets the
+    noise of any SNR.  The caller forms the reception and adds the noise
+    (see ``add_stacked_noise``).
+
+    The effective channel is the column-wise Khatri-Rao product of the code
+    and the gains, so its Gram matrix is ``(code.T @ code) * (gains.T @
+    gains)``, and the power is the trace ``sum(gram * (symbols.T @
+    symbols)) / (rows * slots)`` (Kolda & Bader, SIAM Review 2009, 2.6).  A
+    block whose sum is within its own rounding bound, ``4 * eps * (rows +
+    slots + n_tx**2) * (sum_i |e_i| |s_i|)**2`` over the columns of the
+    channel and the symbols (Higham 2002, 3.1), may cancel at the receiver,
+    and takes the direct mean square of its reception instead.  A power that
+    is rounding error next to the scale of the channel and the transmitted
+    block leaves every SNR undefined, and is returned as NaN.
 
     ``gains`` ``(..., n_rx, n_tx)`` and ``symbols`` ``(..., n_slots, n_tx)``
     broadcast over their leading axes, and so the power has one entry per
@@ -136,12 +117,21 @@ def propagate(
             f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
         )
     effective = effective_channel(gains, code)
-    stacked = effective @ symbols.swapaxes(-1, -2)
-    power = _mean_square(stacked)
+    gram = (code.T @ code) * (gains.swapaxes(-1, -2) @ gains)
+    terms = gram * (symbols.swapaxes(-1, -2) @ symbols)
+    total = np.array(np.sum(terms, axis=(-2, -1)))
+    norms = np.sqrt(np.diagonal(terms, axis1=-2, axis2=-1))  # |e_i| |s_i| per column i
+    rows, slots = effective.shape[-2], symbols.shape[-2]
+    bound = 4 * np.finfo(float).eps * (rows + slots + n_tx**2) * np.sum(norms, axis=-1) ** 2
+    e = np.broadcast_to(effective, (*total.shape, rows, n_tx))
+    s = np.broadcast_to(symbols, (*total.shape, slots, n_tx))
+    for i in map(tuple, np.argwhere(total <= bound)):  # only a block that may cancel is formed
+        total[i] = np.sum((e[i] @ s[i].T) ** 2)
+    power = total / (rows * slots)
     peak = np.abs(gains).max(axis=(-2, -1)) * np.abs(code).max()
     scale = peak * np.abs(symbols).max(axis=(-2, -1))
     power = np.where(power <= (ZERO_RTOL * scale) ** 2, np.nan, power)
-    return stacked, effective, power
+    return effective, gram, power
 
 
 def noise_variance(power: np.ndarray, snr_db: float) -> np.ndarray:

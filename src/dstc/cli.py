@@ -190,18 +190,20 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    sweeps = [sweep for sweep in _SWEEPS if bundle.mode in (sweep[0], "both")]
+    summary_path, manifest_path = out / "summary.txt", out / "manifest.json"
+    for path in [*(out / csv_name for _, csv_name, _ in sweeps), summary_path, manifest_path]:
+        if path.exists():  # fail before the sweeps, as writing would; append changes nothing
+            path.open("a").close()
     outputs: list[Path] = []
     summary: list[str] = []
     degenerate = False
-    for mode, csv_name, label in _SWEEPS:
-        if bundle.mode not in (mode, "both"):
-            continue
+    for mode, csv_name, label in sweeps:
         curves = run_sweep(cfg, mode, constellation)
         outputs.append(write_curves_csv(curves, out / csv_name))
         summary += _summary_lines(label, curves)
         degenerate |= _degenerate(curves)
 
-    summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
     outputs.append(summary_path)
 
@@ -213,7 +215,6 @@ def cmd_simulate(args) -> int:
         "outputs": [p.name for p in outputs],
         "experiment": {**dataclasses.asdict(cfg), "mode": bundle.mode, "n_trials": cfg.n_trials},
     }
-    manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     for line in summary:

@@ -27,7 +27,6 @@ from .channel import (
     add_stacked_noise,
     derive_seed,
     draw_channel,
-    effective_cond,
     noise_variance,
     propagate,
 )
@@ -47,7 +46,7 @@ from .dimming import (
     default_chromaticity,
 )
 from .identifiability import UniquenessReport, check_uniqueness
-from .linalg import check_array_bytes
+from .linalg import check_array_bytes, gram_cond
 from .receivers import (
     RECEIVER_KRF,
     RECEIVER_PLAIN,
@@ -233,35 +232,30 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
 
 
 def _propagate(gains, code, symbols, receivers):
-    """The clean noise targets in draw order, their channels and power, and each receiver's cond.
+    """The noise targets in draw order, each link's received power, and each receiver's cond.
 
-    The targets are the data reception and ZF's pilot estimate under
-    ``code``, which ZF and VLC-KRF share, then plain CSK's reception and
-    pilot estimate under the one-state all-ones code (zero forcing without
-    a dimming code).  Each target's channel is given as ``(effective,
-    is_data)``: the clean reception is ``effective @ symbols.T``, and ZF's
-    pilots are the identity, so its clean estimate is the effective channel
-    itself.  ZF and VLC-KRF report the clean effective channel's cond by its
-    Khatri-Rao Gram matrix (``effective_cond``); plain CSK's square channel
-    can be too ill-conditioned for that and keeps the SVD.
+    A link is the dimming ``code``, which ZF and VLC-KRF share, or plain
+    CSK's one-state all-ones code (zero forcing without a dimming code).  A
+    link's targets are its data reception and, for ZF and plain CSK, its
+    pilot estimate, each given as ``(effective, is_data, link)``: the clean
+    reception is ``effective @ symbols.T``, and ZF's pilots are the
+    identity, so its clean estimate is the effective channel itself.  ZF and
+    VLC-KRF report the clean effective channel's cond from the Khatri-Rao
+    Gram matrix that ``propagate`` forms (``linalg.gram_cond``); plain CSK's
+    square channel can be too ill-conditioned for that and keeps the SVD.
     """
-    stacked, effective, power = propagate(gains, code, symbols)
+    effective, gram, power = propagate(gains, code, symbols)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
-    conds = dict.fromkeys(on_code, effective_cond(gains, code)) if on_code else {}
-    clean, channels, powers = [stacked], [(effective, True)], [power]
+    conds = dict.fromkeys(on_code, gram_cond(gram)) if on_code else {}
+    targets, powers = [(effective, True, 0)], [power]
     if RECEIVER_ZF in receivers:
-        clean.append(effective)
-        channels.append((effective, False))
-        powers.append(power)
+        targets.append((effective, False, 0))
     if RECEIVER_PLAIN in receivers:
-        plain_stacked, plain_effective, plain_power = propagate(
-            gains, np.ones((1, gains.shape[-1])), symbols
-        )
-        conds[RECEIVER_PLAIN] = np.linalg.cond(plain_effective)
-        clean += [plain_stacked, plain_effective]
-        channels += [(plain_effective, True), (plain_effective, False)]
-        powers += [plain_power, plain_power]
-    return clean, channels, powers, conds
+        plain, _, plain_power = propagate(gains, np.ones((1, gains.shape[-1])), symbols)
+        conds[RECEIVER_PLAIN] = np.linalg.cond(plain)
+        targets += [(plain, True, 1), (plain, False, 1)]
+        powers.append(plain_power)
+    return targets, powers, conds
 
 
 def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
@@ -306,19 +300,19 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
     point, the outcomes keyed by receiver.  Each trial draws its bits and
     channel from its own generator (see ``_draw_chunk``), and at the first
     noisy point its unit noise for each target of ``_propagate``, in that
-    order.  Each noisy point scales a trial's draw by its own standard
+    order.  Each noisy point scales a trial's draw by its link's standard
     deviation, which is the draw that ``Generator.normal`` makes at that
     point alone (see ``add_stacked_noise``), so its outcomes equal its
     trials run one point at a time.  Consecutive points that share a code
     object share its propagation.  Everything but the draws runs once for
     the stack.
 
+    Every point forms its targets from the clean channels: the data
+    reception, one matrix product, and the pilot estimate, a copy of the
+    channel while a later point follows and the channel itself at the last.
     A draw is kept only while a later point follows: a point before the last
     adds it scaled into a one-trial temporary, and the last point scales it
-    in place.  A point after the first of its code forms its clean reception
-    again, one matrix product, rather than keep it, and adds noise to copies
-    of the clean pilot estimates; the first point of a code copies them only
-    when a later point follows.
+    in place.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     kept = []  # the unit draws by target, then trial, while a later point reads them
@@ -328,24 +322,24 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
         later = i + 1 < len(points)
         if point_code is not code:
             code = point_code
-            received, channels, powers, conds = _propagate(gains, code, symbols, receivers)
-            if later:  # later points need the clean channels: noise copies of the pilots
-                received = [r if data else r.copy() for r, (_, data) in zip(received, channels)]
-        else:  # form the clean reception again, one matrix product, rather than keep it
-            received = [e @ symbols.swapaxes(-1, -2) if data else e.copy() for e, data in channels]
+            targets, powers, conds = _propagate(gains, code, symbols, receivers)
+        received = [
+            e @ symbols.swapaxes(-1, -2) if data else e.copy() if later else e
+            for e, data, _ in targets
+        ]
         if not math.isinf(snr_db):  # noiseless: the clean arrays are received as they are
             fresh, draws = not kept, iter(kept)
-            for target, power in zip(received, powers):
-                sd = np.sqrt(noise_variance(power, snr_db))
+            sds = [np.sqrt(noise_variance(power, snr_db)) for power in powers]  # one per link
+            for target, (_, _, link) in zip(received, targets):
                 shape = (scenario.n_rx, target.shape[-1], target.shape[-2] // scenario.n_rx)
                 for t, rng in enumerate(rngs):
                     unit = rng.standard_normal(shape) if fresh else next(draws)
                     if later:
-                        add_stacked_noise(target[t], unit * sd[t])
+                        add_stacked_noise(target[t], unit * sds[link][t])
                         if fresh:
                             kept.append(unit)
                     else:  # no later point reads the draw
-                        unit *= sd[t]
+                        unit *= sds[link][t]
                         add_stacked_noise(target[t], unit)
                     del unit  # before the next draw
             del target  # the list keeps the only references, for VLC-KRF to take
@@ -472,7 +466,7 @@ def run_sweep(
     ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
     identifiability checked, before any trial runs.  Every point runs the
     same trials, so each trial is drawn once for the whole grid: its bits,
-    channel and unit noise, and in BER mode its clean reception and cond
+    channel and unit noise, and in BER mode its received power and cond
     too; each point then scales the noise to its SNR.  The curves equal
     those of each point run alone through ``run_point``.
     """

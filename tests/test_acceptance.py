@@ -241,7 +241,8 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         symbols = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        stacked, effective, power = propagate(gains, code, symbols)
+        effective, _, power = propagate(gains, code, symbols)
+        stacked = effective @ symbols.T
         sd = np.sqrt(noise_variance(power, snr_db))
         for target, n_cols in ((stacked, scen.block_len), (effective, scen.n_tx)):
             add_stacked_noise(target, sd * rng.standard_normal((scen.n_rx, n_cols, scen.n_states)))

@@ -222,6 +222,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(taken) in err, err
 
+    def test_unwritable_output_refused_before_any_sweep(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
+        taken = tmp_path / "out" / "summary.txt"
+        taken.mkdir(parents=True)
+        sweeps = []
+        real_run_sweep = dstc.cli.run_sweep
+        monkeypatch.setattr(
+            "dstc.cli.run_sweep", lambda *args: sweeps.append(args) or real_run_sweep(*args)
+        )
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(taken) in err, err
+        assert sweeps == []
+        assert not (tmp_path / "out" / "ber_nmse.csv").exists()
+
     def test_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
         a, b = tmp_path / "a", tmp_path / "b"

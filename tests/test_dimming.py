@@ -191,7 +191,8 @@ class TestValidate:
 
 def transmitted(code, symbols):
     """What ``propagate`` sends per state, read through an identity channel."""
-    stacked, _, _ = propagate(np.eye(code.shape[1]), code, symbols)
+    effective, _, _ = propagate(np.eye(code.shape[1]), code, symbols)
+    stacked = effective @ symbols.swapaxes(-1, -2)
     return stacked.reshape(code.shape[0], code.shape[1], -1)
 
 

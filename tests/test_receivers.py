@@ -33,7 +33,8 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     symbols = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    stacked, _, power = propagate(gains, code, symbols)
+    effective, _, power = propagate(gains, code, symbols)
+    stacked = effective @ symbols.T
     if not math.isinf(snr_db):
         sd = np.sqrt(noise_variance(power, snr_db))
         add_stacked_noise(stacked, sd * rng.standard_normal((n_rx, n_slots, spec.n_states)))
@@ -51,13 +52,15 @@ class TestStacking:
     def test_single_state(self):
         rng = np.random.default_rng(0)
         gains, symbols = rng.random((3, 4)), rng.random((5, 4))
-        stacked, _, _ = propagate(gains, np.ones((1, 4)), symbols)
+        effective, _, _ = propagate(gains, np.ones((1, 4)), symbols)
+        stacked = effective @ symbols.T
         assert np.allclose(stacked, gains @ symbols.T, rtol=0.0, atol=1e-15)
 
     def test_blocks_follow_state_order(self):
         rng = np.random.default_rng(1)
         gains, code, symbols = rng.random((2, 3)), rng.random((3, 3)), rng.random((4, 3))
-        stacked, _, _ = propagate(gains, code, symbols)
+        effective, _, _ = propagate(gains, code, symbols)
+        stacked = effective @ symbols.T
         assert stacked.shape == (6, 4)
         for k in range(3):
             block = gains @ np.diag(code[k]) @ symbols.T
@@ -69,7 +72,8 @@ class TestStacking:
         code = build_dimming_matrix(spec)
         gains = rng.standard_normal((4, 6))
         symbols = rng.random((9, 6))
-        stacked, _, _ = propagate(gains, code, symbols)
+        effective, _, _ = propagate(gains, code, symbols)
+        stacked = effective @ symbols.T
         assert np.allclose(stacked, effective_channel(gains, code) @ symbols.T, atol=1e-12)
 
 
@@ -253,7 +257,8 @@ class TestKrfDetect:
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        stacked, _, _ = propagate(rng.standard_normal((4, 6)), code, symbols)
+        effective, _, _ = propagate(rng.standard_normal((4, 6)), code, symbols)
+        stacked = effective @ symbols.T
         assert krf_detect(stacked, code_inverse(code), np.full(6, 1 / 3)).failed
 
     def test_known_row_length_checked(self):
@@ -346,7 +351,7 @@ class TestStackedBlocks:
         rng = np.random.default_rng(12)
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        stacked[3] = propagate(rng.standard_normal((4, 6)), code, symbols)[0]
+        stacked[3] = propagate(rng.standard_normal((4, 6)), code, symbols)[0] @ symbols.T
         inverse = code_inverse(code)
         batch = krf_detect(stacked, inverse, known[0])
         singles = [krf_detect(stacked[i], inverse, known[0]) for i in range(4)]
@@ -380,7 +385,8 @@ class TestPlainCskBaseline:
         symbols = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        stacked, _, _ = propagate(gains, one_state, symbols)
+        effective, _, _ = propagate(gains, one_state, symbols)
+        stacked = effective @ symbols.T
         # noiseless identity pilots return the effective channel itself
         estimate = effective_channel(gains, one_state)
         est = zf_detect(stacked, estimate, one_state)
