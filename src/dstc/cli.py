@@ -130,7 +130,10 @@ def cmd_eta(args) -> int:
         return _fail("eta: expected k_t l_t n_states block_len (or --table2)", EXIT_USAGE)
     if any(v < 1 for v in args.dims):
         return _fail("eta: all arguments must be positive integers", EXIT_USAGE)
-    se = spectral_efficiency(*args.dims)
+    try:
+        se = spectral_efficiency(*args.dims)
+    except OverflowError:
+        return _fail("eta: arguments too large for a float result", EXIT_USAGE)
     print(f"eta_zf={se.zf:.4f} eta_krf={se.krf:.4f} gain_percent={se.gain_percent:.2f}")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ class Constellation:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != 4:
             raise ValueError(f"expected 4 points, got array of shape {pts.shape}")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails both comparisons
             raise ValueError("intensity levels must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
 

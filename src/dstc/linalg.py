@@ -19,6 +19,11 @@ KRUSKAL_GUARD = 14
 
 DEFAULT_RANK_TOL = 1e-9
 
+# Screen of ``kruskal_rank``: a column subset whose Gram matrix has
+# lambda_min > KRUSKAL_SCREEN_RTOL * lambda_max (a sigma ratio above about
+# 1e-3) passes ``full_column_rank`` without an SVD of its own.
+KRUSKAL_SCREEN_RTOL = 1e-6
+
 # Relative cutoff below which a value counts as zero next to the scale it is
 # compared with, so that rounding error and underflow never pass for signal.
 ZERO_RTOL = 1e-12
@@ -255,6 +260,30 @@ def kruskal_rank(m) -> int:
     (dropping columns can only raise sigma_min and lower sigma_max), so the
     answer is the column count without any search.  Otherwise the subsets
     are enumerated, which is only allowed up to ``KRUSKAL_GUARD`` columns.
+
+    The search screens before it tests.  The matrix is divided by its
+    largest |entry|, which leaves every sigma ratio as it is and keeps
+    ``G = s.T @ s`` in range, and ``G`` is formed once.  For each subset
+    size one batched ``eigvalsh`` takes every principal submatrix of ``G``
+    of that size; a subset passes the screen where ``lambda_min >
+    KRUSKAL_SCREEN_RTOL * lambda_max`` and ``lambda_min`` lies above
+    ``rows * cols * tiny / KRUSKAL_SCREEN_RTOL``.  Every other subset takes
+    ``full_column_rank`` itself, in ``combinations`` order, and the first
+    failure ends the search.  With ``rows >= cols`` the subset of all
+    columns is the matrix, which has failed already, so the search stops
+    at ``cols - 1`` columns.
+
+    The screen never passes a subset that the SVD test refuses.  The Gram
+    matrix's rounding error is at most ``rows * u * trace(G)`` in norm, and
+    ``eigvalsh`` adds a backward error of about ``size * u * lambda_max``, so
+    each eigenvalue is within ``(rows + size) * size * u * lambda_max`` of
+    the subset's ``sigma**2`` (``u = 2**-53``; Higham 2002, sections 3.5 and
+    4.6).  A factor within ``MAX_ARRAY_BYTES`` has ``rows * cols <= 2**25``,
+    which puts that bound below 1e-8 * lambda_max, and gradual underflow
+    adds at most ``rows * size * tiny`` more, which the floor on
+    ``lambda_min`` keeps below ``KRUSKAL_SCREEN_RTOL * lambda_min``.  A
+    subset that passes the screen thus has a sigma ratio of about 1e-3 or
+    more, six orders of magnitude above ``DEFAULT_RANK_TOL``.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
@@ -265,10 +294,17 @@ def kruskal_rank(m) -> int:
             f"brute-force k-rank needs <= {KRUSKAL_GUARD} columns, got {cols} "
             "(and the matrix is not full column rank)"
         )
-    best = 0
-    for size in range(1, min(rows, cols) + 1):
-        for idx in combinations(range(cols), size):
-            if not full_column_rank(a[:, idx]):
-                return best
-        best = size
-    return best
+    peak = np.abs(a).max(initial=0.0)
+    s = a / peak if peak > 0.0 else a
+    gram = s.T @ s
+    floor = rows * cols * np.finfo(float).tiny / KRUSKAL_SCREEN_RTOL
+    top = min(rows, cols - 1)
+    for size in range(1, top + 1):
+        idx = np.array(list(combinations(range(cols), size)))
+        eigenvalues = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
+        passed = (lo > KRUSKAL_SCREEN_RTOL * hi) & (lo > floor)
+        for subset in idx[~passed]:
+            if not full_column_rank(a[:, subset]):
+                return size - 1
+    return top

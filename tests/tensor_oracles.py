@@ -2,10 +2,16 @@
 
 ``vec`` is column-major, so ``vec(h @ s.T) == np.kron(s, h)`` for column
 vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product;
-``unfold`` gives the mode-n unfoldings of a three-way array.
+``unfold`` gives the mode-n unfoldings of a three-way array;
+``kruskal_rank_by_subsets`` is the k-rank search that tests every column
+subset by its own SVD.
 """
 
+from itertools import combinations
+
 import numpy as np
+
+from dstc.linalg import KRUSKAL_GUARD, SizeLimitError, full_column_rank
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -47,3 +53,26 @@ def unfold(tensor, mode: int) -> np.ndarray:
     data = np.asarray(tensor, dtype=float)
     order = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}[mode]
     return data.transpose(order).reshape(data.shape[order[0]], -1)
+
+
+def kruskal_rank_by_subsets(m) -> int:
+    """k-rank by ``full_column_rank`` on every column subset, size by size.
+
+    The search ``linalg.kruskal_rank`` made before it screened subsets by
+    their Gram eigenvalues: a full-column-rank matrix returns its column
+    count at once, and any other one over ``KRUSKAL_GUARD`` columns is
+    refused.
+    """
+    a = _as_matrix(m)
+    rows, cols = a.shape
+    if full_column_rank(a):
+        return cols
+    if cols > KRUSKAL_GUARD:
+        raise SizeLimitError(f"brute-force k-rank needs <= {KRUSKAL_GUARD} columns, got {cols}")
+    best = 0
+    for size in range(1, min(rows, cols) + 1):
+        for idx in combinations(range(cols), size):
+            if not full_column_rank(a[:, idx]):
+                return best
+        best = size
+    return best

@@ -15,7 +15,7 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import dstc
 from dstc import linalg
@@ -82,6 +82,8 @@ class TestEta:
             ["eta", "0", "2", "8", "10"],
             ["eta", "3", "2", "8", "10", "--table2"],
             ["eta", "three", "2", "8", "10"],
+            # eta_krf = 10**400 overflows a float
+            ["eta", str(10**400), str(10**400), "1", "1"],
         ],
     )
     def test_usage_errors_exit_1(self, argv, capsys):
@@ -576,12 +578,21 @@ def grids(lo, hi):
     alpha=st.floats(0.0, 0.5),
     snr_grid=grids(-20.0, 60.0),
     alpha_grid=grids(0.0, 0.5),
-    corrupt=st.sampled_from([None, "p_m", "alpha", "n_symbols_total", *GRID_KEYS]),
+    corrupt=st.sampled_from([None, "p_m", "alpha", "n_symbols_total", *GRID_KEYS, "constellation"]),
     special=st.sampled_from(SPECIAL_VALUES),
     channel_model=st.sampled_from(CHANNEL_MODELS),
     receivers=st.sampled_from(RECEIVER_SETS),
 )
-@settings(max_examples=100, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink])
+# NaN is the one special value that a plain range test lets through
+@example(
+    scenario=default_scenarios()["qled2x2-k12"], mode="both", p_m=0.5, alpha=0.4,
+    snr_grid=[10.0], alpha_grid=[0.2], corrupt="constellation", special="nan",
+    channel_model="gaussian", receivers="ZF VLC-KRF",
+)
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
 def test_cli_contract_under_generated_input(
     scenario, mode, p_m, alpha, snr_grid, alpha_grid, corrupt, special, channel_model, receivers
 ):
@@ -589,8 +600,9 @@ def test_cli_contract_under_generated_input(
 
     Each example takes a default or a small generated geometry, sweep grids
     that may be empty or repeat a point, and sets at most one field
-    (``corrupt``) to a special value; it runs one block per sweep point.  A
-    warning would reach stderr as more lines, so each one counts as a line.
+    (``corrupt``) to a special value, a ``[constellation]`` level included;
+    it runs one block per sweep point.  A warning would reach stderr as more
+    lines, so each one counts as a line.
     """
     values = {
         "p_m": repr(p_m),
@@ -615,6 +627,13 @@ def test_cli_contract_under_generated_input(
         f"n_symbols_total = {values['n_symbols_total']}\nreceivers = {receivers}\n"
         f"channel_model = {channel_model}\n"
     )
+    if corrupt == "constellation":
+        levels = [[str(float(i == j)) for j in range(scenario.k_t)] for i in range(4)]
+        levels[0][0] = special
+        text += "\n[constellation]\n" + "".join(
+            f"point_{label} = {', '.join(row)}\n"
+            for label, row in zip(("00", "01", "10", "11"), levels)
+        )
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "gen.cfg"
         cfg.write_text(text)

@@ -41,6 +41,10 @@ class TestConstellation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Constellation(np.vstack([np.eye(3) * 1.5, np.zeros(3)]))
 
+    def test_rejects_nan_levels(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Constellation(np.vstack([[np.nan, 0.0, 0.0], np.eye(3)]))
+
     def test_labels_follow_index_order(self):
         # bit label b0 b1 selects point 2*b0 + b1
         c = default_constellation(4)

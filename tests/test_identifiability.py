@@ -5,6 +5,7 @@ from dstc.channel import draw_channel
 from dstc.csk import block_with_reference, default_constellation
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.identifiability import check_uniqueness
+from dstc.experiments import ExperimentConfig, check_scenario_identifiability, default_scenarios
 from dstc.linalg import SizeLimitError, kruskal_rank
 
 
@@ -110,3 +111,22 @@ class TestCheckUniqueness:
                 assert check_uniqueness(gains, symbols, code).unique == unique
             ok += unique
         assert ok / trials >= 0.99
+
+
+@pytest.mark.parametrize("name", sorted(default_scenarios()))
+def test_default_check_takes_at_most_five_svds(name, monkeypatch):
+    # the symbol block is never full column rank, so its k-rank is searched;
+    # the Gram screen clears its subsets without an SVD each
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # cond and matrix_rank reach svd through numpy's private module
+    monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", counted)
+    report = check_scenario_identifiability(ExperimentConfig(scenario=default_scenarios()[name]))
+    assert report.unique and report.k_symbols == report.n_columns - 1
+    assert len(calls) <= 5, len(calls)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc import linalg
-from tensor_oracles import khatri_rao, vec
+from tensor_oracles import khatri_rao, kruskal_rank_by_subsets, vec
 
 
 def rand(seed, *shape):
@@ -304,6 +304,38 @@ class TestHadamard:
             linalg.hadamard(order, [0])
 
 
+def k_rank_instance(seed, kind):
+    """A matrix for the k-rank search, tall or wide, of one of ``K_RANK_KINDS``."""
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(1, 10))
+    rows = int(rng.integers(1, cols + 4))
+    m = rng.standard_normal((rows, cols))
+    if kind == "near-tolerance pair" and min(rows, cols) >= 2:
+        # columns u and u + delta v, u and v orthonormal, have sigma ratio
+        # delta / 2 to O(delta**3): here within 1e-5 relative of the tolerance
+        u, v = np.linalg.qr(rng.standard_normal((rows, 2)))[0].T
+        delta = 2 * linalg.DEFAULT_RANK_TOL * (1 + rng.uniform(-1e-5, 1e-5))
+        i, j = rng.choice(cols, 2, replace=False)
+        m[:, i], m[:, j] = u, u + delta * v
+        m *= 10.0 ** rng.uniform(-3, 3)
+    elif kind == "column scales":
+        m *= 10.0 ** rng.uniform(-200, 200, cols)
+    elif kind == "zero columns":
+        m[:, rng.random(cols) < 0.3] = 0.0
+    elif kind == "simplex block":
+        # one unit vector per group and row, so each group's columns sum to ones
+        k = int(rng.integers(2, 5))
+        m = np.eye(k)[rng.integers(0, k, (rows, max(1, cols // k)))].reshape(rows, -1)
+    elif kind == "low rank":
+        r = int(rng.integers(1, cols + 1))
+        m = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+    return m
+
+
+K_RANK_KINDS = ["random", "near-tolerance pair", "column scales", "zero columns",
+                "simplex block", "low rank"]
+
+
 class TestKruskalRank:
     def test_identity(self):
         assert linalg.kruskal_rank(np.eye(3)) == 3
@@ -327,6 +359,32 @@ class TestKruskalRank:
     def test_full_rank_fast_path_beyond_guard(self):
         m = rand(1, 40, 30)
         assert linalg.kruskal_rank(m) == 30
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(K_RANK_KINDS))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_subset_oracle(self, seed, kind):
+        m = k_rank_instance(seed, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.kruskal_rank(m) == kruskal_rank_by_subsets(m)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_near_tolerance_pair_on_each_side(self, side):
+        # a wide matrix is searched; its pair's sigma ratio is 1e-5 relative
+        # below or above the tolerance, so only the pair's own SVD decides
+        u, v, w = np.linalg.qr(rand(8, 3, 3))[0].T
+        delta = 2 * linalg.DEFAULT_RANK_TOL * (1 + side * 1e-5)
+        m = np.column_stack([u, u + delta * v, w, u + v + w])
+        k = linalg.kruskal_rank(m)
+        assert k == kruskal_rank_by_subsets(m)
+        assert k == (1 if side < 0 else 2)
+
+    def test_huge_and_tiny_columns_without_warnings(self):
+        m = rand(3, 6, 4) * np.array([1e200, 1e-200, 1.0, 1e200])
+        m[:, 3] = m[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.kruskal_rank(m) == kruskal_rank_by_subsets(m) == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
