@@ -5,7 +5,8 @@ block.  A reception is carried stacked: rows ``k * n_rx`` to
 ``(k + 1) * n_rx - 1`` hold dimming state k, one column per time slot.  The
 stacked block is the effective (state-stacked) channel times the transposed
 symbols, and each state's rows are linear in the dimming code's row k,
-which is what both receivers exploit.
+which is what both receivers exploit.  The noise of an SNR is set from the
+mean square of that clean block (``received_power``, ``noise_variance``).
 """
 
 from __future__ import annotations
@@ -81,63 +82,29 @@ def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
     by_state += np.moveaxis(noise, -1, -3)
 
 
-def propagate(
-    gains: np.ndarray, code: np.ndarray, symbols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The effective channel, its Gram matrix and the received power of a symbol block.
+def received_power(clean, gains, code, symbols) -> np.ndarray:
+    """The received power of each block: the mean squared entry of its clean reception.
 
-    Returns ``effective = effective_channel(gains, code)``, whose noiseless
-    stacked reception is ``effective @ symbols.T``, the Gram matrix
-    ``effective.T @ effective``, and the received power, the mean squared
-    entry of each noiseless block, from which ``noise_variance`` sets the
-    noise of any SNR.  The caller forms the reception and adds the noise
-    (see ``add_stacked_noise``).
-
-    The effective channel is the column-wise Khatri-Rao product of the code
-    and the gains, so its Gram matrix is ``(code.T @ code) * (gains.T @
-    gains)``, and the power is the trace ``sum(gram * (symbols.T @
-    symbols)) / (rows * slots)`` (Kolda & Bader, SIAM Review 2009, 2.6).  A
-    block whose sum is within its own rounding bound, ``4 * eps * (rows +
-    slots + n_tx**2) * (sum_i |e_i| |s_i|)**2`` over the columns of the
-    channel and the symbols (Higham 2002, 3.1), may cancel at the receiver,
-    and takes the direct mean square of its reception instead.  A power that
-    is rounding error next to the scale of the channel and the transmitted
-    block leaves every SNR undefined, and is returned as NaN.
-
-    ``gains`` ``(..., n_rx, n_tx)`` and ``symbols`` ``(..., n_slots, n_tx)``
-    broadcast over their leading axes, and so the power has one entry per
-    block.
+    ``clean`` ``(..., rows, slots)`` holds the noiseless stacked receptions
+    ``effective_channel(gains, code) @ symbols.T``, one block per leading
+    index; each block is squared alone, so no temporary outgrows one block.
+    A power within ``ZERO_RTOL`` of its block's scale, peak |gains| * peak
+    |code| * peak |symbols|, is rounding error next to the channel and the
+    transmitted block: it leaves every SNR undefined and is returned as NaN.
     """
-    gains = np.asarray(gains, dtype=float)
-    code = np.asarray(code, dtype=float)
-    symbols = np.asarray(symbols, dtype=float)
-    n_tx = gains.shape[-1]
-    if code.ndim != 2 or code.shape[1] != n_tx or symbols.ndim < 2 or symbols.shape[-1] != n_tx:
-        raise ValueError(
-            f"code and symbols must have {n_tx} columns, got {code.shape} and {symbols.shape}"
-        )
-    effective = effective_channel(gains, code)
-    gram = (code.T @ code) * (gains.swapaxes(-1, -2) @ gains)
-    terms = gram * (symbols.swapaxes(-1, -2) @ symbols)
-    total = np.array(np.sum(terms, axis=(-2, -1)))
-    norms = np.sqrt(np.diagonal(terms, axis1=-2, axis2=-1))  # |e_i| |s_i| per column i
-    rows, slots = effective.shape[-2], symbols.shape[-2]
-    bound = 4 * np.finfo(float).eps * (rows + slots + n_tx**2) * np.sum(norms, axis=-1) ** 2
-    e = np.broadcast_to(effective, (*total.shape, rows, n_tx))
-    s = np.broadcast_to(symbols, (*total.shape, slots, n_tx))
-    for i in map(tuple, np.argwhere(total <= bound)):  # only a block that may cancel is formed
-        total[i] = np.sum((e[i] @ s[i].T) ** 2)
-    power = total / (rows * slots)
+    rows, slots = clean.shape[-2:]
+    # np.mean's sum and division, bit for bit, without its per-call overhead
+    sums = np.array([np.square(b).sum() for b in clean.reshape(-1, rows, slots)])
+    power = sums.reshape(clean.shape[:-2]) / (rows * slots)
     peak = np.abs(gains).max(axis=(-2, -1)) * np.abs(code).max()
     scale = peak * np.abs(symbols).max(axis=(-2, -1))
-    power = np.where(power <= (ZERO_RTOL * scale) ** 2, np.nan, power)
-    return effective, gram, power
+    return np.where(power <= (ZERO_RTOL * scale) ** 2, np.nan, power)
 
 
 def noise_variance(power: np.ndarray, snr_db: float) -> np.ndarray:
     """The noise variance of each block whose received ``power`` sits ``snr_db`` above it.
 
-    ``power`` is what ``propagate`` returns; the variance is 0 for a
+    ``power`` is what ``received_power`` returns; the variance is 0 for a
     noiseless run (``snr_db=math.inf``).  A power that leaves the SNR
     undefined (NaN), or a finite SNR whose variance underflows, raises
     ``DegenerateInputError``.

@@ -7,8 +7,8 @@ the sweep point, so every receiver at a given (trial, point) sees the same
 channel and payload, and paired runs that share a base seed stay paired
 across sweeps.  Since every point draws the same trials (common random
 numbers), a sweep draws each trial once: its bits, channel and unit noise,
-which each point scales to its own noise level.  The results equal those
-of each point run alone.
+which each point scales to the noise level that its own clean reception's
+power sets.  The results equal those of each point run alone.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .channel import (
     add_stacked_noise,
     derive_seed,
     draw_channel,
+    effective_channel,
     noise_variance,
-    propagate,
+    received_power,
 )
 from .csk import (
     Constellation,
@@ -167,9 +168,11 @@ class ExperimentConfig:
             )
         if not self.receivers:
             raise ValueError("at least one receiver must be enabled")
-        for r in self.receivers:
+        for i, r in enumerate(self.receivers):
             if r not in ALL_RECEIVERS:
                 raise ValueError(f"unknown receiver {r!r}; expected one of {ALL_RECEIVERS}")
+            if r in self.receivers[:i]:
+                raise ValueError(f"receiver {r!r} is listed twice")
         if self.channel_model not in CHANNEL_MODELS:
             raise ValueError(
                 f"unknown channel model {self.channel_model!r}; expected one of {CHANNEL_MODELS}"
@@ -231,31 +234,33 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
     return rngs, bits, symbols, gains
 
 
-def _propagate(gains, code, symbols, receivers):
-    """The noise targets in draw order, each link's received power, and each receiver's cond.
+def _propagate(gains, code, receivers):
+    """The noise targets in draw order and each receiver's cond.
 
     A link is the dimming ``code``, which ZF and VLC-KRF share, or plain
     CSK's one-state all-ones code (zero forcing without a dimming code).  A
     link's targets are its data reception and, for ZF and plain CSK, its
-    pilot estimate, each given as ``(effective, is_data, link)``: the clean
-    reception is ``effective @ symbols.T``, and ZF's pilots are the
+    pilot estimate, each given as ``(effective, link_code, is_data)``: the
+    clean reception is ``effective @ symbols.T``, and ZF's pilots are the
     identity, so its clean estimate is the effective channel itself.  ZF and
-    VLC-KRF report the clean effective channel's cond from the Khatri-Rao
-    Gram matrix that ``propagate`` forms (``linalg.gram_cond``); plain CSK's
-    square channel can be too ill-conditioned for that and keeps the SVD.
+    VLC-KRF report the clean effective channel's cond from its Khatri-Rao
+    Gram matrix ``(code.T @ code) * (gains.T @ gains)`` (``linalg.gram_cond``);
+    plain CSK's square channel can be too ill-conditioned for that and keeps
+    the SVD.
     """
-    effective, gram, power = propagate(gains, code, symbols)
+    effective = effective_channel(gains, code)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
+    gram = (code.T @ code) * (gains.swapaxes(-1, -2) @ gains)
     conds = dict.fromkeys(on_code, gram_cond(gram)) if on_code else {}
-    targets, powers = [(effective, True, 0)], [power]
+    targets = [(effective, code, True)]
     if RECEIVER_ZF in receivers:
-        targets.append((effective, False, 0))
+        targets.append((effective, code, False))
     if RECEIVER_PLAIN in receivers:
-        plain, _, plain_power = propagate(gains, np.ones((1, gains.shape[-1])), symbols)
+        one_state = np.ones((1, gains.shape[-1]))
+        plain = effective_channel(gains, one_state)
         conds[RECEIVER_PLAIN] = np.linalg.cond(plain)
-        targets += [(plain, True, 1), (plain, False, 1)]
-        powers.append(plain_power)
-    return targets, powers, conds
+        targets += [(plain, one_state, True), (plain, one_state, False)]
+    return targets, conds
 
 
 def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
@@ -300,12 +305,14 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
     point, the outcomes keyed by receiver.  Each trial draws its bits and
     channel from its own generator (see ``_draw_chunk``), and at the first
     noisy point its unit noise for each target of ``_propagate``, in that
-    order.  Each noisy point scales a trial's draw by its link's standard
-    deviation, which is the draw that ``Generator.normal`` makes at that
-    point alone (see ``add_stacked_noise``), so its outcomes equal its
-    trials run one point at a time.  Consecutive points that share a code
-    object share its propagation.  Everything but the draws runs once for
-    the stack.
+    order.  Each noisy point sets a link's noise from the received power of
+    its clean data reception (``received_power``), and scales a trial's draw
+    by that link's standard deviation, which is the draw that
+    ``Generator.normal`` makes at that point alone (see
+    ``add_stacked_noise``), so its outcomes equal its trials run one point
+    at a time.  Consecutive points that share a code object share its
+    effective channels and conds.  Everything but the draws and the per-block
+    mean squares runs once for the stack.
 
     Every point forms its targets from the clean channels: the data
     reception, one matrix product, and the pilot estimate, a copy of the
@@ -322,24 +329,26 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
         later = i + 1 < len(points)
         if point_code is not code:
             code = point_code
-            targets, powers, conds = _propagate(gains, code, symbols, receivers)
+            targets, conds = _propagate(gains, code, receivers)
         received = [
             e @ symbols.swapaxes(-1, -2) if data else e.copy() if later else e
-            for e, data, _ in targets
+            for e, _, data in targets
         ]
         if not math.isinf(snr_db):  # noiseless: the clean arrays are received as they are
             fresh, draws = not kept, iter(kept)
-            sds = [np.sqrt(noise_variance(power, snr_db)) for power in powers]  # one per link
-            for target, (_, _, link) in zip(received, targets):
+            for target, (_, link_code, data) in zip(received, targets):
+                if data:  # before its noise; the link's pilot estimate, next, shares its sd
+                    power = received_power(target, gains, link_code, symbols)
+                    sd = np.sqrt(noise_variance(power, snr_db))
                 shape = (scenario.n_rx, target.shape[-1], target.shape[-2] // scenario.n_rx)
                 for t, rng in enumerate(rngs):
                     unit = rng.standard_normal(shape) if fresh else next(draws)
                     if later:
-                        add_stacked_noise(target[t], unit * sds[link][t])
+                        add_stacked_noise(target[t], unit * sd[t])
                         if fresh:
                             kept.append(unit)
                     else:  # no later point reads the draw
-                        unit *= sds[link][t]
+                        unit *= sd[t]
                         add_stacked_noise(target[t], unit)
                     del unit  # before the next draw
             del target  # the list keeps the only references, for VLC-KRF to take
@@ -466,9 +475,10 @@ def run_sweep(
     ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
     identifiability checked, before any trial runs.  Every point runs the
     same trials, so each trial is drawn once for the whole grid: its bits,
-    channel and unit noise, and in BER mode its received power and cond
-    too; each point then scales the noise to its SNR.  The curves equal
-    those of each point run alone through ``run_point``.
+    channel and unit noise, and in BER mode its effective channels and cond
+    too.  Each point then forms its clean reception, takes each link's
+    received power from it, and scales the noise to its SNR.  The curves
+    equal those of each point run alone through ``run_point``.
     """
     if mode == "ber":
         points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]

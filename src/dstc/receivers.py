@@ -2,8 +2,9 @@
 
 Both detectors take a noisy state-stacked reception, one block or a stack
 of blocks along leading axes: the clean one, ``effective @ symbols.T``
-of the effective channel that ``channel.propagate`` returns, plus noise at
-the variance that ``channel.noise_variance`` sets for an SNR, added by
+of the effective channel that ``channel.effective_channel`` returns, plus
+noise at the variance that ``channel.noise_variance`` sets for an SNR from
+that clean reception's ``channel.received_power``, added by
 ``channel.add_stacked_noise``.  The detectors read
 their inputs and never write them, so the experiment engine may hand them
 arrays it forms again at each sweep point.  They give back symbol and

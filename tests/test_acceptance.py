@@ -16,8 +16,8 @@ from dstc.channel import (
     add_stacked_noise,
     derive_seed,
     draw_channel,
+    effective_channel,
     noise_variance,
-    propagate,
 )
 from dstc.cli import main
 from dstc.csk import (
@@ -241,9 +241,10 @@ def _soft_symbol_error(n_states: int, snr_db: float, n_symbols=10_000):
         )
         symbols = block_with_reference(bits, scen.block_len, scen.l_t, constellation)
         gains = draw_channel(scen.n_rx, scen.n_tx, seed=rng)
-        effective, _, power = propagate(gains, code, symbols)
+        effective = effective_channel(gains, code)
         stacked = effective @ symbols.T
-        sd = np.sqrt(noise_variance(power, snr_db))
+        # the received power is the mean square of the clean reception
+        sd = np.sqrt(noise_variance(np.mean(np.square(stacked)), snr_db))
         for target, n_cols in ((stacked, scen.block_len), (effective, scen.n_tx)):
             add_stacked_noise(target, sd * rng.standard_normal((scen.n_rx, n_cols, scen.n_states)))
         results = {

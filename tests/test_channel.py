@@ -10,12 +10,11 @@ from dstc.channel import (
     draw_channel,
     effective_channel,
     noise_variance,
-    propagate,
+    received_power,
 )
-from dstc.csk import block_with_reference, default_constellation
 from dstc.dimming import DimmingSpec, build_dimming_matrix
-from dstc.experiments import SystemConfig, default_scenarios
-from dstc.linalg import DegenerateInputError, gram_cond
+from dstc.experiments import SystemConfig, _propagate, default_scenarios
+from dstc.linalg import DegenerateInputError
 from tensor_oracles import khatri_rao, unfold, vec
 
 
@@ -30,6 +29,13 @@ def trilinear_oracle(h, s, c):
             for k in range(n_states):
                 y[i, n, k] = sum(h[i, j] * c[k, j] * s[n, j] for j in range(r))
     return y
+
+
+def reception(h, c, s):
+    """The effective channel, the clean stacked reception and its received power."""
+    effective = effective_channel(h, c)
+    clean = effective @ s.swapaxes(-1, -2)
+    return effective, clean, received_power(clean, h, c, s)
 
 
 def stack(y):
@@ -81,8 +87,7 @@ class TestPropagate:
     def test_noiseless_identity_channel(self):
         rng = np.random.default_rng(0)
         s = rng.random((6, 4))
-        effective, _, power = propagate(np.eye(4), np.ones((3, 4)), s)
-        stacked = effective @ s.T
+        _, stacked, power = reception(np.eye(4), np.ones((3, 4)), s)
         assert noise_variance(power, math.inf) == 0.0
         for k in range(3):
             assert np.allclose(stacked[4 * k:4 * k + 4], s.T)
@@ -92,16 +97,15 @@ class TestPropagate:
         h = rng.standard_normal((4, 6))
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
-        effective, _, _ = propagate(h, c, s)
-        assert np.allclose(effective @ s.T, stack(trilinear_oracle(h, s, c)), atol=1e-12)
+        stacked = effective_channel(h, c) @ s.T
+        assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), atol=1e-12)
 
     def test_empirical_snr_calibration(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 6))
         s = rng.random((500, 6))
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
-        effective, _, power = propagate(h, c, s)
-        clean = effective @ s.T
+        _, clean, power = reception(h, c, s)
         noisy = clean.copy()
         sd = math.sqrt(noise_variance(power, 20.0))
         add_stacked_noise(noisy, sd * np.random.default_rng(3).standard_normal((4, 500, 12)))
@@ -109,7 +113,7 @@ class TestPropagate:
         assert measured == pytest.approx(20.0, abs=0.2)
 
     def test_zero_signal_rejected(self):
-        _, _, power = propagate(np.eye(2), np.ones((2, 2)), np.zeros((3, 2)))
+        _, _, power = reception(np.eye(2), np.ones((2, 2)), np.zeros((3, 2)))
         assert noise_variance(power, math.inf) == 0.0  # a noiseless run needs no power
         with pytest.raises(DegenerateInputError):
             noise_variance(power, 20.0)
@@ -118,30 +122,32 @@ class TestPropagate:
         # the two LEDs cancel at the receiver up to one unit in the last place
         h = np.array([[1.0, -(1.0 - 2.0**-52)]])
         with pytest.raises(DegenerateInputError):
-            noise_variance(propagate(h, np.ones((2, 2)), np.ones((3, 2)))[2], 20.0)
+            noise_variance(reception(h, np.ones((2, 2)), np.ones((3, 2)))[2], 20.0)
 
     def test_rounding_error_in_one_block_of_a_stack(self):
         # block 0's LEDs cancel to one ulp, block 1's do not: only block 0
-        # takes the direct mean square, and only it leaves the SNR undefined
+        # leaves the SNR undefined, and block 1 keeps its own mean square
         h = np.array([[[1.0, -(1.0 - 2.0**-52)]], [[1.0, 0.5]]])
         s = np.ones((3, 2))
-        effective, _, power = propagate(h, np.ones((2, 2)), s)
+        _, clean, power = reception(h, np.ones((2, 2)), s)
         assert power.shape == (2,)
         assert np.isnan(power[0])
-        assert power[1] == pytest.approx(np.mean((effective[1] @ s.T) ** 2), rel=1e-14, abs=0.0)
+        assert power[1] == np.mean(clean[1] ** 2)
+        with pytest.raises(DegenerateInputError, match="power is zero"):
+            noise_variance(power, 20.0)
+        assert noise_variance(power[1:], 20.0) == power[1] / 100.0
 
     def test_underflowing_noise_variance_rejected(self):
         # the received power is subnormal, so its 60 dB noise variance rounds to
         # 0, which would make this noisy point a noiseless one
         rng = np.random.default_rng(8)
         c = build_dimming_matrix(DimmingSpec(12, 8, 1e-160, 1e-160))
-        _, _, power = propagate(rng.standard_normal((8, 8)), c, rng.random((100, 8)))
+        _, _, power = reception(rng.standard_normal((8, 8)), c, rng.random((100, 8)))
         with pytest.raises(DegenerateInputError, match="underflows at 60 dB"):
             noise_variance(power, 60.0)
 
     def test_seed_determinism(self):
-        effective, _, power = propagate(np.eye(2), np.ones((2, 2)), np.ones((3, 2)))
-        clean = effective @ np.ones((3, 2)).T
+        _, clean, power = reception(np.eye(2), np.ones((2, 2)), np.ones((3, 2)))
         sd = math.sqrt(noise_variance(power, 10.0))
         a, b = clean.copy(), clean.copy()
         for target in (a, b):
@@ -153,8 +159,7 @@ class TestPropagate:
         h = rng.standard_normal((3, 4))
         s = rng.random((7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
-        effective, _, power = propagate(h, c, s)
-        clean = effective @ s.T
+        _, clean, power = reception(h, c, s)
         sd = math.sqrt(noise_variance(power, 10.0))
         # the scaled unit draw is Generator.normal's draw, and the noise is
         # added stacked from its (n_rx, n_slots, n_states) order
@@ -176,7 +181,7 @@ class TestPropagate:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            propagate(np.eye(2), np.ones((2, 3)), np.ones((4, 3)))
+            effective_channel(np.eye(2), np.ones((2, 3)))
 
     @pytest.mark.parametrize("snr_db", [10.0, math.inf])
     def test_stack_equals_each_block(self, snr_db):
@@ -184,16 +189,14 @@ class TestPropagate:
         h = rng.standard_normal((5, 3, 4))
         s = rng.random((5, 7, 4))
         c = build_dimming_matrix(DimmingSpec(8, 4, 0.5, 0.4))
-        effective, gram, power = propagate(h, c, s)
-        stacked = effective @ s.swapaxes(-1, -2)
+        effective, stacked, power = reception(h, c, s)
         variance = noise_variance(power, snr_db)
         assert variance.shape == (5,)
         for t in range(5):
-            block_effective, block_gram, block_power = propagate(h[t], c, s[t])
-            assert np.array_equal(stacked[t], block_effective @ s[t].T)
+            block_effective, block_stacked, block_power = reception(h[t], c, s[t])
+            assert np.array_equal(stacked[t], block_stacked)
             assert noise_variance(block_power, snr_db) == variance[t]
             assert np.array_equal(effective[t], block_effective)
-            assert np.array_equal(gram[t], block_gram)
 
 
 class TestEffectiveCond:
@@ -205,23 +208,17 @@ class TestEffectiveCond:
     @pytest.mark.parametrize("model", ["gaussian", "diagonal"])
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_matches_cond_of_the_stacked_channel(self, name, model):
-        # propagate's Gram gives the stacked channel's cond, and its trace the
-        # mean square of the stacked reception
+        # the engine's Khatri-Rao Gram matrix gives the stacked channel's cond
         scenario = self.SCENARIOS[name]
         code = build_dimming_matrix(scenario.dimming_spec())
         rng = np.random.default_rng(17)
         gains = np.stack(
             [draw_channel(scenario.n_rx, scenario.n_tx, model, seed=rng) for _ in range(4)]
         )
-        bits = rng.integers(0, 2, size=(4, 2 * scenario.l_t * (scenario.block_len - 1)))
-        symbols = block_with_reference(
-            bits, scenario.block_len, scenario.l_t, default_constellation(scenario.k_t)
-        )
-        effective, gram, power = propagate(gains, code, symbols)
+        _, conds = _propagate(gains, code, ("ZF", "VLC-KRF"))
         expected = np.linalg.cond(effective_channel(gains, code))
-        assert np.allclose(gram_cond(gram), expected, rtol=1e-12, atol=0.0)
-        direct = np.mean((effective @ symbols.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
-        assert np.allclose(power, direct, rtol=1e-14, atol=0.0)
+        for cond in conds.values():
+            assert np.allclose(cond, expected, rtol=1e-12, atol=0.0)
 
 
 class TestUnfold:
@@ -246,9 +243,7 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        effective, _, _ = propagate(h, c, s)
-        stacked = effective @ s.T
-        assert np.allclose(stacked, effective_channel(h, c) @ s.T, atol=1e-10)
+        stacked = effective_channel(h, c) @ s.T
         assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, atol=1e-10)
 
     def test_state_rows_are_vec_of_receptions(self):
@@ -257,7 +252,7 @@ class TestUnfold:
         s = rng.random((6, 3))
         c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
         y = trilinear_oracle(h, s, c)
-        rows = (propagate(h, c, s)[0] @ s.T).reshape(4, -1)
+        rows = (effective_channel(h, c) @ s.T).reshape(4, -1)
         for k in range(4):
             assert np.allclose(rows[k], vec(y[:, :, k].T), atol=1e-12)
             # each state's row is the dimming row pushed through the joint factor
@@ -282,7 +277,6 @@ class TestUnfold:
         assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
         assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
         assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
-        effective, _, _ = propagate(h, c, s)
-        stacked = effective @ s.T
+        stacked = effective_channel(h, c) @ s.T
         assert np.allclose(stacked, stack(y), atol=1e-10)
         assert np.allclose(stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, atol=1e-10)

@@ -349,6 +349,18 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "ber_nmse.csv").exists()
 
+    def test_repeated_receiver_exits_1_with_one_line(self, tmp_path, capsys):
+        # a receiver listed twice would pool its trials twice into one curve
+        cfg = write_cfg(
+            tmp_path / "sim.cfg",
+            SMALL_SIM.replace("receivers = ZF VLC-KRF", "receivers = ZF ZF VLC-KRF"),
+        )
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "receiver 'ZF' is listed twice" in err
+        assert not (out / "ber_nmse.csv").exists()
+
     def test_plain_csk_on_short_channel_exits_1_with_one_line(self, tmp_path, capsys):
         # 6 photodiodes cannot zero-force 8 LEDs without a dimming code
         cfg = write_cfg(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc import dimming
-from dstc.channel import propagate
+from dstc.channel import effective_channel
 from dstc.dimming import (
     ChromaticityTable,
     ConstraintViolationError,
@@ -190,9 +190,12 @@ class TestValidate:
 
 
 def transmitted(code, symbols):
-    """What ``propagate`` sends per state, read through an identity channel."""
-    effective, _, _ = propagate(np.eye(code.shape[1]), code, symbols)
-    stacked = effective @ symbols.swapaxes(-1, -2)
+    """What the code sends per state, read through an identity channel.
+
+    The channel has one photodiode per symbol column, so ``effective_channel``
+    refuses symbols whose columns do not match the code's.
+    """
+    stacked = effective_channel(np.eye(symbols.shape[-1]), code) @ symbols.swapaxes(-1, -2)
     return stacked.reshape(code.shape[0], code.shape[1], -1)
 
 

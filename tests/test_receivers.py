@@ -9,7 +9,6 @@ from dstc.channel import (
     draw_channel,
     effective_channel,
     noise_variance,
-    propagate,
 )
 from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
@@ -33,10 +32,10 @@ def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
     bits = rng.integers(0, 2, size=2 * l_t * (n_slots - 1), dtype=np.uint8)
     symbols = block_with_reference(bits, n_slots, l_t, constellation)
     gains = draw_channel(n_rx, spec.n_tx, "gaussian", seed=rng)
-    effective, _, power = propagate(gains, code, symbols)
-    stacked = effective @ symbols.T
+    stacked = effective_channel(gains, code) @ symbols.T
     if not math.isinf(snr_db):
-        sd = np.sqrt(noise_variance(power, snr_db))
+        # the received power is the mean square of the clean reception
+        sd = np.sqrt(noise_variance(np.mean(np.square(stacked)), snr_db))
         add_stacked_noise(stacked, sd * rng.standard_normal((n_rx, n_slots, spec.n_states)))
     return constellation, code, symbols, bits, gains, stacked, rng
 
@@ -47,20 +46,18 @@ def payload(est, constellation):
 
 
 class TestStacking:
-    """``propagate`` stacks state k's n_rx rows as row block k."""
+    """``effective_channel`` stacks state k's n_rx rows as row block k."""
 
     def test_single_state(self):
         rng = np.random.default_rng(0)
         gains, symbols = rng.random((3, 4)), rng.random((5, 4))
-        effective, _, _ = propagate(gains, np.ones((1, 4)), symbols)
-        stacked = effective @ symbols.T
+        stacked = effective_channel(gains, np.ones((1, 4))) @ symbols.T
         assert np.allclose(stacked, gains @ symbols.T, rtol=0.0, atol=1e-15)
 
     def test_blocks_follow_state_order(self):
         rng = np.random.default_rng(1)
         gains, code, symbols = rng.random((2, 3)), rng.random((3, 3)), rng.random((4, 3))
-        effective, _, _ = propagate(gains, code, symbols)
-        stacked = effective @ symbols.T
+        stacked = effective_channel(gains, code) @ symbols.T
         assert stacked.shape == (6, 4)
         for k in range(3):
             block = gains @ np.diag(code[k]) @ symbols.T
@@ -72,9 +69,10 @@ class TestStacking:
         code = build_dimming_matrix(spec)
         gains = rng.standard_normal((4, 6))
         symbols = rng.random((9, 6))
-        effective, _, _ = propagate(gains, code, symbols)
-        stacked = effective @ symbols.T
-        assert np.allclose(stacked, effective_channel(gains, code) @ symbols.T, atol=1e-12)
+        stacked = effective_channel(gains, code) @ symbols.T
+        # entry (k, i, n) is sum_j code[k, j] gains[i, j] symbols[n, j]
+        trilinear = np.einsum("kj,ij,nj->kin", code, gains, symbols).reshape(stacked.shape)
+        assert np.allclose(stacked, trilinear, atol=1e-12)
 
 
 class TestEffectiveChannel:
@@ -257,8 +255,7 @@ class TestKrfDetect:
         code = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        effective, _, _ = propagate(rng.standard_normal((4, 6)), code, symbols)
-        stacked = effective @ symbols.T
+        stacked = effective_channel(rng.standard_normal((4, 6)), code) @ symbols.T
         assert krf_detect(stacked, code_inverse(code), np.full(6, 1 / 3)).failed
 
     def test_known_row_length_checked(self):
@@ -351,7 +348,7 @@ class TestStackedBlocks:
         rng = np.random.default_rng(12)
         symbols = rng.random((20, 6))
         symbols[0, 2] = 1e-15
-        stacked[3] = propagate(rng.standard_normal((4, 6)), code, symbols)[0] @ symbols.T
+        stacked[3] = effective_channel(rng.standard_normal((4, 6)), code) @ symbols.T
         inverse = code_inverse(code)
         batch = krf_detect(stacked, inverse, known[0])
         singles = [krf_detect(stacked[i], inverse, known[0]) for i in range(4)]
@@ -385,10 +382,9 @@ class TestPlainCskBaseline:
         symbols = block_with_reference(bits, 20, 2, constellation)
         gains = draw_channel(8, 8, "gaussian", seed=rng)
         one_state = np.ones((1, 8))
-        effective, _, _ = propagate(gains, one_state, symbols)
-        stacked = effective @ symbols.T
-        # noiseless identity pilots return the effective channel itself
         estimate = effective_channel(gains, one_state)
+        stacked = estimate @ symbols.T
+        # noiseless identity pilots return the effective channel itself
         est = zf_detect(stacked, estimate, one_state)
         assert np.array_equal(payload(est, constellation), bits)
         assert np.allclose(est.channel_estimate, gains, atol=1e-10)
