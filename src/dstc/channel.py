@@ -68,18 +68,39 @@ def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return stacked.reshape(*gains.shape[:-2], n_states * gains.shape[-2], n_tx)
 
 
-def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
-    """Add ``noise`` in place to a stacked ``(..., n_states * n_rx, n_cols)`` array.
+def draw_unit_noise(rng: np.random.Generator, n_rx: int, rows: int, n_cols: int) -> np.ndarray:
+    """One unit-variance noise draw for a stacked ``(n_states * n_rx, n_cols)`` array.
 
-    ``noise`` ``(..., n_rx, n_cols, n_states)`` is in the order that the
-    fixed-seed results were drawn in.  It is added through the
-    state-by-state view of ``target``; splitting its row axis never copies.
+    It is drawn as ``(n_rx, n_cols, n_states)``, the order that the
+    fixed-seed results were drawn in; ``add_stacked_noise`` and
+    ``stack_noise`` read it in that order.
+    """
+    return rng.standard_normal((n_rx, n_cols, rows // n_rx))
+
+
+def _by_state(noise: np.ndarray) -> np.ndarray:
+    """The ``(..., n_states, n_rx, n_cols)`` view of a draw of ``draw_unit_noise``."""
+    lead = range(noise.ndim - 3)
+    return noise.transpose(*lead, noise.ndim - 1, noise.ndim - 3, noise.ndim - 2)
+
+
+def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
+    """Add ``noise``, a (scaled) draw of ``draw_unit_noise``, in place to a stacked ``target``.
+
+    ``target`` is ``(..., n_states * n_rx, n_cols)``, and ``noise`` is added
+    through its state-by-state view; splitting its row axis never copies.
     ``sd * rng.standard_normal(shape)`` is the draw that ``rng.normal(scale=sd,
     size=shape)`` makes, and leaves ``rng`` in the same place.
     """
-    *lead, n_rx, n_cols, n_states = noise.shape
-    by_state = target.reshape(*lead, n_states, n_rx, n_cols)
-    by_state += np.moveaxis(noise, -1, -3)
+    by_state = _by_state(noise)
+    view = target.reshape(by_state.shape)
+    view += by_state
+
+
+def stack_noise(noise: np.ndarray) -> np.ndarray:
+    """A copy of a ``draw_unit_noise`` draw as the stacked array ``add_stacked_noise`` adds."""
+    by_state = _by_state(noise)
+    return by_state.reshape(*by_state.shape[:-3], -1, by_state.shape[-1])
 
 
 def received_power(clean, gains, code, symbols) -> np.ndarray:

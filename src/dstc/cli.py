@@ -103,7 +103,10 @@ def _read_experiment(args) -> tuple[ConfigBundle, ExperimentConfig, Constellatio
         raise ConfigError(f"{args.config}: missing [experiment] section")
     cfg = bundle.experiment
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, base_seed=args.seed)
+        try:
+            cfg = dataclasses.replace(cfg, base_seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     try:
         constellation = bundle.constellation or default_constellation(cfg.scenario.k_t)
     except ValueError as exc:

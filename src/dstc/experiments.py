@@ -27,9 +27,11 @@ from .channel import (
     add_stacked_noise,
     derive_seed,
     draw_channel,
+    draw_unit_noise,
     effective_channel,
     noise_variance,
     received_power,
+    stack_noise,
 )
 from .csk import (
     Constellation,
@@ -52,9 +54,12 @@ from .receivers import (
     RECEIVER_KRF,
     RECEIVER_PLAIN,
     RECEIVER_ZF,
+    EstimationResult,
     code_inverse,
     krf_detect,
+    krf_detect_grid,
     zf_detect,
+    zf_detect_grid,
 )
 
 ALL_RECEIVERS = (RECEIVER_ZF, RECEIVER_KRF, RECEIVER_PLAIN)
@@ -166,6 +171,8 @@ class ExperimentConfig:
                 f"n_symbols_total = {self.n_symbols_total} is not a whole number of "
                 f"blocks of {self.scenario.block_len} slots, at least one"
             )
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed = {self.base_seed} is outside [0, 2**64)")
         if not self.receivers:
             raise ValueError("at least one receiver must be enabled")
         for i, r in enumerate(self.receivers):
@@ -235,14 +242,14 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
 
 
 def _propagate(gains, code, receivers):
-    """The noise targets in draw order and each receiver's cond.
+    """The links of a chunk in draw order and each receiver's cond.
 
     A link is the dimming ``code``, which ZF and VLC-KRF share, or plain
-    CSK's one-state all-ones code (zero forcing without a dimming code).  A
-    link's targets are its data reception and, for ZF and plain CSK, its
-    pilot estimate, each given as ``(effective, link_code, is_data)``: the
-    clean reception is ``effective @ symbols.T``, and ZF's pilots are the
-    identity, so its clean estimate is the effective channel itself.  ZF and
+    CSK's one-state all-ones code (zero forcing without a dimming code).
+    Each is given as ``(effective, link_code, pilot)``: its clean data
+    reception is ``effective @ symbols.T``, and where ``pilot`` (ZF and
+    plain CSK) it has a pilot estimate too, whose clean value is the
+    effective channel itself, since ZF's pilots are the identity.  ZF and
     VLC-KRF report the clean effective channel's cond from its Khatri-Rao
     Gram matrix ``(code.T @ code) * (gains.T @ gains)`` (``linalg.gram_cond``);
     plain CSK's square channel can be too ill-conditioned for that and keeps
@@ -252,24 +259,54 @@ def _propagate(gains, code, receivers):
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
     gram = (code.T @ code) * (gains.swapaxes(-1, -2) @ gains)
     conds = dict.fromkeys(on_code, gram_cond(gram)) if on_code else {}
-    targets = [(effective, code, True)]
-    if RECEIVER_ZF in receivers:
-        targets.append((effective, code, False))
+    links = [(effective, code, RECEIVER_ZF in receivers)]
     if RECEIVER_PLAIN in receivers:
         one_state = np.ones((1, gains.shape[-1]))
         plain = effective_channel(gains, one_state)
         conds[RECEIVER_PLAIN] = np.linalg.cond(plain)
-        targets += [(plain, one_state, True), (plain, one_state, False)]
-    return targets, conds
+        links.append((plain, one_state, True))
+    return links, conds
+
+
+def _score(result, bits, gains, constellation):
+    """The failure mask, bit errors and NMSE of each block of one receiver's estimates.
+
+    ``result`` is an ``EstimationResult`` whose leading axes are ``(trials,)``
+    for one point or ``(points, trials)``; each array is given as ``(points,
+    trials)``.
+    """
+    payload = result.symbol_estimate[..., 1:, :]
+    detected = demodulate(payload.reshape(-1, payload.shape[-1]), constellation)
+    errors = np.sum(detected.reshape(*payload.shape[:-2], -1) != bits, axis=-1)
+    nmse = np.sum((gains - result.channel_estimate) ** 2, axis=(-2, -1)) / np.sum(
+        gains**2, axis=(-2, -1)
+    )
+    return tuple(a.reshape(-1, len(bits)) for a in (result.failed, errors, nmse))
+
+
+def _outcomes(scores, conds, n_bits):
+    """Per point, the outcomes keyed by receiver, from each receiver's ``_score``."""
+    return [
+        {
+            r: [
+                TrialOutcome(0, 0, math.nan, cond, failed=True)
+                if failed
+                else TrialOutcome(e, n_bits, m, cond)
+                for failed, e, m, cond in zip(*(a[i].tolist() for a in score), conds[r].tolist())
+            ]
+            for r, score in scores.items()
+        }
+        for i in range(len(next(iter(scores.values()))[0]))
+    ]
 
 
 def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
     """Detect and score one point of a chunk: its outcomes keyed by receiver.
 
-    ``received`` lists the noisy arrays in ``_propagate``'s order and is
-    emptied: the arrays after the reception are taken out as they are used,
-    and VLC-KRF detects last and is handed the reception's only reference,
-    which it frees before its rank-one fit.
+    ``received`` lists the noisy arrays in draw order and is emptied: the
+    arrays after the reception are taken out as they are used, and VLC-KRF
+    detects last and is handed the reception's only reference, which it
+    frees before its rank-one fit.
     """
     estimates = {}
     if RECEIVER_ZF in receivers:
@@ -280,69 +317,42 @@ def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, con
     if RECEIVER_KRF in receivers:
         estimates[RECEIVER_KRF] = krf_detect(received.pop(0), inverse, symbols[:, 0])
     received.clear()  # without VLC-KRF, free the reception before the point is scored
-    results = list(estimates.values())
-    payload = np.stack([e.symbol_estimate[:, 1:] for e in results])
-    detected = demodulate(payload.reshape(-1, code.shape[1]), constellation)
-    errors = np.sum(detected.reshape(len(results), *bits.shape) != bits, axis=-1)
-    nmse = np.stack(
-        [np.sum((gains - e.channel_estimate) ** 2, axis=(-2, -1)) for e in results]
-    ) / np.sum(gains**2, axis=(-2, -1))
-    outcomes: dict[str, list[TrialOutcome]] = {}
-    for (r, result), n_errors, nmses in zip(estimates.items(), errors.tolist(), nmse.tolist()):
-        outcomes[r] = [
-            TrialOutcome(0, 0, math.nan, cond, failed=True)
-            if failed
-            else TrialOutcome(e, bits.shape[1], m, cond)
-            for failed, e, m, cond in zip(result.failed.tolist(), n_errors, nmses, conds[r].tolist())
-        ]
-    return outcomes
+    scores = {r: _score(e, bits, gains, constellation) for r, e in estimates.items()}
+    return _outcomes(scores, conds, bits.shape[1])[0]
 
 
-def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
-    """Trials stacked along a leading axis, run at every point of a grid.
+def _run_formed(scenario, points, seeds, receivers, channel_model, constellation):
+    """``_run_chunk`` by forming every point's reception.
 
-    ``points`` lists ``(code, inverse, snr_db)``; the result lists, per
-    point, the outcomes keyed by receiver.  Each trial draws its bits and
-    channel from its own generator (see ``_draw_chunk``), and at the first
-    noisy point its unit noise for each target of ``_propagate``, in that
-    order.  Each noisy point sets a link's noise from the received power of
-    its clean data reception (``received_power``), and scales a trial's draw
-    by that link's standard deviation, which is the draw that
-    ``Generator.normal`` makes at that point alone (see
-    ``add_stacked_noise``), so its outcomes equal its trials run one point
-    at a time.  Consecutive points that share a code object share its
-    effective channels and conds.  Everything but the draws and the per-block
-    mean squares runs once for the stack.
-
-    Every point forms its targets from the clean channels: the data
-    reception, one matrix product, and the pilot estimate, a copy of the
-    channel while a later point follows and the channel itself at the last.
-    A draw is kept only while a later point follows: a point before the last
-    adds it scaled into a one-trial temporary, and the last point scales it
-    in place.
+    Each point forms its links (``_propagate``) and, from the clean
+    channels, its targets: the data reception, one matrix product, and the
+    pilot estimate, the point's own effective channel.  At the first noisy
+    point each trial draws its unit noise for each target, in that order.
+    A draw is kept only while a later point follows: a point before the
+    last adds it scaled into a one-trial temporary, and the last point
+    scales it in place.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     kept = []  # the unit draws by target, then trial, while a later point reads them
     outcomes = []
-    code = None
-    for i, (point_code, inverse, snr_db) in enumerate(points):
+    for i, (code, inverse, snr_db) in enumerate(points):
         later = i + 1 < len(points)
-        if point_code is not code:
-            code = point_code
-            targets, conds = _propagate(gains, code, receivers)
-        received = [
-            e @ symbols.swapaxes(-1, -2) if data else e.copy() if later else e
-            for e, _, data in targets
-        ]
+        links, conds = _propagate(gains, code, receivers)
+        received, targets = [], []
+        for e, link_code, pilot in links:
+            received += [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
+            targets += [(link_code, True)] + [(link_code, False)] * pilot
         if not math.isinf(snr_db):  # noiseless: the clean arrays are received as they are
             fresh, draws = not kept, iter(kept)
-            for target, (_, link_code, data) in zip(received, targets):
+            for target, (link_code, data) in zip(received, targets):
                 if data:  # before its noise; the link's pilot estimate, next, shares its sd
                     power = received_power(target, gains, link_code, symbols)
                     sd = np.sqrt(noise_variance(power, snr_db))
-                shape = (scenario.n_rx, target.shape[-1], target.shape[-2] // scenario.n_rx)
                 for t, rng in enumerate(rngs):
-                    unit = rng.standard_normal(shape) if fresh else next(draws)
+                    if fresh:
+                        unit = draw_unit_noise(rng, scenario.n_rx, *target.shape[-2:])
+                    else:
+                        unit = next(draws)
                     if later:
                         add_stacked_noise(target[t], unit * sd[t])
                         if fresh:
@@ -358,18 +368,183 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
     return outcomes
 
 
+class _LinkProducts:
+    """One link's draws of a chunk, reduced as they are drawn to what every point detects from.
+
+    ``effective`` ``(trials, rows, n_tx)`` is the link's effective channel
+    and ``code`` its code.  Its clean reception ``Y0`` sets its received
+    power (``received_power``) and is not kept.  Where ``pilot`` (ZF, plain
+    CSK) each trial's reception and pilot draws ``N`` and ``P`` reduce to
+    the products that ``receivers.zf_detect_grid`` reads, ``P.T @ Y0`` taken
+    as ``(P.T @ E) @ S.T``; where ``inverse`` is given (VLC-KRF), ``N``
+    reduces to ``inverse`` applied to its state blocks, which
+    ``receivers.krf_detect_grid`` reads.  Each trial's generator state
+    before its draws is kept, so a block that the grid detectors leave
+    open can be formed again exactly (``reception``).
+    """
+
+    def __init__(self, effective, code, pilot, inverse, gains, symbols, n_rx):
+        self.effective, self.code, self.inverse = effective, code, inverse
+        self.symbols, self.n_rx = symbols, n_rx
+        clean = effective @ symbols.swapaxes(-1, -2)
+        self.power = received_power(clean, gains, code, symbols)
+        n_trials, n_tx, n_slots = len(clean), effective.shape[-1], clean.shape[-1]
+        projected = effective.swapaxes(-1, -2) @ clean
+        peak = np.maximum(clean.max(axis=(-2, -1)), -clean.min(axis=(-2, -1)))
+        del clean
+        self.states = [None] * n_trials
+        self.pilot = self.residual = None
+        if pilot:
+            self.pilot = np.empty_like(effective)
+            self.products = (projected, np.empty_like(projected), np.empty_like(projected))
+            self.peaks = (peak, np.empty(n_trials))
+        if inverse is not None:
+            self.residual = np.empty((n_trials, n_tx, n_rx, n_slots))
+            rows = effective.shape[-2]
+            self.norms = (np.sqrt(self.power * rows * n_slots), np.empty(n_trials))
+
+    def draw(self, t: int, rng: np.random.Generator) -> None:
+        """Take trial ``t``'s draws from its generator: the reception's noise, then the pilots'."""
+        self.states[t] = rng.bit_generator.state
+        effective, symbols = self.effective[t], self.symbols[t]
+        noise = stack_noise(draw_unit_noise(rng, self.n_rx, len(effective), len(symbols)))
+        if self.residual is not None:
+            residual = self.inverse @ noise.reshape(len(self.code), -1)
+            self.residual[t] = residual.reshape(self.residual.shape[1:])
+            self.norms[1][t] = np.linalg.norm(noise)
+        if self.pilot is not None:
+            pilot = stack_noise(draw_unit_noise(rng, self.n_rx, *effective.shape))
+            self.pilot[t] = pilot
+            _, mixed, noisy = self.products
+            mixed[t] = effective.T @ noise + (pilot.T @ effective) @ symbols.T
+            noisy[t] = pilot.T @ noise
+            self.peaks[1][t] = np.abs(noise).max()
+
+    def reception(self, t: int, sd) -> np.ndarray:
+        """Trial ``t``'s noisy reception at scale ``sd``, formed as a point run alone forms it."""
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.states[t]
+        received = self.effective[t] @ self.symbols[t].T
+        add_stacked_noise(received, draw_unit_noise(rng, self.n_rx, *received.shape) * sd)
+        return received
+
+    def zf(self, sd) -> EstimationResult:
+        """``receivers.zf_detect`` at every scale of ``sd`` ``(points, trials)``."""
+        result, exact = zf_detect_grid(
+            self.effective, self.pilot, self.products, self.peaks, sd, self.code
+        )
+        for i, t in zip(*np.nonzero(exact)):
+            estimate = self.effective[t] + sd[i, t] * self.pilot[t]
+            _fill(result, (i, t), zf_detect(self.reception(t, sd[i, t]), estimate, self.code))
+        return result
+
+    def krf(self, sd, gains) -> EstimationResult:
+        """``receivers.krf_detect`` at every scale of ``sd`` ``(points, trials)``."""
+        known = self.symbols[:, 0]
+        result, exact = krf_detect_grid(
+            gains, self.symbols, self.residual, self.inverse, self.norms, sd, known
+        )
+        for i, t in zip(*np.nonzero(exact)):
+            _fill(result, (i, t), krf_detect(self.reception(t, sd[i, t]), self.inverse, known[t]))
+        return result
+
+
+def _fill(result: EstimationResult, index, block: EstimationResult) -> None:
+    """Write the estimates of ``block`` into ``result`` at ``index``."""
+    for name in ("symbol_estimate", "channel_estimate", "failed"):
+        getattr(result, name)[index] = getattr(block, name)
+
+
+def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
+    """``_run_chunk`` on a noisy grid on one code, without forming any point's reception.
+
+    Every point reads the same clean links and unit draws and scales the
+    draws by its own noise level, so each trial's draws are reduced once,
+    as they are drawn, to products that do not depend on the scale
+    (``_LinkProducts``).  Then the points are detected a group at a time,
+    in one batched pass per receiver (``receivers.zf_detect_grid``,
+    ``receivers.krf_detect_grid``), and scored.  A block whose verdict
+    those cannot settle is formed exactly, as its point run alone forms it.
+    """
+    rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
+    code, inverse = points[0][:2]
+    links, conds = _propagate(gains, code, receivers)
+    links = [
+        _LinkProducts(
+            e, c, pilot, inverse if c is code and RECEIVER_KRF in receivers else None,
+            gains, symbols, scenario.n_rx,
+        )
+        for e, c, pilot in links
+    ]
+    # every point's sd per link, checked point by point as a point run alone checks it
+    sds = np.array(
+        [[np.sqrt(noise_variance(link.power, snr_db)) for link in links] for *_, snr_db in points]
+    )
+    for t, rng in enumerate(rngs):
+        for link in links:
+            link.draw(t, rng)
+    coded, plain = links[0], links[-1]  # the dimming code's link, then plain CSK's if enabled
+    detectors = {
+        RECEIVER_ZF: lambda sd: coded.zf(sd[:, 0]),
+        RECEIVER_PLAIN: lambda sd: plain.zf(sd[:, -1]),
+        RECEIVER_KRF: lambda sd: coded.krf(sd[:, 0], gains),
+    }
+    # the points are detected and scored a group at a time: a group's
+    # estimates (one n_tx x block_len block per point, receiver and trial)
+    # stay within a quarter of the chunk's reception, and scoring them holds
+    # about four such arrays
+    size = max(1, scenario.n_states * scenario.n_rx // (4 * scenario.n_tx))
+    scores = {r: [] for r in receivers}
+    for group in np.array_split(sds, -(-len(points) // size)):
+        for r in receivers:
+            result = detectors[r](group)
+            scores[r].append(_score(result, bits, gains, constellation))
+            del result
+    scores = {r: tuple(map(np.concatenate, zip(*parts))) for r, parts in scores.items()}
+    return _outcomes(scores, conds, bits.shape[1])
+
+
+def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
+    """Trials stacked along a leading axis, run at every point of a grid.
+
+    ``points`` lists ``(code, inverse, snr_db)``; the result lists, per
+    point, the outcomes keyed by receiver.  Each trial draws its bits and
+    channel from its own generator (see ``_draw_chunk``), and at the first
+    noisy point its unit noise for each target of each link of
+    ``_propagate``, in that order.  Each noisy point sets a link's noise
+    from the received power of its clean data reception
+    (``received_power``), and scales a trial's draw by that link's standard
+    deviation, which is the draw that ``Generator.normal`` makes at that
+    point alone (see ``channel.add_stacked_noise``), so its outcomes equal
+    its trials run one point at a time.  Everything but the draws and the
+    per-block mean squares runs once for the stack.
+
+    A noisy grid of two or more points on one code object (every BER sweep)
+    takes ``_run_route``; any other grid (an alpha sweep, whose points each
+    have their own code, a noiseless one, or one point) takes
+    ``_run_formed``.
+    """
+    code = points[0][0]
+    if len(points) > 1 and all(c is code and not math.isinf(snr) for c, _, snr in points):
+        return _run_route(scenario, points, seeds, receivers, channel_model, constellation)
+    return _run_formed(scenario, points, seeds, receivers, channel_model, constellation)
+
+
 # Bytes of a one-point chunk's stacked reception.  Stacking more trials saves
 # per-call overhead but costs memory: a one-point chunk's traced peak is
-# about 2.1 times its reception at 13 QLED trials (the reception next to
-# VLC-KRF's residual) and 2.5 times at 30 LEDs (a one-trial temporary next
+# about 2.05 times its reception at 13 QLED trials (the reception next to
+# VLC-KRF's residual) and 2.45 times at 30 LEDs (a one-trial temporary next
 # to it).  A one-point chunk holds two reception-sized arrays, and a chunk
-# of several points about four: the unit noise it keeps, the reception it
-# forms at each point, VLC-KRF's residual next to that, and the smaller
-# arrays of ZF, plain CSK and scoring (3.3 times its reception at 6 QLED
-# trials).  The trial count per chunk follows from the point count alone,
-# noiseless or not, and the link size: 13 and 6 on the QLED 2x2 link (one
-# point, several), 3 and 1 at 18 LEDs and 20 states, and 1 at 30 LEDs, whose
-# one reception is 750 KiB and whose points run one at a time.
+# of several points up to four.  A formed one keeps its unit noise, forms
+# the reception at each point and VLC-KRF's residual next to that (3.05
+# times its reception on a 5-point alpha grid at 6 QLED trials).  A routed
+# one forms the clean reception once, for its power, and keeps VLC-KRF's
+# noise residual and ZF's and plain CSK's products, about 1.5 receptions,
+# next to one group of points' detection and scoring (2.9 times on the
+# 7-point QLED grid).  The trial count per chunk follows from the point
+# count alone, noiseless or not, and the link size: 13 and 6 on the QLED 2x2
+# link (one point, several), 3 and 1 at 18 LEDs and 20 states, and 1 at 30
+# LEDs, whose one reception is 750 KiB and whose points run one at a time.
 _CHUNK_BYTES = 1024 * 1024
 
 

@@ -109,16 +109,29 @@ def gram_cond(gram) -> np.ndarray:
     return np.where(positive, np.sqrt(hi / np.where(positive, lo, 1.0)), np.inf)
 
 
+def normal_solve(gram, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """``inv(gram) @ rhs`` for every Gram matrix ``a.T @ a`` in a stack that is safe to invert.
+
+    ``gram`` ``(..., cols, cols)`` and ``rhs`` ``(..., cols, k)`` carry the
+    same leading axes.  Returns ``(x, normal)``: ``normal`` marks the
+    matrices whose ``gram_cond`` is at most ``NORMAL_EQUATIONS_MAX_COND``,
+    and ``x`` carries no meaning at every other one.
+    """
+    normal = gram_cond(gram) <= NORMAL_EQUATIONS_MAX_COND
+    safe = np.where(normal[..., None, None], gram, np.eye(gram.shape[-1]))
+    return np.linalg.inv(safe) @ rhs, normal
+
+
 def least_squares(a, b) -> np.ndarray:
     """``pseudoinverse(a) @ b`` matrix by matrix, by the normal equations where they are safe.
 
     ``a`` ``(..., rows, cols)`` and ``b`` ``(..., rows, k)`` must carry the
     same leading axes.  A matrix whose ``gram_cond`` is at most
     ``NORMAL_EQUATIONS_MAX_COND`` is solved by the normal equations as
-    ``inv(a.T @ a) @ (a.T @ b)``, which for 8 x 8 Gram matrices and 100
-    right-hand sides runs about 4x faster than ``np.linalg.solve``; every
-    other one, rank-deficient and all-zero matrices included, keeps the
-    truncated ``pseudoinverse``.
+    ``inv(a.T @ a) @ (a.T @ b)`` (``normal_solve``), which for 8 x 8 Gram
+    matrices and 100 right-hand sides runs about 4x faster than
+    ``np.linalg.solve``; every other one, rank-deficient and all-zero
+    matrices included, keeps the truncated ``pseudoinverse``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -128,39 +141,30 @@ def least_squares(a, b) -> np.ndarray:
     a = a.reshape(-1, rows, cols)
     b = b.reshape(-1, rows, k)
     at = a.swapaxes(-1, -2)
-    gram = at @ a
-    normal = gram_cond(gram) <= NORMAL_EQUATIONS_MAX_COND
-    x = np.empty((len(a), cols, k))
-    if normal.any():
-        x[normal] = np.linalg.inv(gram[normal]) @ (at @ b)[normal]
+    x, normal = normal_solve(at @ a, at @ b)
     if not normal.all():
         x[~normal] = pseudoinverse(a[~normal]) @ b[~normal]
     return x.reshape(*lead, cols, k)
 
 
-def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading singular triplet of every matrix in a stack, by the Gram route.
+def leading_eigenvector(gram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading eigenpair of every symmetric positive semidefinite matrix in a stack, by powers.
 
-    ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
-    ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
-    rank-one approximation of each matrix in Frobenius norm.  ``u`` is the
-    unit leading eigenvector of ``G = B @ B.T``, ``sigma`` the root of its
-    eigenvalue and ``v = B.T @ u / sigma``, so ``sigma * outer(u, v)`` is the
-    exact projection ``outer(u, u) @ B``.  ``u`` comes from the largest
-    column of ``G**32`` (five squarings of ``G`` over its trace), times ``G``
-    once more; a matrix is accepted where that ``u`` leaves an
+    ``gram`` ``(..., m, m)`` is a Gram matrix ``G = B @ B.T`` or a sum of
+    such; it is divided by its trace in place.  Returns ``(lam, u,
+    converged)`` of shapes ``(...)``, ``(..., m)`` and ``(...)``.  ``u`` is the
+    unit vector along the largest column of ``G**32`` (five squarings of ``G``
+    over its trace), times ``G`` once more, and ``lam`` its Rayleigh
+    quotient.  ``converged`` marks the matrices where that ``u`` leaves an
     eigen-residual within ``RANK_ONE_RTOL`` of its eigenvalue, which is
-    itself clear of zero next to the trace.  Every other matrix (a small
-    eigengap, a zero or underflowing ``G``) takes one batched ``eigh``.  A
-    zero matrix gives ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and
-    ``v`` is arbitrary.
+    itself clear of zero next to the trace; a small eigengap or a zero or
+    underflowing ``G`` fails it, and ``u`` carries no meaning there.  The
+    sign of ``u`` is arbitrary.
     """
-    b = np.asarray(blocks, dtype=float)
-    lead, (m, n) = b.shape[:-2], b.shape[-2:]
-    b = b.reshape(-1, m, n)
+    lead, m = gram.shape[:-2], gram.shape[-1]
     # three (m, m) arrays per matrix at most: G scaled in place, and G's
     # powers squared back and forth between two buffers
-    scaled = b @ b.swapaxes(-1, -2)
+    scaled = gram.reshape(-1, m, m)
     trace = np.trace(scaled, axis1=-2, axis2=-1)
     # over its trace G's top eigenvalue lies in [1/m, 1], so G**32 stays in range
     scaled /= np.where(trace > 0.0, trace, 1.0)[:, None, None]
@@ -179,8 +183,29 @@ def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lam = (u * gu).sum(axis=-1)
     residual = np.linalg.norm(gu - lam[:, None] * u, axis=-1)
     # a zero G leaves u = 0 and lam = 0, which the second test refuses
-    slow = ~((residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL))
+    converged = (residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL)
     lam *= trace
+    return lam.reshape(lead), u.reshape(*lead, m), converged.reshape(lead)
+
+
+def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading singular triplet of every matrix in a stack, by the Gram route.
+
+    ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
+    ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
+    rank-one approximation of each matrix in Frobenius norm.  ``u`` is the
+    unit leading eigenvector of ``G = B @ B.T`` (``leading_eigenvector``),
+    ``sigma`` the root of its eigenvalue and ``v = B.T @ u / sigma``, so
+    ``sigma * outer(u, v)`` is the exact projection ``outer(u, u) @ B``.
+    Every matrix whose powers do not converge takes one batched ``eigh``.
+    A zero matrix gives ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and
+    ``v`` is arbitrary.
+    """
+    b = np.asarray(blocks, dtype=float)
+    lead, (m, n) = b.shape[:-2], b.shape[-2:]
+    b = b.reshape(-1, m, n)
+    lam, u, converged = leading_eigenvector(b @ b.swapaxes(-1, -2))
+    slow = ~converged
     if slow.any():
         b_slow = b[slow]  # G again, by the same product as above
         eigenvalues, eigenvectors = np.linalg.eigh(b_slow @ b_slow.swapaxes(-1, -2))

@@ -23,7 +23,10 @@ rows, which leaves one rank-one matrix (channel column times symbol column)
 per LED; one batched best rank-one fit recovers both factors up to one
 scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
-all-ones code.
+all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
+detectors at every noise scale of a grid from products of the clean
+reception and the unit noise that do not depend on the scale, and mark the
+blocks whose verdicts they leave to the formed reception.
 """
 
 from __future__ import annotations
@@ -35,14 +38,23 @@ import numpy as np
 from .linalg import (
     ZERO_RTOL,
     full_column_rank,
+    leading_eigenvector,
     leading_rank_one,
     least_squares,
+    normal_solve,
     pseudoinverse,
 )
 
 RECEIVER_ZF = "ZF"
 RECEIVER_KRF = "VLC-KRF"
 RECEIVER_PLAIN = "plain-CSK"
+
+# Largest distance, relative to its scale, between a quantity of the grid
+# detectors and the same quantity of a detector run on the formed reception.
+# Both are roundings of one value, about 1e-15 apart where the grid's
+# rank-one fit converges; a verdict whose test lies within this margin is not
+# taken from the grid.
+GRID_RTOL = 1e-9
 
 
 class AmbiguityError(RuntimeError):
@@ -175,15 +187,102 @@ def krf_detect(
     del stacked  # a caller that handed over its only reference frees the reception here
     blocks = residual.reshape(*lead, n_tx, rows // n_states, n_slots)
     sigma, u, v = leading_rank_one(blocks)
+    unresolved = np.abs(v[..., 0]) <= ZERO_RTOL * np.abs(v).max(axis=-1)
+    failed = (~blocks.any(axis=(-2, -1)) | unresolved).any(axis=-1)
+    return _resolve_scales(sigma, u, v, known_values, failed, failed)
+
+
+def _resolve_scales(sigma, u, v, known_values, failed, skipped):
+    """VLC-KRF's estimates from its rank-one fits, each column scaled to the known training row.
+
+    ``sigma`` ``(..., n_tx)``, ``u`` ``(..., n_tx, n_rx)`` and ``v`` ``(..., n_tx,
+    n_slots)`` are the fits of the LEDs' residuals.  The blocks in ``skipped``
+    (the ``failed`` ones and any others whose fits carry no meaning) are not
+    divided by their training row.
+    """
     gains = (sigma[..., None] * u).swapaxes(-1, -2)
     symbols = v.swapaxes(-1, -2)
-
-    first = symbols[..., 0, :]
-    unresolved = np.abs(first) <= ZERO_RTOL * np.abs(symbols).max(axis=-2)
-    failed = (~blocks.any(axis=(-2, -1)) | unresolved).any(axis=-1)
-    scales = known_values / np.where(failed[..., None], 1.0, first)
+    scales = known_values / np.where(skipped[..., None], 1.0, symbols[..., 0, :])
     return EstimationResult(
         symbol_estimate=symbols * scales[..., None, :],
         channel_estimate=gains / scales[..., None, :],
         failed=failed,
     )
+
+
+def zf_detect_grid(effective, pilot, products, peaks, sd, code):
+    """``zf_detect`` at every noise scale of a grid, without forming the reception.
+
+    At scale ``sd`` ZF takes the pilot estimate ``Ê = E + sd * P`` of the
+    ``effective`` channel ``E`` and the unit pilot draw ``pilot`` ``P``
+    ``(..., rows, n_tx)``, and the reception ``Y = Y0 + sd * N`` of the clean
+    reception ``Y0`` and the unit draw ``N``.  ``Ê`` is formed as the engine
+    forms it, and ``Ê.T @ Y = A0 + sd * A1 + sd**2 * A2`` from ``products``
+    ``(E.T @ Y0, P.T @ Y0 + E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.
+    The negligible-estimate test reads ``max|Y|``, which lies within
+    ``max|Y0| +- sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
+    ``sd`` is ``(g, ...)``, one row per point of the grid.
+
+    Returns ``(result, exact)`` with leading axes ``(g, ...)``: ``exact``
+    marks the blocks whose ``Ê`` fails the normal-equations test, or whose
+    negligible-estimate test those bounds do not decide.  Their estimates
+    carry no meaning; every other block's verdict is ``zf_detect``'s.
+    """
+    scale = sd[..., None, None]
+    estimate = effective + scale * pilot
+    a0, a1, a2 = products
+    x, normal = normal_solve(estimate.swapaxes(-1, -2) @ estimate, a0 + scale * (a1 + scale * a2))
+    largest = np.abs(estimate).max(axis=(-2, -1))
+    clean, noise = peaks[0], sd * peaks[1]
+    high = (clean + noise) * (1.0 + GRID_RTOL)
+    low = np.abs(clean - noise) - GRID_RTOL * (clean + noise)
+    failed = largest <= ZERO_RTOL * low
+    exact = ~normal | ~(failed | (largest > ZERO_RTOL * high))
+    channel = channel_from_effective(estimate, code)
+    return EstimationResult(x.swapaxes(-1, -2), channel, failed), exact
+
+
+def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_values):
+    """``krf_detect`` at every noise scale of a grid, without forming the reception.
+
+    At scale ``sd`` the residual of LED r is ``R = C+ (Y0 + sd * N)``.  Its
+    clean part ``C+ Y0`` is ``outer(g, s)``, of column r of ``gains``
+    ``(..., n_rx, n_tx)`` and of ``symbols`` ``(..., n_slots, n_tx)``, since
+    ``C+ C = I``; its noise part is ``noise_residual`` ``(..., n_tx, n_rx,
+    n_slots)``.  So ``R @ R.T`` is quadratic in ``sd``; its leading
+    eigenvector ``u`` (``linalg.leading_eigenvector``) and ``v = R.T @ u /
+    sigma`` give the rank-one fit.  ``norms`` are ``(||Y0||, ||N||)`` per
+    block, and ``inverse`` is ``C+``.  ``sd`` is ``(g, ...)``, one row per
+    point of the grid.
+
+    Returns ``(result, exact)`` with leading axes ``(g, ...)``.  A residual is
+    nonzero where its Gram trace clears ``GRID_RTOL`` of its bound
+    ``||C+_r||_1 * (||Y0|| + sd * ||N||)``, squared; the training-row test is
+    decided where it clears ``GRID_RTOL`` of the column's largest entry.
+    ``exact`` marks the blocks where a fit does not converge or a test is
+    not decided.  Their estimates carry no meaning; every other block's
+    verdict is ``krf_detect``'s.
+    """
+    g = gains.swapaxes(-1, -2)
+    s = symbols.swapaxes(-1, -2)
+    w = (noise_residual @ s[..., None])[..., 0]
+    cross = g[..., :, None] * w[..., None, :]
+    cross += cross.swapaxes(-1, -2)
+    clean = np.square(s).sum(axis=-1)[..., None, None] * (g[..., :, None] * g[..., None, :])
+    scale = sd[..., None, None, None]
+    gram = clean + scale * (cross + scale * (noise_residual @ noise_residual.swapaxes(-1, -2)))
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    lam, u, converged = leading_eigenvector(gram)
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    v = (u[..., None, :] @ noise_residual)[..., 0, :]
+    v *= sd[..., None, None]
+    v += (u * g).sum(axis=-1)[..., None] * s
+    v /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
+    bound = np.abs(inverse).sum(axis=1) * (norms[0] + sd * norms[1])[..., None]
+    nonzero = trace > (GRID_RTOL * bound) ** 2
+    first, top = np.abs(v[..., 0]), np.abs(v).max(axis=-1)
+    unresolved = first < (ZERO_RTOL - GRID_RTOL) * top
+    decided = converged & nonzero & (unresolved | (first > (ZERO_RTOL + GRID_RTOL) * top))
+    exact = ~decided.all(axis=-1)
+    failed = unresolved.any(axis=-1)
+    return _resolve_scales(sigma, u, v, known_values, failed, failed | exact), exact

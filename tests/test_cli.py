@@ -23,7 +23,7 @@ from dstc.channel import CHANNEL_MODELS
 from dstc.cli import build_parser, main
 from dstc.configio import _KEYS, MODES, ConfigError, load_config
 from dstc.experiments import ALL_RECEIVERS, ExperimentConfig, SystemConfig, default_scenarios
-from dstc.receivers import krf_detect
+from dstc.receivers import krf_detect, krf_detect_grid
 
 
 def run_cli(argv):
@@ -316,7 +316,12 @@ class TestSimulate:
             result = krf_detect(*args)
             return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
+        def flagged_grid(*args):  # the BER grid's points are detected together
+            result, exact = krf_detect_grid(*args)
+            return dataclasses.replace(result, failed=np.ones_like(result.failed)), exact
+
         monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
+        monkeypatch.setattr("dstc.experiments.krf_detect_grid", flagged_grid)
         cfg = write_cfg(
             tmp_path / "sim.cfg", SMALL_SIM.replace("receivers = ZF VLC-KRF", "receivers = VLC-KRF")
         )
@@ -766,6 +771,32 @@ class TestCheck:
         assert "k-rank(symbols)=1" in capsys.readouterr().out
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "k_symbols=1" in capsys.readouterr().err
+
+
+class TestSeedDomain:
+    """A seed outside [0, 2**64) would run as its residue modulo 2**64; it is refused."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_seed_flag_exits_1_with_one_line(self, command, seed, tmp_path, capsys):
+        argv = [command, "--config", write_cfg(tmp_path / "c.cfg", SMALL_SIM), "--seed", str(seed)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err and "outside [0, 2**64)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_base_seed_exits_1_with_one_line(self, seed, tmp_path, capsys):
+        text = SMALL_SIM.replace("base_seed = 77", f"base_seed = {seed}")
+        assert run_cli(["check", "--config", write_cfg(tmp_path / "c.cfg", text)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "base_seed" in err and "outside [0, 2**64)" in err
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        argv = ["check", "--config", write_cfg(tmp_path / "c.cfg", SMALL_SIM)]
+        assert run_cli(argv + ["--seed", str(2**64 - 1)]) == 0
 
 
 DESIGN_ONLY = "configs/tled2x2_design.cfg"
