@@ -43,6 +43,7 @@ from .experiments import (
     flatten_curves,
     run_sweep,
     spectral_efficiency,
+    sweep_codes,
     write_curves_csv,
 )
 from .linalg import ArraySizeError, DegenerateInputError, SizeLimitError
@@ -201,11 +202,12 @@ def cmd_simulate(args) -> int:
     for path in [*(out / csv_name for _, csv_name, _ in sweeps), summary_path, manifest_path]:
         if path.exists():  # fail before the sweeps, as writing would; append changes nothing
             path.open("a").close()
+    codes = sweep_codes(cfg, [mode for mode, _, _ in sweeps])  # an infeasible depth exits first
     outputs: list[Path] = []
     summary: list[str] = []
     degenerate = False
     for mode, csv_name, label in sweeps:
-        curves = run_sweep(cfg, mode, constellation)
+        curves = run_sweep(cfg, mode, constellation, codes)
         outputs.append(write_curves_csv(curves, out / csv_name))
         summary += _summary_lines(label, curves)
         degenerate |= _degenerate(curves)

@@ -375,12 +375,12 @@ class _LinkProducts:
     and ``code`` its code.  Its clean reception ``Y0`` sets its received
     power (``received_power``) and is not kept.  Where ``pilot`` (ZF, plain
     CSK) each trial's reception and pilot draws ``N`` and ``P`` reduce to
-    the products that ``receivers.zf_detect_grid`` reads, ``P.T @ Y0`` taken
-    as ``(P.T @ E) @ S.T``; where ``inverse`` is given (VLC-KRF), ``N``
-    reduces to ``inverse`` applied to its state blocks, which
-    ``receivers.krf_detect_grid`` reads.  Each trial's generator state
-    before its draws is kept, so a block that the grid detectors leave
-    open can be formed again exactly (``reception``).
+    ``E.T @ N`` and ``P.T @ N``, which ``receivers.zf_detect_grid`` reads;
+    where ``inverse`` is given (VLC-KRF), ``N`` reduces to ``inverse``
+    applied to its state blocks, which ``receivers.krf_detect_grid`` reads.
+    Each trial's generator state before its draws is kept, so a block that
+    the grid detectors leave open can be formed again exactly
+    (``reception``).
     """
 
     def __init__(self, effective, code, pilot, inverse, gains, symbols, n_rx):
@@ -388,19 +388,18 @@ class _LinkProducts:
         self.symbols, self.n_rx = symbols, n_rx
         clean = effective @ symbols.swapaxes(-1, -2)
         self.power = received_power(clean, gains, code, symbols)
-        n_trials, n_tx, n_slots = len(clean), effective.shape[-1], clean.shape[-1]
-        projected = effective.swapaxes(-1, -2) @ clean
         peak = np.maximum(clean.max(axis=(-2, -1)), -clean.min(axis=(-2, -1)))
+        n_trials, (rows, n_slots) = len(clean), clean.shape[-2:]
         del clean
+        n_tx = effective.shape[-1]
         self.states = [None] * n_trials
         self.pilot = self.residual = None
         if pilot:
             self.pilot = np.empty_like(effective)
-            self.products = (projected, np.empty_like(projected), np.empty_like(projected))
+            self.products = np.empty((2, n_trials, n_tx, n_slots))
             self.peaks = (peak, np.empty(n_trials))
         if inverse is not None:
             self.residual = np.empty((n_trials, n_tx, n_rx, n_slots))
-            rows = effective.shape[-2]
             self.norms = (np.sqrt(self.power * rows * n_slots), np.empty(n_trials))
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
@@ -409,16 +408,14 @@ class _LinkProducts:
         effective, symbols = self.effective[t], self.symbols[t]
         noise = stack_noise(draw_unit_noise(rng, self.n_rx, len(effective), len(symbols)))
         if self.residual is not None:
-            residual = self.inverse @ noise.reshape(len(self.code), -1)
-            self.residual[t] = residual.reshape(self.residual.shape[1:])
+            residual = self.residual[t].reshape(len(self.inverse), -1)
+            np.matmul(self.inverse, noise.reshape(len(self.code), -1), out=residual)
             self.norms[1][t] = np.linalg.norm(noise)
         if self.pilot is not None:
-            pilot = stack_noise(draw_unit_noise(rng, self.n_rx, *effective.shape))
-            self.pilot[t] = pilot
-            _, mixed, noisy = self.products
-            mixed[t] = effective.T @ noise + (pilot.T @ effective) @ symbols.T
-            noisy[t] = pilot.T @ noise
-            self.peaks[1][t] = np.abs(noise).max()
+            self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, *effective.shape))
+            np.matmul(effective.T, noise, out=self.products[0, t])
+            np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
+            self.peaks[1][t] = max(noise.max(), -noise.min())
 
     def reception(self, t: int, sd) -> np.ndarray:
         """Trial ``t``'s noisy reception at scale ``sd``, formed as a point run alone forms it."""
@@ -431,7 +428,7 @@ class _LinkProducts:
     def zf(self, sd) -> EstimationResult:
         """``receivers.zf_detect`` at every scale of ``sd`` ``(points, trials)``."""
         result, exact = zf_detect_grid(
-            self.effective, self.pilot, self.products, self.peaks, sd, self.code
+            self.effective, self.pilot, self.symbols, self.products, self.peaks, sd, self.code
         )
         for i, t in zip(*np.nonzero(exact)):
             estimate = self.effective[t] + sd[i, t] * self.pilot[t]
@@ -489,11 +486,11 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
         RECEIVER_PLAIN: lambda sd: plain.zf(sd[:, -1]),
         RECEIVER_KRF: lambda sd: coded.krf(sd[:, 0], gains),
     }
-    # the points are detected and scored a group at a time: a group's
-    # estimates (one n_tx x block_len block per point, receiver and trial)
-    # stay within a quarter of the chunk's reception, and scoring them holds
-    # about four such arrays
-    size = max(1, scenario.n_states * scenario.n_rx // (4 * scenario.n_tx))
+    # the points are detected and scored a group at a time: a group's largest
+    # arrays (per point, receiver and trial, ZF's rows x n_tx estimate or a
+    # block_len x n_tx symbol estimate) stay within a quarter of the chunk's
+    # rows x block_len reception, and scoring them holds about four such arrays
+    size = max(1, min(scenario.n_states * scenario.n_rx, scenario.block_len) // (4 * scenario.n_tx))
     scores = {r: [] for r in receivers}
     for group in np.array_split(sds, -(-len(points) // size)):
         for r in receivers:
@@ -530,29 +527,24 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
     return _run_formed(scenario, points, seeds, receivers, channel_model, constellation)
 
 
-# Bytes of a one-point chunk's stacked reception.  Stacking more trials saves
-# per-call overhead but costs memory: a one-point chunk's traced peak is
-# about 2.05 times its reception at 13 QLED trials (the reception next to
-# VLC-KRF's residual) and 2.45 times at 30 LEDs (a one-trial temporary next
-# to it).  A one-point chunk holds two reception-sized arrays, and a chunk
-# of several points up to four.  A formed one keeps its unit noise, forms
-# the reception at each point and VLC-KRF's residual next to that (3.05
-# times its reception on a 5-point alpha grid at 6 QLED trials).  A routed
-# one forms the clean reception once, for its power, and keeps VLC-KRF's
-# noise residual and ZF's and plain CSK's products, about 1.5 receptions,
-# next to one group of points' detection and scoring (2.9 times on the
-# 7-point QLED grid).  The trial count per chunk follows from the point
-# count alone, noiseless or not, and the link size: 13 and 6 on the QLED 2x2
-# link (one point, several), 3 and 1 at 18 LEDs and 20 states, and 1 at 30
-# LEDs, whose one reception is 750 KiB and whose points run one at a time.
+# Bytes of a one-point chunk's stacked reception; a chunk of several points
+# stacks half as many trials, and every chunk at least one: 13 and 6 on the
+# QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
+# Stacking more trials saves per-call overhead but costs memory.  A one-point
+# chunk holds about two reception-sized arrays (traced peaks 2.05 times its
+# reception at 13 QLED trials, 2.45 at one 30-LED trial), a chunk of several
+# points up to four: a formed one forms the reception at each point next to
+# the kept unit noise (3.26 on a 5-point QLED alpha grid, 3.80 at one 30-LED
+# trial), and a routed one keeps VLC-KRF's noise residual and the pilot draws
+# and products next to one group of points' detection (2.71 on the 7-point
+# QLED grid, 3.56 and 3.73 at one 18- and 30-LED trial).
 _CHUNK_BYTES = 1024 * 1024
 
 
 def _chunk_trials(scenario: SystemConfig, points) -> int:
-    """Trials per chunk of ``points``: 0 if a chunk of several would not hold one trial."""
-    several = len(points) > 1
-    size = 2 * _CHUNK_BYTES // ((4 if several else 2) * scenario.reception_bytes)
-    return size if several else max(1, size)
+    """Trials per chunk of ``points``, at least one."""
+    size = _CHUNK_BYTES // scenario.reception_bytes
+    return max(1, size // 2 if len(points) > 1 else size)
 
 
 def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):
@@ -560,15 +552,9 @@ def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, c
 
     The result lists, per point, the outcomes keyed by receiver.  Trial t
     draws from ``derive_seed(base_seed, t)`` whatever the chunking, so a
-    chunk of trials equals the same trials run one at a time.  A grid whose
-    chunk would not hold one trial runs one point at a time.
+    chunk of trials equals the same trials run one at a time.
     """
     size = _chunk_trials(scenario, points)
-    if size == 0:
-        return [
-            _run_grid(scenario, [p], n_trials, base_seed, receivers, channel_model, constellation)[0]
-            for p in points
-        ]
     outcomes = [{r: [] for r in receivers} for _ in points]
     for start in range(0, n_trials, size):
         seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
@@ -640,47 +626,54 @@ def check_scenario_identifiability(
     return check_uniqueness(gains[0], symbols[0], code)
 
 
+def _sweep_points(cfg: ExperimentConfig, mode: str) -> list[tuple[float, float, float]]:
+    """``(x, snr_db, alpha)`` of each point of the ``mode`` sweep."""
+    if mode == "ber":
+        return [(snr_db, snr_db, cfg.scenario.alpha) for snr_db in cfg.snr_grid_db]
+    if mode == "alpha":
+        return [(alpha, cfg.alpha_sweep_snr_db, alpha) for alpha in cfg.alpha_grid]
+    raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
+
+
+def sweep_codes(cfg: ExperimentConfig, modes) -> dict[float, tuple]:
+    """``(code, inverse)`` of each dimming depth that the sweeps of ``modes`` run.
+
+    Every code is built here, so an infeasible depth in any of the sweeps
+    raises ``ConstraintViolationError`` before a trial of any of them runs.
+    """
+    cfg.scenario.check_size()  # every point shares the scenario's array sizes
+    codes = {}
+    for alpha in (point[2] for mode in modes for point in _sweep_points(cfg, mode)):
+        if alpha not in codes:
+            scenario = dataclasses.replace(cfg.scenario, alpha=alpha)
+            code = build_dimming_matrix(scenario.dimming_spec())
+            codes[alpha] = (code, code_inverse(code) if RECEIVER_KRF in cfg.receivers else None)
+    return codes
+
+
 def run_sweep(
-    cfg: ExperimentConfig, mode: str, constellation: Constellation | None = None
+    cfg: ExperimentConfig, mode: str, constellation: Constellation | None = None, codes=None
 ) -> dict[str, list[CurvePoint]]:
     """BER, channel-NMSE and conditioning curves, one list per receiver.
 
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
-    ``alpha_sweep_snr_db``.  Every point's code is built, and the scenario's
-    identifiability checked, before any trial runs.  Every point runs the
-    same trials, so each trial is drawn once for the whole grid: its bits,
-    channel and unit noise, and in BER mode its effective channels and cond
-    too.  Each point then forms its clean reception, takes each link's
-    received power from it, and scales the noise to its SNR.  The curves
-    equal those of each point run alone through ``run_point``.
+    ``alpha_sweep_snr_db``.  Every point's code is built (``codes``, from
+    ``sweep_codes``, or built here), and the scenario's identifiability
+    checked, before any trial runs.  Every point runs the same trials, so
+    each trial is drawn once for the whole grid: its bits, channel and unit
+    noise, and in BER mode its effective channels and cond too.  Each point
+    then forms its clean reception, takes each link's received power from
+    it, and scales the noise to its SNR.  The curves equal those of each
+    point run alone through ``run_point``.
     """
-    if mode == "ber":
-        points = [(snr_db, snr_db, cfg.scenario) for snr_db in cfg.snr_grid_db]
-    elif mode == "alpha":
-        points = [
-            (alpha, cfg.alpha_sweep_snr_db, dataclasses.replace(cfg.scenario, alpha=alpha))
-            for alpha in cfg.alpha_grid
-        ]
-    else:
-        raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
-    cfg.scenario.check_size()  # every point shares the scenario's array sizes
-    codes = {}  # (code, inverse) per dimming depth; fails fast if any point's code is infeasible
-    for _, _, scenario in points:
-        if scenario.alpha not in codes:
-            code = build_dimming_matrix(scenario.dimming_spec())
-            inverse = code_inverse(code) if RECEIVER_KRF in cfg.receivers else None
-            codes[scenario.alpha] = (code, inverse)
+    points = _sweep_points(cfg, mode)
+    codes = codes or sweep_codes(cfg, (mode,))
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
-            raise IdentifiabilityError(
-                f"scenario fails the k-rank sum condition: {report}"
-            )
-    grid = [
-        (*codes[scenario.alpha], math.inf if cfg.noiseless else snr_db)
-        for _, snr_db, scenario in points
-    ]
+            raise IdentifiabilityError(f"scenario fails the k-rank sum condition: {report}")
+    grid = [(*codes[alpha], math.inf if cfg.noiseless else snr_db) for _, snr_db, alpha in points]
     results = _run_grid(
         cfg.scenario,
         grid,

@@ -24,8 +24,8 @@ per LED; one batched best rank-one fit recovers both factors up to one
 scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
-detectors at every noise scale of a grid from products of the clean
-reception and the unit noise that do not depend on the scale, and mark the
+detectors at every noise scale of a grid from the clean link's factors and
+products of the unit noise that do not depend on the scale, and mark the
 blocks whose verdicts they leave to the formed reception.
 """
 
@@ -210,17 +210,18 @@ def _resolve_scales(sigma, u, v, known_values, failed, skipped):
     )
 
 
-def zf_detect_grid(effective, pilot, products, peaks, sd, code):
+def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     """``zf_detect`` at every noise scale of a grid, without forming the reception.
 
     At scale ``sd`` ZF takes the pilot estimate ``Ê = E + sd * P`` of the
     ``effective`` channel ``E`` and the unit pilot draw ``pilot`` ``P``
-    ``(..., rows, n_tx)``, and the reception ``Y = Y0 + sd * N`` of the clean
-    reception ``Y0`` and the unit draw ``N``.  ``Ê`` is formed as the engine
-    forms it, and ``Ê.T @ Y = A0 + sd * A1 + sd**2 * A2`` from ``products``
-    ``(E.T @ Y0, P.T @ Y0 + E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.
-    The negligible-estimate test reads ``max|Y|``, which lies within
-    ``max|Y0| +- sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
+    ``(..., rows, n_tx)``, and the reception ``Y = E @ S.T + sd * N`` of the
+    ``symbols`` ``S`` ``(..., n_slots, n_tx)`` and the unit draw ``N``.
+    ``Ê`` is formed as the engine forms it, and ``Ê.T @ Y`` as
+    ``(Ê.T @ E) @ S.T + sd * (E.T @ N + sd * P.T @ N)`` from ``products``
+    ``(E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.  The
+    negligible-estimate test reads ``max|Y|``, which lies within ``max|E @
+    S.T| +- sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
     ``sd`` is ``(g, ...)``, one row per point of the grid.
 
     Returns ``(result, exact)`` with leading axes ``(g, ...)``: ``exact``
@@ -230,8 +231,10 @@ def zf_detect_grid(effective, pilot, products, peaks, sd, code):
     """
     scale = sd[..., None, None]
     estimate = effective + scale * pilot
-    a0, a1, a2 = products
-    x, normal = normal_solve(estimate.swapaxes(-1, -2) @ estimate, a0 + scale * (a1 + scale * a2))
+    transposed = estimate.swapaxes(-1, -2)
+    rhs = (transposed @ effective) @ symbols.swapaxes(-1, -2)
+    rhs += scale * (products[0] + scale * products[1])
+    x, normal = normal_solve(transposed @ estimate, rhs)
     largest = np.abs(estimate).max(axis=(-2, -1))
     clean, noise = peaks[0], sd * peaks[1]
     high = (clean + noise) * (1.0 + GRID_RTOL)

@@ -295,6 +295,18 @@ class TestSimulate:
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM.replace("alpha = 0.4", "alpha = 0.7"))
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_infeasible_depth_of_a_later_sweep_exits_2_before_any_sweep(self, tmp_path, capsys):
+        # mode = both runs the BER sweep first; its alpha grid's 0.6 exceeds p_m = 0.5
+        cfg = write_cfg(
+            tmp_path / "sim.cfg",
+            SMALL_SIM.replace("mode = ber", "mode = both") + "alpha_grid = 0.1 0.6\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "alpha <= min(P_m, 1 - P_m)" in err, err
+        assert list(out.glob("*.csv")) == []
+
     def test_design_only_config_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "d.cfg",

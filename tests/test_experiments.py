@@ -275,13 +275,20 @@ class TestRunPoint:
 class TestChunkMemory:
     """A chunk's working set stays a small multiple of its stacked reception."""
 
+    QLED = default_scenarios()["qled2x2-k12"]
+    WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
     WIDE30 = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
-    QLED_GRID = (12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0)
+    GRID = (12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0)
+    ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
-    # (scenario, SNR grid, trials per chunk at the default budget, bound on
-    # peak / the chunk's reception); the 7-point chunk takes the route, which
-    # keeps its draws only as products and scores its points in groups
-    # (traced peaks 2.05, 2.45 and 2.88 times the reception)
+    # (scenario, SNR grid or dimming depths at 20 dB, trials per chunk at the
+    # default budget, bound on peak / the chunk's reception).  A one-point
+    # chunk holds two reception-sized arrays (traced peaks 2.05 and 2.45
+    # times the reception) and a chunk of several points up to four: the
+    # 7-point grids take the route, which keeps its draws only as products and
+    # scores its points in groups (2.71 on QLED, 3.56 and 3.73 at one 18- and
+    # 30-LED trial), and the alpha grids are formed, one code per depth (3.26
+    # on QLED, 3.80 at one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
@@ -290,15 +297,34 @@ class TestChunkMemory:
     @pytest.mark.parametrize(
         "scenario,grid,n_trials,bound",
         [
-            (default_scenarios()["qled2x2-k12"], (20.0,), 13, 2.1),
+            (QLED, (20.0,), 13, 2.1),
             (WIDE30, (20.0,), 1, 2.5),
-            (default_scenarios()["qled2x2-k12"], QLED_GRID, 6, 3.5),
+            (QLED, GRID, 6, 3.5),
+            (QLED, ALPHAS, 6, 3.5),
+            (WIDE18, GRID, 1, 4.0),
+            (WIDE30, GRID, 1, 4.0),
+            (WIDE30, ALPHAS, 1, 4.0),
         ],
-        ids=["qled2x2-k12", "3-10-32", "qled2x2-k12-7-points"],
+        ids=[
+            "qled2x2-k12",
+            "3-10-32",
+            "qled2x2-k12-7-points",
+            "qled2x2-k12-alpha-5-points",
+            "3-6-20-7-points",
+            "3-10-32-7-points",
+            "3-10-32-alpha-5-points",
+        ],
     )
     def test_traced_peak_is_bounded_by_the_reception(self, scenario, grid, n_trials, bound):
-        code = build_dimming_matrix(scenario.dimming_spec())
-        points = [(code, code_inverse(code), snr_db) for snr_db in grid]
+        if grid is self.ALPHAS:  # one code per dimming depth, at 20 dB
+            codes = [
+                build_dimming_matrix(dataclasses.replace(scenario, alpha=a).dimming_spec())
+                for a in grid
+            ]
+            points = [(code, code_inverse(code), 20.0) for code in codes]
+        else:
+            code = build_dimming_matrix(scenario.dimming_spec())
+            points = [(code, code_inverse(code), snr_db) for snr_db in grid]
         assert experiments._chunk_trials(scenario, points) == n_trials
         args = (
             scenario,
@@ -316,12 +342,6 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n_trials * scenario.reception_bytes, peak
-
-    def test_grid_too_wide_for_kept_noise_runs_point_by_point(self):
-        code = build_dimming_matrix(self.WIDE30.dimming_spec())
-        points = [(code, None, snr_db) for snr_db in (8.0, 20.0)]
-        assert experiments._chunk_trials(self.WIDE30, points) == 0
-        assert experiments._chunk_trials(self.WIDE30, points[:1]) == 1
 
 
 def assert_outcomes_equal(got, want, krf_nmse_rtol=0.0):
@@ -361,8 +381,8 @@ class TestSweepEngine:
             run_sweep(cfg, mode)
         return returned[-1]  # the outermost call returns last
 
-    # 23 trials leave a partial last chunk at 6, 2 and 1 trials per chunk
-    @pytest.mark.parametrize("budget", ["default", "one trial per chunk", "point by point"])
+    # 23 trials leave a partial last chunk at 6 trials per chunk
+    @pytest.mark.parametrize("budget", ["default", "one trial per chunk"])
     @pytest.mark.parametrize(
         "mode,changes",
         [
@@ -390,14 +410,9 @@ class TestSweepEngine:
                 **changes,
             }
         )
-        # "one trial per chunk" gives a chunk of several points one trial; a
-        # grid at "point by point" holds none and runs one point at a time
-        # (two trials per chunk)
-        budgets = {"one trial per chunk": 2, "point by point": 1}
-        if budget in budgets:
-            monkeypatch.setattr(
-                experiments, "_CHUNK_BYTES", budgets[budget] * self.QLED.reception_bytes
-            )
+        # "one trial per chunk" gives a chunk of several points one trial
+        if budget == "one trial per chunk":
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", 2 * self.QLED.reception_bytes)
         swept = self.sweep_outcomes(monkeypatch, cfg, mode)
         if mode == "ber":
             alone = [(cfg.scenario, snr_db) for snr_db in cfg.snr_grid_db]
@@ -407,7 +422,7 @@ class TestSweepEngine:
                 for alpha in cfg.alpha_grid
             ]
         # a noisy BER grid of several points on one code takes the route
-        routed = mode == "ber" and not cfg.noiseless and budget != "point by point"
+        routed = mode == "ber" and not cfg.noiseless
         assert len(swept) == len(alone)
         for point, (scenario, snr_db) in zip(swept, alone):
             expected = run_point(
@@ -419,6 +434,20 @@ class TestSweepEngine:
                 cfg.channel_model,
             )
             assert_outcomes_equal(point, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
+
+    def test_wide_grid_equals_each_point_run_alone(self):
+        # the 30-LED row of Table 2 over 0-12 dB: one trial per routed chunk
+        wide = TestChunkMemory.WIDE30
+        grid = (0.0, 4.0, 8.0, 12.0)
+        code = build_dimming_matrix(wide.dimming_spec())
+        points = [(code, code_inverse(code), snr_db) for snr_db in grid]
+        assert experiments._chunk_trials(wide, points) == 1
+        routed = experiments._run_grid(
+            wide, points, 3, 20260814, ALL_RECEIVERS, "gaussian", default_constellation(wide.k_t)
+        )
+        for got, snr_db in zip(routed, grid, strict=True):
+            want = run_point(wide, snr_db, 3, 20260814, ALL_RECEIVERS)
+            assert_outcomes_equal(got, want, ROUTE_KRF_NMSE_RTOL)
 
     def test_snr_checks_run_at_every_point(self):
         # the received power is ~1e-303: its 20 dB noise variance is normal,
