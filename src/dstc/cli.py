@@ -202,7 +202,8 @@ def cmd_simulate(args) -> int:
     for path in [*(out / csv_name for _, csv_name, _ in sweeps), summary_path, manifest_path]:
         if path.exists():  # fail before the sweeps, as writing would; append changes nothing
             path.open("a").close()
-    codes = sweep_codes(cfg, [mode for mode, _, _ in sweeps])  # an infeasible depth exits first
+    # an infeasible depth or an unidentifiable scenario exits before any sweep
+    codes = sweep_codes(cfg, [mode for mode, _, _ in sweeps], constellation)
     outputs: list[Path] = []
     summary: list[str] = []
     degenerate = False

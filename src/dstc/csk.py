@@ -14,6 +14,13 @@ import numpy as np
 
 BITS_PER_SYMBOL = 2
 
+# Margin, relative to |x|**2 + max|p|**2, within which ``demodulate`` decides a
+# group again from its squared distances.  The score differences and the
+# distances each carry a rounding error of about (k_t + 2) * eps times that
+# scale (Higham 2002, section 3.1), some 1e6 times below the margin, so the
+# two agree on every group they both decide.
+SLICER_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -73,27 +80,52 @@ def modulate(bits, n_rows: int, n_groups: int, constellation: Constellation) -> 
     )
 
 
+def _nearest(groups, points) -> np.ndarray:
+    """Index of the point nearest each row of ``groups`` by squared distance, lowest on ties."""
+    distances = np.empty((len(groups), len(points)))
+    for p, point in enumerate(points):
+        diff = groups - point
+        distances[:, p] = np.einsum("nk,nk->n", diff, diff)
+    return np.argmin(distances, axis=1)
+
+
 def demodulate(estimates, constellation: Constellation) -> np.ndarray:
     """Slice each group to the nearest constellation point and return its bits.
 
     Ties go to the lowest point index, which makes detection deterministic.
+    One matrix product scores every group ``x`` against every point ``p`` as
+    ``|p|**2 - 2 p.x``, its squared distance less ``|x|**2``.  The label's
+    second bit compares points 0 with 1 and 2 with 3, its first bit the two
+    winners.  A group whose best two scores lie within ``SLICER_RTOL *
+    (|x|**2 + max|p|**2)``, or that is not finite, is decided again from
+    its squared distances (``_nearest``).
     """
     est = np.asarray(estimates, dtype=float)
-    if est.ndim != 2 or est.shape[1] % constellation.k_t != 0:
-        raise ValueError(
-            f"estimate width {est.shape} is not a multiple of k_t = {constellation.k_t}"
-        )
-    n_rows = est.shape[0]
-    n_groups = est.shape[1] // constellation.k_t
-    grouped = est.reshape(n_rows, n_groups, constellation.k_t)
-    distances = np.empty((n_rows, n_groups, len(constellation.points)))
-    for p, point in enumerate(constellation.points):
-        diff = grouped - point
-        distances[:, :, p] = np.einsum("ngk,ngk->ng", diff, diff)
-    idx = np.argmin(distances, axis=2)
-    bits = np.empty((n_rows, n_groups, 2), dtype=np.uint8)
-    bits[:, :, 0] = idx >> 1
-    bits[:, :, 1] = idx & 1
+    k_t = constellation.k_t
+    if est.ndim != 2 or est.shape[1] % k_t != 0:
+        raise ValueError(f"estimate width {est.shape} is not a multiple of k_t = {k_t}")
+    groups = est.reshape(-1, k_t)
+    points = constellation.points
+    squares = np.square(points).sum(axis=1)
+    columns = np.ascontiguousarray(groups.T)  # one contiguous row per channel
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group is decided again
+        scores = (-2.0 * points) @ columns
+        scores += squares[:, None]
+        low01, low23 = np.minimum(scores[0], scores[1]), np.minimum(scores[2], scores[3])
+        high = np.minimum(np.maximum(scores[0], scores[1]), np.maximum(scores[2], scores[3]))
+        bits = np.empty((len(groups), 2), dtype=np.uint8)
+        bits[:, 0] = first = low23 < low01
+        bits[:, 1] = np.where(first, scores[3] < scores[2], scores[1] < scores[0])
+        gap = np.minimum(np.maximum(low01, low23), high)  # the second-best score
+        gap -= np.minimum(low01, low23)
+        margin = np.einsum("kn,kn->n", columns, columns)
+        margin += squares.max()
+        margin *= SLICER_RTOL
+    recheck = np.flatnonzero(~(gap > margin))  # NaN fails the comparison
+    if recheck.size:
+        idx = _nearest(groups[recheck], points)
+        bits[recheck, 0] = idx >> 1
+        bits[recheck, 1] = idx & 1
     return bits.reshape(-1)
 
 

@@ -635,11 +635,17 @@ def _sweep_points(cfg: ExperimentConfig, mode: str) -> list[tuple[float, float, 
     raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
 
 
-def sweep_codes(cfg: ExperimentConfig, modes) -> dict[float, tuple]:
+def sweep_codes(
+    cfg: ExperimentConfig, modes, constellation: Constellation | None = None
+) -> dict[float, tuple]:
     """``(code, inverse)`` of each dimming depth that the sweeps of ``modes`` run.
 
-    Every code is built here, so an infeasible depth in any of the sweeps
-    raises ``ConstraintViolationError`` before a trial of any of them runs.
+    Every code is built here and then, if ZF or VLC-KRF is enabled, the
+    scenario's identifiability is checked once
+    (``check_scenario_identifiability``), so an infeasible depth in any of
+    the sweeps raises ``ConstraintViolationError``, and a scenario that
+    fails the check ``IdentifiabilityError``, before a trial of any of them
+    runs.
     """
     cfg.scenario.check_size()  # every point shares the scenario's array sizes
     codes = {}
@@ -648,6 +654,10 @@ def sweep_codes(cfg: ExperimentConfig, modes) -> dict[float, tuple]:
             scenario = dataclasses.replace(cfg.scenario, alpha=alpha)
             code = build_dimming_matrix(scenario.dimming_spec())
             codes[alpha] = (code, code_inverse(code) if RECEIVER_KRF in cfg.receivers else None)
+    if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
+        report = check_scenario_identifiability(cfg, constellation)
+        if not report.unique:
+            raise IdentifiabilityError(f"scenario fails the k-rank sum condition: {report}")
     return codes
 
 
@@ -658,21 +668,18 @@ def run_sweep(
 
     ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
     dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
-    ``alpha_sweep_snr_db``.  Every point's code is built (``codes``, from
-    ``sweep_codes``, or built here), and the scenario's identifiability
-    checked, before any trial runs.  Every point runs the same trials, so
-    each trial is drawn once for the whole grid: its bits, channel and unit
-    noise, and in BER mode its effective channels and cond too.  Each point
-    then forms its clean reception, takes each link's received power from
-    it, and scales the noise to its SNR.  The curves equal those of each
-    point run alone through ``run_point``.
+    ``alpha_sweep_snr_db``.  ``codes`` comes from ``sweep_codes``, which
+    builds every point's code and checks the scenario's identifiability
+    before any trial runs; without it this sweep calls ``sweep_codes``
+    itself.  Every point runs the same trials, so each trial is drawn once
+    for the whole grid: its bits, channel and unit noise, and in BER mode
+    its effective channels and cond too.  Each point then forms its clean
+    reception, takes each link's received power from it, and scales the
+    noise to its SNR.  The curves equal those of each point run alone
+    through ``run_point``.
     """
     points = _sweep_points(cfg, mode)
-    codes = codes or sweep_codes(cfg, (mode,))
-    if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
-        report = check_scenario_identifiability(cfg, constellation)
-        if not report.unique:
-            raise IdentifiabilityError(f"scenario fails the k-rank sum condition: {report}")
+    codes = codes or sweep_codes(cfg, (mode,), constellation)
     grid = [(*codes[alpha], math.inf if cfg.noiseless else snr_db) for _, snr_db, alpha in points]
     results = _run_grid(
         cfg.scenario,

@@ -117,10 +117,35 @@ def normal_solve(gram, rhs) -> tuple[np.ndarray, np.ndarray]:
     same leading axes.  Returns ``(x, normal)``: ``normal`` marks the
     matrices whose ``gram_cond`` is at most ``NORMAL_EQUATIONS_MAX_COND``,
     and ``x`` carries no meaning at every other one.
+
+    The stack is inverted first.  A symmetric ``A`` has ``max|lambda| /
+    min|lambda| <= ||A||_F * ||inv(A)||_F``, so a matrix whose product of
+    squared norms is at most ``NORMAL_EQUATIONS_MAX_COND**4 / 16`` has a
+    ``cond(a)`` of at most half the limit and is normal without
+    ``gram_cond``.  At that condition the rounding of either test is below
+    1e-8 relative, far inside the factor of two.  A computed Gram matrix's
+    eigenvalues lie within about ``rows * eps * trace`` of ``a``'s squared
+    singular values, so one that is not positive definite has a ratio of
+    at least about ``1 / (rows * cols * eps)``, over 1e8 for any ``a``
+    within ``MAX_ARRAY_BYTES``, and fails the test.  Every other matrix takes
+    ``gram_cond``, and a stack in which ``np.linalg.inv`` finds an exactly
+    singular matrix takes it whole.
     """
-    normal = gram_cond(gram) <= NORMAL_EQUATIONS_MAX_COND
-    safe = np.where(normal[..., None, None], gram, np.eye(gram.shape[-1]))
-    return np.linalg.inv(safe) @ rhs, normal
+    identity = np.eye(gram.shape[-1])
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # an exactly singular matrix, all-zero included
+        normal = gram_cond(gram) <= NORMAL_EQUATIONS_MAX_COND
+        inverse = np.linalg.inv(np.where(normal[..., None, None], gram, identity))
+        return inverse @ rhs, normal
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the test open
+        spread = np.square(gram).sum(axis=(-2, -1)) * np.square(inverse).sum(axis=(-2, -1))
+    normal = spread <= NORMAL_EQUATIONS_MAX_COND**4 / 16
+    open_ = ~normal
+    if open_.any():
+        normal[open_] = gram_cond(gram[open_]) <= NORMAL_EQUATIONS_MAX_COND
+        inverse[~normal] = identity
+    return inverse @ rhs, normal
 
 
 def least_squares(a, b) -> np.ndarray:

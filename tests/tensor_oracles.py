@@ -4,7 +4,8 @@
 vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product;
 ``unfold`` gives the mode-n unfoldings of a three-way array;
 ``kruskal_rank_by_subsets`` is the k-rank search that tests every column
-subset by its own SVD.
+subset by its own SVD; ``demodulate_by_distances`` is the CSK slicer that
+forms every squared distance.
 """
 
 from itertools import combinations
@@ -76,3 +77,29 @@ def kruskal_rank_by_subsets(m) -> int:
                 return best
         best = size
     return best
+
+
+def demodulate_by_distances(estimates, constellation) -> np.ndarray:
+    """Bits of the nearest constellation point to each group, lowest index on ties.
+
+    The slicer ``csk.demodulate`` used before it scored groups by one matrix
+    product: every squared distance is formed, point by point, and the
+    smallest taken.
+    """
+    est = np.asarray(estimates, dtype=float)
+    if est.ndim != 2 or est.shape[1] % constellation.k_t != 0:
+        raise ValueError(
+            f"estimate width {est.shape} is not a multiple of k_t = {constellation.k_t}"
+        )
+    n_rows = est.shape[0]
+    n_groups = est.shape[1] // constellation.k_t
+    grouped = est.reshape(n_rows, n_groups, constellation.k_t)
+    distances = np.empty((n_rows, n_groups, len(constellation.points)))
+    for p, point in enumerate(constellation.points):
+        diff = grouped - point
+        distances[:, :, p] = np.einsum("ngk,ngk->ng", diff, diff)
+    idx = np.argmin(distances, axis=2)
+    bits = np.empty((n_rows, n_groups, 2), dtype=np.uint8)
+    bits[:, :, 0] = idx >> 1
+    bits[:, :, 1] = idx & 1
+    return bits.reshape(-1)

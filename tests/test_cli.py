@@ -280,6 +280,17 @@ class TestSimulate:
         assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "ber_nmse.csv").is_file() and (out / "alpha_sweep.csv").is_file()
 
+    def test_both_mode_checks_identifiability_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM.replace("mode = ber", "mode = both"))
+        calls = []
+        check = dstc.experiments.check_scenario_identifiability
+        monkeypatch.setattr(
+            "dstc.experiments.check_scenario_identifiability",
+            lambda *args: calls.append(args) or check(*args),
+        )
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_unidentifiable_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "sim.cfg",

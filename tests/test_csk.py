@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from dstc.csk import (
     modulate,
     reference_row,
 )
+from tensor_oracles import demodulate_by_distances
 
 
 def d_min(c):
@@ -109,6 +112,55 @@ class TestDemodulate:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             demodulate(np.zeros((2, 5)), default_constellation(4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_t=st.sampled_from([3, 4, 1, 2, 5, 6]),
+        default=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_distance_oracle(self, seed, k_t, default):
+        c, est = slicer_instance(seed, k_t, default)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(demodulate(est, c), demodulate_by_distances(est, c))
+
+
+def slicer_instance(seed, k_t, default):
+    """A constellation and an estimate block whose groups mix every hard case of the slicer.
+
+    The groups are shuffled together: noisy symbols, groups planted within
+    1e-12 (relative) of the bisector of two points or exactly on it, the
+    centroid of the points, groups scaled by 1e-150 .. 1e150, and groups
+    with NaN or infinite entries.  ``default`` takes the default
+    constellation where ``k_t`` has one, and otherwise four random points
+    in [0, 1]**k_t.
+    """
+    rng = np.random.default_rng(seed)
+    if default and k_t in (3, 4):
+        c = default_constellation(k_t)
+    else:
+        c = Constellation(rng.random((4, k_t)))
+    pts = c.points
+    groups = [pts[rng.integers(0, 4, 20)] + 0.3 * rng.standard_normal((20, k_t))]
+    for _ in range(20):
+        p, q = rng.choice(4, size=2, replace=False)
+        axis = pts[q] - pts[p]
+        across = rng.standard_normal(k_t) * rng.choice([0.0, 1.0])
+        if axis.any():  # keep the offset on the bisector
+            across -= axis * (across @ axis) / (axis @ axis)
+        shift = rng.choice([0.0, 1.0]) * rng.uniform(-1e-12, 1e-12)
+        groups.append([(pts[p] + pts[q]) / 2 + across + shift * axis])
+    groups.append([pts.mean(axis=0)])
+    groups.append(rng.standard_normal((8, k_t)) * 10.0 ** rng.integers(-150, 151, (8, 1)))
+    bad = rng.standard_normal((4, k_t))
+    bad[np.arange(4), rng.integers(0, k_t, 4)] = [np.nan, np.inf, -np.inf, np.inf]
+    groups.append(bad)
+    groups = np.concatenate(groups)
+    groups = groups[rng.permutation(len(groups))]
+    n_groups = int(rng.integers(1, 4))
+    n_rows = len(groups) // n_groups
+    return c, groups[: n_rows * n_groups].reshape(n_rows, n_groups * k_t)
 
 
 class TestReferenceRow:

@@ -96,6 +96,51 @@ class TestGramCond:
         assert linalg.gram_cond(np.diag([1.0, 0.0])) == np.inf
 
 
+def planted_stack(seed, rows, cols, singular):
+    """Gram matrices ``a.T @ a`` around ``normal_solve``'s two thresholds, and right-hand sides.
+
+    The stack mixes Gaussian blocks, blocks whose ``cond(a)`` is planted at
+    ``NORMAL_EQUATIONS_MAX_COND * (1 +- 1e-6)``, and blocks whose product of
+    squared Frobenius norms of ``a.T @ a`` and its inverse lies at ``(1 +-
+    1e-6)`` times that of a ``cond(a)`` of half the limit; with
+    ``singular``, also a block with a repeated column and an all-zero one.
+    """
+    rng = np.random.default_rng(seed)
+    limit = linalg.NORMAL_EQUATIONS_MAX_COND
+    # sigma = (1, t, ..., t) gives (1 + m t**4) (1 + m / t**4) = target, m = cols - 1
+    m = cols - 1
+    spectra = [1.0 / np.geomspace(1.0, limit * (1 + d), cols) for d in (-1e-6, 1e-6)]
+    for d in (-1e-6, 1e-6):
+        target = (limit / 2) ** 4 * (1 + d)
+        b = (target - 1 - m * m) / m  # z = t**4 solves z**2 - b z + 1 = 0
+        spectra.append(np.r_[1.0, np.full(m, (2 / (b + np.sqrt(b * b - 4))) ** 0.25)])
+    blocks = [rng.standard_normal((rows, cols)) for _ in range(3)]
+    for sigma in spectra:
+        u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        blocks.append((u * sigma) @ v.T)
+    if singular:
+        repeated = rng.standard_normal((rows, cols))
+        repeated[:, -1] = repeated[:, 0]
+        blocks += [repeated, np.zeros((rows, cols))]
+    order = rng.permutation(len(blocks))
+    a = np.stack(blocks)[order]
+    return a.swapaxes(-1, -2) @ a, rng.standard_normal((len(blocks), cols, 3))
+
+
+class TestNormalSolve:
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("rows, cols", [(12, 8), (40, 30)])
+    def test_mask_and_solution_as_gram_cond_and_inv_give_them(self, rows, cols, singular):
+        gram, rhs = planted_stack(rows * cols, rows, cols, singular)
+        x, normal = linalg.normal_solve(gram, rhs)
+        cond = linalg.gram_cond(gram)
+        assert np.array_equal(normal, cond <= linalg.NORMAL_EQUATIONS_MAX_COND)
+        assert normal.sum() == len(gram) - 1 - 2 * singular  # one planted cond lies above
+        expected = np.linalg.inv(gram[normal]) @ rhs[normal]
+        assert np.array_equal(x[normal], expected)
+
+
 class TestLeastSquares:
     def test_matches_pseudoinverse_on_well_conditioned_stack(self):
         a, b = rand(9, 6, 96, 8), rand(10, 6, 96, 30)
