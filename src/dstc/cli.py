@@ -239,7 +239,7 @@ def cmd_check(args) -> int:
     _, cfg, constellation = _read_experiment(args)
     report = check_scenario_identifiability(cfg, constellation)
     print(f"k-rank(channel)={report.k_gains}")
-    print(f"k-rank(symbols)={report.k_symbols}")
+    print(f"k-rank(symbols){'=' if report.k_symbols_exact else '>='}{report.k_symbols}")
     print(f"k-rank(code)={report.k_code}")
     print(f"columns={report.n_columns}")
     verdict = "yes" if report.unique else "no"

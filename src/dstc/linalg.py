@@ -8,13 +8,16 @@ relies on.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 # Relative cutoff for pseudoinverse truncation: sigma <= PINV_RTOL * max_dim * sigma_max.
 PINV_RTOL = 1e-12
 
-# Brute-force k-rank search is exponential in the column count; refuse beyond this.
+# Brute-force k-rank search is exponential in the column count; an exact search
+# refuses beyond this, and a search up to a given subset size refuses more than
+# 2**KRUSKAL_GUARD subsets.
 KRUSKAL_GUARD = 14
 
 DEFAULT_RANK_TOL = 1e-9
@@ -306,23 +309,39 @@ def full_column_rank(a: np.ndarray) -> bool:
 def kruskal_rank(m) -> int:
     """Largest k such that every set of k columns is linearly independent.
 
+    The exact search of ``kruskal_bound``, which refuses a matrix wider than
+    ``KRUSKAL_GUARD`` columns that is not full column rank.
+    """
+    return kruskal_bound(m)[0]
+
+
+def kruskal_bound(m, enough: int | None = None) -> tuple[int, bool]:
+    """k-rank of ``m``, or a lower bound on it, and whether it is exact.
+
     A subset counts as independent when it passes ``full_column_rank``.  If
     the full matrix already passes that test, every column subset does too
     (dropping columns can only raise sigma_min and lower sigma_max), so the
-    answer is the column count without any search.  Otherwise the subsets
-    are enumerated, which is only allowed up to ``KRUSKAL_GUARD`` columns.
+    answer is the column count without any search.  Otherwise the k-rank is
+    at most ``top = min(rows, cols - 1)``, and subsets of up to ``top``
+    columns are searched.  That is only allowed up to ``KRUSKAL_GUARD``
+    columns, unless ``enough`` is given: a wider matrix is then searched only
+    up to subsets of ``enough`` columns, and refused if that search could
+    take more than ``2**KRUSKAL_GUARD`` subsets, the most the guard admits.
+    Where every subset of ``enough`` columns passes, ``enough`` is returned
+    as a lower bound.  A matrix within the guard is always searched in full.
 
     The search screens before it tests.  The matrix is divided by its
     largest |entry|, which leaves every sigma ratio as it is and keeps
-    ``G = s.T @ s`` in range, and ``G`` is formed once.  For each subset
-    size one batched ``eigvalsh`` takes every principal submatrix of ``G``
-    of that size; a subset passes the screen where ``lambda_min >
+    ``G = s.T @ s`` in range, and ``G`` is formed once.  For one subset size
+    one batched ``eigvalsh`` takes every principal submatrix of ``G`` of
+    that size; a subset passes the screen where ``lambda_min >
     KRUSKAL_SCREEN_RTOL * lambda_max`` and ``lambda_min`` lies above
-    ``rows * cols * tiny / KRUSKAL_SCREEN_RTOL``.  Every other subset takes
-    ``full_column_rank`` itself, in ``combinations`` order, and the first
-    failure ends the search.  With ``rows >= cols`` the subset of all
-    columns is the matrix, which has failed already, so the search stops
-    at ``cols - 1`` columns.
+    ``rows * cols * tiny / KRUSKAL_SCREEN_RTOL``.  The largest size is
+    screened first: if every subset of it passes, so does every smaller
+    subset, which lies inside one of them, and the search ends there.
+    Otherwise the sizes are screened from 1 up, every subset that does not
+    pass takes ``full_column_rank`` itself, in ``combinations`` order, and
+    the first failure ends the search.
 
     The screen never passes a subset that the SVD test refuses.  The Gram
     matrix's rounding error is at most ``rows * u * trace(G)`` in norm, and
@@ -339,23 +358,40 @@ def kruskal_rank(m) -> int:
     a = _as_matrix(m)
     rows, cols = a.shape
     if full_column_rank(a):
-        return cols
+        return cols, True
+    stop = top = min(rows, cols - 1)
     if cols > KRUSKAL_GUARD:
-        raise SizeLimitError(
-            f"brute-force k-rank needs <= {KRUSKAL_GUARD} columns, got {cols} "
-            "(and the matrix is not full column rank)"
-        )
+        if enough is None:
+            raise SizeLimitError(
+                f"brute-force k-rank needs <= {KRUSKAL_GUARD} columns, got {cols} "
+                "(and the matrix is not full column rank)"
+            )
+        stop = min(top, enough)
+        n_subsets = sum(comb(cols, size) for size in range(1, stop + 1))
+        if n_subsets > 2**KRUSKAL_GUARD:
+            raise SizeLimitError(
+                f"k-rank search up to {stop} of {cols} columns needs {n_subsets} "
+                f"subsets, over the budget of {2**KRUSKAL_GUARD}"
+            )
+    if stop < 1:
+        return 0, stop == top
     peak = np.abs(a).max(initial=0.0)
     s = a / peak if peak > 0.0 else a
     gram = s.T @ s
     floor = rows * cols * np.finfo(float).tiny / KRUSKAL_SCREEN_RTOL
-    top = min(rows, cols - 1)
-    for size in range(1, top + 1):
+
+    def screen(size):
         idx = np.array(list(combinations(range(cols), size)))
         eigenvalues = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
-        passed = (lo > KRUSKAL_SCREEN_RTOL * hi) & (lo > floor)
+        return idx, (lo > KRUSKAL_SCREEN_RTOL * hi) & (lo > floor)
+
+    largest = screen(stop)
+    if largest[1].all():
+        return stop, stop == top
+    for size in range(1, stop + 1):
+        idx, passed = largest if size == stop else screen(size)
         for subset in idx[~passed]:
             if not full_column_rank(a[:, subset]):
-                return size - 1
-    return top
+                return size - 1, True
+    return stop, stop == top

@@ -191,6 +191,11 @@ class TestSimulate:
             "9d38f06962dad8cec1e49c18e62abab7ddb4392ac3a8378f72c11bddf81331e0",
             "8f1b3e0441ad46797ce6ed241c6ba91c3c4e5687f0a6b118161f6508bd3b3d84",
         ),
+        "wide30": (
+            "ber_nmse.csv",
+            "e49410c7fd8a9ee76fc0539f3b98f8199ca1ea25aa332bf6dc81a949afd7c1bc",
+            "4c13521e316f4e4a0241f4798f4b456d42d25006a4d70a52d4e7f1ff2677691b",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
@@ -215,6 +220,12 @@ class TestSimulate:
         for name in manifest["outputs"]:
             assert (out / name).is_file()
         assert (out / "summary.txt").read_text().startswith("[ber_nmse]")
+
+    def test_18_led_row_runs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "w.cfg", WIDE18)
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        csv = (tmp_path / "o" / "ber_nmse.csv").read_text().splitlines()
+        assert len(csv) == 1 + 3 and all(line.endswith(",2,0") for line in csv[1:])
 
     def test_output_taken_by_a_directory_exits_1_with_one_line(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
@@ -403,7 +414,7 @@ class TestSimulate:
 
 
 # The paper's 30-LED Table 2 row: the simplex symbol block is not full column
-# rank, so its k-rank needs a subset search over 30 columns.
+# rank, so its k-rank is searched over 30 columns, as far as the verdict needs.
 WIDE30 = """[scenario]
 k_t = 3
 l_t = 10
@@ -418,10 +429,19 @@ receivers = ZF VLC-KRF plain-CSK
 """
 
 
+# The 18-LED Table 2 row, whose symbol block is also wider than the k-rank guard.
+WIDE18 = WIDE30.replace("l_t = 10", "l_t = 6").replace("l_r = 10", "l_r = 6").replace(
+    "n_states = 32", "n_states = 20"
+)
+
+
 class TestSizeLimit:
     @pytest.mark.parametrize("command", ["check", "simulate"])
     def test_wide_array_exits_5_with_one_line(self, command, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "wide.cfg", WIDE30)
+        # 12 photodiodes: the 12 x 30 channel factor is not full column rank,
+        # and only the symbols are searched short of their k-rank
+        text = WIDE30.replace("l_r = 10", "l_r = 4").replace("ZF VLC-KRF plain-CSK", "ZF VLC-KRF")
+        cfg = write_cfg(tmp_path / "wide.cfg", text)
         argv = [command, "--config", cfg]
         if command == "simulate":
             argv += ["--out", str(tmp_path / "o")]
@@ -429,6 +449,7 @@ class TestSizeLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "too large" in captured.err
+        assert "needs <= 14 columns, got 30" in captured.err
         assert not (tmp_path / "o" / "ber_nmse.csv").exists()
 
 
@@ -775,6 +796,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "uniqueness: unique" in out and "k-rank(code)=8" in out
         assert len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize("row", ["18", "30"])
+    def test_wide_rows_print_a_bound_on_the_symbols(self, row, tmp_path, capsys):
+        text = WIDE18 if row == "18" else Path("configs/wide30.cfg").read_text()
+        assert run_cli(["check", "--config", write_cfg(tmp_path / "w.cfg", text)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"k-rank(channel)={row}", "k-rank(symbols)>=2", f"k-rank(code)={row}",
+            f"columns={row}", f"k-rank sum {2 * int(row) + 2} >= {2 * int(row) + 2}: yes",
+            "uniqueness: unique",
+        ]
 
     def test_starved_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(

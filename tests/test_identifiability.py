@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,13 @@ from dstc.channel import draw_channel
 from dstc.csk import block_with_reference, default_constellation
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.identifiability import check_uniqueness
-from dstc.experiments import ExperimentConfig, check_scenario_identifiability, default_scenarios
-from dstc.linalg import SizeLimitError, kruskal_rank
+from dstc.experiments import (
+    ExperimentConfig,
+    SystemConfig,
+    check_scenario_identifiability,
+    default_scenarios,
+)
+from dstc.linalg import KRUSKAL_GUARD, SizeLimitError, full_column_rank, kruskal_rank
 
 
 def typical_factors(seed, n_rx=4, n_slots=20, order=8, n_tx=6, k_t=3, l_t=2):
@@ -87,6 +94,17 @@ class TestCheckUniqueness:
         with pytest.raises(SizeLimitError):
             check_uniqueness(wide, wide, wide)
 
+    def test_wide_symbols_with_a_repeated_column_are_searched_to_the_failure(self):
+        # 30 columns: the channel and code are full column rank, the sum needs
+        # a symbol k-rank of 2, and the pair search finds the repeated column
+        rng = np.random.default_rng(8)
+        symbols = rng.random((100, 21)) @ rng.random((21, 30))
+        report = check_uniqueness(np.eye(30), symbols, np.eye(30))
+        assert (report.k_symbols, report.k_symbols_exact, report.unique) == (2, False, True)
+        symbols[:, 29] = symbols[:, 3]
+        report = check_uniqueness(np.eye(30), symbols, np.eye(30))
+        assert (report.k_symbols, report.k_symbols_exact, report.unique) == (1, True, False)
+
     def test_full_column_rank_passes_the_width_guard(self):
         tall = np.random.default_rng(6).standard_normal((40, 15))
         report = check_uniqueness(tall, tall, tall)
@@ -116,9 +134,10 @@ class TestCheckUniqueness:
 @pytest.mark.parametrize("name", sorted(default_scenarios()))
 def test_default_check_takes_at_most_five_svds(name, monkeypatch):
     # the symbol block is never full column rank, so its k-rank is searched;
-    # the Gram screen clears its subsets without an SVD each
+    # one batched eigvalsh clears every subset of its largest size at once
     calls = []
-    svd = np.linalg.svd
+    eigvalsh_calls = []
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -127,6 +146,38 @@ def test_default_check_takes_at_most_five_svds(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     # cond and matrix_rank reach svd through numpy's private module
     monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: eigvalsh_calls.append(1) or eigvalsh(g))
     report = check_scenario_identifiability(ExperimentConfig(scenario=default_scenarios()[name]))
     assert report.unique and report.k_symbols == report.n_columns - 1
+    assert report.k_symbols_exact
     assert len(calls) <= 5, len(calls)
+    assert len(eigvalsh_calls) == 1, len(eigvalsh_calls)
+
+
+# Table 2's wide rows: 18 and 30 LEDs, more symbol columns than KRUSKAL_GUARD
+WIDE_ROWS = {
+    "3x6-k20": SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100),
+    "3x10-k32": SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100),
+}
+
+
+@pytest.mark.parametrize("seed", [20260814, 5])
+@pytest.mark.parametrize("name", sorted(WIDE_ROWS))
+def test_wide_rows_are_unique_on_a_bound_of_two(name, seed, monkeypatch):
+    # the channel and code are full column rank, so the sum needs a symbol
+    # k-rank of only 2: every pair of symbol columns is independent
+    factors = []
+    monkeypatch.setattr(
+        "dstc.experiments.check_uniqueness",
+        lambda *args: factors.append(args) or check_uniqueness(*args),
+    )
+    report = check_scenario_identifiability(
+        ExperimentConfig(scenario=WIDE_ROWS[name], base_seed=seed)
+    )
+    n = report.n_columns
+    assert n > KRUSKAL_GUARD
+    assert (report.k_gains, report.k_code) == (n, n)
+    assert report.k_symbols == 2 and not report.k_symbols_exact and report.unique
+    (_, symbols, _), = factors
+    assert not full_column_rank(symbols)  # so the symbols' k-rank is searched
+    assert all(full_column_rank(symbols[:, list(pair)]) for pair in combinations(range(n), 2))

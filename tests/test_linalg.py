@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -431,6 +432,40 @@ class TestKruskalRank:
             warnings.simplefilter("error")
             assert linalg.kruskal_rank(m) == kruskal_rank_by_subsets(m) == 1
 
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_top_subset_on_each_side_of_the_screen(self, side, monkeypatch):
+        # five columns in R^4, of which only the subset {0, 1, 2, 3} is ill
+        # conditioned: its Gram eigenvalues are 1 - cos t, 1, 1 and 1 + cos t,
+        # a ratio 1e-4 relative inside or outside KRUSKAL_SCREEN_RTOL
+        ratio = linalg.KRUSKAL_SCREEN_RTOL * (1 - side * 1e-4)
+        t = 2 * np.arctan(np.sqrt(ratio))
+        m = np.zeros((4, 5))
+        m[:3, :3] = np.eye(3)
+        m[:3, 3], m[3, 3] = np.cos(t) / np.sqrt(3), np.sin(t)
+        m[3, 4] = 1.0
+        m = np.linalg.qr(rand(9, 4, 4))[0] @ m
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(len(g)) or eigvalsh(g))
+        assert linalg.kruskal_rank(m) == kruskal_rank_by_subsets(m) == 4
+        # inside, the five subsets of four clear in one call; outside, the
+        # sizes 1 to 3 are screened after them and the planted subset's SVD decides
+        assert calls == ([5] if side < 0 else [5, 5, 10, 10])
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_fewer_rows_than_columns_less_one(self, seed):
+        # the largest subsets are ``rows`` wide, not ``cols - 1``
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 5))
+        cols = int(rng.integers(rows + 2, 12))
+        m = rng.standard_normal((rows, cols))
+        if seed % 3 == 1:
+            i, j = rng.choice(cols, 2, replace=False)
+            m[:, i] = m[:, j]
+        elif seed % 3 == 2:
+            m = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
+        assert linalg.kruskal_rank(m) == kruskal_rank_by_subsets(m)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_rank_when_full_column_rank(self, seed):
@@ -440,3 +475,49 @@ class TestKruskalRank:
         m = rng.standard_normal((rows, cols))
         if np.linalg.matrix_rank(m) == cols:
             assert linalg.kruskal_rank(m) == cols
+
+
+def every_subset_independent(m, size):
+    return all(linalg.full_column_rank(m[:, list(s)]) for s in combinations(range(m.shape[1]), size))
+
+
+class TestKruskalBound:
+    """The search up to ``enough`` columns of a factor wider than ``KRUSKAL_GUARD``."""
+
+    @staticmethod
+    def wide(seed, rows=100, rank=21, cols=30):
+        return rand(seed, rows, rank) @ rand(seed + 1, rank, cols)
+
+    @pytest.mark.parametrize("enough", [1, 2, 3])
+    def test_bound_where_every_subset_of_enough_columns_passes(self, enough):
+        m = self.wide(0)
+        assert linalg.kruskal_bound(m, enough) == (enough, False)
+        assert every_subset_independent(m, enough)
+
+    def test_exact_where_a_subset_fails_first(self):
+        m = self.wide(1)
+        m[:, 17] = 3.0 * m[:, 4]
+        assert linalg.kruskal_bound(m, 2) == (1, True)
+        m[:, 9] = 0.0
+        assert linalg.kruskal_bound(m, 2) == (0, True)
+
+    def test_exact_where_enough_is_past_the_rows(self):
+        m = rand(2, 3, 20)
+        assert linalg.kruskal_bound(m, 5) == (3, True)
+        assert every_subset_independent(m, 3)
+
+    def test_full_column_rank_is_exact_whatever_enough(self):
+        assert linalg.kruskal_bound(rand(3, 40, 30), 2) == (30, True)
+
+    def test_within_the_guard_the_search_is_exact(self):
+        m = self.wide(4, rank=9, cols=14)
+        assert linalg.kruskal_bound(m, 2) == (9, True) == (kruskal_rank_by_subsets(m), True)
+
+    def test_refuses_a_search_over_the_subset_budget(self):
+        # up to 3 of 30 columns is 4525 subsets, up to 4 is 31930
+        m = self.wide(5)
+        assert linalg.kruskal_bound(m, 3) == (3, False)
+        with pytest.raises(linalg.SizeLimitError, match="31930 subsets, over the budget of 16384"):
+            linalg.kruskal_bound(m, 4)
+        with pytest.raises(linalg.SizeLimitError, match="<= 14 columns, got 30"):
+            linalg.kruskal_bound(m)
