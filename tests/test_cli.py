@@ -208,6 +208,25 @@ class TestSimulate:
         ]
         assert digests == pinned
 
+    def test_diagonal_variant_is_pinned(self, tmp_path, capsys):
+        # the bundled qled2x2 config on the diagonal channel, whose BER grid
+        # leaves many blocks to the exact path: 161 of VLC-KRF's 700 and 10
+        # of ZF's and plain CSK's 1400 at the config's seed
+        text = Path("configs/qled2x2.cfg").read_text()
+        assert text.count("channel_model = gaussian") == 1
+        cfg = tmp_path / "diagonal.cfg"
+        cfg.write_text(text.replace("channel_model = gaussian", "channel_model = diagonal"))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = [
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("ber_nmse.csv", "summary.txt")
+        ]
+        assert digests == [
+            "0e1c542fcbdde37bc726a7a769a620293cc693e33f53775d2b8f0ff8c89b676b",
+            "86ca01bfda98bd1c39bb2e69f0b4aea441ccc34548d996e17e9aebd433f3622e",
+        ]
+
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
         out = tmp_path / "out"
