@@ -54,7 +54,6 @@ from .receivers import (
     RECEIVER_KRF,
     RECEIVER_PLAIN,
     RECEIVER_ZF,
-    EstimationResult,
     code_inverse,
     krf_detect,
     krf_detect_grid,
@@ -378,9 +377,6 @@ class _LinkProducts:
     ``E.T @ N`` and ``P.T @ N``, which ``receivers.zf_detect_grid`` reads;
     where ``inverse`` is given (VLC-KRF), ``N`` reduces to ``inverse``
     applied to its state blocks, which ``receivers.krf_detect_grid`` reads.
-    Each trial's generator state before its draws is kept, so a block that
-    the grid detectors leave open can be formed again exactly
-    (``reception``).
     """
 
     def __init__(self, effective, code, pilot, inverse, gains, symbols, n_rx):
@@ -392,7 +388,6 @@ class _LinkProducts:
         n_trials, (rows, n_slots) = len(clean), clean.shape[-2:]
         del clean
         n_tx = effective.shape[-1]
-        self.states = [None] * n_trials
         self.pilot = self.residual = None
         if pilot:
             self.pilot = np.empty_like(effective)
@@ -404,7 +399,6 @@ class _LinkProducts:
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
         """Take trial ``t``'s draws from its generator: the reception's noise, then the pilots'."""
-        self.states[t] = rng.bit_generator.state
         effective, symbols = self.effective[t], self.symbols[t]
         noise = stack_noise(draw_unit_noise(rng, self.n_rx, len(effective), len(symbols)))
         if self.residual is not None:
@@ -417,40 +411,6 @@ class _LinkProducts:
             np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
             self.peaks[1][t] = max(noise.max(), -noise.min())
 
-    def reception(self, t: int, sd) -> np.ndarray:
-        """Trial ``t``'s noisy reception at scale ``sd``, formed as a point run alone forms it."""
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.states[t]
-        received = self.effective[t] @ self.symbols[t].T
-        add_stacked_noise(received, draw_unit_noise(rng, self.n_rx, *received.shape) * sd)
-        return received
-
-    def zf(self, sd) -> EstimationResult:
-        """``receivers.zf_detect`` at every scale of ``sd`` ``(points, trials)``."""
-        result, exact = zf_detect_grid(
-            self.effective, self.pilot, self.symbols, self.products, self.peaks, sd, self.code
-        )
-        for i, t in zip(*np.nonzero(exact)):
-            estimate = self.effective[t] + sd[i, t] * self.pilot[t]
-            _fill(result, (i, t), zf_detect(self.reception(t, sd[i, t]), estimate, self.code))
-        return result
-
-    def krf(self, sd, gains) -> EstimationResult:
-        """``receivers.krf_detect`` at every scale of ``sd`` ``(points, trials)``."""
-        known = self.symbols[:, 0]
-        result, exact = krf_detect_grid(
-            gains, self.symbols, self.residual, self.inverse, self.norms, sd, known
-        )
-        for i, t in zip(*np.nonzero(exact)):
-            _fill(result, (i, t), krf_detect(self.reception(t, sd[i, t]), self.inverse, known[t]))
-        return result
-
-
-def _fill(result: EstimationResult, index, block: EstimationResult) -> None:
-    """Write the estimates of ``block`` into ``result`` at ``index``."""
-    for name in ("symbol_estimate", "channel_estimate", "failed"):
-        getattr(result, name)[index] = getattr(block, name)
-
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
     """``_run_chunk`` on a noisy grid on one code, without forming any point's reception.
@@ -460,8 +420,11 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     as they are drawn, to products that do not depend on the scale
     (``_LinkProducts``).  Then the points are detected a group at a time,
     in one batched pass per receiver (``receivers.zf_detect_grid``,
-    ``receivers.krf_detect_grid``), and scored.  A block whose verdict
-    those cannot settle is formed exactly, as its point run alone forms it.
+    ``receivers.krf_detect_grid``), and scored.  A block that those leave
+    open takes the outcome of its trial at its point from ``_run_formed``,
+    run once, after the products are freed, on the points with an open
+    block, the trials open at any of them and the receivers with an open
+    block (and ZF with plain CSK, whose draws follow ZF's).
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     code, inverse = points[0][:2]
@@ -481,11 +444,6 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
         for link in links:
             link.draw(t, rng)
     coded, plain = links[0], links[-1]  # the dimming code's link, then plain CSK's if enabled
-    detectors = {
-        RECEIVER_ZF: lambda sd: coded.zf(sd[:, 0]),
-        RECEIVER_PLAIN: lambda sd: plain.zf(sd[:, -1]),
-        RECEIVER_KRF: lambda sd: coded.krf(sd[:, 0], gains),
-    }
     # the points are detected and scored a group at a time: a group's largest
     # arrays (per point, receiver and trial, ZF's rows x n_tx estimate or a
     # block_len x n_tx symbol estimate) stay within a quarter of the chunk's
@@ -494,11 +452,38 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     scores = {r: [] for r in receivers}
     for group in np.array_split(sds, -(-len(points) // size)):
         for r in receivers:
-            result = detectors[r](group)
+            if r == RECEIVER_KRF:
+                result = krf_detect_grid(
+                    gains, symbols, coded.residual, inverse, coded.norms, group[:, 0],
+                    symbols[:, 0],
+                )
+            else:
+                link, sd = (plain, group[:, -1]) if r == RECEIVER_PLAIN else (coded, group[:, 0])
+                result = zf_detect_grid(
+                    link.effective, link.pilot, symbols, link.products, link.peaks, sd, link.code
+                )
             scores[r].append(_score(result, bits, gains, constellation))
             del result
+    del links, link, coded, plain  # the products, before any block is formed
     scores = {r: tuple(map(np.concatenate, zip(*parts))) for r, parts in scores.items()}
-    return _outcomes(scores, conds, bits.shape[1])
+    outcomes = _outcomes(scores, conds, bits.shape[1])
+    open_ = {r: score[0] for r, score in scores.items() if score[0].any()}
+    if not open_:
+        return outcomes
+    if RECEIVER_PLAIN in open_ and RECEIVER_ZF in receivers:  # ZF's pilots are drawn first
+        open_.setdefault(RECEIVER_ZF, scores[RECEIVER_ZF][0])
+    either = np.any(list(open_.values()), axis=0)
+    rows, trials = np.flatnonzero(either.any(axis=1)), np.flatnonzero(either.any(axis=0))
+    formed = _run_formed(
+        scenario, [points[i] for i in rows], [seeds[t] for t in trials], tuple(open_),
+        channel_model, constellation,
+    )
+    for i, point in zip(rows, formed):
+        for r, blocks in open_.items():
+            for t, outcome in zip(trials, point[r]):
+                if blocks[i, t]:
+                    outcomes[i][r][t] = outcome
+    return outcomes
 
 
 def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
@@ -536,8 +521,10 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
 # points up to four: a formed one forms the reception at each point next to
 # the kept unit noise (3.26 on a 5-point QLED alpha grid, 3.80 at one 30-LED
 # trial), and a routed one keeps VLC-KRF's noise residual and the pilot draws
-# and products next to one group of points' detection (2.71 on the 7-point
-# QLED grid, 3.56 and 3.73 at one 18- and 30-LED trial).
+# and products next to one group of points' detection (2.66 on the 7-point
+# QLED grid, 3.56 and 3.73 at one 18- and 30-LED trial), or forms the blocks
+# that its detection leaves open after freeing them (3.44, 3.88 and 3.86
+# there if every block is left open).
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -673,10 +660,12 @@ def run_sweep(
     before any trial runs; without it this sweep calls ``sweep_codes``
     itself.  Every point runs the same trials, so each trial is drawn once
     for the whole grid: its bits, channel and unit noise, and in BER mode
-    its effective channels and cond too.  Each point then forms its clean
-    reception, takes each link's received power from it, and scales the
-    noise to its SNR.  The curves equal those of each point run alone
-    through ``run_point``.
+    its effective channels and cond too.  A noisy BER grid forms each
+    chunk's clean reception once, for each link's received power, and
+    detects its points from products of the draws (``_run_route``); any
+    other grid forms each point's reception (``_run_formed``).  Each point
+    scales the noise to its SNR.  The curves equal those of each point run
+    alone through ``run_point``.
     """
     points = _sweep_points(cfg, mode)
     codes = codes or sweep_codes(cfg, (mode,), constellation)

@@ -25,8 +25,9 @@ scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
 detectors at every noise scale of a grid from the clean link's factors and
-products of the unit noise that do not depend on the scale, and mark the
-blocks whose verdicts they leave to the formed reception.
+products of the unit noise that do not depend on the scale.  They settle
+only the blocks whose every test clearly passes, and flag all others as
+failed, for the caller to detect from the formed reception.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ RECEIVER_PLAIN = "plain-CSK"
 # Largest distance, relative to its scale, between a quantity of the grid
 # detectors and the same quantity of a detector run on the formed reception.
 # Both are roundings of one value, about 1e-15 apart where the grid's
-# rank-one fit converges; a verdict whose test lies within this margin is not
-# taken from the grid.
+# rank-one fit converges; a block passes a grid test only by more than this
+# margin, and is flagged otherwise.
 GRID_RTOL = 1e-9
 
 
@@ -189,20 +190,19 @@ def krf_detect(
     sigma, u, v = leading_rank_one(blocks)
     unresolved = np.abs(v[..., 0]) <= ZERO_RTOL * np.abs(v).max(axis=-1)
     failed = (~blocks.any(axis=(-2, -1)) | unresolved).any(axis=-1)
-    return _resolve_scales(sigma, u, v, known_values, failed, failed)
+    return _resolve_scales(sigma, u, v, known_values, failed)
 
 
-def _resolve_scales(sigma, u, v, known_values, failed, skipped):
+def _resolve_scales(sigma, u, v, known_values, failed):
     """VLC-KRF's estimates from its rank-one fits, each column scaled to the known training row.
 
     ``sigma`` ``(..., n_tx)``, ``u`` ``(..., n_tx, n_rx)`` and ``v`` ``(..., n_tx,
-    n_slots)`` are the fits of the LEDs' residuals.  The blocks in ``skipped``
-    (the ``failed`` ones and any others whose fits carry no meaning) are not
-    divided by their training row.
+    n_slots)`` are the fits of the LEDs' residuals.  The ``failed`` blocks are
+    not divided by their training row.
     """
     gains = (sigma[..., None] * u).swapaxes(-1, -2)
     symbols = v.swapaxes(-1, -2)
-    scales = known_values / np.where(skipped[..., None], 1.0, symbols[..., 0, :])
+    scales = known_values / np.where(failed[..., None], 1.0, symbols[..., 0, :])
     return EstimationResult(
         symbol_estimate=symbols * scales[..., None, :],
         channel_estimate=gains / scales[..., None, :],
@@ -220,14 +220,15 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     ``Ê`` is formed as the engine forms it, and ``Ê.T @ Y`` as
     ``(Ê.T @ E) @ S.T + sd * (E.T @ N + sd * P.T @ N)`` from ``products``
     ``(E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.  The
-    negligible-estimate test reads ``max|Y|``, which lies within ``max|E @
-    S.T| +- sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
+    negligible-estimate test reads ``max|Y|``, which is at most ``max|E @
+    S.T| + sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
     ``sd`` is ``(g, ...)``, one row per point of the grid.
 
-    Returns ``(result, exact)`` with leading axes ``(g, ...)``: ``exact``
-    marks the blocks whose ``Ê`` fails the normal-equations test, or whose
-    negligible-estimate test those bounds do not decide.  Their estimates
-    carry no meaning; every other block's verdict is ``zf_detect``'s.
+    The result's leading axes are ``(g, ...)``.  ``failed`` marks every block
+    that this does not settle: its ``Ê`` fails the normal-equations test, or
+    its estimate is not clearly above the negligible bound.  Those blocks
+    carry no meaning, not even their verdict; every other block's verdict is
+    ``zf_detect``'s.
     """
     scale = sd[..., None, None]
     estimate = effective + scale * pilot
@@ -236,13 +237,10 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     rhs += scale * (products[0] + scale * products[1])
     x, normal = normal_solve(transposed @ estimate, rhs)
     largest = np.abs(estimate).max(axis=(-2, -1))
-    clean, noise = peaks[0], sd * peaks[1]
-    high = (clean + noise) * (1.0 + GRID_RTOL)
-    low = np.abs(clean - noise) - GRID_RTOL * (clean + noise)
-    failed = largest <= ZERO_RTOL * low
-    exact = ~normal | ~(failed | (largest > ZERO_RTOL * high))
+    high = (peaks[0] + sd * peaks[1]) * (1.0 + GRID_RTOL)
+    failed = ~normal | (largest <= ZERO_RTOL * high)
     channel = channel_from_effective(estimate, code)
-    return EstimationResult(x.swapaxes(-1, -2), channel, failed), exact
+    return EstimationResult(x.swapaxes(-1, -2), channel, failed)
 
 
 def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_values):
@@ -258,13 +256,14 @@ def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_va
     block, and ``inverse`` is ``C+``.  ``sd`` is ``(g, ...)``, one row per
     point of the grid.
 
-    Returns ``(result, exact)`` with leading axes ``(g, ...)``.  A residual is
+    The result's leading axes are ``(g, ...)``.  A residual is taken as
     nonzero where its Gram trace clears ``GRID_RTOL`` of its bound
-    ``||C+_r||_1 * (||Y0|| + sd * ||N||)``, squared; the training-row test is
-    decided where it clears ``GRID_RTOL`` of the column's largest entry.
-    ``exact`` marks the blocks where a fit does not converge or a test is
-    not decided.  Their estimates carry no meaning; every other block's
-    verdict is ``krf_detect``'s.
+    ``||C+_r||_1 * (||Y0|| + sd * ||N||)``, squared, and its training row as
+    resolved where it exceeds ``ZERO_RTOL + GRID_RTOL`` times the column's
+    largest entry.  ``failed`` marks every block that this does not settle: a
+    fit does not converge, or a test does not clearly pass.  Those blocks
+    carry no meaning, not even their verdict; every other block's verdict is
+    ``krf_detect``'s.
     """
     g = gains.swapaxes(-1, -2)
     s = symbols.swapaxes(-1, -2)
@@ -283,9 +282,6 @@ def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_va
     v /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
     bound = np.abs(inverse).sum(axis=1) * (norms[0] + sd * norms[1])[..., None]
     nonzero = trace > (GRID_RTOL * bound) ** 2
-    first, top = np.abs(v[..., 0]), np.abs(v).max(axis=-1)
-    unresolved = first < (ZERO_RTOL - GRID_RTOL) * top
-    decided = converged & nonzero & (unresolved | (first > (ZERO_RTOL + GRID_RTOL) * top))
-    exact = ~decided.all(axis=-1)
-    failed = unresolved.any(axis=-1)
-    return _resolve_scales(sigma, u, v, known_values, failed, failed | exact), exact
+    resolved = np.abs(v[..., 0]) > (ZERO_RTOL + GRID_RTOL) * np.abs(v).max(axis=-1)
+    failed = ~(converged & nonzero & resolved).all(axis=-1)
+    return _resolve_scales(sigma, u, v, known_values, failed)

@@ -370,8 +370,8 @@ class TestSimulate:
             return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
         def flagged_grid(*args):  # the BER grid's points are detected together
-            result, exact = krf_detect_grid(*args)
-            return dataclasses.replace(result, failed=np.ones_like(result.failed)), exact
+            result = krf_detect_grid(*args)
+            return dataclasses.replace(result, failed=np.ones_like(result.failed))
 
         monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
         monkeypatch.setattr("dstc.experiments.krf_detect_grid", flagged_grid)

@@ -13,13 +13,16 @@ from dstc.channel import (
 from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.experiments import ExperimentConfig, SystemConfig, run_point
-from dstc.linalg import pseudoinverse
+from dstc import receivers
+from dstc.linalg import NORMAL_EQUATIONS_MAX_COND, gram_cond, leading_eigenvector, pseudoinverse
 from dstc.receivers import (
     AmbiguityError,
     channel_from_effective,
     code_inverse,
     krf_detect,
+    krf_detect_grid,
     zf_detect,
+    zf_detect_grid,
 )
 from tensor_oracles import vec
 
@@ -370,6 +373,130 @@ class TestStackedBlocks:
         assert np.linalg.matrix_rank(code) == 6
         with pytest.raises(ValueError, match="full column rank"):
             code_inverse(code)
+
+
+class GridLink:
+    """A stack of blocks at a grid of noise scales, for the grid detectors and the formed ones.
+
+    ``sd`` is ``(points, trials)``.  Each block's reception is ``Y0 + sd *
+    N`` and ZF's pilot estimate ``E + sd * P``, of unit draws ``noise``
+    ``N`` and ``pilot`` ``P``.
+    """
+
+    SPEC = DimmingSpec(12, 8, 0.5, 0.4)
+
+    def __init__(self, seed, n_trials, channel_model, snr_grid_db, n_slots=40):
+        rng = np.random.default_rng(seed)
+        self.code = build_dimming_matrix(self.SPEC)
+        self.inverse = code_inverse(self.code)
+        bits = rng.integers(0, 2, size=(n_trials, 2 * 2 * (n_slots - 1)), dtype=np.uint8)
+        self.symbols = block_with_reference(bits, n_slots, 2, default_constellation(4))
+        self.gains = np.stack([draw_channel(8, 8, channel_model, seed=rng) for _ in bits])
+        self.relink()
+        self.noise = rng.standard_normal((n_trials, 96, n_slots))
+        self.pilot = rng.standard_normal(self.effective.shape)
+        power = np.mean(np.square(self.clean), axis=(-2, -1))
+        self.sd = np.array([np.sqrt(noise_variance(power, snr)) for snr in snr_grid_db])
+
+    def relink(self):
+        """Form the effective channels and clean receptions from ``gains``."""
+        self.effective = effective_channel(self.gains, self.code)
+        self.clean = self.effective @ self.symbols.swapaxes(-1, -2)
+
+    def zf_grid(self):
+        t = self.effective.swapaxes(-1, -2)
+        products = (t @ self.noise, self.pilot.swapaxes(-1, -2) @ self.noise)
+        peaks = tuple(np.abs(a).max(axis=(-2, -1)) for a in (self.clean, self.noise))
+        return zf_detect_grid(
+            self.effective, self.pilot, self.symbols, products, peaks, self.sd, self.code
+        )
+
+    def krf_grid(self):
+        n_trials, _, n_slots = self.noise.shape
+        residual = self.inverse @ self.noise.reshape(n_trials, 12, -1)
+        residual = residual.reshape(n_trials, 8, 8, n_slots)
+        norms = tuple(np.linalg.norm(a, axis=(-2, -1)) for a in (self.clean, self.noise))
+        return krf_detect_grid(
+            self.gains, self.symbols, residual, self.inverse, norms, self.sd,
+            self.symbols[:, 0],
+        )
+
+    def formed(self, i):
+        """Point ``i``'s reception and ZF's pilot estimate, formed."""
+        scale = self.sd[i][:, None, None]
+        return self.clean + scale * self.noise, self.effective + scale * self.pilot
+
+
+class TestGridDetectors:
+    """A block the grid detectors do not flag has the detector's verdict on the formed reception."""
+
+    # SNRs from -5 dB, where many fits are flagged, to 40 dB, on both channel
+    # models; a raised ZERO_RTOL makes the formed detectors fail some blocks,
+    # of VLC-KRF at 0.2 and of both at 0.7
+    @pytest.mark.parametrize("channel_model", ["gaussian", "diagonal"])
+    @pytest.mark.parametrize("zero_rtol", [None, 0.2, 0.7])
+    def test_unflagged_blocks_match_the_formed_detectors(
+        self, monkeypatch, channel_model, zero_rtol
+    ):
+        if zero_rtol:
+            monkeypatch.setattr(receivers, "ZERO_RTOL", zero_rtol)
+        link = GridLink(3, 24, channel_model, (-5.0, 4.0, 12.0, 24.0, 40.0))
+        zf, krf = link.zf_grid(), link.krf_grid()
+        settled = failing = 0
+        for i in range(len(link.sd)):
+            received, estimate = link.formed(i)
+            for name, grid, alone in (
+                ("ZF", zf, zf_detect(received, estimate, link.code)),
+                ("VLC-KRF", krf, krf_detect(received, link.inverse, link.symbols[:, 0])),
+            ):
+                failing += int(alone.failed.sum())
+                keep = ~grid.failed[i]
+                settled += int(keep.sum())
+                # a block the grid settles passes every test of the formed detector
+                assert not alone.failed[keep].any(), name
+                if not keep.any():
+                    continue
+                got, want = grid.symbol_estimate[i][keep], alone.symbol_estimate[keep]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+                got, want = grid.channel_estimate[i][keep], alone.channel_estimate[keep]
+                if name == "ZF":  # the same pilot estimate, formed the same way
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+        assert 0 < settled < 2 * link.sd.size, settled
+        assert (failing > 0) == bool(zero_rtol)
+
+    def test_ill_conditioned_estimate_is_flagged(self):
+        # nearly noiseless: a dim LED on the diagonal channel, and an all-zero
+        # gains column, leave ZF's pilot estimate ill-conditioned
+        link = GridLink(4, 2, "diagonal", (200.0,))
+        link.gains[0, 5, 5] = 1e-5
+        link.gains[1, :, 2] = 0.0
+        link.relink()
+        _, estimate = link.formed(0)
+        assert (gram_cond(estimate.swapaxes(-1, -2) @ estimate) > NORMAL_EQUATIONS_MAX_COND).all()
+        assert link.zf_grid().failed.all()
+
+    @pytest.mark.parametrize("residual", ["zero", "no eigengap"])
+    def test_unconverged_fit_is_flagged(self, residual):
+        # LED 3 is dark, so its residual is its noise alone: none, or two rows
+        # whose Gram matrix has eigenvalues 1 and 0.9999**2 along the diagonals,
+        # too close for the powers of the fit to separate
+        link = GridLink(6, 1, "gaussian", (30.0,))
+        link.gains[0, :, 3] = 0.0
+        link.relink()
+        link.sd[:] = 1.0
+        dark = np.zeros((8, link.noise.shape[-1]))
+        if residual == "no eigengap":
+            dark[:2, 1] = 1.0 / np.sqrt(2.0)
+            dark[:2, 2] = [0.9999 / np.sqrt(2.0), -0.9999 / np.sqrt(2.0)]
+        noise_residual = np.zeros((8, *dark.shape))
+        noise_residual[3] = dark
+        # the noise whose residual under the code's inverse this is
+        link.noise = (link.code @ noise_residual.reshape(8, -1)).reshape(link.noise.shape)
+        assert not leading_eigenvector((dark @ dark.T)[None])[2].any()
+        assert link.krf_grid().failed.all()
+        assert not link.zf_grid().failed.any()  # ZF's pilot estimate is noisy on the dark LED
 
 
 class TestPlainCskBaseline:
