@@ -516,15 +516,11 @@ def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
 # stacks half as many trials, and every chunk at least one: 13 and 6 on the
 # QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
 # Stacking more trials saves per-call overhead but costs memory.  A one-point
-# chunk holds about two reception-sized arrays (traced peaks 2.05 times its
-# reception at 13 QLED trials, 2.45 at one 30-LED trial), a chunk of several
-# points up to four: a formed one forms the reception at each point next to
-# the kept unit noise (3.26 on a 5-point QLED alpha grid, 3.80 at one 30-LED
-# trial), and a routed one keeps VLC-KRF's noise residual and the pilot draws
-# and products next to one group of points' detection (2.66 on the 7-point
-# QLED grid, 3.56 and 3.73 at one 18- and 30-LED trial), or forms the blocks
-# that its detection leaves open after freeing them (3.44, 3.88 and 3.86
-# there if every block is left open).
+# chunk holds about two reception-sized arrays, a chunk of several points up
+# to four: a formed one forms the reception at each point next to the kept
+# unit noise, and a routed one keeps its products next to one group of
+# points' detection, or forms its open blocks after freeing them.
+# ``TestChunkMemory`` bounds the traced peaks and records them.
 _CHUNK_BYTES = 1024 * 1024
 
 

@@ -36,9 +36,11 @@ ZERO_RTOL = 1e-12
 NORMAL_EQUATIONS_MAX_COND = 1e3
 
 # Largest relative eigen-residual |G u - lambda u| / lambda at which
-# ``leading_rank_one`` accepts a Gram power's leading eigenvector.
+# ``leading_eigenvector`` accepts a Gram power's leading eigenvector.
 RANK_ONE_RTOL = 1e-12
 
+# Smallest relative eigengap at which ``leading_eigenvector`` settles an ``eigh`` pair.
+EIGENGAP_RTOL = 1e-3
 
 # Largest array, in bytes, that the dimming code, one trial (its stacked
 # reception, effective channel and symbol block) or the audit's bit draw may
@@ -177,18 +179,21 @@ def least_squares(a, b) -> np.ndarray:
 
 
 def leading_eigenvector(gram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading eigenpair of every symmetric positive semidefinite matrix in a stack, by powers.
+    """Leading eigenpair of every symmetric positive semidefinite matrix in a stack.
 
     ``gram`` ``(..., m, m)`` is a Gram matrix ``G = B @ B.T`` or a sum of
-    such; it is divided by its trace in place.  Returns ``(lam, u,
-    converged)`` of shapes ``(...)``, ``(..., m)`` and ``(...)``.  ``u`` is the
-    unit vector along the largest column of ``G**32`` (five squarings of ``G``
-    over its trace), times ``G`` once more, and ``lam`` its Rayleigh
-    quotient.  ``converged`` marks the matrices where that ``u`` leaves an
-    eigen-residual within ``RANK_ONE_RTOL`` of its eigenvalue, which is
-    itself clear of zero next to the trace; a small eigengap or a zero or
-    underflowing ``G`` fails it, and ``u`` carries no meaning there.  The
-    sign of ``u`` is arbitrary.
+    such; it is divided by its trace in place.  Returns ``(lam, u, settled)``
+    of shapes ``(...)``, ``(..., m)`` and ``(...)``.  ``u`` is the unit vector
+    along the largest column of ``G**32`` (five squarings of ``G`` over its
+    trace), times ``G`` once more, and ``lam`` its Rayleigh quotient, settled
+    where its eigen-residual is within ``RANK_ONE_RTOL`` of ``lam``.  Every
+    other matrix takes the top pair of one batched ``eigh``, settled where
+    ``lambda_1 - lambda_2 > EIGENGAP_RTOL * lambda_1``: by the Davis-Kahan sin
+    theta theorem a rounding delta of ``G``, at most ``2 * n * eps *
+    lambda_1`` over n columns as measured at 100 slots, turns ``u`` by at most
+    ``2 * delta / (lambda_1 - lambda_2)``, about ``4e3 * n * eps``: 1e-10 at
+    100 slots, a tenth of ``receivers.GRID_RTOL``.  Neither settles a ``lam``
+    within ``ZERO_RTOL`` of the trace.  The sign of ``u`` is arbitrary.
     """
     lead, m = gram.shape[:-2], gram.shape[-1]
     # three (m, m) arrays per matrix at most: G scaled in place, and G's
@@ -211,10 +216,15 @@ def leading_eigenvector(gram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gu = (scaled @ u[..., None])[..., 0]
     lam = (u * gu).sum(axis=-1)
     residual = np.linalg.norm(gu - lam[:, None] * u, axis=-1)
-    # a zero G leaves u = 0 and lam = 0, which the second test refuses
-    converged = (residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL)
+    settled = (residual <= RANK_ONE_RTOL * lam) & (lam > ZERO_RTOL)
+    slow = ~settled
+    if slow.any():
+        eigenvalues, eigenvectors = np.linalg.eigh(scaled[slow])
+        lam[slow], u[slow] = eigenvalues[:, -1], eigenvectors[:, :, -1]
+        gap = lam[slow] - (eigenvalues[:, -2] if m > 1 else 0.0)
+        settled[slow] = (gap > EIGENGAP_RTOL * lam[slow]) & (lam[slow] > ZERO_RTOL)
     lam *= trace
-    return lam.reshape(lead), u.reshape(*lead, m), converged.reshape(lead)
+    return lam.reshape(lead), u.reshape(*lead, m), settled.reshape(lead)
 
 
 def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,23 +233,16 @@ def leading_rank_one(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``blocks`` has shape ``(..., m, n)``.  Returns ``(sigma, u, v)`` of shapes
     ``(...)``, ``(..., m)`` and ``(..., n)``; ``sigma * outer(u, v)`` is the best
     rank-one approximation of each matrix in Frobenius norm.  ``u`` is the
-    unit leading eigenvector of ``G = B @ B.T`` (``leading_eigenvector``),
-    ``sigma`` the root of its eigenvalue and ``v = B.T @ u / sigma``, so
-    ``sigma * outer(u, v)`` is the exact projection ``outer(u, u) @ B``.
-    Every matrix whose powers do not converge takes one batched ``eigh``.
-    A zero matrix gives ``sigma = 0`` and ``v = 0``.  The sign of ``u`` and
-    ``v`` is arbitrary.
+    unit leading eigenvector of ``G = B @ B.T`` (``leading_eigenvector``,
+    settled or not), ``sigma`` the root of its eigenvalue and ``v = B.T @ u /
+    sigma``, so ``sigma * outer(u, v)`` is the exact projection
+    ``outer(u, u) @ B``.  A zero matrix gives ``sigma = 0`` and ``v = 0``.
+    The sign of ``u`` and ``v`` is arbitrary.
     """
     b = np.asarray(blocks, dtype=float)
     lead, (m, n) = b.shape[:-2], b.shape[-2:]
     b = b.reshape(-1, m, n)
-    lam, u, converged = leading_eigenvector(b @ b.swapaxes(-1, -2))
-    slow = ~converged
-    if slow.any():
-        b_slow = b[slow]  # G again, by the same product as above
-        eigenvalues, eigenvectors = np.linalg.eigh(b_slow @ b_slow.swapaxes(-1, -2))
-        lam[slow] = eigenvalues[:, -1]
-        u[slow] = eigenvectors[:, :, -1]
+    lam, u, _ = leading_eigenvector(b @ b.swapaxes(-1, -2))
     sigma = np.sqrt(np.maximum(lam, 0.0))
     v = (u[:, None, :] @ b)[:, 0, :] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
     return sigma.reshape(lead), u.reshape(*lead, m), v.reshape(*lead, n)

@@ -5,13 +5,12 @@ of blocks along leading axes: the clean one, ``effective @ symbols.T``
 of the effective channel that ``channel.effective_channel`` returns, plus
 noise at the variance that ``channel.noise_variance`` sets for an SNR from
 that clean reception's ``channel.received_power``, added by
-``channel.add_stacked_noise``.  The detectors read
-their inputs and never write them, so the experiment engine may hand them
-arrays it forms again at each sweep point.  They give back symbol and
-channel estimates plus a per-block failure mask; the caller slices and
-scores them.  A degenerate block is flagged in the mask, never raised, so one bad
-trial does not stop its neighbours; malformed shapes and arguments still
-raise.  The zero-forcing receiver solves against an estimate of the
+``channel.add_stacked_noise``.  The detectors read their inputs and never
+write them, so the experiment engine may hand them arrays it forms again at
+each sweep point.  They give back symbol and channel estimates plus a
+per-block failure mask; the caller slices and scores them.  A degenerate
+block is flagged in the mask, never raised, so one bad trial does not stop
+its neighbours; malformed shapes and arguments still raise.  The zero-forcing receiver solves against an estimate of the
 effective (state-stacked) channel by the normal equations, one small Gram
 system per block, and falls back to the pseudoinverse on a block whose
 estimate is too ill-conditioned for them (``linalg.least_squares``).  It is
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    EIGENGAP_RTOL,
     ZERO_RTOL,
     full_column_rank,
     leading_eigenvector,
@@ -53,8 +53,8 @@ RECEIVER_PLAIN = "plain-CSK"
 # Largest distance, relative to its scale, between a quantity of the grid
 # detectors and the same quantity of a detector run on the formed reception.
 # Both are roundings of one value, about 1e-15 apart where the grid's
-# rank-one fit converges; a block passes a grid test only by more than this
-# margin, and is flagged otherwise.
+# rank-one fit converges and within 1e-10 where ``eigh`` settles it; a block
+# passes a grid test only by more than this margin, and is flagged otherwise.
 GRID_RTOL = 1e-9
 
 
@@ -251,19 +251,20 @@ def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_va
     ``(..., n_rx, n_tx)`` and of ``symbols`` ``(..., n_slots, n_tx)``, since
     ``C+ C = I``; its noise part is ``noise_residual`` ``(..., n_tx, n_rx,
     n_slots)``.  So ``R @ R.T`` is quadratic in ``sd``; its leading
-    eigenvector ``u`` (``linalg.leading_eigenvector``) and ``v = R.T @ u /
-    sigma`` give the rank-one fit.  ``norms`` are ``(||Y0||, ||N||)`` per
-    block, and ``inverse`` is ``C+``.  ``sd`` is ``(g, ...)``, one row per
-    point of the grid.
+    eigenvector ``u`` (``linalg.leading_eigenvector``, ``krf_detect``'s rule)
+    and ``v = R.T @ u / sigma`` give the rank-one fit.  ``norms`` are
+    ``(||Y0||, ||N||)`` per block, and ``inverse`` is ``C+``.  ``sd`` is
+    ``(g, ...)``, one row per point of the grid.
 
-    The result's leading axes are ``(g, ...)``.  A residual is taken as
-    nonzero where its Gram trace clears ``GRID_RTOL`` of its bound
-    ``||C+_r||_1 * (||Y0|| + sd * ||N||)``, squared, and its training row as
-    resolved where it exceeds ``ZERO_RTOL + GRID_RTOL`` times the column's
-    largest entry.  ``failed`` marks every block that this does not settle: a
-    fit does not converge, or a test does not clearly pass.  Those blocks
-    carry no meaning, not even their verdict; every other block's verdict is
-    ``krf_detect``'s.
+    The result's leading axes are ``(g, ...)``.  A residual is clear of its
+    rounding where its Gram trace exceeds its bound ``||C+_r||_1 * (||Y0|| +
+    sd * ||N||)`` times ``eps / (GRID_RTOL * EIGENGAP_RTOL)``, squared: the
+    formed residual's rounding, about eps times the bound, then turns the fit
+    by about ``GRID_RTOL`` at most.  Its training row is resolved where it
+    exceeds ``ZERO_RTOL + GRID_RTOL`` times the column's largest entry.
+    ``failed`` marks every block that this does not settle: an unsettled fit,
+    or a test that does not clearly pass.  Those blocks carry no meaning, not
+    even their verdict; every other block's verdict is ``krf_detect``'s.
     """
     g = gains.swapaxes(-1, -2)
     s = symbols.swapaxes(-1, -2)
@@ -274,14 +275,14 @@ def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_va
     scale = sd[..., None, None, None]
     gram = clean + scale * (cross + scale * (noise_residual @ noise_residual.swapaxes(-1, -2)))
     trace = np.trace(gram, axis1=-2, axis2=-1)
-    lam, u, converged = leading_eigenvector(gram)
+    lam, u, settled = leading_eigenvector(gram)
     sigma = np.sqrt(np.maximum(lam, 0.0))
     v = (u[..., None, :] @ noise_residual)[..., 0, :]
     v *= sd[..., None, None]
     v += (u * g).sum(axis=-1)[..., None] * s
     v /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
     bound = np.abs(inverse).sum(axis=1) * (norms[0] + sd * norms[1])[..., None]
-    nonzero = trace > (GRID_RTOL * bound) ** 2
+    clear = trace > (np.finfo(float).eps / (GRID_RTOL * EIGENGAP_RTOL) * bound) ** 2
     resolved = np.abs(v[..., 0]) > (ZERO_RTOL + GRID_RTOL) * np.abs(v).max(axis=-1)
-    failed = ~(converged & nonzero & resolved).all(axis=-1)
+    failed = ~(settled & clear & resolved).all(axis=-1)
     return _resolve_scales(sigma, u, v, known_values, failed)

@@ -5,7 +5,8 @@ vectors ``h`` and ``s``; ``khatri_rao`` is the column-wise Kronecker product;
 ``unfold`` gives the mode-n unfoldings of a three-way array;
 ``kruskal_rank_by_subsets`` is the k-rank search that tests every column
 subset by its own SVD; ``demodulate_by_distances`` is the CSK slicer that
-forms every squared distance.
+forms every squared distance; ``planted_rows`` is a matrix of given singular
+values.
 """
 
 from itertools import combinations
@@ -103,3 +104,15 @@ def demodulate_by_distances(estimates, constellation) -> np.ndarray:
     bits[:, :, 0] = idx >> 1
     bits[:, :, 1] = idx & 1
     return bits.reshape(-1)
+
+
+def planted_rows(seed, singular_values, n_cols) -> np.ndarray:
+    """A random ``(len(singular_values), n_cols)`` matrix with exactly these singular values.
+
+    Its Gram matrix ``a @ a.T`` has the squares as eigenvalues.
+    """
+    rng = np.random.default_rng(seed)
+    n_rows = len(singular_values)
+    left, _ = np.linalg.qr(rng.standard_normal((n_rows, n_rows)))
+    right, _ = np.linalg.qr(rng.standard_normal((n_cols, n_rows)))
+    return left @ np.diag(singular_values) @ right.T

@@ -286,9 +286,10 @@ class TestChunkMemory:
     # chunk holds two reception-sized arrays (traced peaks 2.05 and 2.45
     # times the reception) and a chunk of several points up to four: the
     # 7-point grids take the route, which keeps its draws only as products and
-    # scores its points in groups (2.71 on QLED, 3.56 and 3.73 at one 18- and
-    # 30-LED trial), and the alpha grids are formed, one code per depth (3.26
-    # on QLED, 3.80 at one 30-LED trial)
+    # scores its points in groups (2.66 on QLED, 3.56 and 3.73 at one 18- and
+    # 30-LED trial, and 3.44, 3.88 and 3.86 if it forms every block again
+    # after freeing them), and the alpha grids are formed, one code per depth
+    # (3.26 on QLED, 3.80 at one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dstc import linalg
-from tensor_oracles import khatri_rao, kruskal_rank_by_subsets, vec
+from tensor_oracles import khatri_rao, kruskal_rank_by_subsets, planted_rows, vec
 
 
 def rand(seed, *shape):
@@ -273,9 +273,44 @@ class TestLeadingSingularTriplet:
         linalg.leading_rank_one(stack)
         assert len(decomposed) == 1
         unresolved = stack[3:]
-        assert np.allclose(
-            decomposed[0], unresolved @ unresolved.swapaxes(-1, -2), rtol=1e-14, atol=0.0
-        )
+        gram = unresolved @ unresolved.swapaxes(-1, -2)
+        trace = np.trace(gram, axis1=-2, axis2=-1)
+        # the Gram matrices over their trace, as the powers took them
+        scaled = gram / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+        assert np.allclose(decomposed[0], scaled, rtol=1e-14, atol=0.0)
+
+
+class TestLeadingEigenvector:
+    """A fit the Gram powers leave open settles by ``eigh`` where its eigengap is clear."""
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_planted_gap_on_each_side_of_the_rule(self, monkeypatch, side):
+        # lambda_2 / lambda_1 = 1 - EIGENGAP_RTOL * (1 +- 1%), far too close
+        # for the Gram powers to converge
+        ratio = 1.0 - linalg.EIGENGAP_RTOL * (1.0 + 0.01 * side)
+        spectrum = np.sqrt([1.0, ratio, 0.5, 0.3, 0.1])
+        rows = np.stack([planted_rows(seed, spectrum, 9) for seed in range(4)])
+        gram = rows @ rows.swapaxes(-1, -2)
+        expected_lam, expected_u = np.linalg.eigh(gram)
+        taken = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: taken.append(len(a)) or eigh(a))
+        lam, u, settled = linalg.leading_eigenvector(gram.copy())
+        assert taken == [4]
+        assert np.array_equal(settled, np.full(4, side > 0))
+        # Davis-Kahan: u is within 2 * delta / (lambda_1 - lambda_2) of eigh's
+        # on the unscaled matrix, whose rounding delta against the scaled one
+        # is a few m * eps * lambda_1
+        bound = 2 * 5 * np.finfo(float).eps / (1.0 - ratio)
+        sign = np.sign((u * expected_u[..., -1]).sum(axis=-1))[:, None]
+        assert np.linalg.norm(u - sign * expected_u[..., -1], axis=-1).max() <= bound
+        np.testing.assert_allclose(lam, expected_lam[:, -1], rtol=1e-14, atol=0.0)
+
+    def test_one_row_without_a_second_eigenvalue(self):
+        # a zero 1 x 1 Gram matrix takes eigh, which has no lambda_2
+        lam, u, settled = linalg.leading_eigenvector(np.array([[[0.0]], [[4.0]]]))
+        assert np.array_equal(lam, [0.0, 4.0]) and np.array_equal(np.abs(u), [[1.0], [1.0]])
+        assert np.array_equal(settled, [False, True])
 
 
 def full_hadamard(order):

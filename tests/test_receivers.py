@@ -14,8 +14,15 @@ from dstc.csk import block_with_reference, default_constellation, demodulate
 from dstc.dimming import DimmingSpec, build_dimming_matrix
 from dstc.experiments import ExperimentConfig, SystemConfig, run_point
 from dstc import receivers
-from dstc.linalg import NORMAL_EQUATIONS_MAX_COND, gram_cond, leading_eigenvector, pseudoinverse
+from dstc.linalg import (
+    EIGENGAP_RTOL,
+    NORMAL_EQUATIONS_MAX_COND,
+    gram_cond,
+    leading_eigenvector,
+    pseudoinverse,
+)
 from dstc.receivers import (
+    GRID_RTOL,
     AmbiguityError,
     channel_from_effective,
     code_inverse,
@@ -24,7 +31,7 @@ from dstc.receivers import (
     zf_detect,
     zf_detect_grid,
 )
-from tensor_oracles import vec
+from tensor_oracles import planted_rows, vec
 
 
 def dstc_link(seed, spec, k_t, l_t, n_rx, n_slots, snr_db):
@@ -421,6 +428,22 @@ class GridLink:
             self.symbols[:, 0],
         )
 
+    def darken(self, led, noise_residual=None):
+        """Switch ``led`` off; ``noise_residual`` (n_rx x n_slots) is then its residual's noise.
+
+        Given it, ``sd`` is one, and the noise is what leaves that residual
+        under the code's inverse and none on any other LED.
+        """
+        self.gains[:, :, led] = 0.0
+        self.relink()
+        if noise_residual is not None:
+            self.sd[:] = 1.0
+            residual = np.zeros((len(self.gains), 8, *noise_residual.shape))
+            residual[:, led] = noise_residual
+            self.noise = (self.code @ residual.reshape(len(residual), 8, -1)).reshape(
+                self.noise.shape
+            )
+
     def formed(self, i):
         """Point ``i``'s reception and ZF's pilot estimate, formed."""
         scale = self.sd[i][:, None, None]
@@ -430,9 +453,10 @@ class GridLink:
 class TestGridDetectors:
     """A block the grid detectors do not flag has the detector's verdict on the formed reception."""
 
-    # SNRs from -5 dB, where many fits are flagged, to 40 dB, on both channel
-    # models; a raised ZERO_RTOL makes the formed detectors fail some blocks,
-    # of VLC-KRF at 0.2 and of both at 0.7
+    # SNRs from -5 dB, where many Gram powers do not converge, to 40 dB, on
+    # both channel models; a raised ZERO_RTOL makes the formed detectors fail
+    # some blocks, of VLC-KRF at 0.2 and of both at 0.7, and at the default
+    # every block settles
     @pytest.mark.parametrize("channel_model", ["gaussian", "diagonal"])
     @pytest.mark.parametrize("zero_rtol", [None, 0.2, 0.7])
     def test_unflagged_blocks_match_the_formed_detectors(
@@ -441,7 +465,13 @@ class TestGridDetectors:
         if zero_rtol:
             monkeypatch.setattr(receivers, "ZERO_RTOL", zero_rtol)
         link = GridLink(3, 24, channel_model, (-5.0, 4.0, 12.0, 24.0, 40.0))
-        zf, krf = link.zf_grid(), link.krf_grid()
+        taken = []
+        eigh = np.linalg.eigh
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", lambda a: taken.append(len(a)) or eigh(a))
+            krf = link.krf_grid()
+        assert taken  # the fits whose Gram powers do not converge
+        zf = link.zf_grid()
         settled = failing = 0
         for i in range(len(link.sd)):
             received, estimate = link.formed(i)
@@ -463,7 +493,10 @@ class TestGridDetectors:
                     assert np.array_equal(got, want)
                 else:
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
-        assert 0 < settled < 2 * link.sd.size, settled
+        if zero_rtol:
+            assert 0 < settled < 2 * link.sd.size, settled
+        else:
+            assert settled == 2 * link.sd.size
         assert (failing > 0) == bool(zero_rtol)
 
     def test_ill_conditioned_estimate_is_flagged(self):
@@ -481,22 +514,56 @@ class TestGridDetectors:
     def test_unconverged_fit_is_flagged(self, residual):
         # LED 3 is dark, so its residual is its noise alone: none, or two rows
         # whose Gram matrix has eigenvalues 1 and 0.9999**2 along the diagonals,
-        # too close for the powers of the fit to separate
+        # a gap of 2e-4, too close for the fit to settle
         link = GridLink(6, 1, "gaussian", (30.0,))
-        link.gains[0, :, 3] = 0.0
-        link.relink()
-        link.sd[:] = 1.0
         dark = np.zeros((8, link.noise.shape[-1]))
         if residual == "no eigengap":
             dark[:2, 1] = 1.0 / np.sqrt(2.0)
             dark[:2, 2] = [0.9999 / np.sqrt(2.0), -0.9999 / np.sqrt(2.0)]
-        noise_residual = np.zeros((8, *dark.shape))
-        noise_residual[3] = dark
-        # the noise whose residual under the code's inverse this is
-        link.noise = (link.code @ noise_residual.reshape(8, -1)).reshape(link.noise.shape)
+        link.darken(3, dark)
         assert not leading_eigenvector((dark @ dark.T)[None])[2].any()
         assert link.krf_grid().failed.all()
         assert not link.zf_grid().failed.any()  # ZF's pilot estimate is noisy on the dark LED
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_planted_gap_on_each_side_of_the_rule(self, side):
+        # the dark LED's residual has lambda_2 / lambda_1 = 1 - EIGENGAP_RTOL *
+        # (1 +- 1%): just inside the rule its fit settles with krf_detect's
+        # estimates, just outside it is flagged
+        link = GridLink(6, 1, "gaussian", (30.0,))
+        ratio = 1.0 - EIGENGAP_RTOL * (1.0 + 0.01 * side)
+        spectrum = np.sqrt([1.0, ratio, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
+        link.darken(3, planted_rows(7, spectrum, link.noise.shape[-1]))
+        grid = link.krf_grid()
+        if side < 0:
+            assert grid.failed.all()
+            return
+        assert not grid.failed.any()
+        received, _ = link.formed(0)
+        alone = krf_detect(received, link.inverse, link.symbols[:, 0])
+        for got, want in (
+            (grid.symbol_estimate[0], alone.symbol_estimate),
+            (grid.channel_estimate[0], alone.channel_estimate),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("sd", [1e-14, 1e-6])
+    def test_residual_within_rounding_of_its_bound_is_flagged(self, sd):
+        # a dark LED at a small noise scale: its residual is noise alone, whose
+        # fit settles and whose training row is clear, but the formed
+        # residual's rounding of the other LEDs' clean parts is not within
+        # GRID_RTOL * EIGENGAP_RTOL of it, so the fits could differ by more
+        # than GRID_RTOL and only the Gram-trace test refuses the block
+        link = GridLink(6, 1, "gaussian", (30.0,))
+        link.darken(3)
+        link.sd[:] = sd
+        noise_residual = (link.inverse @ link.noise[0].reshape(12, -1))[3].reshape(8, -1)
+        lam, u, settled = leading_eigenvector((noise_residual @ noise_residual.T)[None])
+        v = u[0] @ noise_residual
+        assert settled.all() and abs(v[0]) > 1e-3 * np.abs(v).max()
+        rounding = np.linalg.norm((link.inverse @ link.clean[0].reshape(12, -1))[3])
+        assert rounding > GRID_RTOL * EIGENGAP_RTOL * np.linalg.norm(sd * noise_residual)
+        assert link.krf_grid().failed.all()
 
 
 class TestPlainCskBaseline:
