@@ -208,24 +208,47 @@ class TestSimulate:
         ]
         assert digests == pinned
 
-    def test_diagonal_variant_is_pinned(self, tmp_path, capsys):
-        # the bundled qled2x2 config on the diagonal channel, whose BER grid
-        # leaves many blocks to the exact path: 161 of VLC-KRF's 700 and 10
-        # of ZF's and plain CSK's 1400 at the config's seed
-        text = Path("configs/qled2x2.cfg").read_text()
-        assert text.count("channel_model = gaussian") == 1
-        cfg = tmp_path / "diagonal.cfg"
-        cfg.write_text(text.replace("channel_model = gaussian", "channel_model = diagonal"))
+    @staticmethod
+    def run_qled2x2(tmp_path, channel_model, *flags):
+        """SHA-256 of (ber_nmse.csv, summary.txt) of configs/qled2x2.cfg on ``channel_model``."""
+        text, key = Path("configs/qled2x2.cfg").read_text(), "channel_model = "
+        assert text.count(key + "gaussian") == 1
+        cfg = tmp_path / f"{channel_model}.cfg"
+        cfg.write_text(text.replace(key + "gaussian", key + channel_model))
         out = tmp_path / "out"
-        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        digests = [
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return [
             hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("ber_nmse.csv", "summary.txt")
         ]
-        assert digests == [
+
+    def test_diagonal_variant_is_pinned(self, tmp_path, capsys):
+        # the bundled qled2x2 config on the diagonal channel, whose BER grid
+        # leaves 10 of plain CSK's 700 blocks to the exact path at the config's
+        # seed (and forms ZF's with them, since ZF's draws come first)
+        assert self.run_qled2x2(tmp_path, "diagonal") == [
             "0e1c542fcbdde37bc726a7a769a620293cc693e33f53775d2b8f0ff8c89b676b",
             "86ca01bfda98bd1c39bb2e69f0b4aea441ccc34548d996e17e9aebd433f3622e",
         ]
+
+    # the bundled qled2x2 config at --seed 7, whose BER grid leaves other
+    # blocks to the exact path than its own seed does: 11 of plain CSK's 700
+    # on either channel model
+    PINNED_SEED_7 = {
+        "gaussian": [
+            "52dbddb7433a6427c2008b4dcdaebcdd4de9f7f87db6f7e108992c1e103b1871",
+            "80315b28e61608e7cb7e8eb7a4d0419d3b1b917c7abc0739150c54669787d092",
+        ],
+        "diagonal": [
+            "56702dbd31133491610ef6951811bcb789846b8a37fad7c7811b150ccf3b24d6",
+            "fc244d41d1b861fa6a36b083a9264952c8d3a5944b3501e4261fb85880ebc221",
+        ],
+    }
+
+    @pytest.mark.parametrize("channel_model", sorted(PINNED_SEED_7))
+    def test_qled2x2_at_seed_7_is_pinned(self, channel_model, tmp_path, capsys):
+        pinned = self.PINNED_SEED_7[channel_model]
+        assert self.run_qled2x2(tmp_path, channel_model, "--seed", "7") == pinned
 
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)

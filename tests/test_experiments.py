@@ -168,6 +168,20 @@ class TestRunTrial:
         assert out["VLC-KRF"].failed and out["VLC-KRF"].n_bits == 0
         assert not out["ZF"].failed and out["ZF"].n_bits > 0
 
+    def test_failed_outcomes_compare_equal(self, monkeypatch):
+        # a failed outcome's nmse is the math.nan object, so that outcomes, and
+        # two identical runs' results, compare == (nan == nan is False)
+        def flagged(*args):
+            result = krf_detect(*args)
+            return dataclasses.replace(result, failed=np.ones_like(result.failed))
+
+        monkeypatch.setattr("dstc.experiments.krf_detect", flagged)
+        a, b = (run_point(QLED12, 20.0, 3, 3) for _ in range(2))
+        assert a == b
+        assert a["VLC-KRF"] == [
+            TrialOutcome(0, 0, math.nan, zf.cond_effective, failed=True) for zf in a["ZF"]
+        ]
+
 
 class TestRunPoint:
     # run_point on qled2x2-k12 at 6 dB, 20 trials from seed 20260814, every
