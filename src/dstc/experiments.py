@@ -109,6 +109,11 @@ class SystemConfig:
         return self.k_r * self.l_r
 
     @property
+    def payload_bits(self) -> int:
+        """Bits of one block: two per LED group in each slot after the training row."""
+        return 2 * self.l_t * (self.block_len - 1)
+
+    @property
     def reception_bytes(self) -> int:
         """Bytes of one trial's stacked reception, ``n_states * n_rx`` rows of ``block_len``."""
         return 8 * self.n_states * self.n_rx * self.block_len
@@ -231,7 +236,7 @@ def _draw_chunk(scenario: SystemConfig, seeds, channel_model: str, constellation
     call.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    bits = np.empty((len(seeds), 2 * scenario.l_t * (scenario.block_len - 1)), dtype=np.uint8)
+    bits = np.empty((len(seeds), scenario.payload_bits), dtype=np.uint8)
     gains = np.empty((len(seeds), scenario.n_rx, scenario.n_tx))
     for t, rng in enumerate(rngs):
         bits[t] = rng.integers(0, 2, size=bits.shape[1], dtype=np.uint8)
@@ -267,12 +272,13 @@ def _propagate(gains, code, receivers):
     return links, conds
 
 
-def _score(result, bits, gains, constellation):
-    """The failure mask, bit errors and NMSE of each block of one receiver's estimates.
+def _score(result, bits, gains, cond, constellation):
+    """Each block's ``(failed, errors, nmse, cond)`` under one receiver's estimates.
 
     ``result`` is an ``EstimationResult`` whose leading axes are ``(trials,)``
     for one point or ``(points, trials)``; each array is given as ``(points,
-    trials)``.
+    trials)``.  A failed block has 0 errors and a NaN nmse; ``cond``, each
+    trial's from ``_propagate``, is the same at every point.
     """
     payload = result.symbol_estimate[..., 1:, :]
     detected = demodulate(payload.reshape(-1, payload.shape[-1]), constellation)
@@ -280,27 +286,13 @@ def _score(result, bits, gains, constellation):
     nmse = np.sum((gains - result.channel_estimate) ** 2, axis=(-2, -1)) / np.sum(
         gains**2, axis=(-2, -1)
     )
-    return tuple(a.reshape(-1, len(bits)) for a in (result.failed, errors, nmse))
-
-
-def _outcomes(scores, conds, n_bits):
-    """Per point, the outcomes keyed by receiver, from each receiver's ``_score``."""
-    return [
-        {
-            r: [
-                TrialOutcome(0, 0, math.nan, cond, failed=True)
-                if failed
-                else TrialOutcome(e, n_bits, m, cond)
-                for failed, e, m, cond in zip(*(a[i].tolist() for a in score), conds[r].tolist())
-            ]
-            for r, score in scores.items()
-        }
-        for i in range(len(next(iter(scores.values()))[0]))
-    ]
+    failed, errors, nmse = (a.reshape(-1, len(bits)) for a in (result.failed, errors, nmse))
+    cond = np.broadcast_to(cond, failed.shape).copy()  # the route patches its open blocks in place
+    return failed, np.where(failed, 0, errors), np.where(failed, np.nan, nmse), cond
 
 
 def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
-    """Detect and score one point of a chunk: its outcomes keyed by receiver.
+    """Detect and score one point of a chunk: its ``_score`` keyed by receiver.
 
     ``received`` lists the noisy arrays in draw order and is emptied: the
     arrays after the reception are taken out as they are used, and VLC-KRF
@@ -316,8 +308,7 @@ def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, con
     if RECEIVER_KRF in receivers:
         estimates[RECEIVER_KRF] = krf_detect(received.pop(0), inverse, symbols[:, 0])
     received.clear()  # without VLC-KRF, free the reception before the point is scored
-    scores = {r: _score(e, bits, gains, constellation) for r, e in estimates.items()}
-    return _outcomes(scores, conds, bits.shape[1])[0]
+    return {r: _score(e, bits, gains, conds[r], constellation) for r, e in estimates.items()}
 
 
 def _run_formed(scenario, points, seeds, receivers, channel_model, constellation):
@@ -333,7 +324,7 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     kept = []  # the unit draws by target, then trial, while a later point reads them
-    outcomes = []
+    scores = []
     for i, (code, inverse, snr_db) in enumerate(points):
         later = i + 1 < len(points)
         links, conds = _propagate(gains, code, receivers)
@@ -361,10 +352,10 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
                         add_stacked_noise(target[t], unit)
                     del unit  # before the next draw
             del target  # the list keeps the only references, for VLC-KRF to take
-        outcomes.append(
+        scores.append(
             _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
         )
-    return outcomes
+    return {r: tuple(map(np.vstack, zip(*(point[r] for point in scores)))) for r in receivers}
 
 
 class _LinkProducts:
@@ -421,10 +412,10 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     (``_LinkProducts``).  Then the points are detected a group at a time,
     in one batched pass per receiver (``receivers.zf_detect_grid``,
     ``receivers.krf_detect_grid``), and scored.  A block that those leave
-    open takes the outcome of its trial at its point from ``_run_formed``,
-    run once, after the products are freed, on the points with an open
-    block, the trials open at any of them and the receivers with an open
-    block (and ZF with plain CSK, whose draws follow ZF's).
+    open takes its scores from ``_run_formed``, run once, after the
+    products are freed, on the points with an open block, the trials open
+    at any of them and the receivers with an open block (and ZF with plain
+    CSK, whose draws follow ZF's).
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     code, inverse = points[0][:2]
@@ -462,14 +453,13 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
                 result = zf_detect_grid(
                     link.effective, link.pilot, symbols, link.products, link.peaks, sd, link.code
                 )
-            scores[r].append(_score(result, bits, gains, constellation))
+            scores[r].append(_score(result, bits, gains, conds[r], constellation))
             del result
     del links, link, coded, plain  # the products, before any block is formed
-    scores = {r: tuple(map(np.concatenate, zip(*parts))) for r, parts in scores.items()}
-    outcomes = _outcomes(scores, conds, bits.shape[1])
+    scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     open_ = {r: score[0] for r, score in scores.items() if score[0].any()}
     if not open_:
-        return outcomes
+        return scores
     if RECEIVER_PLAIN in open_ and RECEIVER_ZF in receivers:  # ZF's pilots are drawn first
         open_.setdefault(RECEIVER_ZF, scores[RECEIVER_ZF][0])
     either = np.any(list(open_.values()), axis=0)
@@ -478,21 +468,21 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
         scenario, [points[i] for i in rows], [seeds[t] for t in trials], tuple(open_),
         channel_model, constellation,
     )
-    for i, point in zip(rows, formed):
-        for r, blocks in open_.items():
-            for t, outcome in zip(trials, point[r]):
-                if blocks[i, t]:
-                    outcomes[i][r][t] = outcome
-    return outcomes
+    formed_blocks = np.ix_(rows, trials)
+    for r, blocks in open_.items():
+        patch = blocks[formed_blocks]  # a copy: ``blocks`` is the failed array patched below
+        for whole, part in zip(scores[r], formed[r]):
+            whole[formed_blocks] = np.where(patch, part, whole[formed_blocks])
+    return scores
 
 
 def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
     """Trials stacked along a leading axis, run at every point of a grid.
 
-    ``points`` lists ``(code, inverse, snr_db)``; the result lists, per
-    point, the outcomes keyed by receiver.  Each trial draws its bits and
-    channel from its own generator (see ``_draw_chunk``), and at the first
-    noisy point its unit noise for each target of each link of
+    ``points`` lists ``(code, inverse, snr_db)``; the result is each
+    receiver's ``_score`` over ``(points, trials)``.  Each trial draws its
+    bits and channel from its own generator (see ``_draw_chunk``), and at
+    the first noisy point its unit noise for each target of each link of
     ``_propagate``, in that order.  Each noisy point sets a link's noise
     from the received power of its clean data reception
     (``received_power``), and scales a trial's draw by that link's standard
@@ -533,19 +523,16 @@ def _chunk_trials(scenario: SystemConfig, points) -> int:
 def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):
     """Trials ``0 .. n_trials - 1`` at every point of ``points`` (see ``_run_chunk``).
 
-    The result lists, per point, the outcomes keyed by receiver.  Trial t
-    draws from ``derive_seed(base_seed, t)`` whatever the chunking, so a
-    chunk of trials equals the same trials run one at a time.
+    The result is each receiver's ``_score`` over ``(points, trials)``.
+    Trial t draws from ``derive_seed(base_seed, t)`` whatever the chunking,
+    so a chunk of trials equals the same trials run one at a time.
     """
     size = _chunk_trials(scenario, points)
-    outcomes = [{r: [] for r in receivers} for _ in points]
+    chunks = []
     for start in range(0, n_trials, size):
         seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
-        chunk = _run_chunk(scenario, points, seeds, receivers, channel_model, constellation)
-        for point, result in zip(outcomes, chunk):
-            for r in receivers:
-                point[r] += result[r]
-    return outcomes
+        chunks.append(_run_chunk(scenario, points, seeds, receivers, channel_model, constellation))
+    return {r: tuple(map(np.hstack, zip(*(chunk[r] for chunk in chunks)))) for r in receivers}
 
 
 def run_point(
@@ -569,26 +556,34 @@ def run_point(
     code = build_dimming_matrix(scenario.dimming_spec())
     constellation = constellation or default_constellation(scenario.k_t)
     inverse = code_inverse(code) if RECEIVER_KRF in receivers else None
-    point = (code, inverse, snr_db)
-    return _run_grid(
-        scenario, [point], n_trials, base_seed, receivers, channel_model, constellation
-    )[0]
+    grid = [(code, inverse, snr_db)]
+    out = _run_grid(scenario, grid, n_trials, base_seed, receivers, channel_model, constellation)
+    n_bits = scenario.payload_bits
+    return {  # a failed trial's nmse is the math.nan object, so equal outcomes compare ==
+        r: [
+            TrialOutcome(0, 0, math.nan, c, failed=True) if f else TrialOutcome(e, n_bits, m, c)
+            for f, e, m, c in zip(*(a[0].tolist() for a in score))
+        ]
+        for r, score in out.items()
+    }
 
 
-def _aggregate(x: float, receiver: str, outcomes: list[TrialOutcome]) -> CurvePoint:
-    ok = [o for o in outcomes if not o.failed]
-    n_bits = sum(o.n_bits for o in ok)
-    n_errors = sum(o.bit_errors for o in ok)
+def _aggregate(x: float, receiver: str, score, n_bits: int) -> CurvePoint:
+    """One point's ``(failed, errors, nmse, cond)`` over its trials; a block carries ``n_bits``."""
+    failed, errors, nmse, cond = score
+    ok = ~failed
+    n_bits *= int(np.count_nonzero(ok))
+    n_errors = int(errors.sum())  # a failed block has none
     return CurvePoint(
         x=x,
         receiver=receiver,
         ber=(n_errors / n_bits) if n_bits else 0.0,
-        nmse=float(np.mean([o.nmse for o in ok])) if ok else math.nan,
-        cond=float(np.mean([o.cond_effective for o in ok])) if ok else math.nan,
+        nmse=float(np.mean(nmse[ok])) if ok.any() else math.nan,
+        cond=float(np.mean(cond[ok])) if ok.any() else math.nan,
         n_bits=n_bits,
         n_errors=n_errors,
-        n_trials=len(outcomes),
-        failures=len(outcomes) - len(ok),
+        n_trials=len(failed),
+        failures=int(failed.sum()),
     )
 
 
@@ -676,7 +671,10 @@ def run_sweep(
         constellation or default_constellation(cfg.scenario.k_t),
     )
     return {
-        r: [_aggregate(x, r, point[r]) for (x, _, _), point in zip(points, results)]
+        r: [
+            _aggregate(x, r, point, cfg.scenario.payload_bits)
+            for (x, _, _), point in zip(points, zip(*results[r]))
+        ]
         for r in cfg.receivers
     }
 

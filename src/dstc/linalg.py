@@ -45,9 +45,9 @@ EIGENGAP_RTOL = 1e-3
 # Largest array, in bytes, that the dimming code, one trial (its stacked
 # reception, effective channel and symbol block) or the audit's bit draw may
 # take.  It is checked before anything is allocated.  A one-trial chunk's
-# working set is about 2.5 times its reception for one sweep point and up to
-# about 4 times for several (3.8 at 30 LEDs), and numpy and the interpreter
-# take about 40 MiB more.
+# working set is a small multiple of its reception (``TestChunkMemory``
+# records the traced peaks), and numpy and the interpreter take about 40 MiB
+# more.
 MAX_ARRAY_BYTES = 256 * 2**20
 
 

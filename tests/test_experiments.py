@@ -38,6 +38,9 @@ from dstc.experiments import (
 )
 
 QLED12 = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=50)
+# the 18- and 30-LED rows of Table 2
+WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
+WIDE30 = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
 
 # Frozen reference rows for the efficiency table: (k_t, l_t, n_states, block_len)
 # -> (eta_zf, eta_krf, gain_percent) at the printed precision.
@@ -239,11 +242,10 @@ class TestRunPoint:
         monkeypatch.setattr(np.linalg, "svd", counted)
         # pinv, cond and matrix_rank reach svd through numpy's private module
         monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", counted)
-        wide = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
         per_point = []
         for n_trials in (1, 4):
             calls.clear()
-            run_point(wide, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"))
+            run_point(WIDE30, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"))
             per_point.append(len(calls))
         assert per_point[0] == per_point[1] < 4, per_point
 
@@ -258,16 +260,12 @@ class TestRunPoint:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        wide = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
         for n_trials in (1, 4):
-            run_point(wide, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"), "gaussian")
+            run_point(WIDE30, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"), "gaussian")
         assert calls == []
-
 
     # 18 + 18 LEDs, 20 states: 3 trials per chunk at the default budget, against
     # 13 on qled2x2-k12; 2**16 bytes leaves one trial per chunk on both
-    WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
-
     @pytest.mark.parametrize("budget", [None, 2**16])
     @pytest.mark.parametrize("snr_db", [12.0, math.inf])
     @pytest.mark.parametrize("channel_model", CHANNEL_MODELS)
@@ -290,8 +288,6 @@ class TestChunkMemory:
     """A chunk's working set stays a small multiple of its stacked reception."""
 
     QLED = default_scenarios()["qled2x2-k12"]
-    WIDE18 = SystemConfig(k_t=3, l_t=6, k_r=3, l_r=6, n_states=20, block_len=100)
-    WIDE30 = SystemConfig(k_t=3, l_t=10, k_r=3, l_r=10, n_states=32, block_len=100)
     GRID = (12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0)
     ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -359,15 +355,25 @@ class TestChunkMemory:
         assert peak <= bound * n_trials * scenario.reception_bytes, peak
 
 
-def assert_outcomes_equal(got, want, krf_nmse_rtol=0.0):
-    """Per receiver, the same trial outcomes; VLC-KRF's nmse within ``krf_nmse_rtol``."""
-    assert got.keys() == want.keys()
-    for r in want:
-        for g, w in zip(got[r], want[r], strict=True):
-            if r == "VLC-KRF" and krf_nmse_rtol:
-                assert g.nmse == pytest.approx(w.nmse, rel=krf_nmse_rtol, abs=0.0, nan_ok=True)
-                g = dataclasses.replace(g, nmse=w.nmse)
-            assert g == w, r
+def assert_grid_equals_points(grid, alone, krf_nmse_rtol=0.0):
+    """``_run_grid``'s arrays equal, point by point, the ``run_point`` outcomes of ``alone``.
+
+    Each receiver's ``(failed, errors, nmse, cond)`` over ``(points, trials)``
+    must equal its outcomes' fields exactly, NaN equal to NaN, but for
+    VLC-KRF's nmse, which may differ by ``krf_nmse_rtol``.
+    """
+    assert all(grid.keys() == point.keys() for point in alone)
+    fields = ("failed", "bit_errors", "nmse", "cond_effective")
+    for r, arrays in grid.items():
+        for field, got in zip(fields, arrays, strict=True):
+            want = np.array([[getattr(o, field) for o in point[r]] for point in alone])
+            if r == "VLC-KRF" and field == "nmse" and krf_nmse_rtol:
+                assert got.shape == want.shape, r
+                np.testing.assert_allclose(
+                    got, want, rtol=krf_nmse_rtol, atol=0.0, equal_nan=True, err_msg=r
+                )
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=f"{r} {field}", strict=True)
 
 
 # The tolerance on VLC-KRF's nmse where a grid takes the route: its fit
@@ -382,8 +388,8 @@ class TestSweepEngine:
     QLED = default_scenarios()["qled2x2-k12"]  # 6 trials per chunk of several points
 
     @staticmethod
-    def sweep_outcomes(monkeypatch, cfg, mode):
-        """Per point, the trial outcomes that ``run_sweep`` aggregated."""
+    def sweep_scores(monkeypatch, cfg, mode):
+        """Per receiver, the ``(points, trials)`` arrays that ``run_sweep`` aggregated."""
         returned = []
         run_grid = experiments._run_grid
 
@@ -428,7 +434,7 @@ class TestSweepEngine:
         # "one trial per chunk" gives a chunk of several points one trial
         if budget == "one trial per chunk":
             monkeypatch.setattr(experiments, "_CHUNK_BYTES", 2 * self.QLED.reception_bytes)
-        swept = self.sweep_outcomes(monkeypatch, cfg, mode)
+        swept = self.sweep_scores(monkeypatch, cfg, mode)
         if mode == "ber":
             alone = [(cfg.scenario, snr_db) for snr_db in cfg.snr_grid_db]
         else:
@@ -438,9 +444,8 @@ class TestSweepEngine:
             ]
         # a noisy BER grid of several points on one code takes the route
         routed = mode == "ber" and not cfg.noiseless
-        assert len(swept) == len(alone)
-        for point, (scenario, snr_db) in zip(swept, alone):
-            expected = run_point(
+        expected = [
+            run_point(
                 scenario,
                 math.inf if cfg.noiseless else snr_db,
                 cfg.n_trials,
@@ -448,21 +453,22 @@ class TestSweepEngine:
                 cfg.receivers,
                 cfg.channel_model,
             )
-            assert_outcomes_equal(point, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
+            for scenario, snr_db in alone
+        ]
+        assert_grid_equals_points(swept, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
 
     def test_wide_grid_equals_each_point_run_alone(self):
         # the 30-LED row of Table 2 over 0-12 dB: one trial per routed chunk
-        wide = TestChunkMemory.WIDE30
         grid = (0.0, 4.0, 8.0, 12.0)
-        code = build_dimming_matrix(wide.dimming_spec())
+        code = build_dimming_matrix(WIDE30.dimming_spec())
         points = [(code, code_inverse(code), snr_db) for snr_db in grid]
-        assert experiments._chunk_trials(wide, points) == 1
+        assert experiments._chunk_trials(WIDE30, points) == 1
+        constellation = default_constellation(WIDE30.k_t)
         routed = experiments._run_grid(
-            wide, points, 3, 20260814, ALL_RECEIVERS, "gaussian", default_constellation(wide.k_t)
+            WIDE30, points, 3, 20260814, ALL_RECEIVERS, "gaussian", constellation
         )
-        for got, snr_db in zip(routed, grid, strict=True):
-            want = run_point(wide, snr_db, 3, 20260814, ALL_RECEIVERS)
-            assert_outcomes_equal(got, want, ROUTE_KRF_NMSE_RTOL)
+        alone = [run_point(WIDE30, snr_db, 3, 20260814, ALL_RECEIVERS) for snr_db in grid]
+        assert_grid_equals_points(routed, alone, ROUTE_KRF_NMSE_RTOL)
 
     def test_snr_checks_run_at_every_point(self):
         # the received power is ~1e-303: its 20 dB noise variance is normal,
@@ -482,7 +488,8 @@ class TestRouteFallbacks:
     QLED = default_scenarios()["qled2x2-k12"]
 
     def run(self, monkeypatch, grid, n_trials, seed, receivers, detector):
-        """Per point, the routed and the alone outcomes, and the blocks the route formed."""
+        """The routed grid's arrays, checked against its points run alone, and how many
+        ``detector`` calls formed its open blocks."""
         code = build_dimming_matrix(self.QLED.dimming_spec())
         points = [(code, code_inverse(code), snr_db) for snr_db in grid]
         formed = []
@@ -494,8 +501,7 @@ class TestRouteFallbacks:
                 default_constellation(self.QLED.k_t),
             )
         alone = [run_point(self.QLED, snr_db, n_trials, seed, receivers) for snr_db in grid]
-        for got, want in zip(routed, alone, strict=True):
-            assert_outcomes_equal(got, want, ROUTE_KRF_NMSE_RTOL)
+        assert_grid_equals_points(routed, alone, ROUTE_KRF_NMSE_RTOL)
         return routed, len(formed)
 
     def test_ill_conditioned_plain_estimates(self, monkeypatch):
@@ -524,9 +530,9 @@ class TestRouteFallbacks:
         monkeypatch.setattr(receivers, "ZERO_RTOL", zero_rtol)
         monkeypatch.setattr(receivers, "GRID_RTOL", 0.01)
         routed, formed = self.run(monkeypatch, grid, 12, 41, (receiver,), detector)
-        failed = [t.failed for point in routed for t in point[receiver]]
-        assert 0 < sum(failed) < len(failed)
-        assert 0 < formed < len(failed)
+        failed = routed[receiver][0]
+        assert 0 < failed.sum() < failed.size
+        assert 0 < formed < failed.size
 
 
 class TestArrayBudget:
@@ -679,24 +685,25 @@ class TestSweeps:
 
 
 class TestAggregation:
+    # one point's (failed, errors, nmse, cond) over three trials of 100-bit blocks
     def test_failed_trials_carry_no_bits(self):
-        outcomes = [
-            TrialOutcome(bit_errors=3, n_bits=100, nmse=0.5, cond_effective=2.0),
-            TrialOutcome(bit_errors=0, n_bits=0, nmse=math.nan, cond_effective=9.0, failed=True),
-            TrialOutcome(bit_errors=1, n_bits=100, nmse=0.3, cond_effective=4.0),
-        ]
-        p = _aggregate(20.0, "ZF", outcomes)
+        score = (
+            np.array([False, True, False]),
+            np.array([3, 0, 1]),
+            np.array([0.5, math.nan, 0.3]),
+            np.array([2.0, 9.0, 4.0]),
+        )
+        p = _aggregate(20.0, "ZF", score, 100)
         assert p.n_bits == 200 and p.n_errors == 4
+        assert isinstance(p.n_bits, int) and isinstance(p.n_errors, int)
         assert p.ber == pytest.approx(0.02)
         assert p.nmse == pytest.approx(0.4)
         assert p.cond == pytest.approx(3.0)
         assert p.n_trials == 3 and p.failures == 1
 
     def test_all_failed_point(self):
-        outcomes = [
-            TrialOutcome(0, 0, math.nan, math.nan, failed=True) for _ in range(3)
-        ]
-        p = _aggregate(20.0, "ZF", outcomes)
+        score = (np.ones(3, dtype=bool), np.zeros(3, dtype=int), *np.full((2, 3), math.nan))
+        p = _aggregate(20.0, "ZF", score, 100)
         assert p.ber == 0.0 and p.n_bits == 0 and p.failures == 3
 
 
