@@ -312,46 +312,49 @@ def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, con
 
 
 def _run_formed(scenario, points, seeds, receivers, channel_model, constellation):
-    """``_run_chunk`` by forming every point's reception.
+    """A chunk of ``_run_grid`` by forming every point's reception.
 
     Each point forms its links (``_propagate``) and, from the clean
-    channels, its targets: the data reception, one matrix product, and the
-    pilot estimate, the point's own effective channel.  At the first noisy
-    point each trial draws its unit noise for each target, in that order.
-    A draw is kept only while a later point follows: a point before the
-    last adds it scaled into a one-trial temporary, and the last point
-    scales it in place.
+    channels, their targets: the data reception, one matrix product, and the
+    pilot estimate, the point's own effective channel, which shares the
+    reception's standard deviation.  At the first noisy point the unit
+    draws become one stream, for each target and within it for each trial.
+    The stream is kept only while a later point follows: a point before the
+    last adds each draw scaled into a one-trial temporary, and the last
+    point scales it in place.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    kept = []  # the unit draws by target, then trial, while a later point reads them
+    stream = None  # the unit draws by target, then trial, from the first noisy point on
     scores = []
     for i, (code, inverse, snr_db) in enumerate(points):
-        later = i + 1 < len(points)
+        later, noisy = i + 1 < len(points), not math.isinf(snr_db)
         links, conds = _propagate(gains, code, receivers)
-        received, targets = [], []
+        received, sds = [], []
         for e, link_code, pilot in links:
-            received += [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
-            targets += [(link_code, True)] + [(link_code, False)] * pilot
-        if not math.isinf(snr_db):  # noiseless: the clean arrays are received as they are
-            fresh, draws = not kept, iter(kept)
-            for target, (link_code, data) in zip(received, targets):
-                if data:  # before its noise; the link's pilot estimate, next, shares its sd
-                    power = received_power(target, gains, link_code, symbols)
-                    sd = np.sqrt(noise_variance(power, snr_db))
-                for t, rng in enumerate(rngs):
-                    if fresh:
-                        unit = draw_unit_noise(rng, scenario.n_rx, *target.shape[-2:])
-                    else:
-                        unit = next(draws)
+            clean = e @ symbols.swapaxes(-1, -2)
+            received += [clean] + [e] * pilot
+            if noisy:  # before any noise is added
+                power = received_power(clean, gains, link_code, symbols)
+                sds += [np.sqrt(noise_variance(power, snr_db))] * (1 + pilot)
+        del clean  # the list keeps the only references, for VLC-KRF to take
+        if noisy:  # noiseless: the clean arrays are received as they are
+            if stream is None:
+                # by shape: a lazy stream must not keep the reception that VLC-KRF frees
+                shapes = [target.shape[-2:] for target in received]
+                stream = (draw_unit_noise(rng, scenario.n_rx, *s) for s in shapes for rng in rngs)
+                if later:
+                    stream = list(stream)
+            draws = iter(stream)
+            for target, sd in zip(received, sds):
+                for t in range(len(target)):
+                    unit = next(draws)
                     if later:
                         add_stacked_noise(target[t], unit * sd[t])
-                        if fresh:
-                            kept.append(unit)
                     else:  # no later point reads the draw
                         unit *= sd[t]
                         add_stacked_noise(target[t], unit)
                     del unit  # before the next draw
-            del target  # the list keeps the only references, for VLC-KRF to take
+            del target
         scores.append(
             _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
         )
@@ -404,7 +407,7 @@ class _LinkProducts:
 
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
-    """``_run_chunk`` on a noisy grid on one code, without forming any point's reception.
+    """A chunk of ``_run_grid`` on a noisy grid on one code, without forming any point's reception.
 
     Every point reads the same clean links and unit draws and scales the
     draws by its own noise level, so each trial's draws are reduced once,
@@ -476,32 +479,6 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     return scores
 
 
-def _run_chunk(scenario, points, seeds, receivers, channel_model, constellation):
-    """Trials stacked along a leading axis, run at every point of a grid.
-
-    ``points`` lists ``(code, inverse, snr_db)``; the result is each
-    receiver's ``_score`` over ``(points, trials)``.  Each trial draws its
-    bits and channel from its own generator (see ``_draw_chunk``), and at
-    the first noisy point its unit noise for each target of each link of
-    ``_propagate``, in that order.  Each noisy point sets a link's noise
-    from the received power of its clean data reception
-    (``received_power``), and scales a trial's draw by that link's standard
-    deviation, which is the draw that ``Generator.normal`` makes at that
-    point alone (see ``channel.add_stacked_noise``), so its outcomes equal
-    its trials run one point at a time.  Everything but the draws and the
-    per-block mean squares runs once for the stack.
-
-    A noisy grid of two or more points on one code object (every BER sweep)
-    takes ``_run_route``; any other grid (an alpha sweep, whose points each
-    have their own code, a noiseless one, or one point) takes
-    ``_run_formed``.
-    """
-    code = points[0][0]
-    if len(points) > 1 and all(c is code and not math.isinf(snr) for c, _, snr in points):
-        return _run_route(scenario, points, seeds, receivers, channel_model, constellation)
-    return _run_formed(scenario, points, seeds, receivers, channel_model, constellation)
-
-
 # Bytes of a one-point chunk's stacked reception; a chunk of several points
 # stacks half as many trials, and every chunk at least one: 13 and 6 on the
 # QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
@@ -521,17 +498,35 @@ def _chunk_trials(scenario: SystemConfig, points) -> int:
 
 
 def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):
-    """Trials ``0 .. n_trials - 1`` at every point of ``points`` (see ``_run_chunk``).
+    """Trials ``0 .. n_trials - 1`` at every point of a grid, a chunk of trials at a time.
 
-    The result is each receiver's ``_score`` over ``(points, trials)``.
-    Trial t draws from ``derive_seed(base_seed, t)`` whatever the chunking,
-    so a chunk of trials equals the same trials run one at a time.
+    ``points`` lists ``(code, inverse, snr_db)``; the result is each
+    receiver's ``_score`` over ``(points, trials)``.  Trial t draws from
+    ``derive_seed(base_seed, t)`` whatever the chunking, so a chunk of
+    trials equals the same trials run one at a time.  Each trial draws its
+    bits and channel from its own generator (see ``_draw_chunk``), and at
+    the first noisy point its unit noise for each target of each link of
+    ``_propagate``, in that order.  Each noisy point sets a link's noise
+    from the received power of its clean data reception
+    (``received_power``), and scales a trial's draw by that link's standard
+    deviation, which is the draw that ``Generator.normal`` makes at that
+    point alone (see ``channel.add_stacked_noise``), so its outcomes equal
+    its trials run one point at a time.  Everything but the draws and the
+    per-block mean squares runs once for the stack.
+
+    The engine is chosen once for the grid: a noisy grid of two or more
+    points on one code object (every BER sweep) takes ``_run_route``; any
+    other grid (an alpha sweep, whose points each have their own code, a
+    noiseless one, or one point) takes ``_run_formed``.
     """
+    code = points[0][0]
+    routed = len(points) > 1 and all(c is code and not math.isinf(snr) for c, _, snr in points)
+    run = _run_route if routed else _run_formed
     size = _chunk_trials(scenario, points)
     chunks = []
     for start in range(0, n_trials, size):
         seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]
-        chunks.append(_run_chunk(scenario, points, seeds, receivers, channel_model, constellation))
+        chunks.append(run(scenario, points, seeds, receivers, channel_model, constellation))
     return {r: tuple(map(np.hstack, zip(*(chunk[r] for chunk in chunks)))) for r in receivers}
 
 
@@ -649,13 +644,8 @@ def run_sweep(
     ``alpha_sweep_snr_db``.  ``codes`` comes from ``sweep_codes``, which
     builds every point's code and checks the scenario's identifiability
     before any trial runs; without it this sweep calls ``sweep_codes``
-    itself.  Every point runs the same trials, so each trial is drawn once
-    for the whole grid: its bits, channel and unit noise, and in BER mode
-    its effective channels and cond too.  A noisy BER grid forms each
-    chunk's clean reception once, for each link's received power, and
-    detects its points from products of the draws (``_run_route``); any
-    other grid forms each point's reception (``_run_formed``).  Each point
-    scales the noise to its SNR.  The curves equal those of each point run
+    itself.  Every point runs the same trials, each drawn once for the whole
+    grid (see ``_run_grid``), so the curves equal those of each point run
     alone through ``run_point``.
     """
     points = _sweep_points(cfg, mode)

@@ -337,18 +337,15 @@ class TestChunkMemory:
             code = build_dimming_matrix(scenario.dimming_spec())
             points = [(code, code_inverse(code), snr_db) for snr_db in grid]
         assert experiments._chunk_trials(scenario, points) == n_trials
+        # one chunk: the grid's trials per chunk, from base seed 5
         args = (
-            scenario,
-            points,
-            [derive_seed(5, t) for t in range(n_trials)],
-            ALL_RECEIVERS,
-            "gaussian",
+            scenario, points, n_trials, 5, ALL_RECEIVERS, "gaussian",
             default_constellation(scenario.k_t),
         )
-        experiments._run_chunk(*args)  # warm: numpy's one-off allocations are not the chunk's
+        experiments._run_grid(*args)  # warm: numpy's one-off allocations are not the chunk's
         tracemalloc.start()
         try:
-            experiments._run_chunk(*args)
+            experiments._run_grid(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -415,9 +412,10 @@ class TestSweepEngine:
             ("ber", dict(receivers=ALL_RECEIVERS, snr_grid_db=(-5.0, 0.0, 4.0))),
             ("ber", dict(receivers=("ZF",))),
             ("ber", dict(receivers=("VLC-KRF",))),
+            ("alpha", dict(receivers=ALL_RECEIVERS, noiseless=True)),
         ],
         ids=["ber", "alpha", "noiseless", "plain-only", "diagonal", "low-snr", "zf-only",
-             "krf-only"],
+             "krf-only", "alpha-noiseless"],
     )
     def test_sweep_equals_each_point_run_alone(self, monkeypatch, mode, changes, budget):
         cfg = ExperimentConfig(
@@ -456,6 +454,37 @@ class TestSweepEngine:
             for scenario, snr_db in alone
         ]
         assert_grid_equals_points(swept, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
+
+    # an alpha grid is formed; its trials draw their unit noise at the first
+    # point only: one draw per trial for each target, the reception of each
+    # link and the pilot estimate of ZF and of plain CSK
+    @pytest.mark.parametrize(
+        "receivers,noiseless,n_targets",
+        [
+            (ALL_RECEIVERS, False, 4),
+            (("ZF", "VLC-KRF"), False, 2),
+            (("VLC-KRF",), False, 1),
+            (ALL_RECEIVERS, True, 0),
+        ],
+        ids=["all", "zf-krf", "krf-only", "noiseless"],
+    )
+    def test_formed_grid_draws_each_trial_once(self, monkeypatch, receivers, noiseless, n_targets):
+        cfg = ExperimentConfig(
+            scenario=self.QLED,
+            snr_grid_db=(8.0,),
+            alpha_grid=(0.2, 0.3, 0.4),
+            alpha_sweep_snr_db=8.0,
+            n_symbols_total=23 * self.QLED.block_len,
+            receivers=receivers,
+            noiseless=noiseless,
+        )
+        calls = []
+        draw = experiments.draw_unit_noise
+        monkeypatch.setattr(
+            experiments, "draw_unit_noise", lambda *args: calls.append(1) or draw(*args)
+        )
+        run_sweep(cfg, "alpha")
+        assert len(calls) == 23 * n_targets
 
     def test_wide_grid_equals_each_point_run_alone(self):
         # the 30-LED row of Table 2 over 0-12 dB: one trial per routed chunk
@@ -557,7 +586,7 @@ class TestArrayBudget:
 
     def test_runs_refuse_before_drawing(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", QLED12.reception_bytes - 1)
-        monkeypatch.setattr(experiments, "_run_chunk", None)  # any trial would fail here
+        monkeypatch.setattr(experiments, "_draw_chunk", None)  # any trial would fail here
         cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
         for run in (
             lambda: run_point(QLED12, 20.0, 2, 1),
@@ -653,7 +682,7 @@ class TestSweeps:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the feasibility check")
 
-        monkeypatch.setattr("dstc.experiments._run_chunk", no_trials)
+        monkeypatch.setattr("dstc.experiments._draw_chunk", no_trials)
         cfg = ExperimentConfig(
             scenario=dataclasses.replace(QLED12, alpha=0.7),
             snr_grid_db=(20.0,),
