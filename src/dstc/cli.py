@@ -41,9 +41,8 @@ from .experiments import (
     audit_power_color,
     check_scenario_identifiability,
     flatten_curves,
-    run_sweep,
+    run_sweeps,
     spectral_efficiency,
-    sweep_codes,
     write_curves_csv,
 )
 from .linalg import ArraySizeError, DegenerateInputError, SizeLimitError
@@ -202,13 +201,13 @@ def cmd_simulate(args) -> int:
     for path in [*(out / csv_name for _, csv_name, _ in sweeps), summary_path, manifest_path]:
         if path.exists():  # fail before the sweeps, as writing would; append changes nothing
             path.open("a").close()
-    # an infeasible depth or an unidentifiable scenario exits before any sweep
-    codes = sweep_codes(cfg, [mode for mode, _, _ in sweeps], constellation)
+    # every sweep runs before any file is written, so a run that raises writes none
+    results = run_sweeps(cfg, [mode for mode, _, _ in sweeps], constellation)
     outputs: list[Path] = []
     summary: list[str] = []
     degenerate = False
     for mode, csv_name, label in sweeps:
-        curves = run_sweep(cfg, mode, constellation, codes)
+        curves = results[mode]
         outputs.append(write_curves_csv(curves, out / csv_name))
         summary += _summary_lines(label, curves)
         degenerate |= _degenerate(curves)

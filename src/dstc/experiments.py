@@ -608,21 +608,26 @@ def _sweep_points(cfg: ExperimentConfig, mode: str) -> list[tuple[float, float, 
     raise ValueError(f"unknown sweep mode {mode!r}; expected 'ber' or 'alpha'")
 
 
-def sweep_codes(
+def run_sweeps(
     cfg: ExperimentConfig, modes, constellation: Constellation | None = None
-) -> dict[float, tuple]:
-    """``(code, inverse)`` of each dimming depth that the sweeps of ``modes`` run.
+) -> dict[str, dict[str, list[CurvePoint]]]:
+    """BER, channel-NMSE and conditioning curves of each sweep in ``modes``.
 
-    Every code is built here and then, if ZF or VLC-KRF is enabled, the
-    scenario's identifiability is checked once
-    (``check_scenario_identifiability``), so an infeasible depth in any of
-    the sweeps raises ``ConstraintViolationError``, and a scenario that
-    fails the check ``IdentifiabilityError``, before a trial of any of them
-    runs.
+    The result maps each mode to one list of points per receiver.  ``"ber"``
+    sweeps the SNR grid at the scenario's dimming depth, ``"alpha"`` sweeps
+    the dimming-depth grid at ``alpha_sweep_snr_db``.  Every depth's code is
+    built first and then, if ZF or VLC-KRF is enabled, the scenario's
+    identifiability is checked once (``check_scenario_identifiability``), so
+    an infeasible depth in any sweep raises ``ConstraintViolationError``, and
+    a scenario that fails the check ``IdentifiabilityError``, before a trial
+    of any sweep runs.  Every point runs the same trials, each drawn once for
+    its whole grid (see ``_run_grid``), so the curves equal those of each
+    point run alone through ``run_point``.
     """
     cfg.scenario.check_size()  # every point shares the scenario's array sizes
+    sweeps = {mode: _sweep_points(cfg, mode) for mode in modes}
     codes = {}
-    for alpha in (point[2] for mode in modes for point in _sweep_points(cfg, mode)):
+    for alpha in (point[2] for points in sweeps.values() for point in points):
         if alpha not in codes:
             scenario = dataclasses.replace(cfg.scenario, alpha=alpha)
             code = build_dimming_matrix(scenario.dimming_spec())
@@ -631,42 +636,27 @@ def sweep_codes(
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(f"scenario fails the k-rank sum condition: {report}")
-    return codes
-
-
-def run_sweep(
-    cfg: ExperimentConfig, mode: str, constellation: Constellation | None = None, codes=None
-) -> dict[str, list[CurvePoint]]:
-    """BER, channel-NMSE and conditioning curves, one list per receiver.
-
-    ``mode`` picks the axis: ``"ber"`` sweeps the SNR grid at the scenario's
-    dimming depth, ``"alpha"`` sweeps the dimming-depth grid at
-    ``alpha_sweep_snr_db``.  ``codes`` comes from ``sweep_codes``, which
-    builds every point's code and checks the scenario's identifiability
-    before any trial runs; without it this sweep calls ``sweep_codes``
-    itself.  Every point runs the same trials, each drawn once for the whole
-    grid (see ``_run_grid``), so the curves equal those of each point run
-    alone through ``run_point``.
-    """
-    points = _sweep_points(cfg, mode)
-    codes = codes or sweep_codes(cfg, (mode,), constellation)
-    grid = [(*codes[alpha], math.inf if cfg.noiseless else snr_db) for _, snr_db, alpha in points]
-    results = _run_grid(
-        cfg.scenario,
-        grid,
-        cfg.n_trials,
-        cfg.base_seed,
-        cfg.receivers,
-        cfg.channel_model,
-        constellation or default_constellation(cfg.scenario.k_t),
-    )
-    return {
-        r: [
-            _aggregate(x, r, point, cfg.scenario.payload_bits)
-            for (x, _, _), point in zip(points, zip(*results[r]))
-        ]
-        for r in cfg.receivers
-    }
+    constellation = constellation or default_constellation(cfg.scenario.k_t)
+    curves = {}
+    for mode, points in sweeps.items():
+        grid = [(*codes[a], math.inf if cfg.noiseless else snr_db) for _, snr_db, a in points]
+        results = _run_grid(
+            cfg.scenario,
+            grid,
+            cfg.n_trials,
+            cfg.base_seed,
+            cfg.receivers,
+            cfg.channel_model,
+            constellation,
+        )
+        curves[mode] = {
+            r: [
+                _aggregate(x, r, point, cfg.scenario.payload_bits)
+                for (x, _, _), point in zip(points, zip(*results[r]))
+            ]
+            for r in cfg.receivers
+        }
+    return curves
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dstc.experiments import (
     check_scenario_identifiability,
     default_scenarios,
     run_point,
-    run_sweep,
+    run_sweeps,
 )
 from dstc.identifiability import check_uniqueness
 from dstc.receivers import code_inverse, krf_detect, zf_detect
@@ -314,7 +314,7 @@ def test_06c_dstc_beats_plain_csk_everywhere():
             base_seed=BASE_SEED,
             receivers=("ZF", "VLC-KRF", "plain-CSK"),
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
     margins = []
     ok = True
     for i in range(len(grid)):
@@ -369,7 +369,7 @@ def test_08_alpha_sweep_conditioning_and_ber():
             base_seed=BASE_SEED,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_sweep(cfg, "alpha")
+        curves = run_sweeps(cfg, ("alpha",))["alpha"]
     conds = [p.cond for p in curves["ZF"]]
     ok = all(a > b for a, b in zip(conds, conds[1:]))
     for r in ("ZF", "VLC-KRF"):

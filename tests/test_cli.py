@@ -282,9 +282,9 @@ class TestSimulate:
         taken = tmp_path / "out" / "summary.txt"
         taken.mkdir(parents=True)
         sweeps = []
-        real_run_sweep = dstc.cli.run_sweep
+        real_run_sweeps = dstc.cli.run_sweeps
         monkeypatch.setattr(
-            "dstc.cli.run_sweep", lambda *args: sweeps.append(args) or real_run_sweep(*args)
+            "dstc.cli.run_sweeps", lambda *args: sweeps.append(args) or real_run_sweeps(*args)
         )
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -429,6 +429,21 @@ class TestSimulate:
         assert err.count("\n") == 1 and "noise variance underflows at 60 dB" in err
         assert "Traceback" not in err
         assert not (out / "ber_nmse.csv").exists()
+
+    def test_failure_in_a_later_sweep_writes_no_csv(self, tmp_path, capsys):
+        # mode = both: the BER sweep at 20 dB succeeds, the alpha sweep at 60 dB underflows
+        text = (
+            SMALL_SIM.replace("p_m = 0.5\nalpha = 0.4", "p_m = 1e-152\nalpha = 1e-152")
+            .replace("mode = ber", "mode = both")
+            .replace("snr_grid_db = 10 20", "snr_grid_db = 20")
+        )
+        text += "alpha_grid = 1e-152\nalpha_sweep_snr_db = 60\n"
+        cfg = write_cfg(tmp_path / "sim.cfg", text)
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise variance underflows at 60 dB" in err
+        assert list(out.glob("*.csv")) == []
 
     def test_repeated_receiver_exits_1_with_one_line(self, tmp_path, capsys):
         # a receiver listed twice would pool its trials twice into one curve

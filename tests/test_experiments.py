@@ -32,7 +32,7 @@ from dstc.experiments import (
     default_scenarios,
     flatten_curves,
     run_point,
-    run_sweep,
+    run_sweeps,
     spectral_efficiency,
     write_curves_csv,
 )
@@ -386,7 +386,7 @@ class TestSweepEngine:
 
     @staticmethod
     def sweep_scores(monkeypatch, cfg, mode):
-        """Per receiver, the ``(points, trials)`` arrays that ``run_sweep`` aggregated."""
+        """Per receiver, the ``(points, trials)`` arrays behind ``run_sweeps``'s ``mode`` curves."""
         returned = []
         run_grid = experiments._run_grid
 
@@ -396,8 +396,8 @@ class TestSweepEngine:
 
         with monkeypatch.context() as m:
             m.setattr(experiments, "_run_grid", recording)
-            run_sweep(cfg, mode)
-        return returned[-1]  # the outermost call returns last
+            run_sweeps(cfg, (mode,))
+        return returned[-1]  # the sweep's one grid
 
     # 23 trials leave a partial last chunk at 6 trials per chunk
     @pytest.mark.parametrize("budget", ["default", "one trial per chunk"])
@@ -483,7 +483,7 @@ class TestSweepEngine:
         monkeypatch.setattr(
             experiments, "draw_unit_noise", lambda *args: calls.append(1) or draw(*args)
         )
-        run_sweep(cfg, "alpha")
+        run_sweeps(cfg, ("alpha",))
         assert len(calls) == 23 * n_targets
 
     def test_wide_grid_equals_each_point_run_alone(self):
@@ -508,7 +508,7 @@ class TestSweepEngine:
         cfg = ExperimentConfig(scenario=dim, snr_grid_db=(20.0, 60.0), n_symbols_total=250)
         run_point(dim, 20.0, cfg.n_trials, cfg.base_seed)
         with pytest.raises(DegenerateInputError, match="underflows at 60 dB"):
-            run_sweep(cfg, "ber")
+            run_sweeps(cfg, ("ber",))
 
 
 class TestRouteFallbacks:
@@ -590,7 +590,7 @@ class TestArrayBudget:
         cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
         for run in (
             lambda: run_point(QLED12, 20.0, 2, 1),
-            lambda: run_sweep(cfg, "ber"),
+            lambda: run_sweeps(cfg, ("ber",)),
             lambda: check_scenario_identifiability(cfg),
         ):
             with pytest.raises(linalg.ArraySizeError, match="stacked reception"):
@@ -608,6 +608,26 @@ class TestArrayBudget:
 
 
 class TestSweeps:
+    def test_one_call_equals_each_mode_alone(self, monkeypatch):
+        cfg = ExperimentConfig(
+            scenario=default_scenarios()["qled2x2-k12"],
+            snr_grid_db=(10.0, 20.0),
+            n_symbols_total=500,
+            receivers=ALL_RECEIVERS,
+            base_seed=11,
+        )
+        alone = {mode: run_sweeps(cfg, (mode,))[mode] for mode in ("ber", "alpha")}
+        depths = []
+        build = experiments.build_dimming_matrix
+        monkeypatch.setattr(
+            experiments,
+            "build_dimming_matrix",
+            lambda spec: depths.append(spec.alpha) or build(spec),
+        )
+        assert run_sweeps(cfg, ("ber", "alpha")) == alone
+        # each depth's code once, then the identifiability check's
+        assert depths == [0.4, 0.1, 0.2, 0.3, 0.5, 0.4]
+
     def test_noiseless_sweep_has_zero_ber(self):
         cfg = ExperimentConfig(
             scenario=QLED12,
@@ -616,7 +636,7 @@ class TestSweeps:
             receivers=("ZF", "VLC-KRF"),
             noiseless=True,
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
         for pts in curves.values():
             for p in pts:
                 assert p.ber == 0.0 and p.n_errors == 0 and p.failures == 0
@@ -625,7 +645,7 @@ class TestSweeps:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(14.0,), n_symbols_total=500, base_seed=11
         )
-        assert run_sweep(cfg, "ber") == run_sweep(cfg, "ber")
+        assert run_sweeps(cfg, ("ber",)) == run_sweeps(cfg, ("ber",))
 
     def test_channels_are_paired_across_points(self):
         # same trial seeds at every sweep point: identical channel draws,
@@ -633,7 +653,7 @@ class TestSweeps:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(10.0, 30.0), n_symbols_total=500, base_seed=2
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
         assert curves["ZF"][0].cond == curves["ZF"][1].cond
 
     def test_ber_nonincreasing_in_snr(self):
@@ -644,7 +664,7 @@ class TestSweeps:
             base_seed=13,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
         for r, pts in curves.items():
             bers = [p.ber for p in pts]
             inversions = sum(1 for a, b in zip(bers, bers[1:]) if b > a)
@@ -656,9 +676,9 @@ class TestSweeps:
         cfg = ExperimentConfig(scenario=starved, snr_grid_db=(20.0,), n_symbols_total=10)
         assert not check_scenario_identifiability(cfg).unique
         with pytest.raises(IdentifiabilityError):
-            run_sweep(cfg, "ber")
+            run_sweeps(cfg, ("ber",))
         with pytest.raises(IdentifiabilityError):
-            run_sweep(cfg, "alpha")
+            run_sweeps(cfg, ("alpha",))
 
     def test_plain_only_sweep_skips_identifiability(self):
         starved = SystemConfig(k_t=4, l_t=2, k_r=4, l_r=2, n_states=12, block_len=2)
@@ -668,7 +688,7 @@ class TestSweeps:
             n_symbols_total=10,
             receivers=("plain-CSK",),
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
         assert curves["plain-CSK"][0].n_trials == 5
 
     def test_alpha_zero_rejected_before_running(self):
@@ -676,7 +696,7 @@ class TestSweeps:
             scenario=QLED12, snr_grid_db=(20.0,), alpha_grid=(0.0, 0.4), n_symbols_total=500
         )
         with pytest.raises(ConstraintViolationError):
-            run_sweep(cfg, "alpha")
+            run_sweeps(cfg, ("alpha",))
 
     def test_infeasible_code_rejected_before_any_trial_in_ber_mode(self, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -690,12 +710,12 @@ class TestSweeps:
             receivers=("plain-CSK",),
         )
         with pytest.raises(ConstraintViolationError):
-            run_sweep(cfg, "ber")
+            run_sweeps(cfg, ("ber",))
 
     def test_unknown_mode_rejected(self):
         cfg = ExperimentConfig(scenario=QLED12, snr_grid_db=(20.0,), n_symbols_total=500)
         with pytest.raises(ValueError, match="sweep mode"):
-            run_sweep(cfg, "snr")
+            run_sweeps(cfg, ("snr",))
 
     def test_alpha_sweep_spans_full_depth(self):
         cfg = ExperimentConfig(
@@ -705,7 +725,7 @@ class TestSweeps:
             n_symbols_total=500,
             receivers=("ZF", "VLC-KRF"),
         )
-        curves = run_sweep(cfg, "alpha")
+        curves = run_sweeps(cfg, ("alpha",))["alpha"]
         for pts in curves.values():
             assert [p.x for p in pts] == [0.1, 0.5]
             assert all(p.failures == 0 for p in pts)
@@ -745,7 +765,7 @@ class TestCsvOutput:
             base_seed=4,
             receivers=("ZF", "VLC-KRF"),
         )
-        return run_sweep(cfg, "ber")
+        return run_sweeps(cfg, ("ber",))["ber"]
 
     def test_header_and_rows(self, tmp_path):
         curves = self._small_curves()
@@ -835,7 +855,7 @@ class TestCurvePointInvariants:
         cfg = ExperimentConfig(
             scenario=QLED12, snr_grid_db=(6.0,), n_symbols_total=2_500, base_seed=21
         )
-        curves = run_sweep(cfg, "ber")
+        curves = run_sweeps(cfg, ("ber",))["ber"]
         for pts in curves.values():
             p = pts[0]
             assert p.ber == p.n_errors / p.n_bits
