@@ -209,17 +209,16 @@ class TestSimulate:
         assert digests == pinned
 
     @staticmethod
-    def run_qled2x2(tmp_path, channel_model, *flags):
-        """SHA-256 of (ber_nmse.csv, summary.txt) of configs/qled2x2.cfg on ``channel_model``."""
-        text, key = Path("configs/qled2x2.cfg").read_text(), "channel_model = "
+    def run_qled2x2(tmp_path, channel_model, *flags, name="qled2x2", csv_name="ber_nmse.csv"):
+        """SHA-256 of (``csv_name``, summary.txt) of configs/``name``.cfg on ``channel_model``."""
+        text, key = Path(f"configs/{name}.cfg").read_text(), "channel_model = "
         assert text.count(key + "gaussian") == 1
         cfg = tmp_path / f"{channel_model}.cfg"
         cfg.write_text(text.replace(key + "gaussian", key + channel_model))
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
         return [
-            hashlib.sha256((out / f).read_bytes()).hexdigest()
-            for f in ("ber_nmse.csv", "summary.txt")
+            hashlib.sha256((out / f).read_bytes()).hexdigest() for f in (csv_name, "summary.txt")
         ]
 
     def test_diagonal_variant_is_pinned(self, tmp_path, capsys):
@@ -249,6 +248,26 @@ class TestSimulate:
     def test_qled2x2_at_seed_7_is_pinned(self, channel_model, tmp_path, capsys):
         pinned = self.PINNED_SEED_7[channel_model]
         assert self.run_qled2x2(tmp_path, channel_model, "--seed", "7") == pinned
+
+    # the bundled alpha_qled2x2 config at --seed 7: five dimming depths at 20 dB
+    PINNED_ALPHA_SEED_7 = {
+        "gaussian": [
+            "102c7a90457a417bab3d028f97222371aaafa16317f627075f20beed457fe0d0",
+            "bacd0cec134d44e72f9319c2ba552f64a783994f52ae1f67534a5c8129f45ba9",
+        ],
+        "diagonal": [
+            "52edd89957f83e86b63bd048c084d151436f358f9badeaefdce1739853245977",
+            "80ad258705c7df55b3b0f0e9594c802420065463ec7502c548f291df60e8385f",
+        ],
+    }
+
+    @pytest.mark.parametrize("channel_model", sorted(PINNED_ALPHA_SEED_7))
+    def test_alpha_qled2x2_at_seed_7_is_pinned(self, channel_model, tmp_path, capsys):
+        digests = self.run_qled2x2(
+            tmp_path, channel_model, "--seed", "7", name="alpha_qled2x2",
+            csv_name="alpha_sweep.csv",
+        )
+        assert digests == self.PINNED_ALPHA_SEED_7[channel_model]
 
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
