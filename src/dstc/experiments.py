@@ -8,13 +8,16 @@ channel and payload, and paired runs that share a base seed stay paired
 across sweeps.  Since every point draws the same trials (common random
 numbers), a sweep draws each trial once: its bits, channel and unit noise,
 which each point scales to the noise level that its own clean reception's
-power sets.  The results equal those of each point run alone.
+power sets.  Every dimming depth's code mixes the same two depth-free
+pieces, so a dimming-depth sweep reads each trial's draws at every depth
+too.  The results equal those of each point run alone.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,171 +314,230 @@ def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, con
     return {r: _score(e, bits, gains, conds[r], constellation) for r, e in estimates.items()}
 
 
-def _run_formed(scenario, points, seeds, receivers, channel_model, constellation):
-    """A chunk of ``_run_grid`` by forming every point's reception.
+def _add_noise(targets, sd, rngs, n_rx: int) -> None:
+    """Add to each trial of each target its unit draw, scaled in place by the trial's ``sd``.
+
+    Each trial draws from its own generator, so it draws its targets in the
+    order given, whatever the order of the trials.
+    """
+    for target in targets:
+        for t, rng in enumerate(rngs):
+            unit = draw_unit_noise(rng, n_rx, *target.shape[-2:])
+            unit *= sd[t]
+            add_stacked_noise(target[t], unit)
+            del unit  # before the next draw
+
+
+def _run_formed(scenario, points, seeds, receivers, channel_model, constellation, drawn=None):
+    """A chunk of ``_run_grid`` on one point or a noiseless grid, by forming each point's reception.
 
     Each point forms its links (``_propagate``) and, from the clean
     channels, their targets: the data reception, one matrix product, and the
     pilot estimate, the point's own effective channel, which shares the
-    reception's standard deviation.  At the first noisy point the unit
-    draws become one stream, for each target and within it for each trial.
-    The stream is kept only while a later point follows: a point before the
-    last adds each draw scaled into a one-trial temporary, and the last
-    point scales it in place.
+    reception's standard deviation.  A noisy point, the grid's only one,
+    adds each trial's unit draws to its targets as they are drawn.  The
+    trials draw as a grid of the ``drawn`` receivers does (by default
+    ``receivers``), and only ``receivers`` are detected: plain CSK's draws
+    follow ZF's pilot, so a grid of both that forms plain CSK alone draws
+    ZF's pilot estimate and drops it.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    stream = None  # the unit draws by target, then trial, from the first noisy point on
+    drawn = drawn or receivers
     scores = []
-    for i, (code, inverse, snr_db) in enumerate(points):
-        later, noisy = i + 1 < len(points), not math.isinf(snr_db)
-        links, conds = _propagate(gains, code, receivers)
-        received, sds = [], []
+    for code, inverse, snr_db in points:
+        links, conds = _propagate(gains, code, drawn)
+        received = []
         for e, link_code, pilot in links:
-            clean = e @ symbols.swapaxes(-1, -2)
-            received += [clean] + [e] * pilot
-            if noisy:  # before any noise is added
-                power = received_power(clean, gains, link_code, symbols)
-                sds += [np.sqrt(noise_variance(power, snr_db))] * (1 + pilot)
-        del clean  # the list keeps the only references, for VLC-KRF to take
-        if noisy:  # noiseless: the clean arrays are received as they are
-            if stream is None:
-                # by shape: a lazy stream must not keep the reception that VLC-KRF frees
-                shapes = [target.shape[-2:] for target in received]
-                stream = (draw_unit_noise(rng, scenario.n_rx, *s) for s in shapes for rng in rngs)
-                if later:
-                    stream = list(stream)
-            draws = iter(stream)
-            for target, sd in zip(received, sds):
-                for t in range(len(target)):
-                    unit = next(draws)
-                    if later:
-                        add_stacked_noise(target[t], unit * sd[t])
-                    else:  # no later point reads the draw
-                        unit *= sd[t]
-                        add_stacked_noise(target[t], unit)
-                    del unit  # before the next draw
-            del target
+            targets = [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
+            if not math.isinf(snr_db):  # the power of the clean reception, before any noise
+                power = received_power(targets[0], gains, link_code, symbols)
+                _add_noise(targets, np.sqrt(noise_variance(power, snr_db)), rngs, scenario.n_rx)
+            received += targets
+        del targets  # the list keeps the only references, for VLC-KRF to take
+        if RECEIVER_ZF in drawn and RECEIVER_ZF not in receivers:
+            del received[1]  # ZF's pilot estimate
         scores.append(
             _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
         )
     return {r: tuple(map(np.vstack, zip(*(point[r] for point in scores)))) for r in receivers}
 
 
-class _LinkProducts:
-    """One link's draws of a chunk, reduced as they are drawn to what every point detects from.
+def _clean_link(effective, code, gains, symbols):
+    """A link's received power (``received_power``) and the largest |entry| of its clean reception.
 
-    ``effective`` ``(trials, rows, n_tx)`` is the link's effective channel
-    and ``code`` its code.  Its clean reception ``Y0`` sets its received
-    power (``received_power``) and is not kept.  Where ``pilot`` (ZF, plain
-    CSK) each trial's reception and pilot draws ``N`` and ``P`` reduce to
-    ``E.T @ N`` and ``P.T @ N``, which ``receivers.zf_detect_grid`` reads;
-    where ``inverse`` is given (VLC-KRF), ``N`` reduces to ``inverse``
-    applied to its state blocks, which ``receivers.krf_detect_grid`` reads.
+    The clean reception ``effective @ symbols.T`` is formed as a point run
+    alone forms it, and is not kept.
+    """
+    clean = effective @ symbols.swapaxes(-1, -2)
+    peak = np.maximum(clean.max(axis=(-2, -1)), -clean.min(axis=(-2, -1)))
+    return received_power(clean, gains, code, symbols), peak
+
+
+class _LinkProducts:
+    """One link's draws of a chunk, reduced as they are drawn to products that no point changes.
+
+    ``effective`` ``(trials, rows, n_tx)`` is the link's effective channel,
+    which only plain CSK keeps.  Each trial's reception draw ``N`` ``(rows,
+    n_slots)`` keeps ``max|N|`` and ``||N||``, and where ``pilot`` (ZF,
+    plain CSK), the pilot draw ``P`` and ``P.T @ N``.  ``products`` holds ``(E.T @ N, P.T @ N)``, which
+    ``receivers.zf_detect_grid`` reads.  Plain CSK's link has one code, so
+    it takes ``E.T @ N`` as drawn.  The dimming code's link, where
+    ``mixing`` ``W`` is given, reduces ``N`` over its state blocks to
+    ``states = W @ N`` instead, and ``at`` takes each code's products from
+    it.
     """
 
-    def __init__(self, effective, code, pilot, inverse, gains, symbols, n_rx):
-        self.effective, self.code, self.inverse = effective, code, inverse
-        self.symbols, self.n_rx = symbols, n_rx
-        clean = effective @ symbols.swapaxes(-1, -2)
-        self.power = received_power(clean, gains, code, symbols)
-        peak = np.maximum(clean.max(axis=(-2, -1)), -clean.min(axis=(-2, -1)))
-        n_trials, (rows, n_slots) = len(clean), clean.shape[-2:]
-        del clean
-        n_tx = effective.shape[-1]
-        self.pilot = self.residual = None
-        if pilot:
-            self.pilot = np.empty_like(effective)
-            self.products = np.empty((2, n_trials, n_tx, n_slots))
-            self.peaks = (peak, np.empty(n_trials))
-        if inverse is not None:
-            self.residual = np.empty((n_trials, n_tx, n_rx, n_slots))
-            self.norms = (np.sqrt(self.power * rows * n_slots), np.empty(n_trials))
+    def __init__(self, effective, pilot, mixing, n_rx, n_slots):
+        n_trials, rows, n_tx = effective.shape
+        self.shape, self.mixing, self.n_rx, self.n_slots = (rows, n_tx), mixing, n_rx, n_slots
+        self.effective = effective if pilot and mixing is None else None
+        self.code = self.residual = None
+        self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
+        self.pilot = np.empty_like(effective) if pilot else None
+        self.products = np.empty((2, n_trials, n_tx, n_slots)) if pilot else None
+        if mixing is not None:
+            self.states = np.empty((n_trials, len(mixing), rows // mixing.shape[1] * n_slots))
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
         """Take trial ``t``'s draws from its generator: the reception's noise, then the pilots'."""
-        effective, symbols = self.effective[t], self.symbols[t]
-        noise = stack_noise(draw_unit_noise(rng, self.n_rx, len(effective), len(symbols)))
-        if self.residual is not None:
-            residual = self.residual[t].reshape(len(self.inverse), -1)
-            np.matmul(self.inverse, noise.reshape(len(self.code), -1), out=residual)
-            self.norms[1][t] = np.linalg.norm(noise)
+        rows, n_tx = self.shape
+        noise = stack_noise(draw_unit_noise(rng, self.n_rx, rows, self.n_slots))
+        self.peaks[t], self.norms[t] = max(noise.max(), -noise.min()), np.linalg.norm(noise)
+        if self.mixing is not None:
+            np.matmul(self.mixing, noise.reshape(self.mixing.shape[1], -1), out=self.states[t])
         if self.pilot is not None:
-            self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, *effective.shape))
-            np.matmul(effective.T, noise, out=self.products[0, t])
+            self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, rows, n_tx))
+            if self.mixing is None:
+                np.matmul(self.effective[t].T, noise, out=self.products[0, t])
             np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
-            self.peaks[1][t] = max(noise.max(), -noise.min())
+
+    def at(self, code, inverse, gains, last: bool) -> None:
+        """Take the dimming code's link to ``code``, from its ``states``, which go at the ``last`` code.
+
+        ``W @ W.T = K * I``, and every row of ``code.T`` and of its
+        pseudoinverse ``inverse`` lies in ``W``'s row space, so ``code.T @
+        N`` is ``(code.T @ W.T / K) @ states``, and row j of ``E.T @ N`` is
+        ``g_j.T`` times its block j.  Where ``inverse`` is given (VLC-KRF),
+        ``residual``, which ``receivers.krf_detect_grid`` reads, is
+        ``(inverse @ W.T / K) @ states``.
+        """
+        self.code, self.inverse = code, inverse
+        to_states = self.mixing.T / self.mixing.shape[1]
+        if self.residual is None:  # after the draws: one buffer for every code
+            self.residual = np.empty((len(gains), code.shape[1], self.n_rx, self.n_slots))
+        by_led = self.residual.reshape(self.states.shape[0], code.shape[1], -1)
+        if self.pilot is not None:
+            np.matmul(code.T @ to_states, self.states, out=by_led)
+            g = gains.swapaxes(-1, -2)[..., None, :]
+            np.matmul(g, self.residual, out=self.products[0][..., None, :])
+        if inverse is not None:
+            np.matmul(inverse @ to_states, self.states, out=by_led)
+        if last:
+            del self.states
 
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
-    """A chunk of ``_run_grid`` on a noisy grid on one code, without forming any point's reception.
+    """A chunk of ``_run_grid`` on a noisy grid of several points, without forming any reception.
 
-    Every point reads the same clean links and unit draws and scales the
-    draws by its own noise level, so each trial's draws are reduced once,
-    as they are drawn, to products that do not depend on the scale
-    (``_LinkProducts``).  Then the points are detected a group at a time,
-    in one batched pass per receiver (``receivers.zf_detect_grid``,
-    ``receivers.krf_detect_grid``), and scored.  A block that those leave
-    open takes its scores from ``_run_formed``, run once, after the
-    products are freed, on the points with an open block, the trials open
-    at any of them and the receivers with an open block (and ZF with plain
-    CSK, whose draws follow ZF's).
+    The points may share one code (a BER sweep) or each have their own (an
+    alpha sweep).  Every point reads the same clean channels and unit draws
+    and scales the draws by its own noise level, so each trial's draws are
+    reduced once, as they are drawn, to products that neither the scale nor
+    the depth changes (``_LinkProducts``).  Every code of a grid is ``p_m +
+    alpha * B`` with the same columns ``B`` of +-1 (``build_dimming_matrix``
+    at each depth), which are orthogonal and sum to zero, so ``W = [1.T;
+    B.T]``, with ``B = sign(code - p_m)``, has ``W @ W.T = K * I``.  Each
+    code's products are mixed from ``W @ N`` (``_LinkProducts.at``); its
+    VLC-KRF residual is within about 1e-15 relative of ``inverse @ N``, far
+    inside ``receivers.GRID_RTOL``.  Each code keeps its own clean reception's
+    power, so every point's noise level is the one it has alone.  The points
+    are then detected a group at a time, in one batched pass per receiver
+    (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``), and
+    scored; a group holds consecutive points on one code.  A block that
+    those leave open takes its scores from ``_run_formed``, after the
+    products are freed, one point at a time, on the point's open trials and
+    open receivers.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    code, inverse = points[0][:2]
-    links, conds = _propagate(gains, code, receivers)
-    links = [
-        _LinkProducts(
-            e, c, pilot, inverse if c is code and RECEIVER_KRF in receivers else None,
-            gains, symbols, scenario.n_rx,
-        )
-        for e, c, pilot in links
+    first = points[0][0]
+    links, conds = _propagate(gains, first, receivers)
+    on_code = tuple(r for r in receivers if r != RECEIVER_PLAIN)  # they read the dimming code
+    # each code once, in grid order: its conds and its clean link's power and peak
+    clean = {}
+    for code, *_ in points:
+        if id(code) not in clean:
+            found, found_conds = (links, conds) if code is first else _propagate(gains, code, on_code)
+            clean[id(code)] = ({r: found_conds[r] for r in on_code}, *_clean_link(
+                found[0][0], code, gains, symbols
+            ))
+    del found
+    n_rx, n_slots = scenario.n_rx, scenario.block_len
+    mixing = np.vstack([np.ones(len(first)), np.sign(first - scenario.p_m).T]) if on_code else None
+    coded = _LinkProducts(links[0][0], links[0][2], mixing, n_rx, n_slots)
+    # plain CSK's link, if enabled, is the same at every point: its draws, channel, code, power, peak
+    plain = [
+        (_LinkProducts(e, True, None, n_rx, n_slots), e, c, *_clean_link(e, c, gains, symbols))
+        for e, c, _ in links[1:]
     ]
-    # every point's sd per link, checked point by point as a point run alone checks it
-    sds = np.array(
-        [[np.sqrt(noise_variance(link.power, snr_db)) for link in links] for *_, snr_db in points]
-    )
+    del links
     for t, rng in enumerate(rngs):
-        for link in links:
+        for link in (coded, *(p[0] for p in plain)):
             link.draw(t, rng)
-    coded, plain = links[0], links[-1]  # the dimming code's link, then plain CSK's if enabled
-    # the points are detected and scored a group at a time: a group's largest
-    # arrays (per point, receiver and trial, ZF's rows x n_tx estimate or a
-    # block_len x n_tx symbol estimate) stay within a quarter of the chunk's
-    # rows x block_len reception, and scoring them holds about four such arrays
+    # a group's largest arrays (per point, receiver and trial, ZF's rows x
+    # n_tx estimate or a block_len x n_tx symbol estimate) stay within a
+    # quarter of the chunk's rows x block_len reception, and scoring them
+    # holds about four such arrays
     size = max(1, min(scenario.n_states * scenario.n_rx, scenario.block_len) // (4 * scenario.n_tx))
+    runs = [list(run) for _, run in itertools.groupby(range(len(points)), lambda i: id(points[i][0]))]
+    entries = scenario.n_states * n_rx * n_slots  # of one trial's reception
     scores = {r: [] for r in receivers}
-    for group in np.array_split(sds, -(-len(points) // size)):
+    for group in (g for run in runs for g in np.array_split(run, -(-len(run) // size))):
+        code, inverse = points[group[0]][:2]
+        code_conds, power, peak = clean[id(code)]
+        if on_code and code is not coded.code:
+            inverse = inverse if RECEIVER_KRF in receivers else None
+            coded.at(code, inverse, gains, all(c is code for c, *_ in points[group[0]:]))
+        conds.update(code_conds)
+        # each point's sd per link, checked point by point as a point run alone checks it
+        powers = [power] + [plain_power for *_, plain_power, _ in plain]
+        sds = np.array([[np.sqrt(noise_variance(p, points[i][2])) for p in powers] for i in group])
         for r in receivers:
             if r == RECEIVER_KRF:
+                norms = (np.sqrt(power * entries), coded.norms)
                 result = krf_detect_grid(
-                    gains, symbols, coded.residual, inverse, coded.norms, group[:, 0],
-                    symbols[:, 0],
+                    gains, symbols, coded.residual, coded.inverse, norms, sds[:, 0], symbols[:, 0]
+                )
+            elif r == RECEIVER_ZF:
+                result = zf_detect_grid(
+                    effective_channel(gains, code), coded.pilot, symbols, coded.products,
+                    (peak, coded.peaks), sds[:, 0], code,
                 )
             else:
-                link, sd = (plain, group[:, -1]) if r == RECEIVER_PLAIN else (coded, group[:, 0])
+                link, e, c, _, plain_peak = plain[0]
                 result = zf_detect_grid(
-                    link.effective, link.pilot, symbols, link.products, link.peaks, sd, link.code
+                    e, link.pilot, symbols, link.products, (plain_peak, link.peaks), sds[:, -1], c
                 )
             scores[r].append(_score(result, bits, gains, conds[r], constellation))
             del result
-    del links, link, coded, plain  # the products, before any block is formed
+    del coded, plain, link  # the products, before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
-    open_ = {r: score[0] for r, score in scores.items() if score[0].any()}
-    if not open_:
-        return scores
-    if RECEIVER_PLAIN in open_ and RECEIVER_ZF in receivers:  # ZF's pilots are drawn first
-        open_.setdefault(RECEIVER_ZF, scores[RECEIVER_ZF][0])
-    either = np.any(list(open_.values()), axis=0)
-    rows, trials = np.flatnonzero(either.any(axis=1)), np.flatnonzero(either.any(axis=0))
-    formed = _run_formed(
-        scenario, [points[i] for i in rows], [seeds[t] for t in trials], tuple(open_),
-        channel_model, constellation,
-    )
-    formed_blocks = np.ix_(rows, trials)
-    for r, blocks in open_.items():
-        patch = blocks[formed_blocks]  # a copy: ``blocks`` is the failed array patched below
-        for whole, part in zip(scores[r], formed[r]):
-            whole[formed_blocks] = np.where(patch, part, whole[formed_blocks])
+    for i, point in enumerate(points):
+        open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
+        if not open_:
+            continue
+        trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
+        # ZF's pilot is drawn before plain CSK's draws
+        drawn = tuple(
+            r for r in receivers
+            if r in open_ or (r == RECEIVER_ZF and RECEIVER_PLAIN in open_)
+        )
+        formed = _run_formed(
+            scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
+            constellation, drawn,
+        )
+        for r, blocks in open_.items():
+            for whole, part in zip(scores[r], formed[r]):
+                whole[i, trials] = np.where(blocks[trials], part[0], whole[i, trials])
     return scores
 
 
@@ -483,11 +545,11 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
 # stacks half as many trials, and every chunk at least one: 13 and 6 on the
 # QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
 # Stacking more trials saves per-call overhead but costs memory.  A one-point
-# chunk holds about two reception-sized arrays, a chunk of several points up
-# to four: a formed one forms the reception at each point next to the kept
-# unit noise, and a routed one keeps its products next to one group of
-# points' detection, or forms its open blocks after freeing them.
-# ``TestChunkMemory`` bounds the traced peaks and records them.
+# chunk, which is formed, holds about two reception-sized arrays, and a
+# chunk of several points, which is routed, up to four: its products, and
+# on a grid of several codes its depth-free draws until the last code, next
+# to one group of points' detection, or its open blocks formed after
+# freeing them.  ``TestChunkMemory`` bounds the traced peaks and records them.
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -504,23 +566,24 @@ def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, c
     receiver's ``_score`` over ``(points, trials)``.  Trial t draws from
     ``derive_seed(base_seed, t)`` whatever the chunking, so a chunk of
     trials equals the same trials run one at a time.  Each trial draws its
-    bits and channel from its own generator (see ``_draw_chunk``), and at
-    the first noisy point its unit noise for each target of each link of
-    ``_propagate``, in that order.  Each noisy point sets a link's noise
-    from the received power of its clean data reception
+    bits and channel from its own generator (see ``_draw_chunk``), and on a
+    noisy grid, once for every point, its unit noise for each target of
+    each link of ``_propagate``, in that order.  Each noisy point sets a
+    link's noise from the received power of its clean data reception
     (``received_power``), and scales a trial's draw by that link's standard
     deviation, which is the draw that ``Generator.normal`` makes at that
     point alone (see ``channel.add_stacked_noise``), so its outcomes equal
     its trials run one point at a time.  Everything but the draws and the
     per-block mean squares runs once for the stack.
 
-    The engine is chosen once for the grid: a noisy grid of two or more
-    points on one code object (every BER sweep) takes ``_run_route``; any
-    other grid (an alpha sweep, whose points each have their own code, a
-    noiseless one, or one point) takes ``_run_formed``.
+    The engine is chosen once for the grid, by its shape alone: a noisy
+    grid of two or more points takes ``_run_route``, whatever its codes (a
+    BER sweep shares one, an alpha sweep has one per depth); any other grid
+    (one point, or a noiseless one, which draws no noise) takes
+    ``_run_formed``.  A point alone is formed because, at one point, the
+    route's reductions cost more than they save.
     """
-    code = points[0][0]
-    routed = len(points) > 1 and all(c is code and not math.isinf(snr) for c, _, snr in points)
+    routed = len(points) > 1 and not any(math.isinf(snr_db) for *_, snr_db in points)
     run = _run_route if routed else _run_formed
     size = _chunk_trials(scenario, points)
     chunks = []

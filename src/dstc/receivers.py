@@ -23,10 +23,12 @@ per LED; one batched best rank-one fit recovers both factors up to one
 scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
-detectors at every noise scale of a grid from the clean link's factors and
-products of the unit noise that do not depend on the scale.  They settle
-only the blocks whose every test clearly passes, and flag all others as
-failed, for the caller to detect from the formed reception.
+detectors at every noise scale of a grid on one code from the clean link's
+factors and products of the unit noise that do not depend on the scale;
+the experiment engine mixes each dimming depth's products from draws that
+no depth changes, and runs a grid of several codes one code at a time.
+They settle only the blocks whose every test clearly passes, and flag all
+others as failed, for the caller to detect from the formed reception.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ class TestSimulate:
     def test_diagonal_variant_is_pinned(self, tmp_path, capsys):
         # the bundled qled2x2 config on the diagonal channel, whose BER grid
         # leaves 10 of plain CSK's 700 blocks to the exact path at the config's
-        # seed (and forms ZF's with them, since ZF's draws come first)
+        # seed (drawing ZF's pilots with them, since ZF's draws come first)
         assert self.run_qled2x2(tmp_path, "diagonal") == [
             "0e1c542fcbdde37bc726a7a769a620293cc693e33f53775d2b8f0ff8c89b676b",
             "86ca01bfda98bd1c39bb2e69f0b4aea441ccc34548d996e17e9aebd433f3622e",

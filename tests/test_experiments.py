@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dstc import experiments, linalg, receivers
 from dstc.channel import CHANNEL_MODELS, derive_seed
+from dstc.configio import load_config
 from dstc.csk import Constellation, default_constellation, modulate
 from dstc.dimming import (
     ChromaticityTable,
@@ -293,13 +294,13 @@ class TestChunkMemory:
 
     # (scenario, SNR grid or dimming depths at 20 dB, trials per chunk at the
     # default budget, bound on peak / the chunk's reception).  A one-point
-    # chunk holds two reception-sized arrays (traced peaks 2.05 and 2.45
-    # times the reception) and a chunk of several points up to four: the
-    # 7-point grids take the route, which keeps its draws only as products and
-    # scores its points in groups (2.66 on QLED, 3.56 and 3.73 at one 18- and
-    # 30-LED trial, and 3.44, 3.88 and 3.86 if it forms every block again
-    # after freeing them), and the alpha grids are formed, one code per depth
-    # (3.26 on QLED, 3.80 at one 30-LED trial)
+    # chunk is formed and holds two reception-sized arrays (traced peaks 2.05
+    # and 2.42 times the reception), and a chunk of several points is routed
+    # and holds up to four: it keeps its draws only as products and scores
+    # its points in groups (2.66 on QLED, 3.44 and 3.47 at one 18- and 30-LED
+    # trial on the 7-point grids), and an alpha grid, one code per depth,
+    # keeps its depth-free draws next to each depth's residual until its
+    # last depth (2.57 on QLED, 3.89 at one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
@@ -413,9 +414,12 @@ class TestSweepEngine:
             ("ber", dict(receivers=("ZF",))),
             ("ber", dict(receivers=("VLC-KRF",))),
             ("alpha", dict(receivers=ALL_RECEIVERS, noiseless=True)),
+            ("alpha", dict(receivers=("ZF", "VLC-KRF"), channel_model="diagonal")),
+            ("alpha", dict(receivers=ALL_RECEIVERS, alpha_sweep_snr_db=-5.0)),
+            ("alpha", dict(receivers=("plain-CSK",))),
         ],
         ids=["ber", "alpha", "noiseless", "plain-only", "diagonal", "low-snr", "zf-only",
-             "krf-only", "alpha-noiseless"],
+             "krf-only", "alpha-noiseless", "alpha-diagonal", "alpha-low-snr", "alpha-plain-only"],
     )
     def test_sweep_equals_each_point_run_alone(self, monkeypatch, mode, changes, budget):
         cfg = ExperimentConfig(
@@ -440,8 +444,8 @@ class TestSweepEngine:
                 (dataclasses.replace(cfg.scenario, alpha=alpha), cfg.alpha_sweep_snr_db)
                 for alpha in cfg.alpha_grid
             ]
-        # a noisy BER grid of several points on one code takes the route
-        routed = mode == "ber" and not cfg.noiseless
+        # a noisy grid of several points takes the route; a point run alone is formed
+        routed = not cfg.noiseless
         expected = [
             run_point(
                 scenario,
@@ -455,9 +459,9 @@ class TestSweepEngine:
         ]
         assert_grid_equals_points(swept, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
 
-    # an alpha grid is formed; its trials draw their unit noise at the first
-    # point only: one draw per trial for each target, the reception of each
-    # link and the pilot estimate of ZF and of plain CSK
+    # a noisy alpha grid takes the route, whose trials draw their unit noise
+    # once for every depth: one draw per trial for each target, the reception
+    # of each link and the pilot estimate of ZF and of plain CSK
     @pytest.mark.parametrize(
         "receivers,noiseless,n_targets",
         [
@@ -468,7 +472,7 @@ class TestSweepEngine:
         ],
         ids=["all", "zf-krf", "krf-only", "noiseless"],
     )
-    def test_formed_grid_draws_each_trial_once(self, monkeypatch, receivers, noiseless, n_targets):
+    def test_alpha_grid_draws_each_trial_once(self, monkeypatch, receivers, noiseless, n_targets):
         cfg = ExperimentConfig(
             scenario=self.QLED,
             snr_grid_db=(8.0,),
@@ -564,6 +568,27 @@ class TestRouteFallbacks:
         assert 0 < formed < failed.size
 
 
+    # the bundled qled2x2 BER sweep leaves plain-CSK blocks open, 6 at the
+    # config's seed and 11 at seed 7, and none of ZF's: a formed point draws
+    # ZF's pilots, which come before plain CSK's draws, without detecting
+    # them, and forms only its open trials
+    @pytest.mark.parametrize("seed,n_open", [(None, 6), (7, 11)], ids=["config-seed", "seed-7"])
+    def test_formed_detectors_see_only_open_blocks(self, monkeypatch, seed, n_open):
+        cfg = load_config("configs/qled2x2.cfg").experiment
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, base_seed=seed)
+        seen = {"ZF": 0, "plain-CSK": 0}
+        real = experiments.zf_detect
+
+        def counted(stacked, effective, code):
+            seen["plain-CSK" if len(code) == 1 else "ZF"] += len(stacked)
+            return real(stacked, effective, code)
+
+        monkeypatch.setattr(experiments, "zf_detect", counted)
+        run_sweeps(cfg, ("ber",))
+        assert seen == {"ZF": 0, "plain-CSK": n_open}
+
+
 class TestArrayBudget:
     def test_reception_bytes(self):
         assert QLED12.reception_bytes == 8 * 12 * 8 * 50
@@ -627,6 +652,28 @@ class TestSweeps:
         assert run_sweeps(cfg, ("ber", "alpha")) == alone
         # each depth's code once, then the identifiability check's
         assert depths == [0.4, 0.1, 0.2, 0.3, 0.5, 0.4]
+
+    def test_alpha_point_at_the_scenario_depth_equals_the_ber_point(self):
+        # both grids take the route: the alpha grid mixes each depth's
+        # products from the same draws, so its point at the scenario's own
+        # depth is the BER grid's point at the alpha sweep's SNR
+        cfg = ExperimentConfig(
+            scenario=default_scenarios()["qled2x2-k12"],
+            snr_grid_db=(8.0, 14.0),
+            alpha_sweep_snr_db=8.0,
+            n_symbols_total=2000,
+            receivers=ALL_RECEIVERS,
+            base_seed=11,
+        )
+        curves = run_sweeps(cfg, ("ber", "alpha"))
+        depth = cfg.alpha_grid.index(cfg.scenario.alpha)
+        snr = cfg.snr_grid_db.index(cfg.alpha_sweep_snr_db)
+        for r in cfg.receivers:
+            ber, alpha = curves["ber"][r][snr], curves["alpha"][r][depth]
+            assert ber.n_errors > 0, r
+            assert dataclasses.replace(alpha, x=ber.x, nmse=ber.nmse) == ber, r
+            rtol = ROUTE_KRF_NMSE_RTOL if r == "VLC-KRF" else 0.0
+            assert alpha.nmse == pytest.approx(ber.nmse, rel=rtol, abs=0.0), r
 
     def test_noiseless_sweep_has_zero_ber(self):
         cfg = ExperimentConfig(
