@@ -379,19 +379,21 @@ class _LinkProducts:
     ``effective`` ``(trials, rows, n_tx)`` is the link's effective channel,
     which only plain CSK keeps.  Each trial's reception draw ``N`` ``(rows,
     n_slots)`` keeps ``max|N|`` and ``||N||``, and where ``pilot`` (ZF,
-    plain CSK), the pilot draw ``P`` and ``P.T @ N``.  ``products`` holds ``(E.T @ N, P.T @ N)``, which
-    ``receivers.zf_detect_grid`` reads.  Plain CSK's link has one code, so
-    it takes ``E.T @ N`` as drawn.  The dimming code's link, where
-    ``mixing`` ``W`` is given, reduces ``N`` over its state blocks to
-    ``states = W @ N`` instead, and ``at`` takes each code's products from
-    it.
+    plain CSK), the pilot draw ``P`` and ``P.T @ N``.  ``products`` holds
+    ``(E.T @ N, P.T @ N)``, which ``receivers.zf_detect_grid`` reads.  Plain
+    CSK's link has one code, so it takes ``E.T @ N`` as drawn.  The dimming
+    code's link, where ``mixing`` ``W`` is given, reduces ``N`` over its
+    state blocks to ``states = W @ N`` instead, from which each code's
+    products are mixed: ``W @ W.T = K * I``, and every row of a code's
+    transpose and of its pseudoinverse lies in ``W``'s row space, so
+    ``code.T @ N`` is ``(code.T @ W.T / K) @ states``, and likewise for the
+    inverse.
     """
 
     def __init__(self, effective, pilot, mixing, n_rx, n_slots):
         n_trials, rows, n_tx = effective.shape
         self.shape, self.mixing, self.n_rx, self.n_slots = (rows, n_tx), mixing, n_rx, n_slots
         self.effective = effective if pilot and mixing is None else None
-        self.code = self.residual = None
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
         self.pilot = np.empty_like(effective) if pilot else None
         self.products = np.empty((2, n_trials, n_tx, n_slots)) if pilot else None
@@ -411,29 +413,18 @@ class _LinkProducts:
                 np.matmul(self.effective[t].T, noise, out=self.products[0, t])
             np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
 
-    def at(self, code, inverse, gains, last: bool) -> None:
-        """Take the dimming code's link to ``code``, from its ``states``, which go at the ``last`` code.
+    def by_led(self, a):
+        """``a @ N`` over ``N``'s state blocks, for ``a`` in ``W``'s row space.
 
-        ``W @ W.T = K * I``, and every row of ``code.T`` and of its
-        pseudoinverse ``inverse`` lies in ``W``'s row space, so ``code.T @
-        N`` is ``(code.T @ W.T / K) @ states``, and row j of ``E.T @ N`` is
-        ``g_j.T`` times its block j.  Where ``inverse`` is given (VLC-KRF),
-        ``residual``, which ``receivers.krf_detect_grid`` reads, is
-        ``(inverse @ W.T / K) @ states``.
+        The result is ``(trials, len(a), n_rx, n_slots)``: row block j of ``N``'s
+        state-by-state reshape is LED j's.
         """
-        self.code, self.inverse = code, inverse
-        to_states = self.mixing.T / self.mixing.shape[1]
-        if self.residual is None:  # after the draws: one buffer for every code
-            self.residual = np.empty((len(gains), code.shape[1], self.n_rx, self.n_slots))
-        by_led = self.residual.reshape(self.states.shape[0], code.shape[1], -1)
-        if self.pilot is not None:
-            np.matmul(code.T @ to_states, self.states, out=by_led)
-            g = gains.swapaxes(-1, -2)[..., None, :]
-            np.matmul(g, self.residual, out=self.products[0][..., None, :])
-        if inverse is not None:
-            np.matmul(inverse @ to_states, self.states, out=by_led)
-        if last:
-            del self.states
+        mixed = (a @ self.mixing.T / self.mixing.shape[1]) @ self.states
+        return mixed.reshape(len(mixed), len(a), self.n_rx, self.n_slots)
+
+    def coded_products(self, code, gains):
+        """ZF's ``E.T @ N`` at ``code``: row j is ``g_j.T`` times block j of ``code.T @ N``."""
+        return (gains.swapaxes(-1, -2)[..., None, :] @ self.by_led(code.T))[..., 0, :]
 
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
@@ -446,17 +437,20 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     the depth changes (``_LinkProducts``).  Every code of a grid is ``p_m +
     alpha * B`` with the same columns ``B`` of +-1 (``build_dimming_matrix``
     at each depth), which are orthogonal and sum to zero, so ``W = [1.T;
-    B.T]``, with ``B = sign(code - p_m)``, has ``W @ W.T = K * I``.  Each
-    code's products are mixed from ``W @ N`` (``_LinkProducts.at``); its
-    VLC-KRF residual is within about 1e-15 relative of ``inverse @ N``, far
-    inside ``receivers.GRID_RTOL``.  Each code keeps its own clean reception's
-    power, so every point's noise level is the one it has alone.  The points
-    are then detected a group at a time, in one batched pass per receiver
-    (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``), and
-    scored; a group holds consecutive points on one code.  A block that
-    those leave open takes its scores from ``_run_formed``, after the
-    products are freed, one point at a time, on the point's open trials and
-    open receivers.
+    B.T]``, with ``B = sign(code - p_m)``, has ``W @ W.T = K * I``, and each
+    code's products are mixed from ``W @ N``.  Its VLC-KRF residual is
+    within about 1e-15 relative of ``inverse @ N``, far inside
+    ``receivers.GRID_RTOL``.  Each code keeps its own clean reception's
+    power, so every point's noise level is the one it has alone.
+
+    The points are then detected a group at a time, in one batched pass per
+    receiver (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``),
+    and scored.  ZF and plain CSK take groups of any points, with each
+    point's own code; VLC-KRF, whose residual is nearly as large as the
+    reception, takes one code's residual at a time, in groups of
+    consecutive points on it.  A block that those leave open takes its
+    scores from ``_run_formed``, after the products are freed, one point at
+    a time, on the point's open trials and open receivers.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     first = points[0][0]
@@ -466,20 +460,28 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     clean = {}
     for code, *_ in points:
         if id(code) not in clean:
-            found, found_conds = (links, conds) if code is first else _propagate(gains, code, on_code)
-            clean[id(code)] = ({r: found_conds[r] for r in on_code}, *_clean_link(
-                found[0][0], code, gains, symbols
-            ))
+            found, found_conds = _propagate(gains, code, on_code) if clean else (links, conds)
+            code_conds = {r: found_conds[r] for r in on_code}
+            clean[id(code)] = (code_conds, *_clean_link(found[0][0], code, gains, symbols))
     del found
     n_rx, n_slots = scenario.n_rx, scenario.block_len
     mixing = np.vstack([np.ones(len(first)), np.sign(first - scenario.p_m).T]) if on_code else None
     coded = _LinkProducts(links[0][0], links[0][2], mixing, n_rx, n_slots)
-    # plain CSK's link, if enabled, is the same at every point: its draws, channel, code, power, peak
+    # plain CSK's link, if enabled, is the same at every point: its draws,
+    # channel, code, power and peak
     plain = [
         (_LinkProducts(e, True, None, n_rx, n_slots), e, c, *_clean_link(e, c, gains, symbols))
         for e, c, _ in links[1:]
     ]
     del links
+    # every point's sd per link, checked point by point as a point run alone checks it
+    plain_powers = [link[3] for link in plain]
+    sds = np.array(
+        [
+            [np.sqrt(noise_variance(p, snr_db)) for p in (clean[id(code)][1], *plain_powers)]
+            for code, _, snr_db in points
+        ]
+    )
     for t, rng in enumerate(rngs):
         for link in (coded, *(p[0] for p in plain)):
             link.draw(t, rng)
@@ -487,39 +489,60 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     # n_tx estimate or a block_len x n_tx symbol estimate) stay within a
     # quarter of the chunk's rows x block_len reception, and scoring them
     # holds about four such arrays
-    size = max(1, min(scenario.n_states * scenario.n_rx, scenario.block_len) // (4 * scenario.n_tx))
-    runs = [list(run) for _, run in itertools.groupby(range(len(points)), lambda i: id(points[i][0]))]
-    entries = scenario.n_states * n_rx * n_slots  # of one trial's reception
+    size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * scenario.n_tx))
+    groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
     scores = {r: [] for r in receivers}
-    for group in (g for run in runs for g in np.array_split(run, -(-len(run) // size))):
-        code, inverse = points[group[0]][:2]
-        code_conds, power, peak = clean[id(code)]
-        if on_code and code is not coded.code:
-            inverse = inverse if RECEIVER_KRF in receivers else None
-            coded.at(code, inverse, gains, all(c is code for c, *_ in points[group[0]:]))
-        conds.update(code_conds)
-        # each point's sd per link, checked point by point as a point run alone checks it
-        powers = [power] + [plain_power for *_, plain_power, _ in plain]
-        sds = np.array([[np.sqrt(noise_variance(p, points[i][2])) for p in powers] for i in group])
-        for r in receivers:
-            if r == RECEIVER_KRF:
-                norms = (np.sqrt(power * entries), coded.norms)
-                result = krf_detect_grid(
-                    gains, symbols, coded.residual, coded.inverse, norms, sds[:, 0], symbols[:, 0]
-                )
-            elif r == RECEIVER_ZF:
-                result = zf_detect_grid(
-                    effective_channel(gains, code), coded.pilot, symbols, coded.products,
-                    (peak, coded.peaks), sds[:, 0], code,
-                )
-            else:
-                link, e, c, _, plain_peak = plain[0]
-                result = zf_detect_grid(
-                    e, link.pilot, symbols, link.products, (plain_peak, link.peaks), sds[:, -1], c
-                )
-            scores[r].append(_score(result, bits, gains, conds[r], constellation))
+    if RECEIVER_ZF in receivers:
+        products = {}  # each code's E.T @ N, mixed once
+        for group in groups:
+            codes = [points[i][0] for i in group]
+            if all(code is codes[0] for code in codes):
+                codes = codes[:1]  # one code for the whole group, read at every point
+            for code in codes:
+                if id(code) not in products:
+                    products[id(code)] = coded.coded_products(code, gains)
+            by_point = [clean[id(code)] for code in codes]
+            result = zf_detect_grid(
+                np.stack([effective_channel(gains, code) for code in codes]), coded.pilot, symbols,
+                (np.stack([products[id(code)] for code in codes]), coded.products[1]),
+                (np.stack([c[2] for c in by_point]), coded.peaks), sds[group, 0],
+                np.stack(codes)[:, None],
+            )
+            cond = np.stack([c[0][RECEIVER_ZF] for c in by_point])
+            scores[RECEIVER_ZF].append(_score(result, bits, gains, cond, constellation))
             del result
-    del coded, plain, link  # the products, before any block is formed
+        del products
+        coded.pilot = coded.products = None  # ZF's, before VLC-KRF's residuals
+    if RECEIVER_KRF in receivers:
+        by_code = itertools.groupby(range(len(points)), lambda i: id(points[i][0]))
+        runs = [list(run) for _, run in by_code]
+        for k, run in enumerate(runs):
+            code, inverse, _ = points[run[0]]
+            residual = None  # the last code's, before this code's is mixed
+            residual = coded.by_led(inverse)
+            if k + 1 == len(runs):
+                del coded.states
+            conds_, power, _ = clean[id(code)]
+            norms = (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms)
+            for group in np.array_split(run, -(-len(run) // size)):
+                result = krf_detect_grid(
+                    gains, symbols, residual, inverse, norms, sds[group, 0], symbols[:, 0]
+                )
+                scores[RECEIVER_KRF].append(
+                    _score(result, bits, gains, conds_[RECEIVER_KRF], constellation)
+                )
+                del result
+        del residual
+    for link, e, c, _, plain_peak in plain:
+        for group in groups:
+            result = zf_detect_grid(
+                e, link.pilot, symbols, link.products, (plain_peak, link.peaks), sds[group, -1], c
+            )
+            scores[RECEIVER_PLAIN].append(
+                _score(result, bits, gains, conds[RECEIVER_PLAIN], constellation)
+            )
+            del result
+    del coded, plain  # the products, before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
