@@ -8,9 +8,8 @@ channel and payload, and paired runs that share a base seed stay paired
 across sweeps.  Since every point draws the same trials (common random
 numbers), a sweep draws each trial once: its bits, channel and unit noise,
 which each point scales to the noise level that its own clean reception's
-power sets.  Every dimming depth's code mixes the same two depth-free
-pieces, so a dimming-depth sweep reads each trial's draws at every depth
-too.  The results equal those of each point run alone.
+power sets (each depth's products mix from draws that no depth changes).
+The results equal those of each point run alone.
 """
 
 from __future__ import annotations
@@ -294,52 +293,17 @@ def _score(result, bits, gains, cond, constellation):
     return failed, np.where(failed, 0, errors), np.where(failed, np.nan, nmse), cond
 
 
-def _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation):
-    """Detect and score one point of a chunk: its ``_score`` keyed by receiver.
-
-    ``received`` lists the noisy arrays in draw order and is emptied: the
-    arrays after the reception are taken out as they are used, and VLC-KRF
-    detects last and is handed the reception's only reference, which it
-    frees before its rank-one fit.
-    """
-    estimates = {}
-    if RECEIVER_ZF in receivers:
-        estimates[RECEIVER_ZF] = zf_detect(received[0], received.pop(1), code)
-    if RECEIVER_PLAIN in receivers:
-        one_state = np.ones((1, code.shape[1]))
-        estimates[RECEIVER_PLAIN] = zf_detect(received.pop(1), received.pop(1), one_state)
-    if RECEIVER_KRF in receivers:
-        estimates[RECEIVER_KRF] = krf_detect(received.pop(0), inverse, symbols[:, 0])
-    received.clear()  # without VLC-KRF, free the reception before the point is scored
-    return {r: _score(e, bits, gains, conds[r], constellation) for r, e in estimates.items()}
-
-
-def _add_noise(targets, sd, rngs, n_rx: int) -> None:
-    """Add to each trial of each target its unit draw, scaled in place by the trial's ``sd``.
-
-    Each trial draws from its own generator, so it draws its targets in the
-    order given, whatever the order of the trials.
-    """
-    for target in targets:
-        for t, rng in enumerate(rngs):
-            unit = draw_unit_noise(rng, n_rx, *target.shape[-2:])
-            unit *= sd[t]
-            add_stacked_noise(target[t], unit)
-            del unit  # before the next draw
-
-
 def _run_formed(scenario, points, seeds, receivers, channel_model, constellation, drawn=None):
     """A chunk of ``_run_grid`` on one point or a noiseless grid, by forming each point's reception.
 
     Each point forms its links (``_propagate``) and, from the clean
     channels, their targets: the data reception, one matrix product, and the
     pilot estimate, the point's own effective channel, which shares the
-    reception's standard deviation.  A noisy point, the grid's only one,
-    adds each trial's unit draws to its targets as they are drawn.  The
-    trials draw as a grid of the ``drawn`` receivers does (by default
-    ``receivers``), and only ``receivers`` are detected: plain CSK's draws
-    follow ZF's pilot, so a grid of both that forms plain CSK alone draws
-    ZF's pilot estimate and drops it.
+    reception's standard deviation.  A noisy point, its grid's only one,
+    adds each unit draw, scaled in place, as it is drawn.  The trials draw
+    as for the ``drawn`` receivers (by default ``receivers``), and only
+    ``receivers`` are detected and scored (``_score``): ZF's pilot, drawn
+    before plain CSK's draws, is dropped where plain CSK is formed alone.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     drawn = drawn or receivers
@@ -348,52 +312,47 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
         links, conds = _propagate(gains, code, drawn)
         received = []
         for e, link_code, pilot in links:
-            targets = [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
-            if not math.isinf(snr_db):  # the power of the clean reception, before any noise
-                power = received_power(targets[0], gains, link_code, symbols)
-                _add_noise(targets, np.sqrt(noise_variance(power, snr_db)), rngs, scenario.n_rx)
-            received += targets
-        del targets  # the list keeps the only references, for VLC-KRF to take
-        if RECEIVER_ZF in drawn and RECEIVER_ZF not in receivers:
-            del received[1]  # ZF's pilot estimate
+            received += [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
+            if not math.isinf(snr_db):  # each trial draws its targets in turn
+                power = received_power(received[-1 - pilot], gains, link_code, symbols)
+                sd = np.sqrt(noise_variance(power, snr_db))
+                for i, (t, rng) in itertools.product(range(-1 - pilot, 0), enumerate(rngs)):
+                    unit = draw_unit_noise(rng, scenario.n_rx, *received[i].shape[-2:])
+                    unit *= sd[t]
+                    add_stacked_noise(received[i][t], unit)
+                    del unit  # before the next draw
+        # the arrays after the reception are taken out as they are used; VLC-KRF
+        # detects last, handed the reception's only reference, freed before its fit
+        estimates = {}
+        if RECEIVER_ZF in drawn:
+            estimate = received.pop(1)
+            if RECEIVER_ZF in receivers:
+                estimates[RECEIVER_ZF] = zf_detect(received[0], estimate, code)
+        if RECEIVER_PLAIN in receivers:  # on the one-state code of its link, the last
+            estimates[RECEIVER_PLAIN] = zf_detect(received.pop(1), received.pop(1), links[-1][1])
+        if RECEIVER_KRF in receivers:
+            estimates[RECEIVER_KRF] = krf_detect(received.pop(0), inverse, symbols[:, 0])
+        received.clear()  # without VLC-KRF, free the reception before the point is scored
         scores.append(
-            _detect(received, code, inverse, symbols, bits, gains, conds, receivers, constellation)
+            {r: _score(e, bits, gains, conds[r], constellation) for r, e in estimates.items()}
         )
     return {r: tuple(map(np.vstack, zip(*(point[r] for point in scores)))) for r in receivers}
-
-
-def _clean_link(effective, code, gains, symbols):
-    """A link's received power (``received_power``) and the largest |entry| of its clean reception.
-
-    The clean reception ``effective @ symbols.T`` is formed as a point run
-    alone forms it, and is not kept.
-    """
-    clean = effective @ symbols.swapaxes(-1, -2)
-    peak = np.maximum(clean.max(axis=(-2, -1)), -clean.min(axis=(-2, -1)))
-    return received_power(clean, gains, code, symbols), peak
 
 
 class _LinkProducts:
     """One link's draws of a chunk, reduced as they are drawn to products that no point changes.
 
-    ``effective`` ``(trials, rows, n_tx)`` is the link's effective channel,
-    which only plain CSK keeps.  Each trial's reception draw ``N`` ``(rows,
-    n_slots)`` keeps ``max|N|`` and ``||N||``, and where ``pilot`` (ZF,
-    plain CSK), the pilot draw ``P`` and ``P.T @ N``.  ``products`` holds
-    ``(E.T @ N, P.T @ N)``, which ``receivers.zf_detect_grid`` reads.  Plain
-    CSK's link has one code, so it takes ``E.T @ N`` as drawn.  The dimming
-    code's link, where ``mixing`` ``W`` is given, reduces ``N`` over its
-    state blocks to ``states = W @ N`` instead, from which each code's
-    products are mixed: ``W @ W.T = K * I``, and every row of a code's
-    transpose and of its pseudoinverse lies in ``W``'s row space, so
-    ``code.T @ N`` is ``(code.T @ W.T / K) @ states``, and likewise for the
-    inverse.
+    A reception draw ``N`` keeps ``max|N|`` and ``||N||``, and where ``pilot``
+    (ZF, plain CSK) the pilot draw ``P`` and ``P.T @ N`` in ``products[1]``.
+    Plain CSK's link keeps ``E.T @ N`` of its ``effective`` channel in
+    ``products[0]``; the dimming code's, given ``mixing`` ``W``, keeps
+    ``states``, ``W @ N`` over ``N``'s state blocks, for ``by_led`` to mix.
     """
 
     def __init__(self, effective, pilot, mixing, n_rx, n_slots):
         n_trials, rows, n_tx = effective.shape
         self.shape, self.mixing, self.n_rx, self.n_slots = (rows, n_tx), mixing, n_rx, n_slots
-        self.effective = effective if pilot and mixing is None else None
+        self.effective = effective if mixing is None else None
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
         self.pilot = np.empty_like(effective) if pilot else None
         self.products = np.empty((2, n_trials, n_tx, n_slots)) if pilot else None
@@ -414,153 +373,107 @@ class _LinkProducts:
             np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
 
     def by_led(self, a):
-        """``a @ N`` over ``N``'s state blocks, for ``a`` in ``W``'s row space.
+        """``a @ N`` over ``N``'s state blocks, ``(trials, len(a), n_rx, n_slots)``.
 
-        The result is ``(trials, len(a), n_rx, n_slots)``: row block j of ``N``'s
-        state-by-state reshape is LED j's.
+        Every row of ``a`` is in ``W``'s row space, so ``a = (a @ W.T / K) @ W``.
         """
         mixed = (a @ self.mixing.T / self.mixing.shape[1]) @ self.states
         return mixed.reshape(len(mixed), len(a), self.n_rx, self.n_slots)
-
-    def coded_products(self, code, gains):
-        """ZF's ``E.T @ N`` at ``code``: row j is ``g_j.T`` times block j of ``code.T @ N``."""
-        return (gains.swapaxes(-1, -2)[..., None, :] @ self.by_led(code.T))[..., 0, :]
 
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
     """A chunk of ``_run_grid`` on a noisy grid of several points, without forming any reception.
 
-    The points may share one code (a BER sweep) or each have their own (an
-    alpha sweep).  Every point reads the same clean channels and unit draws
-    and scales the draws by its own noise level, so each trial's draws are
-    reduced once, as they are drawn, to products that neither the scale nor
-    the depth changes (``_LinkProducts``).  Every code of a grid is ``p_m +
-    alpha * B`` with the same columns ``B`` of +-1 (``build_dimming_matrix``
-    at each depth), which are orthogonal and sum to zero, so ``W = [1.T;
-    B.T]``, with ``B = sign(code - p_m)``, has ``W @ W.T = K * I``, and each
-    code's products are mixed from ``W @ N``.  Its VLC-KRF residual is
-    within about 1e-15 relative of ``inverse @ N``, far inside
-    ``receivers.GRID_RTOL``.  Each code keeps its own clean reception's
-    power, so every point's noise level is the one it has alone.
-
-    The points are then detected a group at a time, in one batched pass per
-    receiver (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``),
-    and scored.  ZF and plain CSK take groups of any points, with each
-    point's own code; VLC-KRF, whose residual is nearly as large as the
-    reception, takes one code's residual at a time, in groups of
-    consecutive points on it.  A block that those leave open takes its
-    scores from ``_run_formed``, after the products are freed, one point at
-    a time, on the point's open trials and open receivers.
+    Each trial's draws are reduced once to products that no point changes
+    (``_LinkProducts``).  Every code is ``p_m + alpha * B`` for one ``B``
+    (``build_dimming_matrix`` at each depth), so ``W = [1.T; B.T]`` has ``W
+    @ W.T = K * I``; VLC-KRF's residual mixed from ``W @ N`` is within about
+    1e-15 of ``inverse @ N``, relative to its largest entry.  Consecutive
+    points on one code are detected a group at a time, in one batched pass
+    per receiver (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``).
+    A block that those leave open is formed after the products are freed
+    (``_run_formed``), a point at a time, on its open trials and receivers.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    first = points[0][0]
+    first, n_rx, n_slots = points[0][0], scenario.n_rx, scenario.block_len
     links, conds = _propagate(gains, first, receivers)
     on_code = tuple(r for r in receivers if r != RECEIVER_PLAIN)  # they read the dimming code
-    # each code once, in grid order: its conds and its clean link's power and peak
+    # each link's code once (plain CSK's one-state code is the same at every
+    # point): its conds, and its clean reception's power and largest |entry|
     clean = {}
     for code, *_ in points:
         if id(code) not in clean:
             found, found_conds = _propagate(gains, code, on_code) if clean else (links, conds)
-            code_conds = {r: found_conds[r] for r in on_code}
-            clean[id(code)] = (code_conds, *_clean_link(found[0][0], code, gains, symbols))
-    del found
-    n_rx, n_slots = scenario.n_rx, scenario.block_len
+            for e, c, _ in found:
+                y0 = e @ symbols.swapaxes(-1, -2)
+                peak = np.maximum(y0.max(axis=(-2, -1)), -y0.min(axis=(-2, -1)))
+                clean[id(c)] = (found_conds, received_power(y0, gains, c, symbols), peak)
+    del found, e, y0
     mixing = np.vstack([np.ones(len(first)), np.sign(first - scenario.p_m).T]) if on_code else None
     coded = _LinkProducts(links[0][0], links[0][2], mixing, n_rx, n_slots)
-    # plain CSK's link, if enabled, is the same at every point: its draws,
-    # channel, code, power and peak
-    plain = [
-        (_LinkProducts(e, True, None, n_rx, n_slots), e, c, *_clean_link(e, c, gains, symbols))
-        for e, c, _ in links[1:]
-    ]
+    plain = [(_LinkProducts(e, True, None, n_rx, n_slots), e, c) for e, c, _ in links[1:]]
+    plain_codes = [c for _, _, c in plain]
     del links
     # every point's sd per link, checked point by point as a point run alone checks it
-    plain_powers = [link[3] for link in plain]
-    sds = np.array(
-        [
-            [np.sqrt(noise_variance(p, snr_db)) for p in (clean[id(code)][1], *plain_powers)]
-            for code, _, snr_db in points
-        ]
-    )
+    sds = np.array([[np.sqrt(noise_variance(clean[id(c)][1], snr)) for c in (code, *plain_codes)]
+                    for code, _, snr in points])
     for t, rng in enumerate(rngs):
-        for link in (coded, *(p[0] for p in plain)):
+        for link in (coded, *(q[0] for q in plain)):
             link.draw(t, rng)
     # a group's largest arrays (per point, receiver and trial, ZF's rows x
     # n_tx estimate or a block_len x n_tx symbol estimate) stay within a
     # quarter of the chunk's rows x block_len reception, and scoring them
     # holds about four such arrays
     size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * scenario.n_tx))
-    groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
+    runs = (list(r) for _, r in itertools.groupby(range(len(points)), lambda i: id(points[i][0])))
+    groups = [group for run in runs for group in np.array_split(run, -(-len(run) // size))]
     scores = {r: [] for r in receivers}
-    if RECEIVER_ZF in receivers:
-        products = {}  # each code's E.T @ N, mixed once
-        for group in groups:
-            codes = [points[i][0] for i in group]
-            if all(code is codes[0] for code in codes):
-                codes = codes[:1]  # one code for the whole group, read at every point
-            for code in codes:
-                if id(code) not in products:
-                    products[id(code)] = coded.coded_products(code, gains)
-            by_point = [clean[id(code)] for code in codes]
-            result = zf_detect_grid(
-                np.stack([effective_channel(gains, code) for code in codes]), coded.pilot, symbols,
-                (np.stack([products[id(code)] for code in codes]), coded.products[1]),
-                (np.stack([c[2] for c in by_point]), coded.peaks), sds[group, 0],
-                np.stack(codes)[:, None],
-            )
-            cond = np.stack([c[0][RECEIVER_ZF] for c in by_point])
-            scores[RECEIVER_ZF].append(_score(result, bits, gains, cond, constellation))
-            del result
-        del products
-        coded.pilot = coded.products = None  # ZF's, before VLC-KRF's residuals
-    if RECEIVER_KRF in receivers:
-        by_code = itertools.groupby(range(len(points)), lambda i: id(points[i][0]))
-        runs = [list(run) for _, run in by_code]
-        for k, run in enumerate(runs):
-            code, inverse, _ = points[run[0]]
-            residual = None  # the last code's, before this code's is mixed
-            residual = coded.by_led(inverse)
-            if k + 1 == len(runs):
+    for k, group in enumerate(groups):
+        code, inverse, _ = points[group[0]]
+        code_conds, power, peak = clean[id(code)]
+        if on_code and (k == 0 or code is not points[groups[k - 1][0]][0]):
+            products = residual = None  # the last code's, before this code's are mixed
+            if RECEIVER_ZF in receivers:  # row j of E.T @ N is g_j.T times block j of code.T @ N
+                g = gains.swapaxes(-1, -2)[..., None, :]
+                products = ((g @ coded.by_led(code.T))[..., 0, :], coded.products[1])
+            if RECEIVER_KRF in receivers:
+                residual = coded.by_led(inverse)
+            if all(c is code for c, *_ in points[group[0]:]):
                 del coded.states
-            conds_, power, _ = clean[id(code)]
-            norms = (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms)
-            for group in np.array_split(run, -(-len(run) // size)):
+        for r in receivers:
+            if r == RECEIVER_KRF:
+                norms = (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms)
                 result = krf_detect_grid(
                     gains, symbols, residual, inverse, norms, sds[group, 0], symbols[:, 0]
                 )
-                scores[RECEIVER_KRF].append(
-                    _score(result, bits, gains, conds_[RECEIVER_KRF], constellation)
+            elif r == RECEIVER_ZF:
+                result = zf_detect_grid(
+                    effective_channel(gains, code), coded.pilot, symbols, products,
+                    (peak, coded.peaks), sds[group, 0], code,
                 )
-                del result
-        del residual
-    for link, e, c, _, plain_peak in plain:
-        for group in groups:
-            result = zf_detect_grid(
-                e, link.pilot, symbols, link.products, (plain_peak, link.peaks), sds[group, -1], c
-            )
-            scores[RECEIVER_PLAIN].append(
-                _score(result, bits, gains, conds[RECEIVER_PLAIN], constellation)
-            )
+            else:
+                link, e, c = plain[0]
+                result = zf_detect_grid(
+                    e, link.pilot, symbols, link.products, (clean[id(c)][2], link.peaks),
+                    sds[group, -1], c,
+                )
+            scores[r].append(_score(result, bits, gains, {**conds, **code_conds}[r], constellation))
             del result
-    del coded, plain  # the products, before any block is formed
+    coded = plain = link = products = residual = None  # before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
-        if not open_:
-            continue
-        trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
-        # ZF's pilot is drawn before plain CSK's draws
-        drawn = tuple(
-            r for r in receivers
-            if r in open_ or (r == RECEIVER_ZF and RECEIVER_PLAIN in open_)
-        )
-        formed = _run_formed(
-            scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
-            constellation, drawn,
-        )
-        for r, blocks in open_.items():
-            for whole, part in zip(scores[r], formed[r]):
-                whole[i, trials] = np.where(blocks[trials], part[0], whole[i, trials])
+        if open_:
+            trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
+            zf = RECEIVER_PLAIN in open_  # ZF's pilot is drawn before plain CSK's draws
+            drawn = tuple(r for r in receivers if r in open_ or zf and r == RECEIVER_ZF)
+            formed = _run_formed(
+                scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
+                constellation, drawn,
+            )
+            for r, blocks in open_.items():
+                for whole, part in zip(scores[r], formed[r]):
+                    whole[i, trials] = np.where(blocks[trials], part[0], whole[i, trials])
     return scores
 
 
@@ -568,11 +481,9 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
 # stacks half as many trials, and every chunk at least one: 13 and 6 on the
 # QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
 # Stacking more trials saves per-call overhead but costs memory.  A one-point
-# chunk, which is formed, holds about two reception-sized arrays, and a
-# chunk of several points, which is routed, up to four: its products, and
-# on a grid of several codes its depth-free draws until the last code, next
-# to one group of points' detection, or its open blocks formed after
-# freeing them.  ``TestChunkMemory`` bounds the traced peaks and records them.
+# chunk (formed) holds about two reception-sized arrays, a chunk of several
+# points (routed) up to four: its draws' products and one code's residual
+# next to one group's detection.  ``TestChunkMemory`` bounds the traced peaks.
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -602,9 +513,8 @@ def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, c
     The engine is chosen once for the grid, by its shape alone: a noisy
     grid of two or more points takes ``_run_route``, whatever its codes (a
     BER sweep shares one, an alpha sweep has one per depth); any other grid
-    (one point, or a noiseless one, which draws no noise) takes
-    ``_run_formed``.  A point alone is formed because, at one point, the
-    route's reductions cost more than they save.
+    (one point, whose reductions would cost more than they save, or a
+    noiseless one, which draws no noise) takes ``_run_formed``.
     """
     routed = len(points) > 1 and not any(math.isinf(snr_db) for *_, snr_db in points)
     run = _run_route if routed else _run_formed

@@ -23,12 +23,10 @@ per LED; one batched best rank-one fit recovers both factors up to one
 scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
-detectors at every noise scale of a grid on one code from the clean link's
-factors and products of the unit noise that do not depend on the scale;
-the experiment engine mixes each dimming depth's products from draws that
-no depth changes, and runs a grid of several codes one code at a time.
-They settle only the blocks whose every test clearly passes, and flag all
-others as failed, for the caller to detect from the formed reception.
+detectors at every noise scale of a grid on one code, from the clean
+link's factors and products of the unit noise that the scale does not
+change.  They settle only the blocks whose every test clearly passes, and
+flag all others as failed, for the caller to detect from the formed reception.
 """
 
 from __future__ import annotations
@@ -87,26 +85,24 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
     the blocks gives one comparable n_rx x n_tx estimate.  States whose code
     entry is zero carry no information about that column (at full dimming
     depth half the states switch a LED off) and are left out of its average.
-    ``code`` is one code, or a stack of codes along leading axes that
-    broadcast against the estimates'.
     """
     effective = np.asarray(effective, dtype=float)
     code = np.asarray(code, dtype=float)
-    n_states, n_tx = code.shape[-2:]
+    n_states, n_tx = code.shape
     if effective.ndim < 2 or effective.shape[-2] % n_states != 0 or effective.shape[-1] != n_tx:
         raise ValueError(
             f"effective estimate of shape {effective.shape} does not stack "
             f"{n_states} blocks of {n_tx} columns"
         )
-    usable = np.abs(code) > ZERO_RTOL * np.abs(code).max(axis=(-2, -1), keepdims=True)
-    if not np.all(usable.any(axis=-2)):
-        dark = int(np.argwhere(~usable.any(axis=-2))[0, -1])
+    usable = np.abs(code) > ZERO_RTOL * np.abs(code).max()
+    if not np.all(usable.any(axis=0)):
+        dark = int(np.flatnonzero(~usable.any(axis=0))[0])
         raise ValueError(f"dimming code column {dark} is all zeros; LED never lit")
     blocks = effective.reshape(*effective.shape[:-2], n_states, -1, n_tx)
     safe = np.where(usable, code, 1.0)
-    ratios = blocks / safe[..., None, :]
-    weights = usable[..., None, :].astype(float)
-    return (ratios * weights).sum(axis=-3) / weights.sum(axis=-3)
+    ratios = blocks / safe[:, None, :]
+    weights = usable[:, None, :].astype(float)
+    return (ratios * weights).sum(axis=-3) / weights.sum(axis=0)
 
 
 def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> EstimationResult:
@@ -226,9 +222,7 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     ``(E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.  The
     negligible-estimate test reads ``max|Y|``, which is at most ``max|E @
     S.T| + sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
-    ``sd`` is ``(g, ...)``, one row per point of the grid.  A grid of
-    several codes gives ``effective``, ``products[0]``, ``peaks[0]`` and
-    ``code`` a leading axis of one code per point; plain arrays are shared.
+    ``sd`` is ``(g, ...)``, one row per point of the grid.
 
     The result's leading axes are ``(g, ...)``.  ``failed`` marks every block
     that this does not settle: its ``Ê`` fails the normal-equations test, or
