@@ -321,8 +321,7 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
                     unit *= sd[t]
                     add_stacked_noise(received[i][t], unit)
                     del unit  # before the next draw
-        # the arrays after the reception are taken out as they are used; VLC-KRF
-        # detects last, handed the reception's only reference, freed before its fit
+        # VLC-KRF detects last, handed the reception's only reference, freed before its fit
         estimates = {}
         if RECEIVER_ZF in drawn:
             estimate = received.pop(1)
@@ -342,10 +341,10 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
 class _LinkProducts:
     """One link's draws of a chunk, reduced as they are drawn to products that no point changes.
 
-    A reception draw ``N`` keeps ``max|N|`` and ``||N||``, and where ``pilot``
-    (ZF, plain CSK) the pilot draw ``P`` and ``P.T @ N`` in ``products[1]``.
-    Plain CSK's link keeps ``E.T @ N`` of its ``effective`` channel in
-    ``products[0]``; the dimming code's, given ``mixing`` ``W``, keeps
+    Where ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``,
+    and the pilot draw ``P`` and ``P.T @ N`` in ``products[1]``.  Plain CSK's
+    link keeps ``E.T @ N`` of its ``effective`` channel in ``products[0]``;
+    the dimming code's, given ``mixing`` ``W``, keeps ``||N||`` and
     ``states``, ``W @ N`` over ``N``'s state blocks, for ``by_led`` to mix.
     """
 
@@ -363,20 +362,18 @@ class _LinkProducts:
         """Take trial ``t``'s draws from its generator: the reception's noise, then the pilots'."""
         rows, n_tx = self.shape
         noise = stack_noise(draw_unit_noise(rng, self.n_rx, rows, self.n_slots))
-        self.peaks[t], self.norms[t] = max(noise.max(), -noise.min()), np.linalg.norm(noise)
         if self.mixing is not None:
             np.matmul(self.mixing, noise.reshape(self.mixing.shape[1], -1), out=self.states[t])
+            self.norms[t] = np.linalg.norm(noise)
         if self.pilot is not None:
+            self.peaks[t] = max(noise.max(), -noise.min())
             self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, rows, n_tx))
             if self.mixing is None:
                 np.matmul(self.effective[t].T, noise, out=self.products[0, t])
             np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
 
     def by_led(self, a):
-        """``a @ N`` over ``N``'s state blocks, ``(trials, len(a), n_rx, n_slots)``.
-
-        Every row of ``a`` is in ``W``'s row space, so ``a = (a @ W.T / K) @ W``.
-        """
+        """``a @ N`` over its state blocks, ``(a @ W.T / K) @ states``, by LED and receiver."""
         mixed = (a @ self.mixing.T / self.mixing.shape[1]) @ self.states
         return mixed.reshape(len(mixed), len(a), self.n_rx, self.n_slots)
 
@@ -388,11 +385,12 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     (``_LinkProducts``).  Every code is ``p_m + alpha * B`` for one ``B``
     (``build_dimming_matrix`` at each depth), so ``W = [1.T; B.T]`` has ``W
     @ W.T = K * I``; VLC-KRF's residual mixed from ``W @ N`` is within about
-    1e-15 of ``inverse @ N``, relative to its largest entry.  Consecutive
-    points on one code are detected a group at a time, in one batched pass
-    per receiver (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``).
-    A block that those leave open is formed after the products are freed
-    (``_run_formed``), a point at a time, on its open trials and receivers.
+    1e-15 of ``inverse @ N``, relative to its largest entry.  The points are
+    detected a group at a time, in one batched pass per receiver
+    (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``); VLC-KRF's
+    groups hold one code.  A block that those leave open is formed after the
+    products are freed (``_run_formed``), a point at a time, on its open
+    trials and receivers.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     first, n_rx, n_slots = points[0][0], scenario.n_rx, scenario.block_len
@@ -411,55 +409,55 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     del found, e, y0
     mixing = np.vstack([np.ones(len(first)), np.sign(first - scenario.p_m).T]) if on_code else None
     coded = _LinkProducts(links[0][0], links[0][2], mixing, n_rx, n_slots)
-    plain = [(_LinkProducts(e, True, None, n_rx, n_slots), e, c) for e, c, _ in links[1:]]
-    plain_codes = [c for _, _, c in plain]
+    plain = [_LinkProducts(e, True, None, n_rx, n_slots) for e, _, _ in links[1:]]
+    plain_codes = [c for _, c, _ in links[1:]]
     del links
     # every point's sd per link, checked point by point as a point run alone checks it
     sds = np.array([[np.sqrt(noise_variance(clean[id(c)][1], snr)) for c in (code, *plain_codes)]
                     for code, _, snr in points])
     for t, rng in enumerate(rngs):
-        for link in (coded, *(q[0] for q in plain)):
+        for link in (coded, *plain):
             link.draw(t, rng)
-    # a group's largest arrays (per point, receiver and trial, ZF's rows x
-    # n_tx estimate or a block_len x n_tx symbol estimate) stay within a
-    # quarter of the chunk's rows x block_len reception, and scoring them
-    # holds about four such arrays
+    # a group's largest arrays (per point, receiver and trial, ZF's rows x n_tx
+    # estimate or a block_len x n_tx symbol estimate) stay within a quarter of the
+    # chunk's rows x block_len reception, and scoring them holds about four such
+    # arrays; VLC-KRF's residual per code is nearly a reception, so its groups hold one
     size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * scenario.n_tx))
+    groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
     runs = (list(r) for _, r in itertools.groupby(range(len(points)), lambda i: id(points[i][0])))
-    groups = [group for run in runs for group in np.array_split(run, -(-len(run) // size))]
-    scores = {r: [] for r in receivers}
-    for k, group in enumerate(groups):
-        code, inverse, _ = points[group[0]]
-        code_conds, power, peak = clean[id(code)]
-        if on_code and (k == 0 or code is not points[groups[k - 1][0]][0]):
-            products = residual = None  # the last code's, before this code's are mixed
-            if RECEIVER_ZF in receivers:  # row j of E.T @ N is g_j.T times block j of code.T @ N
-                g = gains.swapaxes(-1, -2)[..., None, :]
-                products = ((g @ coded.by_led(code.T))[..., 0, :], coded.products[1])
-            if RECEIVER_KRF in receivers:
-                residual = coded.by_led(inverse)
-            if all(c is code for c, *_ in points[group[0]:]):
-                del coded.states
-        for r in receivers:
+    krf_groups = [group for run in runs for group in np.array_split(run, -(-len(run) // size))]
+    scores, residual, mixed = {r: [] for r in receivers}, None, None
+    products = {id(c): link.products[0] for link, c in zip(plain, plain_codes)}  # each E.T @ N
+    for r in (r for r in (RECEIVER_ZF, RECEIVER_PLAIN, RECEIVER_KRF) if r in receivers):
+        for group in krf_groups if r == RECEIVER_KRF else groups:
+            codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
+            codes = codes[:1] if all(c is codes[0] for c in codes) else codes
             if r == RECEIVER_KRF:
-                norms = (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms)
+                code, inverse, _ = points[group[0]]
+                if code is not mixed:  # free ZF's arrays and the last code's residual first
+                    residual = products = coded.pilot = coded.products = None
+                    residual, mixed = coded.by_led(inverse), code
+                    if all(c is code for c, *_ in points[group[0]:]):
+                        del coded.states
+                norms = (np.sqrt(clean[id(code)][1] * coded.shape[0] * n_slots), coded.norms)
                 result = krf_detect_grid(
                     gains, symbols, residual, inverse, norms, sds[group, 0], symbols[:, 0]
                 )
-            elif r == RECEIVER_ZF:
+            else:  # ZF, on the dimming code's link or plain CSK's
+                link, col = (plain[0], -1) if r == RECEIVER_PLAIN else (coded, 0)
+                for c in codes:  # row j of E.T @ N is g_j.T times block j of code.T @ N
+                    if id(c) not in products:
+                        products[id(c)] = np.einsum("tij,tjis->tjs", gains, coded.by_led(c.T))
                 result = zf_detect_grid(
-                    effective_channel(gains, code), coded.pilot, symbols, products,
-                    (peak, coded.peaks), sds[group, 0], code,
+                    np.stack([effective_channel(gains, c) for c in codes]), link.pilot, symbols,
+                    (np.stack([products[id(c)] for c in codes]), link.products[1]),
+                    (np.stack([clean[id(c)][2] for c in codes]), link.peaks), sds[group, col],
+                    np.stack(codes)[:, None],
                 )
-            else:
-                link, e, c = plain[0]
-                result = zf_detect_grid(
-                    e, link.pilot, symbols, link.products, (clean[id(c)][2], link.peaks),
-                    sds[group, -1], c,
-                )
-            scores[r].append(_score(result, bits, gains, {**conds, **code_conds}[r], constellation))
+            cond = np.stack([clean[id(c)][0][r] for c in codes])
+            scores[r].append(_score(result, bits, gains, cond, constellation))
             del result
-    coded = plain = link = products = residual = None  # before any block is formed
+    coded = plain = link = residual = products = None  # before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}

@@ -85,24 +85,25 @@ def channel_from_effective(effective: np.ndarray, code: np.ndarray) -> np.ndarra
     the blocks gives one comparable n_rx x n_tx estimate.  States whose code
     entry is zero carry no information about that column (at full dimming
     depth half the states switch a LED off) and are left out of its average.
+    A stack of codes along leading axes broadcasts against the estimates.
     """
     effective = np.asarray(effective, dtype=float)
     code = np.asarray(code, dtype=float)
-    n_states, n_tx = code.shape
+    n_states, n_tx = code.shape[-2:]
     if effective.ndim < 2 or effective.shape[-2] % n_states != 0 or effective.shape[-1] != n_tx:
         raise ValueError(
             f"effective estimate of shape {effective.shape} does not stack "
             f"{n_states} blocks of {n_tx} columns"
         )
-    usable = np.abs(code) > ZERO_RTOL * np.abs(code).max()
-    if not np.all(usable.any(axis=0)):
-        dark = int(np.flatnonzero(~usable.any(axis=0))[0])
+    usable = np.abs(code) > ZERO_RTOL * np.abs(code).max(axis=(-2, -1), keepdims=True)
+    if not np.all(usable.any(axis=-2)):
+        dark = int(np.argwhere(~usable.any(axis=-2))[0, -1])
         raise ValueError(f"dimming code column {dark} is all zeros; LED never lit")
     blocks = effective.reshape(*effective.shape[:-2], n_states, -1, n_tx)
     safe = np.where(usable, code, 1.0)
-    ratios = blocks / safe[:, None, :]
-    weights = usable[:, None, :].astype(float)
-    return (ratios * weights).sum(axis=-3) / weights.sum(axis=0)
+    ratios = blocks / safe[..., None, :]
+    weights = usable[..., None, :].astype(float)
+    return (ratios * weights).sum(axis=-3) / weights.sum(axis=-3)
 
 
 def zf_detect(stacked: np.ndarray, effective: np.ndarray, code: np.ndarray) -> EstimationResult:
@@ -221,8 +222,9 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     ``(Ê.T @ E) @ S.T + sd * (E.T @ N + sd * P.T @ N)`` from ``products``
     ``(E.T @ N, P.T @ N)``, each ``(..., n_tx, n_slots)``.  The
     negligible-estimate test reads ``max|Y|``, which is at most ``max|E @
-    S.T| + sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.
-    ``sd`` is ``(g, ...)``, one row per point of the grid.
+    S.T| + sd * max|N|`` (``peaks``, each ``(...)``) up to rounding.  ``sd``
+    is ``(g, ...)``, one row per point, as are ``E``, ``E.T @ N``, ``max|E @
+    S.T|`` and the ``code`` ``(g, 1, n_states, n_tx)`` of a grid of codes.
 
     The result's leading axes are ``(g, ...)``.  ``failed`` marks every block
     that this does not settle: its ``Ê`` fails the normal-equations test, or
