@@ -378,6 +378,11 @@ class _LinkProducts:
         return mixed.reshape(len(mixed), len(a), self.n_rx, self.n_slots)
 
 
+def _stack(arrays):
+    """``np.stack(arrays)``, or a view of the one array given."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
     """A chunk of ``_run_grid`` on a noisy grid of several points, without forming any reception.
 
@@ -449,12 +454,12 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
                     if id(c) not in products:
                         products[id(c)] = np.einsum("tij,tjis->tjs", gains, coded.by_led(c.T))
                 result = zf_detect_grid(
-                    np.stack([effective_channel(gains, c) for c in codes]), link.pilot, symbols,
-                    (np.stack([products[id(c)] for c in codes]), link.products[1]),
-                    (np.stack([clean[id(c)][2] for c in codes]), link.peaks), sds[group, col],
-                    np.stack(codes)[:, None],
+                    _stack([effective_channel(gains, c) for c in codes]), link.pilot, symbols,
+                    (_stack([products[id(c)] for c in codes]), link.products[1]),
+                    (_stack([clean[id(c)][2] for c in codes]), link.peaks), sds[group, col],
+                    _stack([c[None] for c in codes]),
                 )
-            cond = np.stack([clean[id(c)][0][r] for c in codes])
+            cond = _stack([clean[id(c)][0][r] for c in codes])
             scores[r].append(_score(result, bits, gains, cond, constellation))
             del result
     coded = plain = link = residual = products = None  # before any block is formed
