@@ -296,14 +296,12 @@ def _score(result, bits, gains, cond, constellation):
 def _run_formed(scenario, points, seeds, receivers, channel_model, constellation, drawn=None):
     """A chunk of ``_run_grid`` on one point or a noiseless grid, by forming each point's reception.
 
-    Each point forms its links (``_propagate``) and, from the clean
-    channels, their targets: the data reception, one matrix product, and the
-    pilot estimate, the point's own effective channel, which shares the
-    reception's standard deviation.  A noisy point, its grid's only one,
-    adds each unit draw, scaled in place, as it is drawn.  The trials draw
-    as for the ``drawn`` receivers (by default ``receivers``), and only
-    ``receivers`` are detected and scored (``_score``): ZF's pilot, drawn
-    before plain CSK's draws, is dropped where plain CSK is formed alone.
+    Each point forms its links (``_propagate``) and their targets: the data
+    reception, one matrix product, and the pilot estimate, the point's own
+    effective channel, which shares the reception's standard deviation.  A
+    noisy point, its grid's only one, adds each unit draw, scaled in place,
+    as it is drawn.  The trials draw as for the ``drawn`` receivers (by
+    default ``receivers``); only ``receivers`` are detected and scored.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     drawn = drawn or receivers
@@ -323,7 +321,7 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
                     del unit  # before the next draw
         # VLC-KRF detects last, handed the reception's only reference, freed before its fit
         estimates = {}
-        if RECEIVER_ZF in drawn:
+        if RECEIVER_ZF in drawn:  # its pilot comes before plain CSK's draws
             estimate = received.pop(1)
             if RECEIVER_ZF in receivers:
                 estimates[RECEIVER_ZF] = zf_detect(received[0], estimate, code)
@@ -342,8 +340,8 @@ class _LinkProducts:
     """One link's draws of a chunk, reduced as they are drawn to products that no point changes.
 
     Where ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``,
-    and the pilot draw ``P`` and ``P.T @ N`` in ``products[1]``.  Plain CSK's
-    link keeps ``E.T @ N`` of its ``effective`` channel in ``products[0]``;
+    and the pilot draw ``P`` and ``P.T @ N``, last in ``products``.  Plain
+    CSK's link keeps ``E.T @ N`` of its ``effective`` channel first in them;
     the dimming code's, given ``mixing`` ``W``, keeps ``||N||`` and
     ``states``, ``W @ N`` over ``N``'s state blocks, for ``by_led`` to mix.
     """
@@ -354,7 +352,7 @@ class _LinkProducts:
         self.effective = effective if mixing is None else None
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
         self.pilot = np.empty_like(effective) if pilot else None
-        self.products = np.empty((2, n_trials, n_tx, n_slots)) if pilot else None
+        self.products = np.empty((1 + (mixing is None), n_trials, n_tx, n_slots)) if pilot else None
         if mixing is not None:
             self.states = np.empty((n_trials, len(mixing), rows // mixing.shape[1] * n_slots))
 
@@ -370,7 +368,7 @@ class _LinkProducts:
             self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, rows, n_tx))
             if self.mixing is None:
                 np.matmul(self.effective[t].T, noise, out=self.products[0, t])
-            np.matmul(self.pilot[t].T, noise, out=self.products[1, t])
+            np.matmul(self.pilot[t].T, noise, out=self.products[-1, t])
 
     def by_led(self, a):
         """``a @ N`` over its state blocks, ``(a @ W.T / K) @ states``, by LED and receiver."""
@@ -401,8 +399,7 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     first, n_rx, n_slots = points[0][0], scenario.n_rx, scenario.block_len
     links, conds = _propagate(gains, first, receivers)
     on_code = tuple(r for r in receivers if r != RECEIVER_PLAIN)  # they read the dimming code
-    # each link's code once (plain CSK's one-state code is the same at every
-    # point): its conds, and its clean reception's power and largest |entry|
+    # each link's code once: its conds, and its clean reception's power and largest |entry|
     clean = {}
     for code, *_ in points:
         if id(code) not in clean:
@@ -455,7 +452,7 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
                         products[id(c)] = np.einsum("tij,tjis->tjs", gains, coded.by_led(c.T))
                 result = zf_detect_grid(
                     _stack([effective_channel(gains, c) for c in codes]), link.pilot, symbols,
-                    (_stack([products[id(c)] for c in codes]), link.products[1]),
+                    (_stack([products[id(c)] for c in codes]), link.products[-1]),
                     (_stack([clean[id(c)][2] for c in codes]), link.peaks), sds[group, col],
                     _stack([c[None] for c in codes]),
                 )
@@ -514,10 +511,9 @@ def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, c
     per-block mean squares runs once for the stack.
 
     The engine is chosen once for the grid, by its shape alone: a noisy
-    grid of two or more points takes ``_run_route``, whatever its codes (a
-    BER sweep shares one, an alpha sweep has one per depth); any other grid
-    (one point, whose reductions would cost more than they save, or a
-    noiseless one, which draws no noise) takes ``_run_formed``.
+    grid of two or more points takes ``_run_route``, whatever its codes;
+    one point, where the route's reductions cost more than they save, or a
+    noiseless grid, which draws no noise, takes ``_run_formed``.
     """
     routed = len(points) > 1 and not any(math.isinf(snr_db) for *_, snr_db in points)
     run = _run_route if routed else _run_formed
