@@ -377,7 +377,7 @@ class _LinkProducts:
 
 
 def _stack(arrays):
-    """``np.stack(arrays)``, or a view of the one array given."""
+    """``np.stack(arrays)``; a group on one code reads its one array as a view, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
@@ -430,6 +430,7 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     krf_groups = [group for run in runs for group in np.array_split(run, -(-len(run) // size))]
     scores, residual, mixed = {r: [] for r in receivers}, None, None
     products = {id(c): link.products[0] for link, c in zip(plain, plain_codes)}  # each E.T @ N
+    # ZF and plain CSK first, so that their arrays go before VLC-KRF's residuals
     for r in (r for r in (RECEIVER_ZF, RECEIVER_PLAIN, RECEIVER_KRF) if r in receivers):
         for group in krf_groups if r == RECEIVER_KRF else groups:
             codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
@@ -465,8 +466,8 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
         if open_:
             trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
-            zf = RECEIVER_PLAIN in open_  # ZF's pilot is drawn before plain CSK's draws
-            drawn = tuple(r for r in receivers if r in open_ or zf and r == RECEIVER_ZF)
+            zf_pilot = RECEIVER_PLAIN in open_  # ZF's pilot is drawn before plain CSK's draws
+            drawn = tuple(r for r in receivers if r in open_ or zf_pilot and r == RECEIVER_ZF)
             formed = _run_formed(
                 scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
                 constellation, drawn,
