@@ -297,10 +297,10 @@ class TestChunkMemory:
     # chunk is formed and holds two reception-sized arrays (traced peaks 2.05
     # and 2.42 times the reception), and a chunk of several points is routed
     # and holds up to four: it keeps its draws only as products and scores
-    # its points in groups (2.92 on QLED, 3.44 and 3.47 at one 18- and 30-LED
+    # its points in groups (2.75 on QLED, 3.39 and 3.44 at one 18- and 30-LED
     # trial on the 7-point grids), and an alpha grid, one code per depth,
     # keeps its depth-free draws next to ZF's groups of depths and each
-    # depth's residual (3.38 on QLED, 3.53 at one 30-LED trial)
+    # depth's residual (3.29 on QLED, 3.53 at one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
