@@ -68,14 +68,18 @@ def effective_channel(gains: np.ndarray, code: np.ndarray) -> np.ndarray:
     return stacked.reshape(*gains.shape[:-2], n_states * gains.shape[-2], n_tx)
 
 
-def draw_unit_noise(rng: np.random.Generator, n_rx: int, rows: int, n_cols: int) -> np.ndarray:
+def draw_unit_noise(
+    rng: np.random.Generator, n_rx: int, rows: int, n_cols: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """One unit-variance noise draw for a stacked ``(n_states * n_rx, n_cols)`` array.
 
     It is drawn as ``(n_rx, n_cols, n_states)``, the order that the
     fixed-seed results were drawn in; ``add_stacked_noise`` and
-    ``stack_noise`` read it in that order.
+    ``stack_noise`` read it in that order.  Given ``out``, a contiguous
+    array of that shape, the draw fills it: the same draw, which leaves
+    ``rng`` in the same state.
     """
-    return rng.standard_normal((n_rx, n_cols, rows // n_rx))
+    return rng.standard_normal((n_rx, n_cols, rows // n_rx), out=out)
 
 
 def _by_state(noise: np.ndarray) -> np.ndarray:
@@ -97,10 +101,10 @@ def add_stacked_noise(target: np.ndarray, noise: np.ndarray) -> None:
     view += by_state
 
 
-def stack_noise(noise: np.ndarray) -> np.ndarray:
-    """A copy of a ``draw_unit_noise`` draw as the stacked array ``add_stacked_noise`` adds."""
+def stack_noise(noise: np.ndarray, out: np.ndarray) -> None:
+    """Copy a ``draw_unit_noise`` draw into ``out``, the stacked array that ``add_stacked_noise`` adds."""
     by_state = _by_state(noise)
-    return by_state.reshape(*by_state.shape[:-3], -1, by_state.shape[-1])
+    out.reshape(by_state.shape)[...] = by_state
 
 
 def received_power(clean, gains, code, symbols) -> np.ndarray:

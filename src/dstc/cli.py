@@ -22,9 +22,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .configio import ConfigBundle, ConfigError, keys_help, load_config
@@ -116,6 +119,19 @@ def _read_experiment(args) -> tuple[ConfigBundle, ExperimentConfig, Constellatio
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _environment() -> dict:
+    """The interpreter, numpy and platform a run took place on, from calls that start no process."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": {
+            "system": platform.system(),
+            "release": platform.release(),
+            "machine": platform.machine(),
+        },
+    }
 
 
 def cmd_eta(args) -> int:
@@ -222,6 +238,7 @@ def cmd_simulate(args) -> int:
         "finished_utc": _utc_now(),
         "outputs": [p.name for p in outputs],
         "experiment": {**dataclasses.asdict(cfg), "mode": bundle.mode, "n_trials": cfg.n_trials},
+        "environment": _environment(),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

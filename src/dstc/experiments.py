@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,8 +58,10 @@ from .receivers import (
     RECEIVER_PLAIN,
     RECEIVER_ZF,
     code_inverse,
+    code_mixing,
     krf_detect,
     krf_detect_grid,
+    krf_terms,
     zf_detect,
     zf_detect_grid,
 )
@@ -337,43 +340,66 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
 
 
 class _LinkProducts:
-    """One link's draws of a chunk, reduced as they are drawn to products that no point changes.
+    """One link's draws over the chunks of a grid, reduced to products that no point changes.
 
-    Where ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``,
-    and the pilot draw ``P`` and ``P.T @ N``, last in ``products``.  Plain
-    CSK's link keeps ``E.T @ N`` of its ``effective`` channel first in them;
-    the dimming code's, given ``mixing`` ``W``, keeps ``||N||`` and
-    ``states``, ``W @ N`` over ``N``'s state blocks, for ``by_led`` to mix.
+    Its arrays hold ``n_trials``, a chunk of the grid, and each chunk fills
+    its trials' rows in place, so a larger chunk takes no fresh pages.  A
+    chunk's draws are taken into ``draws`` and reduced at once.  Where
+    ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``, and
+    the pilot draw ``P``, stacked, and ``P.T @ N``, last in ``products``.
+    Plain CSK's one-state link keeps ``E.T @ N`` first in them.  The dimming
+    code's, given ``mixing`` ``W`` (``receivers.code_mixing``), keeps
+    ``||N||`` and ``rows``, ``W @ N`` over ``N``'s state blocks, and where
+    ``krf`` VLC-KRF's ``terms`` of them (``receivers.krf_terms``).  ``rows``
+    and ``terms`` share one array, ``space``, with the chunk's clean
+    receptions, which are read before its draws.
     """
 
-    def __init__(self, effective, pilot, mixing, n_rx, n_slots):
-        n_trials, rows, n_tx = effective.shape
-        self.shape, self.mixing, self.n_rx, self.n_slots = (rows, n_tx), mixing, n_rx, n_slots
-        self.effective = effective if mixing is None else None
+    def __init__(self, n_trials, n_states, n_tx, n_rx, n_slots, pilot, mixing=None, krf=False):
+        self.n_states, self.mixing, self.n_rx, self.n_slots = n_states, mixing, n_rx, n_slots
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
-        self.pilot = np.empty_like(effective) if pilot else None
+        self.pilot = np.empty((n_trials, n_states * n_rx, n_tx)) if pilot else None
         self.products = np.empty((1 + (mixing is None), n_trials, n_tx, n_slots)) if pilot else None
         if mixing is not None:
-            self.states = np.empty((n_trials, len(mixing), rows // mixing.shape[1] * n_slots))
+            shapes = [(n_trials, len(mixing), n_rx, n_slots)] + [(n_trials, 3, *shape) for shape in (
+                (n_rx, n_rx), (n_tx, n_rx, n_rx), (n_tx, n_rx))] * krf
+            ends = np.cumsum([math.prod(shape) for shape in shapes])
+            self.space = np.empty(max(ends[-1], n_trials * n_states * n_rx * n_slots))
+            self.rows, *terms = (self.space[end - math.prod(shape):end].reshape(shape)
+                                 for shape, end in zip(shapes, ends))
+            self.terms = terms or None
 
-    def draw(self, t: int, rng: np.random.Generator) -> None:
-        """Take trial ``t``'s draws from its generator: the reception's noise, then the pilots'."""
-        rows, n_tx = self.shape
-        noise = stack_noise(draw_unit_noise(rng, self.n_rx, rows, self.n_slots))
+    def draws(self, n_trials):
+        """Arrays for ``n_trials`` trials' ``N`` and, where ``pilot``, ``P``, as ``draw_unit_noise`` draws them."""
+        cols = [self.n_slots] + ([self.pilot.shape[-1]] if self.pilot is not None else [])
+        return [np.empty((n_trials, self.n_rx, c, self.n_states)) for c in cols]
+
+    def draw(self, t, rng, draws):
+        """Take trial ``t``'s draws from its generator: the reception's noise, then the pilot's."""
+        for d in draws:
+            draw_unit_noise(rng, self.n_rx, self.n_rx * self.n_states, d.shape[2], d[t])
+
+    def reduce(self, draws, effective=None):
+        """Reduce the chunk's ``draws`` to the link's products, ``effective`` its channels."""
+        noise, n = draws[0], len(draws[0])
+        flat = noise.reshape(n, -1)
         if self.mixing is not None:
-            np.matmul(self.mixing, noise.reshape(self.mixing.shape[1], -1), out=self.states[t])
-            self.norms[t] = np.linalg.norm(noise)
-        if self.pilot is not None:
-            self.peaks[t] = max(noise.max(), -noise.min())
-            self.pilot[t] = stack_noise(draw_unit_noise(rng, self.n_rx, rows, n_tx))
-            if self.mixing is None:
-                np.matmul(self.effective[t].T, noise, out=self.products[0, t])
-            np.matmul(self.pilot[t].T, noise, out=self.products[-1, t])
-
-    def by_led(self, a):
-        """``a @ N`` over its state blocks, ``(a @ W.T / K) @ states``, by LED and receiver."""
-        mixed = (a @ self.mixing.T / self.mixing.shape[1]) @ self.states
-        return mixed.reshape(len(mixed), len(a), self.n_rx, self.n_slots)
+            np.matmul(self.mixing, flat.reshape(n, -1, self.n_states).swapaxes(-1, -2),
+                      out=self.rows[:n].reshape(n, len(self.mixing), -1))
+            self.norms[:n] = np.sqrt(np.einsum("ti,ti->t", flat, flat))
+        if self.pilot is None:
+            return
+        self.peaks[:n] = np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
+        pilot = draws[1]
+        stack_noise(pilot, self.pilot[:n])
+        if self.mixing is None:  # one state: each draw is stacked as drawn
+            np.matmul(effective.swapaxes(-1, -2), noise[..., 0], out=self.products[0, :n])
+            np.matmul(self.pilot[:n].swapaxes(-1, -2), noise[..., 0], out=self.products[-1, :n])
+            return
+        product = self.products[-1, :n]  # P.T @ N over the state blocks, a receiver at a time
+        np.matmul(pilot[:, 0], noise[:, 0].swapaxes(-1, -2), out=product)
+        for i in range(1, self.n_rx):
+            product += pilot[:, i] @ noise[:, i].swapaxes(-1, -2)
 
 
 def _stack(arrays):
@@ -381,86 +407,113 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _run_route(scenario, points, seeds, receivers, channel_model, constellation):
+def _route_links(scenario, points, receivers, n_trials):
+    """The grid's mixing coefficients and the ``_LinkProducts`` that every chunk of it fills.
+
+    Returns ``(coefficients, coded, plain)`` for ``_run_route``:
+    ``coefficients`` holds each point's ``receivers.code_mixing``
+    coefficients, ZF's two and then VLC-KRF's three, and ``plain`` is
+    ``None`` without plain CSK.
+    """
+    n_tx, n_rx, n_slots = scenario.n_tx, scenario.n_rx, scenario.block_len
+    mixes = [code_mixing(code) for code, *_ in points]
+    on_code = RECEIVER_ZF in receivers or RECEIVER_KRF in receivers
+    coded = _LinkProducts(
+        n_trials, scenario.n_states, n_tx, n_rx, n_slots, RECEIVER_ZF in receivers,
+        mixes[0][0] if on_code else None, RECEIVER_KRF in receivers,
+    )
+    plain = None
+    if RECEIVER_PLAIN in receivers:
+        plain = _LinkProducts(n_trials, 1, n_tx, n_rx, n_slots, True)
+    return np.array([m[1] for m in mixes]), coded, plain
+
+
+def _run_route(scenario, points, seeds, receivers, channel_model, constellation, kept):
     """A chunk of ``_run_grid`` on a noisy grid of several points, without forming any reception.
 
-    Each trial's draws are reduced once to products that no point changes
-    (``_LinkProducts``).  Every code is ``p_m + alpha * B`` for one ``B``
-    (``build_dimming_matrix`` at each depth), so ``W = [1.T; B.T]`` has ``W
-    @ W.T = K * I``; VLC-KRF's residual mixed from ``W @ N`` is within about
-    1e-15 of ``inverse @ N``, relative to its largest entry.  The points are
-    detected a group at a time, in one batched pass per receiver
-    (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``); VLC-KRF's
-    groups hold one code.  A block that those leave open is formed after the
-    products are freed (``_run_formed``), a point at a time, on its open
-    trials and receivers.
+    Each trial's draws are reduced once to products that no point changes,
+    in the grid's ``kept`` arrays (``_route_links``).  Every code is ``p + a * B``
+    for one ``B`` (``build_dimming_matrix`` at each depth), so one draw's rows
+    ``W @ N`` serve every depth (``receivers.code_mixing``): ZF's ``E.T @ N``
+    and VLC-KRF's residual Gram terms (``receivers.krf_terms``) mix from them
+    at each point within about 1e-15 of the formed product, relative to its
+    largest entry.  The points are detected a group at a time, in one batched
+    pass per receiver (``receivers.zf_detect_grid``,
+    ``receivers.krf_detect_grid``), whatever their codes.  A block that those
+    leave open is formed afterwards (``_run_formed``), a point at a time, on
+    its open trials and receivers.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    first, n_rx, n_slots = points[0][0], scenario.n_rx, scenario.block_len
-    links, conds = _propagate(gains, first, receivers)
+    first, n_rx, n_slots, n_tx = points[0][0], scenario.n_rx, scenario.block_len, scenario.n_tx
+    coefficients, coded, plain = kept
+    found, conds = _propagate(gains, first, receivers)
+    plain_links = found[1:]
     on_code = tuple(r for r in receivers if r != RECEIVER_PLAIN)  # they read the dimming code
-    # each link's code once: its conds, and its clean reception's power and largest |entry|
+    # each link's code once: its conds, and its clean reception's power and
+    # largest |entry|, one clean reception at a time
     clean = {}
     for code, *_ in points:
         if id(code) not in clean:
-            found, found_conds = _propagate(gains, code, on_code) if clean else (links, conds)
-            for e, c, _ in found:
-                y0 = e @ symbols.swapaxes(-1, -2)
+            links, link_conds = _propagate(gains, code, on_code) if clean else (found, conds)
+            found = None
+            for e, c, _ in links:
+                size = e.shape[0] * e.shape[1] * n_slots
+                y0 = np.matmul(e, symbols.swapaxes(-1, -2), out=coded.space[:size].reshape(
+                    *e.shape[:2], n_slots) if on_code else None)
                 peak = np.maximum(y0.max(axis=(-2, -1)), -y0.min(axis=(-2, -1)))
-                clean[id(c)] = (found_conds, received_power(y0, gains, c, symbols), peak)
-    del found, e, y0
-    mixing = np.vstack([np.ones(len(first)), np.sign(first - scenario.p_m).T]) if on_code else None
-    coded = _LinkProducts(links[0][0], links[0][2], mixing, n_rx, n_slots)
-    plain = [_LinkProducts(e, True, None, n_rx, n_slots) for e, _, _ in links[1:]]
-    plain_codes = [c for _, c, _ in links[1:]]
-    del links
+                clean[id(c)] = (link_conds, received_power(y0, gains, c, symbols), peak)
+                del y0
+            del links, e
+    plain_codes = [c for _, c, _ in plain_links]
     # every point's sd per link, checked point by point as a point run alone checks it
     sds = np.array([[np.sqrt(noise_variance(clean[id(c)][1], snr)) for c in (code, *plain_codes)]
                     for code, _, snr in points])
+    n, g = len(seeds), gains.swapaxes(-1, -2)
+    drawn = [(link, link.draws(n)) for link in (coded, plain) if link is not None]
     for t, rng in enumerate(rngs):
-        for link in (coded, *plain):
-            link.draw(t, rng)
+        for link, draws in drawn:
+            link.draw(t, rng, draws)
+    for link, draws in drawn:
+        link.reduce(draws, *(e for e, _, _ in plain_links[:link is plain]))
+    del drawn, draws
+    rows = coded.rows[:n] if on_code else None
+    if RECEIVER_KRF in receivers:
+        terms = krf_terms(rows, symbols, [a[:n] for a in coded.terms])
     # a group's largest arrays (per point, receiver and trial, ZF's rows x n_tx
-    # estimate or a block_len x n_tx symbol estimate) stay within a quarter of the
-    # chunk's rows x block_len reception, and scoring them holds about four such
-    # arrays; VLC-KRF's residual per code is nearly a reception, so its groups hold one
-    size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * scenario.n_tx))
+    # estimate, a block_len x n_tx symbol estimate or VLC-KRF's n_tx Gram
+    # matrices) stay within a quarter of the chunk's rows x block_len
+    # reception, and scoring them holds about four such arrays
+    size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * n_tx))
     groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
-    runs = (list(r) for _, r in itertools.groupby(range(len(points)), lambda i: id(points[i][0])))
-    krf_groups = [group for run in runs for group in np.array_split(run, -(-len(run) // size))]
-    scores, residual, mixed = {r: [] for r in receivers}, None, None
-    products = {id(c): link.products[0] for link, c in zip(plain, plain_codes)}  # each E.T @ N
-    # ZF and plain CSK first, so that their arrays go before VLC-KRF's residuals
-    for r in (r for r in (RECEIVER_ZF, RECEIVER_PLAIN, RECEIVER_KRF) if r in receivers):
-        for group in krf_groups if r == RECEIVER_KRF else groups:
-            codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
-            codes = codes[:1] if all(c is codes[0] for c in codes) else codes
-            if r == RECEIVER_KRF:
-                code, inverse, _ = points[group[0]]
-                if code is not mixed:  # free ZF's arrays and the last code's residual first
-                    residual = products = coded.pilot = coded.products = None
-                    residual, mixed = coded.by_led(inverse), code
-                    if all(c is code for c, *_ in points[group[0]:]):
-                        del coded.states
-                norms = (np.sqrt(clean[id(code)][1] * coded.shape[0] * n_slots), coded.norms)
-                result = krf_detect_grid(
-                    gains, symbols, residual, inverse, norms, sds[group, 0], symbols[:, 0]
-                )
-            else:  # ZF, on the dimming code's link or plain CSK's
-                link, col = (plain[0], -1) if r == RECEIVER_PLAIN else (coded, 0)
-                for c in codes:  # row j of E.T @ N is g_j.T times block j of code.T @ N
-                    if id(c) not in products:
-                        products[id(c)] = np.einsum("tij,tjis->tjs", gains, coded.by_led(c.T))
-                result = zf_detect_grid(
-                    _stack([effective_channel(gains, c) for c in codes]), link.pilot, symbols,
-                    (_stack([products[id(c)] for c in codes]), link.products[-1]),
-                    (_stack([clean[id(c)][2] for c in codes]), link.peaks), sds[group, col],
-                    _stack([c[None] for c in codes]),
-                )
-            cond = _stack([clean[id(c)][0][r] for c in codes])
-            scores[r].append(_score(result, bits, gains, cond, constellation))
-            del result
-    coded = plain = link = residual = products = None  # before any block is formed
+    scores = {r: [] for r in receivers}
+    for r, group in itertools.product(receivers, groups):
+        codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
+        codes = codes[:1] if all(c is codes[0] for c in codes) else codes
+        if r == RECEIVER_KRF:
+            power = np.array([clean[id(points[i][0])][1] for i in group])
+            result = krf_detect_grid(
+                gains, symbols, terms, coefficients[group, 2:],
+                np.stack([points[i][1] for i in group])[:, None],
+                (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms[:n]),
+                sds[group, 0], symbols[:, 0],
+            )
+        else:  # ZF, on the dimming code's link or plain CSK's
+            link, col = (plain, -1) if r == RECEIVER_PLAIN else (coded, 0)
+            if r == RECEIVER_PLAIN:
+                products = link.products[0, :n][None]
+            else:  # block j of E.T @ N is g_j.T @ (p * Z0 + a * Zj)
+                products = np.tensordot(coefficients[group[:len(codes)], :2], np.stack(
+                    [g @ rows[:, 0], (g[..., None, :] @ rows[:, 2:])[..., 0, :]]), 1)
+            result = zf_detect_grid(
+                _stack([effective_channel(gains, c) for c in codes]), link.pilot[:n], symbols,
+                (products, link.products[-1, :n]),
+                (_stack([clean[id(c)][2] for c in codes]), link.peaks[:n]), sds[group, col],
+                _stack([c[None] for c in codes]),
+            )
+        cond = _stack([clean[id(c)][0][r] for c in codes])
+        scores[r].append(_score(result, bits, gains, cond, constellation))
+        del result
+    terms = rows = None  # before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
@@ -478,20 +531,18 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation)
     return scores
 
 
-# Bytes of a one-point chunk's stacked reception; a chunk of several points
-# stacks half as many trials, and every chunk at least one: 13 and 6 on the
-# QLED 2x2 link, 3 and 1 at 18 LEDs and 20 states, 1 and 1 at 30 LEDs.
+# Bytes of a chunk's stacked reception, and every chunk holds at least one
+# trial: 13 on the QLED 2x2 link, 3 at 18 LEDs and 20 states, 1 at 30 LEDs.
 # Stacking more trials saves per-call overhead but costs memory.  A one-point
 # chunk (formed) holds about two reception-sized arrays, a chunk of several
-# points (routed) up to four: its draws' products and one code's residual
+# points (routed) up to four: its draws' depth-free rows and their terms
 # next to one group's detection.  ``TestChunkMemory`` bounds the traced peaks.
 _CHUNK_BYTES = 1024 * 1024
 
 
-def _chunk_trials(scenario: SystemConfig, points) -> int:
-    """Trials per chunk of ``points``, at least one."""
-    size = _CHUNK_BYTES // scenario.reception_bytes
-    return max(1, size // 2 if len(points) > 1 else size)
+def _chunk_trials(scenario: SystemConfig) -> int:
+    """Trials per chunk, at least one."""
+    return max(1, _CHUNK_BYTES // scenario.reception_bytes)
 
 
 def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, constellation):
@@ -512,13 +563,17 @@ def _run_grid(scenario, points, n_trials, base_seed, receivers, channel_model, c
     per-block mean squares runs once for the stack.
 
     The engine is chosen once for the grid, by its shape alone: a noisy
-    grid of two or more points takes ``_run_route``, whatever its codes;
-    one point, where the route's reductions cost more than they save, or a
-    noiseless grid, which draws no noise, takes ``_run_formed``.
+    grid of two or more points takes ``_run_route``, whatever its codes,
+    with arrays allocated once for all its chunks; one point, where the
+    route's reductions cost more than they save, or a noiseless grid, which
+    draws no noise, takes ``_run_formed``.
     """
     routed = len(points) > 1 and not any(math.isinf(snr_db) for *_, snr_db in points)
-    run = _run_route if routed else _run_formed
-    size = _chunk_trials(scenario, points)
+    size = _chunk_trials(scenario)
+    run = _run_formed
+    if routed:
+        kept = _route_links(scenario, points, receivers, min(size, n_trials))
+        run = functools.partial(_run_route, kept=kept)
     chunks = []
     for start in range(0, n_trials, size):
         seeds = [derive_seed(base_seed, t) for t in range(start, min(start + size, n_trials))]

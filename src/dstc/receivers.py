@@ -23,10 +23,11 @@ per LED; one batched best rank-one fit recovers both factors up to one
 scale per column, resolved by the known training row in slot 0.
 Conventional (uncoded) CSK is the zero-forcing receiver on the one-state
 all-ones code.  ``zf_detect_grid`` and ``krf_detect_grid`` run the two
-detectors at every noise scale of a grid on one code, from the clean
-link's factors and products of the unit noise that the scale does not
-change.  They settle only the blocks whose every test clearly passes, and
-flag all others as failed, for the caller to detect from the formed reception.
+detectors at every point of a grid of noise scales and dimming depths, from
+the clean link's factors and products of the unit noise that neither
+changes (``code_mixing``, ``krf_terms``).  They settle only the blocks whose
+every test clearly passes, and flag all others as failed, for the caller to
+detect from the formed reception.
 """
 
 from __future__ import annotations
@@ -245,21 +246,80 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     return EstimationResult(x.swapaxes(-1, -2), channel, failed)
 
 
-def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_values):
-    """``krf_detect`` at every noise scale of a grid, without forming the reception.
+def code_mixing(code):
+    """The rows of a draw that no dimming depth changes, and how the ``code``'s products mix from them.
 
-    At scale ``sd`` the residual of LED r is ``R = C+ (Y0 + sd * N)``.  Its
-    clean part ``C+ Y0`` is ``outer(g, s)``, of column r of ``gains``
-    ``(..., n_rx, n_tx)`` and of ``symbols`` ``(..., n_slots, n_tx)``, since
-    ``C+ C = I``; its noise part is ``noise_residual`` ``(..., n_tx, n_rx,
-    n_slots)``.  So ``R @ R.T`` is quadratic in ``sd``; its leading
+    ``build_dimming_matrix`` builds ``C = p + a * B`` from +-1 Hadamard
+    columns ``B`` with ``B.T @ B = K * I`` and ``1.T @ B = 0``, so ``C`` holds
+    two values, ``p + a`` and ``p - a``; ``p`` and ``a`` are read from them as
+    the code holds them.  ``W = [1.T; (B @ 1).T; B.T]`` takes a draw ``N``
+    over the code's K state blocks to the rows ``W @ N``: ``Z0``, their sum
+    ``S`` over the LEDs, and one row ``Zj`` per LED j, which every depth of
+    ``B`` shares.  Block j of ``C.T @ N`` is ``p * Z0 + a * Zj``, and by
+    Sherman-Morrison on ``C.T @ C = K * (a**2 * I + p**2 * 1 @ 1.T)``, block j
+    of ``C+ @ N`` is ``m0 * Z0 + m1 * Zj + m2 * S``.  Returns ``(W, [p, a,
+    m0, m1, m2])``; the last three are formed from ``p / a``, so none
+    underflows where ``p`` and ``a`` are tiny.
+    """
+    code = np.asarray(code, dtype=float)
+    n_states, n_tx = code.shape
+    high, low = code.max(), code.min()
+    level, swing = (high + low) / 2, (high - low) / 2
+    signs = np.sign(code - level)
+    rows = np.vstack([np.ones(n_states), signs.sum(axis=1), signs.T])
+    ratio = level / swing
+    m1 = 1.0 / (n_states * swing)
+    m0 = ratio / (1.0 + n_tx * ratio**2) * m1
+    return rows, np.array([level, swing, m0, m1, -ratio * m0])
+
+
+def krf_terms(rows, symbols, out=None):
+    """The products of a draw's depth-free rows that ``krf_detect_grid`` reads at every point.
+
+    ``rows`` ``(..., n_tx + 2, n_rx, n_slots)`` are ``Z0``, ``S`` and ``Z1 ..
+    Zn`` of ``code_mixing``, and ``symbols`` ``(..., n_slots, n_tx)`` the
+    blocks, of columns ``s_j``.  Returns ``(rows, shared, by_led,
+    products)``: ``shared`` ``(..., 3, n_rx, n_rx)`` holds ``Z0 @ Z0.T``, ``S
+    @ Z0.T`` and ``S @ S.T``; ``by_led`` ``(..., 3, n_tx, n_rx, n_rx)`` LED
+    j's ``Zj @ Zj.T``, ``Zj @ Z0.T`` and ``Zj @ S.T``; ``products`` ``(...,
+    3, n_tx, n_rx)`` ``Z0 @ s_j``, ``S @ s_j`` and ``Zj @ s_j``.  Given
+    ``out``, those three arrays, they are filled in place.
+    """
+    lead, n_tx, n_rx = rows.shape[:-3], rows.shape[-3] - 2, rows.shape[-2]
+    if out is None:
+        out = [np.empty((*lead, 3, *shape)) for shape in
+               ((n_rx, n_rx), (n_tx, n_rx, n_rx), (n_tx, n_rx))]
+    shared, by_led, products = out
+    z0, total, each = rows[..., :1, :, :], rows[..., 1:2, :, :], rows[..., 2:, :, :]
+    for i, (a, b) in enumerate(((z0, z0), (total, z0), (total, total))):
+        np.matmul(a, b.swapaxes(-1, -2), out=shared[..., i:i + 1, :, :])
+    for i, b in enumerate((each, z0, total)):
+        np.matmul(each, b.swapaxes(-1, -2), out=by_led[..., i, :, :, :])
+    s = symbols.swapaxes(-1, -2)
+    for i, a in enumerate((z0, total)):
+        np.matmul(s, a[..., 0, :, :].swapaxes(-1, -2), out=products[..., i, :, :])
+    np.matmul(each, s[..., None], out=products[..., 2, :, :, None])
+    return rows, shared, by_led, products
+
+
+def krf_detect_grid(gains, symbols, terms, mixing, inverse, norms, sd, known_values):
+    """``krf_detect`` at every point of a grid of codes, without forming the reception.
+
+    At scale ``sd`` LED j's residual is ``R = C+ (Y0 + sd * N)``.  Its clean
+    part ``C+ Y0`` is ``outer(g, s)``, of column j of ``gains`` ``(..., n_rx,
+    n_tx)`` and of ``symbols`` ``(..., n_slots, n_tx)``, since ``C+ C = I``;
+    its noise part mixes the rows of ``terms`` (``krf_terms``) by the point's
+    ``mixing`` ``(m0, m1, m2)`` of ``code_mixing``: ``m0 * Z0 + m1 * Zj + m2 *
+    S``.  So ``R @ R.T`` is a fixed combination of those terms; its leading
     eigenvector ``u`` (``linalg.leading_eigenvector``, ``krf_detect``'s rule)
-    and ``v = R.T @ u / sigma`` give the rank-one fit.  ``norms`` are
-    ``(||Y0||, ||N||)`` per block, and ``inverse`` is ``C+``.  ``sd`` is
-    ``(g, ...)``, one row per point of the grid.
+    and ``v = R.T @ u / sigma``, taken from ``u @ Z0``, ``u @ Zj`` and ``u @
+    S``, give the rank-one fit.  ``norms`` are ``(||Y0||, ||N||)`` per block,
+    and ``inverse`` is ``C+``.  ``mixing`` is ``(g, 3)`` and ``sd`` ``(g,
+    ...)``, one row per point of the grid, as are ``||Y0||`` and ``inverse``
+    ``(g, 1, n_tx, n_states)`` of a grid of codes.
 
     The result's leading axes are ``(g, ...)``.  A residual is clear of its
-    rounding where its Gram trace exceeds its bound ``||C+_r||_1 * (||Y0|| +
+    rounding where its Gram trace exceeds its bound ``||C+_j||_1 * (||Y0|| +
     sd * ||N||)`` times ``eps / (GRID_RTOL * EIGENGAP_RTOL)``, squared: the
     formed residual's rounding, about eps times the bound, then turns the fit
     by about ``GRID_RTOL`` at most.  Its training row is resolved where it
@@ -268,23 +328,44 @@ def krf_detect_grid(gains, symbols, noise_residual, inverse, norms, sd, known_va
     or a test that does not clearly pass.  Those blocks carry no meaning, not
     even their verdict; every other block's verdict is ``krf_detect``'s.
     """
+    rows, shared, by_led, products = terms
     g = gains.swapaxes(-1, -2)
     s = symbols.swapaxes(-1, -2)
-    w = (noise_residual @ s[..., None])[..., 0]
-    cross = g[..., :, None] * w[..., None, :]
-    cross += cross.swapaxes(-1, -2)
-    clean = np.square(s).sum(axis=-1)[..., None, None] * (g[..., :, None] * g[..., None, :])
-    scale = sd[..., None, None, None]
-    gram = clean + scale * (cross + scale * (noise_residual @ noise_residual.swapaxes(-1, -2)))
+    c0, c1, c2 = (sd * m.reshape(-1, *[1] * (sd.ndim - 1)) for m in mixing.T)
+    gram = _krf_gram(g, s, shared, by_led, products, c0, c1, c2)
     trace = np.trace(gram, axis1=-2, axis2=-1)
     lam, u, settled = leading_eigenvector(gram)
     sigma = np.sqrt(np.maximum(lam, 0.0))
-    v = (u[..., None, :] @ noise_residual)[..., 0, :]
-    v *= sd[..., None, None]
+    # u @ R's noise part, sd * (m0 * u @ Z0 + m2 * u @ S + m1 * u @ Zj), plus u @ g times s
+    both = np.concatenate([c0[..., None, None] * u, c2[..., None, None] * u], axis=-1)
+    v = both @ rows[..., :2, :, :].reshape(*rows.shape[:-3], -1, rows.shape[-1])
+    v += ((c1[..., None, None] * u)[..., None, :] @ rows[..., 2:, :, :])[..., 0, :]
     v += (u * g).sum(axis=-1)[..., None] * s
     v /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
-    bound = np.abs(inverse).sum(axis=1) * (norms[0] + sd * norms[1])[..., None]
+    bound = np.abs(inverse).sum(axis=-1) * (norms[0] + sd * norms[1])[..., None]
     clear = trace > (np.finfo(float).eps / (GRID_RTOL * EIGENGAP_RTOL) * bound) ** 2
     resolved = np.abs(v[..., 0]) > (ZERO_RTOL + GRID_RTOL) * np.abs(v).max(axis=-1)
     failed = ~(settled & clear & resolved).all(axis=-1)
     return _resolve_scales(sigma, u, v, known_values, failed)
+
+
+def _krf_gram(g, s, shared, by_led, products, c0, c1, c2):
+    """Each LED's ``R @ R.T`` at every point, from ``krf_terms`` and the point's scaled mixing.
+
+    ``g`` ``(..., n_tx, n_rx)`` and ``s`` ``(..., n_tx, n_slots)`` are the
+    LEDs' gains and symbols, and ``c0``, ``c1`` and ``c2`` ``(g, ...)`` the
+    coefficients of ``Z0``, ``Zj`` and ``S`` in ``sd`` times the noise part.
+    It is ``H + H.T`` of ``H = c0**2 / 2 * Z0 @ Z0.T + c0 * c2 * S @ Z0.T +
+    c2**2 / 2 * S @ S.T + c1**2 / 2 * Zj @ Zj.T + c0 * c1 * Zj @ Z0.T + c1 *
+    c2 * Zj @ S.T + outer(g, w + ||s||**2 / 2 * g)``, where ``w = c0 * Z0 @
+    s + c2 * S @ s + c1 * Zj @ s`` is the noise part times ``s``.
+    """
+    weights = [np.stack(w, axis=-1)[..., None, :] for w in (
+        (c0 * c0 / 2, c0 * c2, c2 * c2 / 2), (c1 * c1 / 2, c0 * c1, c1 * c2), (c0, c2, c1))]
+    lead, (n_tx, n_rx) = c0.shape, g.shape[-2:]
+    half = (weights[1] @ by_led.reshape(*by_led.shape[:-4], 3, -1)).reshape(*lead, n_tx, n_rx, n_rx)
+    half += (weights[0] @ shared.reshape(*shared.shape[:-3], 3, -1)).reshape(*lead, 1, n_rx, n_rx)
+    h = (weights[2] @ products.reshape(*products.shape[:-3], 3, -1)).reshape(*lead, n_tx, n_rx)
+    h += np.square(s).sum(axis=-1)[..., None] / 2 * g
+    half += g[..., :, None] * h[..., None, :]
+    return half + half.swapaxes(-1, -2)

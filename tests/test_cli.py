@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -281,6 +282,25 @@ class TestSimulate:
         for name in manifest["outputs"]:
             assert (out / name).is_file()
         assert (out / "summary.txt").read_text().startswith("[ber_nmse]")
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path / "sim.cfg", SMALL_SIM)
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:  # the record starts no process
+            m.setattr(subprocess, "Popen", None)
+            assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": {
+                "system": platform.system(),
+                "release": platform.release(),
+                "machine": platform.machine(),
+            },
+        }
+        assert all(isinstance(v, str) and v for v in (
+            environment["python"], environment["numpy"], *environment["platform"].values()))
 
     def test_18_led_row_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "w.cfg", WIDE18)

@@ -296,11 +296,12 @@ class TestChunkMemory:
     # default budget, bound on peak / the chunk's reception).  A one-point
     # chunk is formed and holds two reception-sized arrays (traced peaks 2.05
     # and 2.42 times the reception), and a chunk of several points is routed
-    # and holds up to four: it keeps its draws only as products and scores
-    # its points in groups (2.75 on QLED, 3.39 and 3.44 at one 18- and 30-LED
-    # trial on the 7-point grids), and an alpha grid, one code per depth,
-    # keeps its depth-free draws next to ZF's groups of depths and each
-    # depth's residual (3.29 on QLED, 3.53 at one 30-LED trial)
+    # and holds up to four: it keeps its draws only as their depth-free rows,
+    # the rows' terms and the pilots' products, and scores its points in
+    # groups (2.95 on QLED, 3.26 at three 18-LED trials and 3.79 at one
+    # 30-LED trial on the 7-point grids), and an alpha grid, one code per
+    # depth, holds ZF's groups of depths next to them (3.28 on QLED, 3.79 at
+    # one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
@@ -311,9 +312,9 @@ class TestChunkMemory:
         [
             (QLED, (20.0,), 13, 2.1),
             (WIDE30, (20.0,), 1, 2.5),
-            (QLED, GRID, 6, 3.5),
-            (QLED, ALPHAS, 6, 3.5),
-            (WIDE18, GRID, 1, 4.0),
+            (QLED, GRID, 13, 3.5),
+            (QLED, ALPHAS, 13, 3.5),
+            (WIDE18, GRID, 3, 4.0),
             (WIDE30, GRID, 1, 4.0),
             (WIDE30, ALPHAS, 1, 4.0),
         ],
@@ -337,7 +338,7 @@ class TestChunkMemory:
         else:
             code = build_dimming_matrix(scenario.dimming_spec())
             points = [(code, code_inverse(code), snr_db) for snr_db in grid]
-        assert experiments._chunk_trials(scenario, points) == n_trials
+        assert experiments._chunk_trials(scenario) == n_trials
         # one chunk: the grid's trials per chunk, from base seed 5
         args = (
             scenario, points, n_trials, 5, ALL_RECEIVERS, "gaussian",
@@ -383,7 +384,7 @@ ROUTE_KRF_NMSE_RTOL = 1e-12
 class TestSweepEngine:
     """A sweep draws each trial once for its grid, and equals its points run alone."""
 
-    QLED = default_scenarios()["qled2x2-k12"]  # 6 trials per chunk of several points
+    QLED = default_scenarios()["qled2x2-k12"]  # 13 trials per chunk
 
     @staticmethod
     def sweep_scores(monkeypatch, cfg, mode):
@@ -400,7 +401,7 @@ class TestSweepEngine:
             run_sweeps(cfg, (mode,))
         return returned[-1]  # the sweep's one grid
 
-    # 23 trials leave a partial last chunk at 6 trials per chunk
+    # 23 trials leave a partial last chunk at 13 trials per chunk
     @pytest.mark.parametrize("budget", ["default", "one trial per chunk"])
     @pytest.mark.parametrize(
         "mode,changes",
@@ -433,9 +434,9 @@ class TestSweepEngine:
                 **changes,
             }
         )
-        # "one trial per chunk" gives a chunk of several points one trial
+        # "one trial per chunk" gives every chunk one trial
         if budget == "one trial per chunk":
-            monkeypatch.setattr(experiments, "_CHUNK_BYTES", 2 * self.QLED.reception_bytes)
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", self.QLED.reception_bytes)
         swept = self.sweep_scores(monkeypatch, cfg, mode)
         if mode == "ber":
             alone = [(cfg.scenario, snr_db) for snr_db in cfg.snr_grid_db]
@@ -490,12 +491,42 @@ class TestSweepEngine:
         run_sweeps(cfg, ("alpha",))
         assert len(calls) == 23 * n_targets
 
+    # VLC-KRF detects an alpha grid's depths in ZF's groups: on the QLED link a
+    # group holds three points, so the 5-depth grid takes two krf_detect_grid
+    # calls per 13-trial chunk (one per depth before), and no depth forms a
+    # residual of its code's inverse
+    def test_alpha_grid_detects_krf_once_per_group(self, monkeypatch):
+        class Unmixed(np.ndarray):
+            """A code inverse that no draw may be multiplied by."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is not np.matmul, "a residual was formed"
+                inputs = [x.view(np.ndarray) if isinstance(x, Unmixed) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        codes = [
+            build_dimming_matrix(dataclasses.replace(self.QLED, alpha=a).dimming_spec())
+            for a in (0.1, 0.2, 0.3, 0.4, 0.5)
+        ]
+        points = [(code, code_inverse(code).view(Unmixed), 20.0) for code in codes]
+        calls, formed = [], []
+        real = experiments.krf_detect_grid
+        monkeypatch.setattr(experiments, "krf_detect_grid",
+                            lambda *args: calls.append(len(args[3])) or real(*args))
+        monkeypatch.setattr(experiments, "krf_detect", lambda *args: formed.append(1))
+        assert experiments._chunk_trials(self.QLED) == 13
+        experiments._run_grid(
+            self.QLED, points, 26, 20260814, ("ZF", "VLC-KRF"), "gaussian",
+            default_constellation(self.QLED.k_t),
+        )
+        assert calls == [3, 2, 3, 2] and formed == []
+
     def test_wide_grid_equals_each_point_run_alone(self):
         # the 30-LED row of Table 2 over 0-12 dB: one trial per routed chunk
         grid = (0.0, 4.0, 8.0, 12.0)
         code = build_dimming_matrix(WIDE30.dimming_spec())
         points = [(code, code_inverse(code), snr_db) for snr_db in grid]
-        assert experiments._chunk_trials(WIDE30, points) == 1
+        assert experiments._chunk_trials(WIDE30) == 1
         constellation = default_constellation(WIDE30.k_t)
         routed = experiments._run_grid(
             WIDE30, points, 3, 20260814, ALL_RECEIVERS, "gaussian", constellation

@@ -26,8 +26,10 @@ from dstc.receivers import (
     AmbiguityError,
     channel_from_effective,
     code_inverse,
+    code_mixing,
     krf_detect,
     krf_detect_grid,
+    krf_terms,
     zf_detect,
     zf_detect_grid,
 )
@@ -420,12 +422,13 @@ class GridLink:
 
     def krf_grid(self):
         n_trials, _, n_slots = self.noise.shape
-        residual = self.inverse @ self.noise.reshape(n_trials, 12, -1)
-        residual = residual.reshape(n_trials, 8, 8, n_slots)
+        mixing, coefficients = code_mixing(self.code)
+        rows = (mixing @ self.noise.reshape(n_trials, 12, -1)).reshape(n_trials, 10, 8, n_slots)
         norms = tuple(np.linalg.norm(a, axis=(-2, -1)) for a in (self.clean, self.noise))
         return krf_detect_grid(
-            self.gains, self.symbols, residual, self.inverse, norms, self.sd,
-            self.symbols[:, 0],
+            self.gains, self.symbols, krf_terms(rows, self.symbols),
+            np.broadcast_to(coefficients[2:], (len(self.sd), 3)), self.inverse[None, None], norms,
+            self.sd, self.symbols[:, 0],
         )
 
     def darken(self, led, noise_residual=None):
@@ -448,6 +451,76 @@ class GridLink:
         """Point ``i``'s reception and ZF's pilot estimate, formed."""
         scale = self.sd[i][:, None, None]
         return self.clean + scale * self.noise, self.effective + scale * self.pilot
+
+
+class TestCodeMixing:
+    """One draw's depth-free rows give every depth's products, as formed from the code."""
+
+    # (states, LEDs): the QLED links at 12 and 16 states and the 18- and 30-LED rows of Table 2
+    LINKS = ((12, 8), (16, 8), (20, 18), (32, 30))
+
+    @staticmethod
+    def codes(n_states, n_tx):
+        """The codes of every feasible depth 0.1 .. 0.5 at P_m = 0.3, 0.5 and 0.7, and a tiny one."""
+        specs = [DimmingSpec(n_states, n_tx, p_m, alpha) for p_m in (0.3, 0.5, 0.7)
+                 for alpha in (0.1, 0.2, 0.3, 0.4, 0.5) if alpha <= min(p_m, 1.0 - p_m) + 1e-12]
+        # p_m**2 / (alpha**2 + n * p_m**2) of this code is formed from p_m / alpha alone
+        specs.append(DimmingSpec(n_states, n_tx, 1e-150, 1e-150))
+        return [build_dimming_matrix(spec) for spec in specs]
+
+    @pytest.mark.parametrize("n_states,n_tx", LINKS)
+    def test_coefficients_reproduce_the_formed_mixing(self, n_states, n_tx):
+        for code in self.codes(n_states, n_tx):
+            rows, (level, swing, m0, m1, m2) = code_mixing(code)
+            signs = rows[2:].T
+            assert np.array_equal(signs.T @ signs, n_states * np.eye(n_tx))
+            assert np.array_equal(rows[0], np.ones(n_states)) and not (rows[0] @ signs).any()
+            assert np.array_equal(rows[1], signs.sum(axis=1))
+            w = rows[[0, *range(2, n_tx + 2)]]  # [1.T; B.T]
+            own = np.eye(n_tx, dtype=bool)
+            # C+ @ W.T / K: m0 on Z0, m2 on each row of S and m1 more on the
+            # LED's own row, each taken apart as the route mixes them
+            krf = code_inverse(code) @ w.T / n_states
+            krf_errors = (m0 - krf[:, 0], m2 - krf[:, 1:][~own], (m1 - krf[:, 1:][own]) + m2)
+            # C.T @ W.T / K: p on Z0 and a on the LED's own row
+            zf = code.T @ w.T / n_states
+            zf_errors = (level - zf[:, 0], zf[:, 1:][~own], swing - zf[:, 1:][own])
+            for want, errors in ((krf, krf_errors), (zf, zf_errors)):
+                worst = max(np.abs(e).max(initial=0.0) for e in errors)
+                assert worst <= 1e-15 * np.abs(want).max(), (code[0], worst / np.abs(want).max())
+
+    @pytest.mark.parametrize("n_states,n_tx", LINKS)
+    def test_terms_give_the_formed_residual_gram(self, n_states, n_tx):
+        # within the rounding delta <= 2 * n_slots * eps * lambda_1 that
+        # linalg.leading_eigenvector's eigengap rule assumes, at a low and a
+        # high SNR and at every depth
+        n_rx, n_slots, n_trials = n_tx, 100, 3
+        rng = np.random.default_rng(n_states)
+        symbols = rng.random((n_trials, n_slots, n_tx))
+        gains = rng.standard_normal((n_trials, n_rx, n_tx))
+        noise = rng.standard_normal((n_trials, n_states * n_rx, n_slots))
+        codes = self.codes(n_states, n_tx)
+        rows = code_mixing(codes[0])[0] @ noise.reshape(n_trials, n_states, -1)
+        terms = krf_terms(rows.reshape(n_trials, n_tx + 2, n_rx, n_slots), symbols)
+        worst = 0.0
+        for code in codes:
+            inverse, (m0, m1, m2) = code_inverse(code), code_mixing(code)[1][2:]
+            clean = effective_channel(gains, code) @ symbols.swapaxes(-1, -2)
+            power = np.mean(np.square(clean), axis=(-2, -1))
+            sd = np.array([np.sqrt(noise_variance(power, snr_db)) for snr_db in (0.0, 30.0)])
+            gram = receivers._krf_gram(
+                gains.swapaxes(-1, -2), symbols.swapaxes(-1, -2), *terms[1:],
+                sd * m0, sd * m1, sd * m2,
+            )
+            for i, scale in enumerate(sd):
+                residual = inverse @ (clean + scale[:, None, None] * noise).reshape(
+                    n_trials, n_states, -1)
+                residual = residual.reshape(n_trials, n_tx, n_rx, n_slots)
+                formed = residual @ residual.swapaxes(-1, -2)
+                top = np.linalg.eigvalsh(formed)[..., -1]
+                delta = np.abs(gram[i] - formed).max(axis=(-2, -1))
+                worst = max(worst, (delta / top).max())
+        assert worst <= 2 * n_slots * np.finfo(float).eps, worst
 
 
 class TestGridDetectors:
