@@ -513,7 +513,7 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
         cond = _stack([clean[id(c)][0][r] for c in codes])
         scores[r].append(_score(result, bits, gains, cond, constellation))
         del result
-    terms = rows = None  # before any block is formed
+    products = None  # ZF's last group, before any block is formed
     scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
