@@ -8,6 +8,7 @@ column per LED; row n concatenates the ``l_t`` group symbols of slot n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,20 @@ class Constellation:
         return self.points.shape[1]
 
 
+@functools.cache
 def default_constellation(k_t: int) -> Constellation:
-    """Unit-vector constellation; with three channels the fourth point is the centroid."""
+    """Unit-vector constellation; with three channels the fourth point is the centroid.
+
+    One instance per ``k_t`` serves every call, so its points are read-only.
+    """
     if k_t == 4:
-        return Constellation(np.eye(4))
-    if k_t == 3:
-        return Constellation(np.vstack([np.eye(3), np.full(3, 1.0 / 3.0)]))
-    raise ValueError(f"no default constellation for k_t = {k_t}")
+        points = np.eye(4)
+    elif k_t == 3:
+        points = np.vstack([np.eye(3), np.full(3, 1.0 / 3.0)])
+    else:
+        raise ValueError(f"no default constellation for k_t = {k_t}")
+    points.setflags(write=False)
+    return Constellation(points)
 
 
 def symbol_labels(bits, n_rows: int, n_groups: int) -> np.ndarray:

@@ -13,6 +13,7 @@ column rank, so it can double as a diversity code.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,17 @@ def default_chromaticity(n_channels: int) -> ChromaticityTable:
     raise ValueError(f"no default chromaticity table for {n_channels} channels")
 
 
+# The codes that ``build_dimming_matrix`` has built, by their spec's values,
+# each read-only with its full-column-rank verdict, oldest first.  A code
+# over _KEPT_CODE_BYTES is not kept, and at most _KEPT_CODES are, so the
+# codes kept take at most 32 * 32 KiB = 1 MiB (a 30-LED, 32-state code
+# takes 7.5 KiB).
+_KEPT_CODES = 32
+_KEPT_CODE_BYTES = 32 * 1024
+_codes: dict[tuple, tuple[np.ndarray, bool]] = {}
+_codes_lock = threading.Lock()
+
+
 def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     """Construct the dimming code for ``spec``.
 
@@ -92,7 +104,9 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
     state count, no Hadamard matrix of the requested order, bad column pick,
     or a swing so small next to P_m that the code fails ``full_column_rank``),
     and ``linalg.ArraySizeError`` before building a code over
-    ``linalg.MAX_ARRAY_BYTES``.
+    ``linalg.MAX_ARRAY_BYTES``.  Every call makes each of those checks; the
+    construction and its rank verdict are kept per spec (``_codes``), and
+    the caller gets its own writable array.
     """
     k, n_tx = spec.n_states, spec.n_tx
     if n_tx < 1:
@@ -131,16 +145,36 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
                 "column indices lie in 2..K", f"got {c} with K = {k}"
             )
     check_array_bytes(f"the {k} x {n_tx} dimming code", 8 * k * n_tx)
-    try:
-        b = hadamard(k, [c - 1 for c in columns]).astype(float)
-    except HadamardOrderError as exc:
-        raise ConstraintViolationError("K is a constructible Hadamard order", str(exc)) from exc
-    code = spec.p_m + spec.alpha * b
-    if not full_column_rank(code):
+    key = (k, tuple(columns), float(spec.p_m), float(spec.alpha))
+    with _codes_lock:
+        kept = _codes.get(key)
+    if kept is None:
+        kept = _construct(spec, columns)
+        if kept[0].nbytes <= _KEPT_CODE_BYTES:
+            kept[0].setflags(write=False)
+            with _codes_lock:
+                if len(_codes) >= _KEPT_CODES:
+                    del _codes[next(iter(_codes))]  # the oldest
+                _codes[key] = kept
+    code, full_rank = kept
+    if not full_rank:
         raise ConstraintViolationError(
             "full column rank", f"alpha = {spec.alpha} is too small a swing around P_m = {spec.p_m}"
         )
-    return code
+    return code if code.flags.writeable else code.copy()  # a kept code is read-only
+
+
+def _construct(spec: DimmingSpec, columns) -> tuple[np.ndarray, bool]:
+    """``p_m + alpha * B`` on the ``columns`` of the order-K Hadamard matrix, and its rank verdict.
+
+    ``build_dimming_matrix`` has checked the spec and the code's size.
+    """
+    try:
+        b = hadamard(spec.n_states, [c - 1 for c in columns]).astype(float)
+    except HadamardOrderError as exc:
+        raise ConstraintViolationError("K is a constructible Hadamard order", str(exc)) from exc
+    code = spec.p_m + spec.alpha * b
+    return code, full_column_rank(code)
 
 
 def average_power(code: np.ndarray, totals: np.ndarray) -> float:

@@ -296,21 +296,19 @@ def _score(result, bits, gains, cond, constellation):
     return failed, np.where(failed, 0, errors), np.where(failed, np.nan, nmse), cond
 
 
-def _run_formed(scenario, points, seeds, receivers, channel_model, constellation, drawn=None):
+def _run_formed(scenario, points, seeds, receivers, channel_model, constellation):
     """A chunk of ``_run_grid`` on one point or a noiseless grid, by forming each point's reception.
 
     Each point forms its links (``_propagate``) and their targets: the data
     reception, one matrix product, and the pilot estimate, the point's own
     effective channel, which shares the reception's standard deviation.  A
     noisy point, its grid's only one, adds each unit draw, scaled in place,
-    as it is drawn.  The trials draw as for the ``drawn`` receivers (by
-    default ``receivers``); only ``receivers`` are detected and scored.
+    as it is drawn.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    drawn = drawn or receivers
     scores = []
     for code, inverse, snr_db in points:
-        links, conds = _propagate(gains, code, drawn)
+        links, conds = _propagate(gains, code, receivers)
         received = []
         for e, link_code, pilot in links:
             received += [e @ symbols.swapaxes(-1, -2)] + [e] * pilot
@@ -324,10 +322,8 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
                     del unit  # before the next draw
         # VLC-KRF detects last, handed the reception's only reference, freed before its fit
         estimates = {}
-        if RECEIVER_ZF in drawn:  # its pilot comes before plain CSK's draws
-            estimate = received.pop(1)
-            if RECEIVER_ZF in receivers:
-                estimates[RECEIVER_ZF] = zf_detect(received[0], estimate, code)
+        if RECEIVER_ZF in receivers:
+            estimates[RECEIVER_ZF] = zf_detect(received[0], received.pop(1), code)
         if RECEIVER_PLAIN in receivers:  # on the one-state code of its link, the last
             estimates[RECEIVER_PLAIN] = zf_detect(received.pop(1), received.pop(1), links[-1][1])
         if RECEIVER_KRF in receivers:
@@ -347,7 +343,8 @@ class _LinkProducts:
     chunk's draws are taken into ``draws`` and reduced at once.  Where
     ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``, and
     the pilot draw ``P``, stacked, and ``P.T @ N``, last in ``products``.
-    Plain CSK's one-state link keeps ``E.T @ N`` first in them.  The dimming
+    Plain CSK's one-state link keeps ``E.T @ N`` first in them, and ``N``
+    itself, drawn into ``noise``, for the blocks that it leaves open.  The dimming
     code's, given ``mixing`` ``W`` (``receivers.code_mixing``), keeps
     ``||N||`` and ``rows``, ``W @ N`` over ``N``'s state blocks, and where
     ``krf`` VLC-KRF's ``terms`` of them (``receivers.krf_terms``).  ``rows``
@@ -360,6 +357,7 @@ class _LinkProducts:
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
         self.pilot = np.empty((n_trials, n_states * n_rx, n_tx)) if pilot else None
         self.products = np.empty((1 + (mixing is None), n_trials, n_tx, n_slots)) if pilot else None
+        self.noise = np.empty((n_trials, n_rx, n_slots, 1)) if pilot and mixing is None else None
         if mixing is not None:
             shapes = [(n_trials, len(mixing), n_rx, n_slots)] + [(n_trials, 3, *shape) for shape in (
                 (n_rx, n_rx), (n_tx, n_rx, n_rx), (n_tx, n_rx))] * krf
@@ -371,8 +369,11 @@ class _LinkProducts:
 
     def draws(self, n_trials):
         """Arrays for ``n_trials`` trials' ``N`` and, where ``pilot``, ``P``, as ``draw_unit_noise`` draws them."""
-        cols = [self.n_slots] + ([self.pilot.shape[-1]] if self.pilot is not None else [])
-        return [np.empty((n_trials, self.n_rx, c, self.n_states)) for c in cols]
+        noise = self.noise[:n_trials] if self.noise is not None else np.empty(
+            (n_trials, self.n_rx, self.n_slots, self.n_states))
+        if self.pilot is None:
+            return [noise]
+        return [noise, np.empty((n_trials, self.n_rx, self.pilot.shape[-1], self.n_states))]
 
     def draw(self, t, rng, draws):
         """Take trial ``t``'s draws from its generator: the reception's noise, then the pilot's."""
@@ -440,8 +441,9 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
     largest entry.  The points are detected a group at a time, in one batched
     pass per receiver (``receivers.zf_detect_grid``,
     ``receivers.krf_detect_grid``), whatever their codes.  A block that those
-    leave open is formed afterwards (``_run_formed``), a point at a time, on
-    its open trials and receivers.
+    leave open is formed afterwards, a point at a time, on its open trials:
+    plain CSK's from the draws that its link keeps, and ZF's and VLC-KRF's by
+    drawing those trials again (``_run_formed``).
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
     first, n_rx, n_slots, n_tx = points[0][0], scenario.n_rx, scenario.block_len, scenario.n_tx
@@ -485,45 +487,59 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
     # reception, and scoring them holds about four such arrays
     size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * n_tx))
     groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
-    scores = {r: [] for r in receivers}
-    for r, group in itertools.product(receivers, groups):
-        codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
-        codes = codes[:1] if all(c is codes[0] for c in codes) else codes
-        if r == RECEIVER_KRF:
-            power = np.array([clean[id(points[i][0])][1] for i in group])
-            result = krf_detect_grid(
-                gains, symbols, terms, coefficients[group, 2:],
-                np.stack([points[i][1] for i in group])[:, None],
-                (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms[:n]),
-                sds[group, 0], symbols[:, 0],
-            )
-        else:  # ZF, on the dimming code's link or plain CSK's
-            link, col = (plain, -1) if r == RECEIVER_PLAIN else (coded, 0)
-            if r == RECEIVER_PLAIN:
-                products = link.products[0, :n][None]
-            else:  # block j of E.T @ N is g_j.T @ (p * Z0 + a * Zj)
-                products = np.tensordot(coefficients[group[:len(codes)], :2], np.stack(
-                    [g @ rows[:, 0], (g[..., None, :] @ rows[:, 2:])[..., 0, :]]), 1)
-            result = zf_detect_grid(
-                _stack([effective_channel(gains, c) for c in codes]), link.pilot[:n], symbols,
-                (products, link.products[-1, :n]),
-                (_stack([clean[id(c)][2] for c in codes]), link.peaks[:n]), sds[group, col],
-                _stack([c[None] for c in codes]),
-            )
-        cond = _stack([clean[id(c)][0][r] for c in codes])
-        scores[r].append(_score(result, bits, gains, cond, constellation))
-        del result
-    products = None  # ZF's last group, before any block is formed
-    scores = {r: tuple(map(np.vstack, zip(*parts))) for r, parts in scores.items()}
+    scores = {}
+    for r in receivers:
+        if r == RECEIVER_ZF:  # block j of each code's E.T @ N is g_j.T @ (p * Z0 + a * Zj)
+            shared = np.stack([g @ rows[:, 0], (g[..., None, :] @ rows[:, 2:])[..., 0, :]])
+        parts = []
+        for group in groups:
+            codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
+            codes = codes[:1] if all(c is codes[0] for c in codes) else codes
+            if r == RECEIVER_KRF:
+                power = np.array([clean[id(points[i][0])][1] for i in group])
+                result = krf_detect_grid(
+                    gains, symbols, terms, coefficients[group, 2:],
+                    np.stack([points[i][1] for i in group])[:, None],
+                    (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms[:n]),
+                    sds[group, 0], symbols[:, 0],
+                )
+            else:  # ZF, on the dimming code's link or plain CSK's
+                link, col = (plain, -1) if r == RECEIVER_PLAIN else (coded, 0)
+                if r == RECEIVER_PLAIN:
+                    products = link.products[0, :n][None]
+                else:
+                    products = np.tensordot(coefficients[group[:len(codes)], :2], shared, 1)
+                result = zf_detect_grid(
+                    _stack([effective_channel(gains, c) for c in codes]), link.pilot[:n],
+                    symbols, (products, link.products[-1, :n]),
+                    (_stack([clean[id(c)][2] for c in codes]), link.peaks[:n]),
+                    sds[group, col], _stack([c[None] for c in codes]),
+                )
+                del products  # before the group is scored
+            cond = _stack([clean[id(c)][0][r] for c in codes])
+            parts.append(_score(result, bits, gains, cond, constellation))
+            del result
+        scores[r] = tuple(map(np.vstack, zip(*parts)))
+        shared = None  # ZF's, before the next receiver
     for i, point in enumerate(points):
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
-        if open_:
+        if RECEIVER_PLAIN in open_:  # formed here as a point run alone forms them
+            t = np.flatnonzero(open_.pop(RECEIVER_PLAIN))
+            sd = sds[i, -1, t][:, None, None]
+            estimate = plain_links[0][0][t]
+            reception = estimate @ symbols[t].swapaxes(-1, -2)
+            reception += sd * plain.noise[t, ..., 0]
+            estimate += sd * plain.pilot[t]
+            result = zf_detect(reception, estimate, plain_codes[0])
+            arrays = scores[RECEIVER_PLAIN]
+            settled = _score(result, bits[t], gains[t], arrays[3][i, t], constellation)
+            for array, part in zip(arrays, settled):
+                array[i, t] = part[0]
+        if open_:  # ZF's and VLC-KRF's, formed from their draws
             trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
-            zf_pilot = RECEIVER_PLAIN in open_  # ZF's pilot is drawn before plain CSK's draws
-            drawn = tuple(r for r in receivers if r in open_ or zf_pilot and r == RECEIVER_ZF)
             formed = _run_formed(
                 scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
-                constellation, drawn,
+                constellation,
             )
             for r, blocks in open_.items():
                 for whole, part in zip(scores[r], formed[r]):

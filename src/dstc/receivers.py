@@ -239,6 +239,7 @@ def zf_detect_grid(effective, pilot, symbols, products, peaks, sd, code):
     rhs = (transposed @ effective) @ symbols.swapaxes(-1, -2)
     rhs += scale * (products[0] + scale * products[1])
     x, normal = normal_solve(transposed @ estimate, rhs)
+    del rhs  # before the channel estimate's temporaries
     largest = np.abs(estimate).max(axis=(-2, -1))
     high = (peaks[0] + sd * peaks[1]) * (1.0 + GRID_RTOL)
     failed = ~normal | (largest <= ZERO_RTOL * high)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import dstc
-from dstc import linalg
+from dstc import dimming, linalg
 from dstc.channel import CHANNEL_MODELS
 from dstc.cli import build_parser, main
 from dstc.configio import _KEYS, MODES, ConfigError, load_config
@@ -628,6 +628,20 @@ class TestArrayBudget:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("input too large: ") and what in proc.stderr
+
+    def test_a_kept_code_is_refused_like_a_new_one(self, tmp_path, monkeypatch, capsys):
+        # design keeps the code it builds, and the budget still refuses it on the next run
+        monkeypatch.setattr(dimming, "_codes", {})
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SIM)
+        assert run_cli(["design", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert len(dimming._codes) == 1
+        capsys.readouterr()
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 8 * 12 * 8 - 1)
+        assert run_cli(["design", "--config", cfg, "--out", str(tmp_path / "b")]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "the 12 x 8 dimming code" in captured.err
+        assert not any((tmp_path / "b").glob("*"))
 
     @pytest.mark.parametrize("command", ["check", "simulate", "design", "audit"])
     def test_every_command_exits_5_with_one_line(self, command, tmp_path, monkeypatch, capsys):

@@ -40,6 +40,21 @@ class TestConstellation:
         with pytest.raises(ValueError):
             default_constellation(5)
 
+    @pytest.mark.parametrize("k_t", [3, 4])
+    def test_one_read_only_instance_per_size(self, k_t):
+        c = default_constellation(k_t)
+        assert default_constellation(k_t) is c
+        assert not c.points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.points[0, 0] = 0.5
+        fresh = np.eye(4) if k_t == 4 else np.vstack([np.eye(3), np.full(3, 1.0 / 3.0)])
+        assert np.array_equal(c.points, fresh)
+
+    def test_unsupported_size_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k_t = 5"):
+                default_constellation(5)
+
     def test_rejects_out_of_range_levels(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Constellation(np.vstack([np.eye(3) * 1.5, np.zeros(3)]))

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dstc import dimming
 from dstc.channel import effective_channel
+from dstc.configio import load_config
 from dstc.dimming import (
     ChromaticityTable,
     ConstraintViolationError,
@@ -126,9 +130,101 @@ class TestBuild:
             return hadamard(order, columns)
 
         monkeypatch.setattr(dimming, "hadamard", spy)
+        monkeypatch.setattr(dimming, "_codes", {})  # no code is kept from an earlier test
         build_dimming_matrix(DimmingSpec(12, 3, 0.5, 0.4, columns=(5, 2, 9)))
         build_dimming_matrix(DimmingSpec(65536, 2, 0.5, 0.4))
         assert requested == [(12, [4, 1, 8]), (65536, [1, 2])]
+
+
+class TestKeptCodes:
+    """``build_dimming_matrix`` keeps each code it builds, and hands out copies of it."""
+
+    CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+    @staticmethod
+    def specs(path):
+        """The specs of a config: its scenario's, and one per depth of its alpha grid."""
+        bundle = load_config(path)
+        grid = bundle.experiment.alpha_grid if bundle.experiment else ()
+        alphas = (bundle.scenario.alpha, *grid)
+        return [dataclasses.replace(bundle.scenario, alpha=a).dimming_spec() for a in alphas]
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_kept_code_equals_a_fresh_construction(self, path, monkeypatch):
+        built = []
+        monkeypatch.setattr(dimming, "_codes", {})
+        monkeypatch.setattr(dimming, "hadamard", lambda *args: built.append(1) or hadamard(*args))
+        for spec in self.specs(path):
+            columns = spec.columns or range(2, spec.n_tx + 2)
+            fresh = spec.p_m + spec.alpha * hadamard(spec.n_states, [c - 1 for c in columns])
+            assert np.array_equal(build_dimming_matrix(spec), fresh)
+            n_built = len(built)
+            assert np.array_equal(build_dimming_matrix(spec), fresh)  # the kept code
+            assert len(built) == n_built
+
+    def test_a_returned_code_is_the_caller_own(self):
+        spec = DimmingSpec(12, 8, 0.5, 0.4)
+        want = build_dimming_matrix(spec)
+        code = build_dimming_matrix(spec)
+        assert code.flags.writeable and not np.shares_memory(code, want)
+        code[:] = 0.0
+        assert np.array_equal(build_dimming_matrix(spec), want)
+
+    @pytest.mark.parametrize(
+        "spec,constraint",
+        [
+            (DimmingSpec(32, 30, 0.5, 1e-9), "full column rank"),
+            (DimmingSpec(28, 3, 0.5, 0.4), "K is a constructible Hadamard order"),
+            (DimmingSpec(12, 8, 0.5, 0.6), "alpha <= min(P_m, 1 - P_m)"),
+        ],
+        ids=["vanishing-swing", "no-hadamard-order", "deep-alpha"],
+    )
+    def test_infeasible_spec_raises_on_every_call(self, spec, constraint):
+        for _ in range(3):
+            with pytest.raises(ConstraintViolationError) as info:
+                build_dimming_matrix(spec)
+            assert info.value.constraint == constraint
+
+    def test_kept_bytes_stay_within_the_stated_bound(self, monkeypatch):
+        monkeypatch.setattr(dimming, "_codes", {})
+        bound = dimming._KEPT_CODES * dimming._KEPT_CODE_BYTES
+        assert bound == 2**20  # the bound the comment states
+        alphas = np.linspace(0.01, 0.5, 2 * dimming._KEPT_CODES)
+        specs = [DimmingSpec(32, 30, 0.5, a) for a in alphas]
+        for spec in specs:
+            build_dimming_matrix(spec)
+            assert sum(code.nbytes for code, _ in dimming._codes.values()) <= bound
+        assert len(dimming._codes) == dimming._KEPT_CODES
+        big = DimmingSpec(128, 64, 0.5, 0.4)  # 64 KiB, more than a kept code may take
+        build_dimming_matrix(big)
+        assert all(code.shape != (128, 64) for code, _ in dimming._codes.values())
+
+    def test_threads_keep_the_bound_and_the_codes(self, monkeypatch):
+        monkeypatch.setattr(dimming, "_codes", {})
+        alphas = np.linspace(0.01, 0.5, 3 * dimming._KEPT_CODES)
+        wrong = []
+
+        def build(offset):
+            try:
+                for a in np.roll(alphas, offset):
+                    code = build_dimming_matrix(DimmingSpec(12, 8, 0.5, a))
+                    if not np.array_equal(code, 0.5 + a * hadamard(12, range(1, 9))):
+                        wrong.append(a)
+            except Exception as exc:  # a thread's failure fails the test
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(17 * i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and len(dimming._codes) <= dimming._KEPT_CODES
 
 
 class TestValidate:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dstc import experiments, linalg, receivers
+from dstc import dimming, experiments, linalg, receivers
 from dstc.channel import CHANNEL_MODELS, derive_seed
 from dstc.configio import load_config
 from dstc.csk import Constellation, default_constellation, modulate
@@ -246,6 +246,7 @@ class TestRunPoint:
         per_point = []
         for n_trials in (1, 4):
             calls.clear()
+            monkeypatch.setattr(dimming, "_codes", {})  # each point builds its code
             run_point(WIDE30, 20.0, n_trials, 20260814, ("ZF", "VLC-KRF"))
             per_point.append(len(calls))
         assert per_point[0] == per_point[1] < 4, per_point
@@ -600,9 +601,8 @@ class TestRouteFallbacks:
 
 
     # the bundled qled2x2 BER sweep leaves plain-CSK blocks open, 6 at the
-    # config's seed and 11 at seed 7, and none of ZF's: a formed point draws
-    # ZF's pilots, which come before plain CSK's draws, without detecting
-    # them, and forms only its open trials
+    # config's seed and 11 at seed 7, and none of ZF's: the route forms
+    # plain CSK's open trials from the draws it keeps, and draws no trial again
     @pytest.mark.parametrize("seed,n_open", [(None, 6), (7, 11)], ids=["config-seed", "seed-7"])
     def test_formed_detectors_see_only_open_blocks(self, monkeypatch, seed, n_open):
         cfg = load_config("configs/qled2x2.cfg").experiment
@@ -615,9 +615,17 @@ class TestRouteFallbacks:
             seen["plain-CSK" if len(code) == 1 else "ZF"] += len(stacked)
             return real(stacked, effective, code)
 
+        drawn, draw = [], experiments._draw_chunk
+
+        def counted_draws(scenario, seeds, *args):
+            drawn.append(len(seeds))
+            return draw(scenario, seeds, *args)
+
         monkeypatch.setattr(experiments, "zf_detect", counted)
+        monkeypatch.setattr(experiments, "_draw_chunk", counted_draws)
         run_sweeps(cfg, ("ber",))
         assert seen == {"ZF": 0, "plain-CSK": n_open}
+        assert sum(drawn) == cfg.n_trials + 1  # and the precheck's trial 0
 
 
 class TestArrayBudget:

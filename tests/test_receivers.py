@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,26 +469,50 @@ class TestCodeMixing:
         specs.append(DimmingSpec(n_states, n_tx, 1e-150, 1e-150))
         return [build_dimming_matrix(spec) for spec in specs]
 
+    @staticmethod
+    def exact_mixing(code, w):
+        """``C+ @ W.T / K`` and ``C.T @ W.T / K`` of the float ``code`` in exact arithmetic.
+
+        ``C`` holds two values; over their common power-of-two denominator
+        ``unit`` it is an integer matrix ``c``, whose Gram matrix, checked
+        to be ``K * (a**2 * I + p**2 * 1 @ 1.T)``, is inverted by
+        Sherman-Morrison in Fractions.  Returns two object arrays of
+        Fractions, ``n_tx x (1 + n_tx)``.
+        """
+        n_states, n_tx = code.shape
+        hi, lo = Fraction(code.max()), Fraction(code.min())
+        assert np.isin(code, (code.max(), code.min())).all()
+        unit = max(hi.denominator, lo.denominator)  # a power of two, so it clears both
+        c = np.where(code == code.max(), int(hi * unit), int(lo * unit)).astype(object)
+        p, a = (c.max() + c.min()) / Fraction(2), (c.max() - c.min()) / Fraction(2)
+        gram = c.T @ c
+        assert (gram == n_states * (a**2 * np.eye(n_tx, dtype=int) + p**2)).all()
+        cw = c.T @ w.T.astype(int).astype(object)  # unit * C.T @ W.T
+        r = p**2 / (a**2 + n_tx * p**2)
+        solved = (cw - r * cw.sum(axis=0)) / (n_states * a**2)  # inv(gram) @ cw
+        return solved * Fraction(unit, n_states), cw / (unit * n_states)
+
     @pytest.mark.parametrize("n_states,n_tx", LINKS)
     def test_coefficients_reproduce_the_formed_mixing(self, n_states, n_tx):
         for code in self.codes(n_states, n_tx):
-            rows, (level, swing, m0, m1, m2) = code_mixing(code)
+            rows, coefficients = code_mixing(code)
+            level, swing, m0, m1, m2 = map(Fraction, coefficients.tolist())
             signs = rows[2:].T
             assert np.array_equal(signs.T @ signs, n_states * np.eye(n_tx))
             assert np.array_equal(rows[0], np.ones(n_states)) and not (rows[0] @ signs).any()
             assert np.array_equal(rows[1], signs.sum(axis=1))
             w = rows[[0, *range(2, n_tx + 2)]]  # [1.T; B.T]
             own = np.eye(n_tx, dtype=bool)
+            krf, zf = self.exact_mixing(code, w)
             # C+ @ W.T / K: m0 on Z0, m2 on each row of S and m1 more on the
-            # LED's own row, each taken apart as the route mixes them
-            krf = code_inverse(code) @ w.T / n_states
-            krf_errors = (m0 - krf[:, 0], m2 - krf[:, 1:][~own], (m1 - krf[:, 1:][own]) + m2)
+            # LED's own row, as the route mixes them
+            krf_errors = (m0 - krf[:, 0], m2 - krf[:, 1:][~own], m1 + m2 - krf[:, 1:][own])
             # C.T @ W.T / K: p on Z0 and a on the LED's own row
-            zf = code.T @ w.T / n_states
             zf_errors = (level - zf[:, 0], zf[:, 1:][~own], swing - zf[:, 1:][own])
             for want, errors in ((krf, krf_errors), (zf, zf_errors)):
-                worst = max(np.abs(e).max(initial=0.0) for e in errors)
-                assert worst <= 1e-15 * np.abs(want).max(), (code[0], worst / np.abs(want).max())
+                worst = max(np.abs(e).max(initial=0) for e in errors)
+                largest = np.abs(want).max()
+                assert worst <= Fraction(1e-15) * largest, (code[0], float(worst / largest))
 
     @pytest.mark.parametrize("n_states,n_tx", LINKS)
     def test_terms_give_the_formed_residual_gram(self, n_states, n_tx):
