@@ -162,7 +162,7 @@ class TestKeptCodes:
             assert np.array_equal(build_dimming_matrix(spec), fresh)  # the kept code
             assert len(built) == n_built
 
-    def test_a_returned_code_is_the_caller_own(self):
+    def test_a_returned_code_is_the_callers_own(self):
         spec = DimmingSpec(12, 8, 0.5, 0.4)
         want = build_dimming_matrix(spec)
         code = build_dimming_matrix(spec)
@@ -196,7 +196,7 @@ class TestKeptCodes:
             assert sum(code.nbytes for code, _ in dimming._codes.values()) <= bound
         assert len(dimming._codes) == dimming._KEPT_CODES
         big = DimmingSpec(128, 64, 0.5, 0.4)  # 64 KiB, more than a kept code may take
-        build_dimming_matrix(big)
+        assert build_dimming_matrix(big).flags.writeable
         assert all(code.shape != (128, 64) for code, _ in dimming._codes.values())
 
     def test_threads_keep_the_bound_and_the_codes(self, monkeypatch):

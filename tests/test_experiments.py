@@ -299,9 +299,9 @@ class TestChunkMemory:
     # and 2.42 times the reception), and a chunk of several points is routed
     # and holds up to four: it keeps its draws only as their depth-free rows,
     # the rows' terms and the pilots' products, and scores its points in
-    # groups (2.95 on QLED, 3.26 at three 18-LED trials and 3.79 at one
+    # groups (3.11 on QLED, 3.26 at three 18-LED trials and 3.85 at one
     # 30-LED trial on the 7-point grids), and an alpha grid, one code per
-    # depth, holds ZF's groups of depths next to them (3.28 on QLED, 3.79 at
+    # depth, holds ZF's groups of depths next to them (3.30 on QLED, 3.85 at
     # one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
