@@ -118,9 +118,9 @@ def build_dimming_matrix(spec: DimmingSpec) -> np.ndarray:
             "alpha <= min(P_m, 1 - P_m)",
             f"got alpha = {spec.alpha} with P_m = {spec.p_m}",
         )
-    if not spec.alpha > 0.0:
+    if not spec.alpha >= np.finfo(float).tiny:  # so 1 / (alpha * sqrt(K)) stays in range
         raise ConstraintViolationError(
-            "alpha > 0 (full column rank needs nonzero power variation)",
+            "alpha > 0 and not subnormal (full column rank needs a swing whose inverse is finite)",
             f"got alpha = {spec.alpha}",
         )
     if n_tx > k - 1:

@@ -687,43 +687,41 @@ def run_sweeps(
     identifiability is checked once (``check_scenario_identifiability``), so
     an infeasible depth in any sweep raises ``ConstraintViolationError``, and
     a scenario that fails the check ``IdentifiabilityError``, before a trial
-    of any sweep runs.  Every point runs the same trials, each drawn once for
-    its whole grid (see ``_run_grid``), so the curves equal those of each
-    point run alone through ``run_point``.
+    of any sweep runs.  The distinct ``(snr_db, alpha)`` points of every
+    sweep, keyed on the SNR as listed even when noiseless, make one grid
+    whose trials are each drawn once (see ``_run_grid``), so the curves
+    equal those of each point run alone through ``run_point``.
     """
     cfg.scenario.check_size()  # every point shares the scenario's array sizes
     sweeps = {mode: _sweep_points(cfg, mode) for mode in modes}
-    codes = {}
-    for alpha in (point[2] for points in sweeps.values() for point in points):
+    codes, index = {}, {}  # each depth's code, and each distinct (snr_db, alpha)'s grid row
+    for _, snr_db, alpha in itertools.chain(*sweeps.values()):
         if alpha not in codes:
             scenario = dataclasses.replace(cfg.scenario, alpha=alpha)
             code = build_dimming_matrix(scenario.dimming_spec())
             codes[alpha] = (code, code_inverse(code) if RECEIVER_KRF in cfg.receivers else None)
+        index.setdefault((snr_db, alpha), len(index))
     if RECEIVER_ZF in cfg.receivers or RECEIVER_KRF in cfg.receivers:
         report = check_scenario_identifiability(cfg, constellation)
         if not report.unique:
             raise IdentifiabilityError(f"scenario fails the k-rank sum condition: {report}")
     constellation = constellation or default_constellation(cfg.scenario.k_t)
-    curves = {}
-    for mode, points in sweeps.items():
-        grid = [(*codes[a], math.inf if cfg.noiseless else snr_db) for _, snr_db, a in points]
-        results = _run_grid(
-            cfg.scenario,
-            grid,
-            cfg.n_trials,
-            cfg.base_seed,
-            cfg.receivers,
-            cfg.channel_model,
-            constellation,
-        )
-        curves[mode] = {
+    grid = [(*codes[a], math.inf if cfg.noiseless else snr_db) for snr_db, a in index]
+    results = _run_grid(
+        cfg.scenario, grid, cfg.n_trials, cfg.base_seed, cfg.receivers, cfg.channel_model,
+        constellation,
+    )
+    n_bits = cfg.scenario.payload_bits
+    return {
+        mode: {
             r: [
-                _aggregate(x, r, point, cfg.scenario.payload_bits)
-                for (x, _, _), point in zip(points, zip(*results[r]))
+                _aggregate(x, r, [a[index[snr_db, alpha]] for a in results[r]], n_bits)
+                for x, snr_db, alpha in points
             ]
             for r in cfg.receivers
         }
-    return curves
+        for mode, points in sweeps.items()
+    }
 
 
 @dataclass(frozen=True)

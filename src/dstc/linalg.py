@@ -120,15 +120,20 @@ def normal_solve(gram, rhs) -> tuple[np.ndarray, np.ndarray]:
 
     ``gram`` ``(..., cols, cols)`` and ``rhs`` ``(..., cols, k)`` carry the
     same leading axes.  Returns ``(x, normal)``: ``normal`` marks the
-    matrices whose ``gram_cond`` is at most ``NORMAL_EQUATIONS_MAX_COND``,
-    and ``x`` carries no meaning at every other one.
+    matrices whose ``gram_cond`` is at most ``NORMAL_EQUATIONS_MAX_COND``
+    and whose computed inverse is finite, and ``x`` carries no meaning at
+    every other one.
 
     The stack is inverted first.  A symmetric ``A`` has ``max|lambda| /
     min|lambda| <= ||A||_F * ||inv(A)||_F``, so a matrix whose product of
     squared norms is at most ``NORMAL_EQUATIONS_MAX_COND**4 / 16`` has a
     ``cond(a)`` of at most half the limit and is normal without
-    ``gram_cond``.  At that condition the rounding of either test is below
-    1e-8 relative, far inside the factor of two.  A computed Gram matrix's
+    ``gram_cond``.  Gradual underflow rounds an entry by up to ``2**-1074``
+    absolute, not relative, so a matrix of subnormal entries can read well
+    conditioned while its inverse overflows; none such is normal.  A finite
+    inverse puts ``||A||`` above ``1 / DBL_MAX``, and at that scale and
+    condition the rounding of either test is below 1e-8 relative, far
+    inside the factor of two.  A computed Gram matrix's
     eigenvalues lie within about ``rows * eps * trace`` of ``a``'s squared
     singular values, so one that is not positive definite has a ratio of
     at least about ``1 / (rows * cols * eps)``, over 1e8 for any ``a``
@@ -142,13 +147,16 @@ def normal_solve(gram, rhs) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:  # an exactly singular matrix, all-zero included
         normal = gram_cond(gram) <= NORMAL_EQUATIONS_MAX_COND
         inverse = np.linalg.inv(np.where(normal[..., None, None], gram, identity))
+        normal &= np.isfinite(inverse).all(axis=(-2, -1))
+        inverse[~normal] = identity
         return inverse @ rhs, normal
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the test open
         spread = np.square(gram).sum(axis=(-2, -1)) * np.square(inverse).sum(axis=(-2, -1))
     normal = spread <= NORMAL_EQUATIONS_MAX_COND**4 / 16
     open_ = ~normal
     if open_.any():
-        normal[open_] = gram_cond(gram[open_]) <= NORMAL_EQUATIONS_MAX_COND
+        finite = np.isfinite(inverse[open_]).all(axis=(-2, -1))
+        normal[open_] = finite & (gram_cond(gram[open_]) <= NORMAL_EQUATIONS_MAX_COND)
         inverse[~normal] = identity
     return inverse @ rhs, normal
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -469,6 +470,27 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "ber_nmse.csv").exists()
 
+    def test_noiseless_zf_on_subnormal_gram_matrices_makes_no_error(self, tmp_path, capsys):
+        # at a 1e-160 swing ZF's Gram matrices are subnormal: their cond reads
+        # well, but their inverse overflows, so they take the pseudoinverse
+        text = Path("configs/alpha_qled2x2.cfg").read_text()
+        for old, new in [
+            ("p_m = 0.5", "p_m = 1e-160"),
+            ("alpha = 0.4", "alpha = 1e-160"),
+            ("alpha_grid = 0.1 0.2 0.3 0.4 0.5", "alpha_grid = 1e-160"),
+            ("n_symbols_total = 10000", "n_symbols_total = 500"),
+            ("receivers = ZF VLC-KRF", "receivers = ZF"),
+        ]:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        cfg, out = write_cfg(tmp_path / "tiny.cfg", text), tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--noiseless", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader((out / "alpha_sweep.csv").read_text().splitlines()))
+        assert [(r["receiver"], r["n_bits"], r["n_errors"], r["failures"]) for r in rows] == [
+            ("ZF", "1980", "0", "0")
+        ]
+
     def test_failure_in_a_later_sweep_writes_no_csv(self, tmp_path, capsys):
         # mode = both: the BER sweep at 20 dB succeeds, the alpha sweep at 60 dB underflows
         text = (
@@ -679,6 +701,20 @@ REJECTED = [
         (("alpha = 0.4", "alpha = nan"),), 2, "alpha <= min(P_m, 1 - P_m)", id="alpha-nan"
     ),
     pytest.param((("p_m = 0.5", "p_m = nan"),), 2, "0 < P_m < 1", id="p_m-nan"),
+    # 1 / (alpha * sqrt(K)) would overflow in the code's inverse, noisy or noiseless
+    *(
+        pytest.param(
+            (("p_m = 0.5\nalpha = 0.4", "p_m = 1e-310\nalpha = 1e-310"), *edits),
+            2,
+            "alpha > 0 and not subnormal",
+            id=f"alpha-subnormal{name}",
+        )
+        for name, edits in [
+            ("", ()),
+            ("-noiseless-zf", (("ZF VLC-KRF", "ZF\nnoiseless = true"),)),
+            ("-noiseless-krf", (("ZF VLC-KRF", "VLC-KRF\nnoiseless = true"),)),
+        ]
+    ),
     pytest.param(
         (("snr_grid_db = 10 20", "snr_grid_db = 10 1e308"),), 1, "noiseless = true", id="snr-huge"
     ),

@@ -74,6 +74,14 @@ class TestBuild:
         with pytest.raises(ConstraintViolationError, match="alpha > 0"):
             build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.0))
 
+    def test_alpha_subnormal(self):
+        # 1 / (alpha * sqrt(K)), the scale of the code's inverse, would overflow
+        with pytest.raises(ConstraintViolationError, match="not subnormal"):
+            build_dimming_matrix(DimmingSpec(12, 6, 1e-310, 1e-310))
+        tiny = np.finfo(float).tiny
+        code = build_dimming_matrix(DimmingSpec(12, 6, tiny, tiny))
+        assert np.all(np.isfinite(np.linalg.pinv(code)))
+
     def test_alpha_nan(self):
         with pytest.raises(ConstraintViolationError, match="alpha"):
             build_dimming_matrix(DimmingSpec(12, 6, 0.5, math.nan))

@@ -388,8 +388,8 @@ class TestSweepEngine:
     QLED = default_scenarios()["qled2x2-k12"]  # 13 trials per chunk
 
     @staticmethod
-    def sweep_scores(monkeypatch, cfg, mode):
-        """Per receiver, the ``(points, trials)`` arrays behind ``run_sweeps``'s ``mode`` curves."""
+    def sweep_scores(monkeypatch, cfg, modes):
+        """Per receiver, the ``(points, trials)`` arrays of ``run_sweeps``'s ``modes`` grid."""
         returned = []
         run_grid = experiments._run_grid
 
@@ -399,8 +399,19 @@ class TestSweepEngine:
 
         with monkeypatch.context() as m:
             m.setattr(experiments, "_run_grid", recording)
-            run_sweeps(cfg, (mode,))
-        return returned[-1]  # the sweep's one grid
+            run_sweeps(cfg, modes)
+        assert len(returned) == 1  # the run's one grid
+        return returned[0]
+
+    @staticmethod
+    def distinct_points(cfg, modes):
+        """``(snr_db, alpha)`` of each distinct point of the ``modes`` sweeps, in listed order."""
+        points = []
+        if "ber" in modes:
+            points += [(snr_db, cfg.scenario.alpha) for snr_db in cfg.snr_grid_db]
+        if "alpha" in modes:
+            points += [(cfg.alpha_sweep_snr_db, alpha) for alpha in cfg.alpha_grid]
+        return list(dict.fromkeys(points))
 
     # 23 trials leave a partial last chunk at 13 trials per chunk
     @pytest.mark.parametrize("budget", ["default", "one trial per chunk"])
@@ -419,9 +430,14 @@ class TestSweepEngine:
             ("alpha", dict(receivers=("ZF", "VLC-KRF"), channel_model="diagonal")),
             ("alpha", dict(receivers=ALL_RECEIVERS, alpha_sweep_snr_db=-5.0)),
             ("alpha", dict(receivers=("plain-CSK",))),
+            # one grid for both sweeps, which share their point at 10 dB and depth 0.4
+            ("both", dict(receivers=ALL_RECEIVERS, alpha_sweep_snr_db=10.0)),
+            ("both", dict(receivers=("ZF", "VLC-KRF"), channel_model="diagonal")),
+            ("both", dict(receivers=ALL_RECEIVERS, noiseless=True)),
         ],
         ids=["ber", "alpha", "noiseless", "plain-only", "diagonal", "low-snr", "zf-only",
-             "krf-only", "alpha-noiseless", "alpha-diagonal", "alpha-low-snr", "alpha-plain-only"],
+             "krf-only", "alpha-noiseless", "alpha-diagonal", "alpha-low-snr", "alpha-plain-only",
+             "both", "both-diagonal", "both-noiseless"],
     )
     def test_sweep_equals_each_point_run_alone(self, monkeypatch, mode, changes, budget):
         cfg = ExperimentConfig(
@@ -438,14 +454,12 @@ class TestSweepEngine:
         # "one trial per chunk" gives every chunk one trial
         if budget == "one trial per chunk":
             monkeypatch.setattr(experiments, "_CHUNK_BYTES", self.QLED.reception_bytes)
-        swept = self.sweep_scores(monkeypatch, cfg, mode)
-        if mode == "ber":
-            alone = [(cfg.scenario, snr_db) for snr_db in cfg.snr_grid_db]
-        else:
-            alone = [
-                (dataclasses.replace(cfg.scenario, alpha=alpha), cfg.alpha_sweep_snr_db)
-                for alpha in cfg.alpha_grid
-            ]
+        modes = ("ber", "alpha") if mode == "both" else (mode,)
+        swept = self.sweep_scores(monkeypatch, cfg, modes)
+        alone = [
+            (dataclasses.replace(cfg.scenario, alpha=alpha), snr_db)
+            for snr_db, alpha in self.distinct_points(cfg, modes)
+        ]
         # a noisy grid of several points takes the route; a point run alone is formed
         routed = not cfg.noiseless
         expected = [
@@ -460,6 +474,63 @@ class TestSweepEngine:
             for scenario, snr_db in alone
         ]
         assert_grid_equals_points(swept, expected, ROUTE_KRF_NMSE_RTOL if routed else 0.0)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_both_sweeps_make_one_grid_that_draws_each_trial_once(self, monkeypatch, noiseless):
+        cfg = ExperimentConfig(
+            scenario=self.QLED,
+            snr_grid_db=(4.0, 8.0, 16.0),
+            alpha_grid=(0.2, 0.4),
+            alpha_sweep_snr_db=8.0,
+            n_symbols_total=23 * self.QLED.block_len,
+            receivers=("ZF", "VLC-KRF"),
+            noiseless=noiseless,
+        )
+        grids, seeds = [], []
+        run_grid, draw_chunk = experiments._run_grid, experiments._draw_chunk
+
+        def recording(scenario, points, *args):
+            grids.append([(snr_db, code.tobytes()) for code, _, snr_db in points])
+            return run_grid(scenario, points, *args)
+
+        def drawing(scenario, trial_seeds, *args):
+            seeds.extend(trial_seeds)
+            return draw_chunk(scenario, trial_seeds, *args)
+
+        monkeypatch.setattr(experiments, "_run_grid", recording)
+        monkeypatch.setattr(experiments, "_draw_chunk", drawing)
+        run_sweeps(cfg, ("ber", "alpha"))
+        # (8 dB, 0.4) is both sweeps' point; a noiseless grid keeps each listed SNR
+        codes = {
+            alpha: build_dimming_matrix(dataclasses.replace(self.QLED, alpha=alpha).dimming_spec())
+            for alpha in cfg.alpha_grid
+        }
+        expected = [
+            (math.inf if noiseless else snr_db, codes[alpha].tobytes())
+            for snr_db, alpha in [(4.0, 0.4), (8.0, 0.4), (16.0, 0.4), (8.0, 0.2)]
+        ]
+        assert grids == [expected]
+        # trial 0 once for the identifiability check, then each trial once
+        trials = [derive_seed(cfg.base_seed, t) for t in range(cfg.n_trials)]
+        assert seeds == trials[:1] + trials
+
+    def test_repeated_grid_values_give_equal_points(self):
+        cfg = ExperimentConfig(
+            scenario=self.QLED,
+            snr_grid_db=(10.0, 20.0),
+            alpha_grid=(0.2, 0.4),
+            alpha_sweep_snr_db=20.0,
+            n_symbols_total=10 * self.QLED.block_len,
+            receivers=ALL_RECEIVERS,
+        )
+        once = run_sweeps(cfg, ("ber", "alpha"))
+        repeated = dataclasses.replace(
+            cfg, snr_grid_db=(10.0, 20.0, 10.0), alpha_grid=(0.2, 0.4, 0.2)
+        )
+        curves = run_sweeps(repeated, ("ber", "alpha"))
+        for r in cfg.receivers:
+            assert curves["ber"][r] == [*once["ber"][r], once["ber"][r][0]]
+            assert curves["alpha"][r] == [*once["alpha"][r], once["alpha"][r][0]]
 
     # a noisy alpha grid takes the route, whose trials draw their unit noise
     # once for every depth: one draw per trial for each target, the reception

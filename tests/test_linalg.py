@@ -174,6 +174,23 @@ class TestLeastSquares:
         assert np.array_equal(out[2], np.zeros((4, 5)))
         assert np.allclose(out[0], pseudoinverse(a[0]) @ b[0], rtol=0.0, atol=1e-12)
 
+    # a matrix scaled by 1e-160 has a subnormal Gram matrix: its cond reads
+    # well, but its inverse overflows, so it must take the pseudoinverse too;
+    # an all-zero matrix makes np.linalg.inv raise on the whole stack
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_subnormal_gram_takes_the_pseudoinverse(self, singular):
+        a, b = rand(15, 3, 12, 4), rand(16, 3, 12, 5)
+        a[1] *= 1e-160
+        if singular:
+            a[2] = 0.0
+        assert linalg.gram_cond(a[1].T @ a[1]) <= linalg.NORMAL_EQUATIONS_MAX_COND
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.least_squares(a, b)
+        pseudoinverse = linalg.pseudoinverse(a) @ b
+        assert np.array_equal(out[1], pseudoinverse[1])
+        assert np.allclose(out[::2], pseudoinverse[::2], rtol=0.0, atol=1e-12)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             linalg.least_squares(np.full((3, 2), np.nan), np.ones((3, 1)))
