@@ -260,13 +260,16 @@ def _propagate(gains, code, receivers):
     plain CSK) it has a pilot estimate too, whose clean value is the
     effective channel itself, since ZF's pilots are the identity.  ZF and
     VLC-KRF report the clean effective channel's cond from its Khatri-Rao
-    Gram matrix ``(code.T @ code) * (gains.T @ gains)`` (``linalg.gram_cond``);
-    plain CSK's square channel can be too ill-conditioned for that and keeps
-    the SVD.
+    Gram matrix ``(code.T @ code) * (gains.T @ gains)`` (``linalg.gram_cond``)
+    of the code scaled by a power of two to a largest |entry| in [0.5, 1),
+    which is exact and leaves the cond as it is, but keeps the Gram matrix
+    normal at any code scale; plain CSK's square channel can be too
+    ill-conditioned for that and keeps the SVD.
     """
     effective = effective_channel(gains, code)
     on_code = [r for r in receivers if r != RECEIVER_PLAIN]  # ZF and VLC-KRF report its cond
-    gram = (code.T @ code) * (gains.swapaxes(-1, -2) @ gains)
+    unit = np.ldexp(code, -np.frexp(np.abs(code).max())[1])
+    gram = (unit.T @ unit) * (gains.swapaxes(-1, -2) @ gains)
     conds = dict.fromkeys(on_code, gram_cond(gram)) if on_code else {}
     links = [(effective, code, RECEIVER_ZF in receivers)]
     if RECEIVER_PLAIN in receivers:
@@ -336,28 +339,25 @@ def _run_formed(scenario, points, seeds, receivers, channel_model, constellation
 
 
 class _LinkProducts:
-    """One link's draws over the chunks of a grid, reduced to products that no point changes.
+    """The dimming code's draws over the chunks of a grid, reduced to products that no point changes.
 
     Its arrays hold ``n_trials``, a chunk of the grid, and each chunk fills
     its trials' rows in place, so a larger chunk takes no fresh pages.  A
-    chunk's draws are taken into ``draws`` and reduced at once.  Where
-    ``pilot`` (ZF, plain CSK) a reception draw ``N`` keeps ``max|N|``, and
-    the pilot draw ``P``, stacked, and ``P.T @ N``, last in ``products``.
-    Plain CSK's one-state link keeps ``E.T @ N`` first in them, and ``N``
-    itself, drawn into ``noise``, for the blocks that it leaves open.  The dimming
-    code's, given ``mixing`` ``W`` (``receivers.code_mixing``), keeps
-    ``||N||`` and ``rows``, ``W @ N`` over ``N``'s state blocks, and where
-    ``krf`` VLC-KRF's ``terms`` of them (``receivers.krf_terms``).  ``rows``
-    and ``terms`` share one array, ``space``, with the chunk's clean
-    receptions, which are read before its draws.
+    chunk's draws are taken into ``draws`` and reduced at once.  Given
+    ``mixing`` ``W`` (``receivers.code_mixing``), a reception draw ``N``
+    keeps ``||N||`` and ``rows``, ``W @ N`` over ``N``'s state blocks, and
+    where ``krf`` VLC-KRF's ``terms`` of them (``receivers.krf_terms``).
+    Where ``pilot`` (ZF) it keeps ``max|N|``, and the pilot draw ``P``,
+    stacked, and ``P.T @ N``.  ``rows`` and ``terms`` share one array,
+    ``space``, with the chunk's clean receptions, which are read before its
+    draws.
     """
 
     def __init__(self, n_trials, n_states, n_tx, n_rx, n_slots, pilot, mixing=None, krf=False):
         self.n_states, self.mixing, self.n_rx, self.n_slots = n_states, mixing, n_rx, n_slots
         self.peaks, self.norms = np.empty(n_trials), np.empty(n_trials)
         self.pilot = np.empty((n_trials, n_states * n_rx, n_tx)) if pilot else None
-        self.products = np.empty((1 + (mixing is None), n_trials, n_tx, n_slots)) if pilot else None
-        self.noise = np.empty((n_trials, n_rx, n_slots, 1)) if pilot and mixing is None else None
+        self.product = np.empty((n_trials, n_tx, n_slots)) if pilot else None
         if mixing is not None:
             shapes = [(n_trials, len(mixing), n_rx, n_slots)] + [(n_trials, 3, *shape) for shape in (
                 (n_rx, n_rx), (n_tx, n_rx, n_rx), (n_tx, n_rx))] * krf
@@ -369,19 +369,11 @@ class _LinkProducts:
 
     def draws(self, n_trials):
         """Arrays for ``n_trials`` trials' ``N`` and, where ``pilot``, ``P``, as ``draw_unit_noise`` draws them."""
-        noise = self.noise[:n_trials] if self.noise is not None else np.empty(
-            (n_trials, self.n_rx, self.n_slots, self.n_states))
-        if self.pilot is None:
-            return [noise]
-        return [noise, np.empty((n_trials, self.n_rx, self.pilot.shape[-1], self.n_states))]
+        columns = (self.n_slots,) if self.pilot is None else (self.n_slots, self.pilot.shape[-1])
+        return [np.empty((n_trials, self.n_rx, cols, self.n_states)) for cols in columns]
 
-    def draw(self, t, rng, draws):
-        """Take trial ``t``'s draws from its generator: the reception's noise, then the pilot's."""
-        for d in draws:
-            draw_unit_noise(rng, self.n_rx, self.n_rx * self.n_states, d.shape[2], d[t])
-
-    def reduce(self, draws, effective=None):
-        """Reduce the chunk's ``draws`` to the link's products, ``effective`` its channels."""
+    def reduce(self, draws):
+        """Reduce the chunk's ``draws`` to the link's products."""
         noise, n = draws[0], len(draws[0])
         flat = noise.reshape(n, -1)
         if self.mixing is not None:
@@ -393,11 +385,7 @@ class _LinkProducts:
         self.peaks[:n] = np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
         pilot = draws[1]
         stack_noise(pilot, self.pilot[:n])
-        if self.mixing is None:  # one state: each draw is stacked as drawn
-            np.matmul(effective.swapaxes(-1, -2), noise[..., 0], out=self.products[0, :n])
-            np.matmul(self.pilot[:n].swapaxes(-1, -2), noise[..., 0], out=self.products[-1, :n])
-            return
-        product = self.products[-1, :n]  # P.T @ N over the state blocks, a receiver at a time
+        product = self.product[:n]  # P.T @ N over the state blocks, a receiver at a time
         np.matmul(pilot[:, 0], noise[:, 0].swapaxes(-1, -2), out=product)
         for i in range(1, self.n_rx):
             product += pilot[:, i] @ noise[:, i].swapaxes(-1, -2)
@@ -409,12 +397,15 @@ def _stack(arrays):
 
 
 def _route_links(scenario, points, receivers, n_trials):
-    """The grid's mixing coefficients and the ``_LinkProducts`` that every chunk of it fills.
+    """The grid's mixing coefficients and the arrays that every chunk of it fills.
 
     Returns ``(coefficients, coded, plain)`` for ``_run_route``:
     ``coefficients`` holds each point's ``receivers.code_mixing``
-    coefficients, ZF's two and then VLC-KRF's three, and ``plain`` is
-    ``None`` without plain CSK.
+    coefficients, ZF's two and then VLC-KRF's three, and ``coded`` the
+    dimming code's ``_LinkProducts``.  ``plain`` holds plain CSK's unit
+    draws ``N`` and ``P`` as ``draw_unit_noise`` draws them, which on its
+    one-state link are the stacked arrays with a trailing axis of one, or
+    is ``None`` without plain CSK.
     """
     n_tx, n_rx, n_slots = scenario.n_tx, scenario.n_rx, scenario.block_len
     mixes = [code_mixing(code) for code, *_ in points]
@@ -425,59 +416,62 @@ def _route_links(scenario, points, receivers, n_trials):
     )
     plain = None
     if RECEIVER_PLAIN in receivers:
-        plain = _LinkProducts(n_trials, 1, n_tx, n_rx, n_slots, True)
+        plain = [np.empty((n_trials, n_rx, cols, 1)) for cols in (n_slots, n_tx)]
     return np.array([m[1] for m in mixes]), coded, plain
 
 
 def _run_route(scenario, points, seeds, receivers, channel_model, constellation, kept):
-    """A chunk of ``_run_grid`` on a noisy grid of several points, without forming any reception.
+    """A chunk of ``_run_grid`` on a noisy grid of several points, without forming the code's reception.
 
-    Each trial's draws are reduced once to products that no point changes,
-    in the grid's ``kept`` arrays (``_route_links``).  Every code is ``p + a * B``
-    for one ``B`` (``build_dimming_matrix`` at each depth), so one draw's rows
-    ``W @ N`` serve every depth (``receivers.code_mixing``): ZF's ``E.T @ N``
-    and VLC-KRF's residual Gram terms (``receivers.krf_terms``) mix from them
-    at each point within about 1e-15 of the formed product, relative to its
-    largest entry.  The points are detected a group at a time, in one batched
-    pass per receiver (``receivers.zf_detect_grid``,
-    ``receivers.krf_detect_grid``), whatever their codes.  A block that those
-    leave open is formed afterwards, a point at a time, on its open trials:
-    plain CSK's from the draws that its link keeps, and ZF's and VLC-KRF's by
-    drawing those trials again (``_run_formed``).
+    Each trial's draws on the dimming code are reduced once to products
+    that no point changes, in the grid's ``kept`` arrays (``_route_links``).
+    Every code is ``p + a * B`` for one ``B`` (``build_dimming_matrix`` at
+    each depth), so one draw's rows ``W @ N`` serve every depth
+    (``receivers.code_mixing``): ZF's ``E.T @ N`` and VLC-KRF's residual
+    Gram terms (``receivers.krf_terms``) mix from them at each point within
+    about 1e-15 of the formed product, relative to its largest entry.  The
+    points are detected a group at a time, in one batched pass per receiver
+    (``receivers.zf_detect_grid``, ``receivers.krf_detect_grid``), whatever
+    their codes.  A block that those leave open is formed afterwards, a
+    point at a time, on its open trials, by drawing those trials again
+    (``_run_formed``).  Plain CSK's one-state link, which no point changes,
+    is formed at every point from the draws that ``kept`` holds, as a point
+    run alone forms it, and detected by ``zf_detect`` a group at a time.
     """
     rngs, bits, symbols, gains = _draw_chunk(scenario, seeds, channel_model, constellation)
-    first, n_rx, n_slots, n_tx = points[0][0], scenario.n_rx, scenario.block_len, scenario.n_tx
+    n_rx, n_slots, n_tx = scenario.n_rx, scenario.block_len, scenario.n_tx
     coefficients, coded, plain = kept
-    found, conds = _propagate(gains, first, receivers)
-    plain_links = found[1:]
     on_code = tuple(r for r in receivers if r != RECEIVER_PLAIN)  # they read the dimming code
-    # each link's code once: its conds, and its clean reception's power and
-    # largest |entry|, one clean reception at a time
+    links, conds = _propagate(gains, points[0][0], receivers)
+    powers = []  # plain CSK's clean received power, the same at every point
+    if plain is not None:
+        (plain_effective, one_state, _), plain_cond = links.pop(), conds.pop(RECEIVER_PLAIN)
+        plain_clean = plain_effective @ symbols.swapaxes(-1, -2)
+        powers.append(received_power(plain_clean, gains, one_state, symbols))
+    # each code once: its conds, and its clean reception's power and largest
+    # |entry|, one clean reception at a time
     clean = {}
     for code, *_ in points:
         if id(code) not in clean:
-            links, link_conds = _propagate(gains, code, on_code) if clean else (found, conds)
-            found = None
-            for e, c, _ in links:
-                size = e.shape[0] * e.shape[1] * n_slots
-                y0 = np.matmul(e, symbols.swapaxes(-1, -2), out=coded.space[:size].reshape(
-                    *e.shape[:2], n_slots) if on_code else None)
-                peak = np.maximum(y0.max(axis=(-2, -1)), -y0.min(axis=(-2, -1)))
-                clean[id(c)] = (link_conds, received_power(y0, gains, c, symbols), peak)
-                del y0
-            del links, e
-    plain_codes = [c for _, c, _ in plain_links]
+            if clean:  # the first code's are propagated above
+                links, conds = _propagate(gains, code, on_code)
+            e = links.pop()[0]
+            size = e.shape[0] * e.shape[1] * n_slots
+            y0 = np.matmul(e, symbols.swapaxes(-1, -2), out=coded.space[:size].reshape(
+                *e.shape[:2], n_slots) if on_code else None)
+            peak = np.maximum(y0.max(axis=(-2, -1)), -y0.min(axis=(-2, -1)))
+            clean[id(code)] = (conds, received_power(y0, gains, code, symbols), peak)
+            del e, y0
     # every point's sd per link, checked point by point as a point run alone checks it
-    sds = np.array([[np.sqrt(noise_variance(clean[id(c)][1], snr)) for c in (code, *plain_codes)]
+    sds = np.array([[np.sqrt(noise_variance(p, snr)) for p in (clean[id(code)][1], *powers)]
                     for code, _, snr in points])
     n, g = len(seeds), gains.swapaxes(-1, -2)
-    drawn = [(link, link.draws(n)) for link in (coded, plain) if link is not None]
-    for t, rng in enumerate(rngs):
-        for link, draws in drawn:
-            link.draw(t, rng, draws)
-    for link, draws in drawn:
-        link.reduce(draws, *(e for e, _, _ in plain_links[:link is plain]))
-    del drawn, draws
+    drawn, plain_draws = coded.draws(n), [a[:n] for a in plain or ()]
+    for t, rng in enumerate(rngs):  # the code's link, then plain CSK's, as a point run draws them
+        for d in drawn + plain_draws:
+            draw_unit_noise(rng, n_rx, n_rx * d.shape[-1], d.shape[-2], d[t])
+    coded.reduce(drawn)
+    del drawn
     rows = coded.rows[:n] if on_code else None
     if RECEIVER_KRF in receivers:
         terms = krf_terms(rows, symbols, [a[:n] for a in coded.terms])
@@ -488,12 +482,12 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
     size = max(1, min(scenario.n_states * n_rx, n_slots) // (4 * n_tx))
     groups = np.array_split(np.arange(len(points)), -(-len(points) // size))
     scores = {}
-    for r in receivers:
+    for r in on_code:
         if r == RECEIVER_ZF:  # block j of each code's E.T @ N is g_j.T @ (p * Z0 + a * Zj)
             shared = np.stack([g @ rows[:, 0], (g[..., None, :] @ rows[:, 2:])[..., 0, :]])
         parts = []
         for group in groups:
-            codes = [points[i][0] for i in group] if r != RECEIVER_PLAIN else plain_codes
+            codes = [points[i][0] for i in group]
             codes = codes[:1] if all(c is codes[0] for c in codes) else codes
             if r == RECEIVER_KRF:
                 power = np.array([clean[id(points[i][0])][1] for i in group])
@@ -503,17 +497,13 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
                     (np.sqrt(power * scenario.n_states * n_rx * n_slots), coded.norms[:n]),
                     sds[group, 0], symbols[:, 0],
                 )
-            else:  # ZF, on the dimming code's link or plain CSK's
-                link, col = (plain, -1) if r == RECEIVER_PLAIN else (coded, 0)
-                if r == RECEIVER_PLAIN:
-                    products = link.products[0, :n][None]
-                else:
-                    products = np.tensordot(coefficients[group[:len(codes)], :2], shared, 1)
+            else:  # ZF
+                products = np.tensordot(coefficients[group[:len(codes)], :2], shared, 1)
                 result = zf_detect_grid(
-                    _stack([effective_channel(gains, c) for c in codes]), link.pilot[:n],
-                    symbols, (products, link.products[-1, :n]),
-                    (_stack([clean[id(c)][2] for c in codes]), link.peaks[:n]),
-                    sds[group, col], _stack([c[None] for c in codes]),
+                    _stack([effective_channel(gains, c) for c in codes]), coded.pilot[:n],
+                    symbols, (products, coded.product[:n]),
+                    (_stack([clean[id(c)][2] for c in codes]), coded.peaks[:n]),
+                    sds[group, 0], _stack([c[None] for c in codes]),
                 )
                 del products  # before the group is scored
             cond = _stack([clean[id(c)][0][r] for c in codes])
@@ -521,21 +511,9 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
             del result
         scores[r] = tuple(map(np.vstack, zip(*parts)))
         shared = None  # ZF's, before the next receiver
-    for i, point in enumerate(points):
+    for i, point in enumerate(points):  # the open blocks, formed from their draws
         open_ = {r: score[0][i].copy() for r, score in scores.items() if score[0][i].any()}
-        if RECEIVER_PLAIN in open_:  # formed here as a point run alone forms them
-            t = np.flatnonzero(open_.pop(RECEIVER_PLAIN))
-            sd = sds[i, -1, t][:, None, None]
-            estimate = plain_links[0][0][t]
-            reception = estimate @ symbols[t].swapaxes(-1, -2)
-            reception += sd * plain.noise[t, ..., 0]
-            estimate += sd * plain.pilot[t]
-            result = zf_detect(reception, estimate, plain_codes[0])
-            arrays = scores[RECEIVER_PLAIN]
-            settled = _score(result, bits[t], gains[t], arrays[3][i, t], constellation)
-            for array, part in zip(arrays, settled):
-                array[i, t] = part[0]
-        if open_:  # ZF's and VLC-KRF's, formed from their draws
+        if open_:
             trials = np.flatnonzero(np.any(list(open_.values()), axis=0))
             formed = _run_formed(
                 scenario, [point], [seeds[t] for t in trials], tuple(open_), channel_model,
@@ -544,6 +522,16 @@ def _run_route(scenario, points, seeds, receivers, channel_model, constellation,
             for r, blocks in open_.items():
                 for whole, part in zip(scores[r], formed[r]):
                     whole[i, trials] = np.where(blocks[trials], part[0], whole[i, trials])
+    if plain is not None:  # formed at every point as a point run alone forms it
+        noise, pilot = (d[..., 0] for d in plain_draws)
+        parts = []
+        for group in groups:
+            scale = sds[group, -1, :, None, None]
+            result = zf_detect(
+                plain_clean + scale * noise, plain_effective + scale * pilot, one_state
+            )
+            parts.append(_score(result, bits, gains, plain_cond, constellation))
+        scores[RECEIVER_PLAIN] = tuple(map(np.vstack, zip(*parts)))
     return scores
 
 

@@ -98,7 +98,7 @@ class TestPropagate:
         s = rng.random((5, 6))
         c = build_dimming_matrix(DimmingSpec(8, 6, 0.5, 0.4))
         stacked = effective_channel(h, c) @ s.T
-        assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), atol=1e-12)
+        assert np.allclose(stacked, stack(trilinear_oracle(h, s, c)), rtol=0.0, atol=1e-12)
 
     def test_empirical_snr_calibration(self):
         rng = np.random.default_rng(2)
@@ -240,11 +240,11 @@ class TestUnfold:
         s = rng.random((5, 3))
         c = build_dimming_matrix(DimmingSpec(4, 3, 0.5, 0.25))
         y = trilinear_oracle(h, s, c)
-        assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
-        assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
-        assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
+        assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, rtol=0.0, atol=1e-10)
+        assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, rtol=0.0, atol=1e-10)
+        assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, rtol=0.0, atol=1e-10)
         stacked = effective_channel(h, c) @ s.T
-        assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, atol=1e-10)
+        assert np.allclose(stacked.reshape(4, -1), c @ khatri_rao(h, s).T, rtol=0.0, atol=1e-10)
 
     def test_state_rows_are_vec_of_receptions(self):
         rng = np.random.default_rng(5)
@@ -254,9 +254,9 @@ class TestUnfold:
         y = trilinear_oracle(h, s, c)
         rows = (effective_channel(h, c) @ s.T).reshape(4, -1)
         for k in range(4):
-            assert np.allclose(rows[k], vec(y[:, :, k].T), atol=1e-12)
+            assert np.allclose(rows[k], vec(y[:, :, k].T), rtol=0.0, atol=1e-12)
             # each state's row is the dimming row pushed through the joint factor
-            assert np.allclose(rows[k], khatri_rao(h, s) @ c[k], atol=1e-12)
+            assert np.allclose(rows[k], khatri_rao(h, s) @ c[k], rtol=0.0, atol=1e-12)
 
     def test_multiset_of_entries_preserved(self):
         y = np.random.default_rng(6).random((3, 4, 5))
@@ -274,9 +274,11 @@ class TestUnfold:
         s = rng.standard_normal((n_slots, r))
         c = rng.standard_normal((n_states, r))
         y = np.einsum("ir,nr,kr->ink", h, s, c)
-        assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, atol=1e-10)
-        assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, atol=1e-10)
-        assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, atol=1e-10)
+        assert np.allclose(unfold(y, 1), h @ khatri_rao(c, s).T, rtol=0.0, atol=1e-10)
+        assert np.allclose(unfold(y, 2), s @ khatri_rao(c, h).T, rtol=0.0, atol=1e-10)
+        assert np.allclose(unfold(y, 3), c @ khatri_rao(s, h).T, rtol=0.0, atol=1e-10)
         stacked = effective_channel(h, c) @ s.T
-        assert np.allclose(stacked, stack(y), atol=1e-10)
-        assert np.allclose(stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, atol=1e-10)
+        assert np.allclose(stacked, stack(y), rtol=0.0, atol=1e-10)
+        assert np.allclose(
+            stacked.reshape(n_states, -1), c @ khatri_rao(h, s).T, rtol=0.0, atol=1e-10
+        )

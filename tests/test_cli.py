@@ -470,26 +470,40 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "ber_nmse.csv").exists()
 
-    def test_noiseless_zf_on_subnormal_gram_matrices_makes_no_error(self, tmp_path, capsys):
-        # at a 1e-160 swing ZF's Gram matrices are subnormal: their cond reads
-        # well, but their inverse overflows, so they take the pseudoinverse
+    @staticmethod
+    def tiny_zf_probe(tmp_path, capsys, scale):
+        """The rows of a noiseless ZF alpha sweep of the alpha config at ``p_m = alpha = scale``."""
         text = Path("configs/alpha_qled2x2.cfg").read_text()
         for old, new in [
-            ("p_m = 0.5", "p_m = 1e-160"),
-            ("alpha = 0.4", "alpha = 1e-160"),
-            ("alpha_grid = 0.1 0.2 0.3 0.4 0.5", "alpha_grid = 1e-160"),
+            ("p_m = 0.5", f"p_m = {scale}"),
+            ("alpha = 0.4", f"alpha = {scale}"),
+            ("alpha_grid = 0.1 0.2 0.3 0.4 0.5", f"alpha_grid = {scale}"),
             ("n_symbols_total = 10000", "n_symbols_total = 500"),
             ("receivers = ZF VLC-KRF", "receivers = ZF"),
         ]:
             assert text.count(old) == 1, old
             text = text.replace(old, new)
-        cfg, out = write_cfg(tmp_path / "tiny.cfg", text), tmp_path / "o"
+        cfg, out = write_cfg(tmp_path / f"tiny-{scale}.cfg", text), tmp_path / f"o-{scale}"
         assert run_cli(["simulate", "--config", cfg, "--noiseless", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        rows = list(csv.DictReader((out / "alpha_sweep.csv").read_text().splitlines()))
+        return list(csv.DictReader((out / "alpha_sweep.csv").read_text().splitlines()))
+
+    def test_noiseless_zf_on_subnormal_gram_matrices_makes_no_error(self, tmp_path, capsys):
+        # at a 1e-160 swing ZF's Gram matrices are subnormal: their cond reads
+        # well, but their inverse overflows, so they take the pseudoinverse
+        rows = self.tiny_zf_probe(tmp_path, capsys, "1e-160")
         assert [(r["receiver"], r["n_bits"], r["n_errors"], r["failures"]) for r in rows] == [
             ("ZF", "1980", "0", "0")
         ]
+
+    def test_cond_does_not_depend_on_the_code_scale(self, tmp_path, capsys):
+        # the effective channel's cond is scale-free: from a 1e-160 swing down,
+        # the code's own Gram matrix would be subnormal or zero, and read inf
+        (reference,) = self.tiny_zf_probe(tmp_path, capsys, "1e-150")
+        for scale in ("1e-160", "1e-165", "1e-200", "1e-307"):
+            (row,) = self.tiny_zf_probe(tmp_path, capsys, scale)
+            assert row["n_errors"] == "0"
+            assert float(row["cond"]) == pytest.approx(float(reference["cond"]), rel=1e-12, abs=0)
 
     def test_failure_in_a_later_sweep_writes_no_csv(self, tmp_path, capsys):
         # mode = both: the BER sweep at 20 dB succeeds, the alpha sweep at 60 dB underflows

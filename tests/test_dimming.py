@@ -64,7 +64,7 @@ class TestBuild:
             spec.p_m**2 * np.ones((spec.n_tx, spec.n_tx))
             + spec.alpha**2 * np.eye(spec.n_tx)
         )
-        assert np.allclose(c.T @ c, expect, atol=1e-10)
+        assert np.allclose(c.T @ c, expect, rtol=0.0, atol=1e-10)
 
     def test_alpha_too_large(self):
         with pytest.raises(ConstraintViolationError, match=r"alpha <= min\(P_m, 1 - P_m\)"):
@@ -325,7 +325,7 @@ class TestTransmitBlock:
         c = build_dimming_matrix(DimmingSpec(12, 6, 0.5, 0.4))
         s = np.random.default_rng(2).random((9, 6))
         x = transmitted(c, s)
-        assert np.allclose(x.mean(axis=0), 0.5 * s.T, atol=1e-12)
+        assert np.allclose(x.mean(axis=0), 0.5 * s.T, rtol=0.0, atol=1e-12)
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError, match="columns"):

@@ -297,12 +297,12 @@ class TestChunkMemory:
     # default budget, bound on peak / the chunk's reception).  A one-point
     # chunk is formed and holds two reception-sized arrays (traced peaks 2.05
     # and 2.42 times the reception), and a chunk of several points is routed
-    # and holds up to four: it keeps its draws only as their depth-free rows,
-    # the rows' terms and the pilots' products, and scores its points in
-    # groups (3.11 on QLED, 3.26 at three 18-LED trials and 3.85 at one
-    # 30-LED trial on the 7-point grids), and an alpha grid, one code per
-    # depth, holds ZF's groups of depths next to them (3.30 on QLED, 3.85 at
-    # one 30-LED trial)
+    # and holds up to four: it keeps the code's draws only as their
+    # depth-free rows, the rows' terms and the pilot's products, and plain
+    # CSK's one-state draws as drawn, and scores its points in groups (3.02
+    # on QLED, 3.20 at three 18-LED trials and 3.82 at one 30-LED trial on
+    # the 7-point grids), and an alpha grid, one code per depth, holds ZF's
+    # groups of depths next to them (3.21 on QLED, 3.82 at one 30-LED trial)
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
         reason="before 3.11 a caller keeps its call's arguments alive until the call "
@@ -671,19 +671,21 @@ class TestRouteFallbacks:
         assert 0 < formed < failed.size
 
 
-    # the bundled qled2x2 BER sweep leaves plain-CSK blocks open, 6 at the
-    # config's seed and 11 at seed 7, and none of ZF's: the route forms
-    # plain CSK's open trials from the draws it keeps, and draws no trial again
-    @pytest.mark.parametrize("seed,n_open", [(None, 6), (7, 11)], ids=["config-seed", "seed-7"])
-    def test_formed_detectors_see_only_open_blocks(self, monkeypatch, seed, n_open):
+    # the bundled qled2x2 BER sweep leaves none of ZF's blocks open, and the
+    # route forms plain CSK's at every point from the draws it keeps: each of
+    # its 7 x 100 blocks reaches zf_detect once, no ZF block does, and no
+    # trial is drawn again
+    @pytest.mark.parametrize("seed", [None, 7], ids=["config-seed", "seed-7"])
+    def test_formed_detectors_see_only_open_blocks(self, monkeypatch, seed):
         cfg = load_config("configs/qled2x2.cfg").experiment
         if seed is not None:
             cfg = dataclasses.replace(cfg, base_seed=seed)
+        assert (len(cfg.snr_grid_db), cfg.n_trials) == (7, 100)
         seen = {"ZF": 0, "plain-CSK": 0}
         real = experiments.zf_detect
 
-        def counted(stacked, effective, code):
-            seen["plain-CSK" if len(code) == 1 else "ZF"] += len(stacked)
+        def counted(stacked, effective, code):  # blocks, whatever their leading axes
+            seen["plain-CSK" if len(code) == 1 else "ZF"] += stacked[..., 0, 0].size
             return real(stacked, effective, code)
 
         drawn, draw = [], experiments._draw_chunk
@@ -695,7 +697,7 @@ class TestRouteFallbacks:
         monkeypatch.setattr(experiments, "zf_detect", counted)
         monkeypatch.setattr(experiments, "_draw_chunk", counted_draws)
         run_sweeps(cfg, ("ber",))
-        assert seen == {"ZF": 0, "plain-CSK": n_open}
+        assert seen == {"ZF": 0, "plain-CSK": 7 * 100}
         assert sum(drawn) == cfg.n_trials + 1  # and the precheck's trial 0
 
 

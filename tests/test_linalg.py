@@ -46,7 +46,7 @@ class TestKhatriRao:
         c = rng.standard_normal(r)
         lhs = np.kron(s, h) @ vec(np.diag(c))
         rhs = khatri_rao(s, h) @ c
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 class TestVecUnvec:
@@ -69,7 +69,7 @@ class TestPseudoinverse:
 
     def test_left_inverse_of_tall_full_rank(self):
         m = rand(7, 6, 3)
-        assert np.allclose(linalg.pseudoinverse(m) @ m, np.eye(3), atol=1e-9)
+        assert np.allclose(linalg.pseudoinverse(m) @ m, np.eye(3), rtol=0.0, atol=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -79,10 +79,10 @@ class TestPseudoinverse:
         rank = int(rng.integers(1, min(rows, cols) + 1))
         m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
         p = linalg.pseudoinverse(m)
-        assert np.allclose(m @ p @ m, m, atol=1e-8)
-        assert np.allclose(p @ m @ p, p, atol=1e-8)
-        assert np.allclose((m @ p).T, m @ p, atol=1e-8)
-        assert np.allclose((p @ m).T, p @ m, atol=1e-8)
+        assert np.allclose(m @ p @ m, m, rtol=0.0, atol=1e-8)
+        assert np.allclose(p @ m @ p, p, rtol=0.0, atol=1e-8)
+        assert np.allclose((m @ p).T, m @ p, rtol=0.0, atol=1e-8)
+        assert np.allclose((p @ m).T, p @ m, rtol=0.0, atol=1e-8)
 
 
 class TestGramCond:
@@ -213,8 +213,10 @@ class TestLeadingSingularTriplet:
         assert sigma.shape == (4,) and u.shape == (4, 5) and v.shape == (4, 8)
         for r, (h, s) in enumerate(zip(hs, ss)):
             assert sigma[r] == pytest.approx(np.linalg.norm(h) * np.linalg.norm(s))
-            assert np.allclose(np.abs(u[r]), np.abs(h) / np.linalg.norm(h), atol=1e-12)
-            assert np.allclose(sigma[r] * np.outer(u[r], v[r]), np.outer(h, s), atol=1e-10)
+            assert np.allclose(np.abs(u[r]), np.abs(h) / np.linalg.norm(h), rtol=0.0, atol=1e-12)
+            assert np.allclose(
+                sigma[r] * np.outer(u[r], v[r]), np.outer(h, s), rtol=0.0, atol=1e-10
+            )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -225,7 +227,7 @@ class TestLeadingSingularTriplet:
         sigmas, us, vs = linalg.leading_rank_one(stack)
         assert sigmas.shape == (n_blocks,) and us.shape == (n_blocks, rows)
         for m, sigma, u, v in zip(stack, sigmas, us, vs):
-            assert np.allclose(m @ v, sigma * u, atol=1e-9 * max(1.0, sigma))
+            assert np.allclose(m @ v, sigma * u, rtol=0.0, atol=1e-9 * max(1.0, sigma))
             best = np.linalg.norm(m - sigma * np.outer(u, v))
             # No sampled rank-one competitor does better.
             for _ in range(10):

@@ -85,7 +85,7 @@ class TestStacking:
         stacked = effective_channel(gains, code) @ symbols.T
         # entry (k, i, n) is sum_j code[k, j] gains[i, j] symbols[n, j]
         trilinear = np.einsum("kj,ij,nj->kin", code, gains, symbols).reshape(stacked.shape)
-        assert np.allclose(stacked, trilinear, atol=1e-12)
+        assert np.allclose(stacked, trilinear, rtol=0.0, atol=1e-12)
 
 
 class TestEffectiveChannel:
@@ -169,7 +169,7 @@ class TestZfDetect:
         )
         est = zf_detect(stacked, effective_channel(gains, code), code)
         assert np.array_equal(payload(est, constellation), bits)
-        assert np.allclose(est.channel_estimate, gains, atol=1e-10)
+        assert np.allclose(est.channel_estimate, gains, rtol=0.0, atol=1e-10)
 
     def test_high_snr_low_error(self):
         outcomes = run_point(QLED_SHORT, 40.0, 20, 0, ("ZF",))["ZF"]
@@ -198,7 +198,7 @@ class TestKrfDetect:
         assert np.array_equal(payload(est, constellation), bits)
         rel = np.linalg.norm(est.channel_estimate - gains) / np.linalg.norm(gains)
         assert rel <= 1e-8
-        assert np.allclose(est.symbol_estimate, symbols, atol=1e-8)
+        assert np.allclose(est.symbol_estimate, symbols, rtol=0.0, atol=1e-8)
 
     def test_scaling_cancels_in_reconstruction(self):
         # the per-column scale moves between factors without changing their product
@@ -209,7 +209,7 @@ class TestKrfDetect:
         assert np.allclose(
             est.channel_estimate @ est.symbol_estimate.T,
             gains @ symbols.T,
-            atol=1e-8,
+            rtol=0.0, atol=1e-8,
         )
 
     def test_batched_fit_matches_per_column_svd(self):
@@ -344,7 +344,8 @@ class TestStackedBlocks:
             expected = (pseudoinverse(effective[i]) @ stacked[i]).T
             assert np.array_equal(batch.symbol_estimate[i], expected)
         assert np.allclose(
-            batch.symbol_estimate[0], (pseudoinverse(effective[0]) @ stacked[0]).T, atol=1e-12
+            batch.symbol_estimate[0], (pseudoinverse(effective[0]) @ stacked[0]).T,
+            rtol=0.0, atol=1e-12,
         )
 
     def test_all_zero_reception(self):
@@ -679,7 +680,7 @@ class TestPlainCskBaseline:
         # noiseless identity pilots return the effective channel itself
         est = zf_detect(stacked, estimate, one_state)
         assert np.array_equal(payload(est, constellation), bits)
-        assert np.allclose(est.channel_estimate, gains, atol=1e-10)
+        assert np.allclose(est.channel_estimate, gains, rtol=0.0, atol=1e-10)
         # the one-state code leaves the effective-channel estimate as it is
         assert np.array_equal(est.channel_estimate, estimate)
 
